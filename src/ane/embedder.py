@@ -11,11 +11,13 @@ Four model kinds share one trainer:
   role of G.
 * ``adae`` - dae plus the same adversarial phase on the encoder outputs.
 
-Each training cycle runs ``structure_steps`` minibatch updates of the
-structure objective, then (for adversarial models) ``disc_steps``
-discriminator updates followed by ``gen_steps`` generator updates. The
-generator G is a single shared parameter bundle: the structure phase and the
-adversarial phase update the same network.
+Each model is one structure objective (:class:`SkipGram` for idw and aidw,
+:class:`Dae` for dae and adae) plus, for the adversarial kinds, the shared
+adversarial regularizer. Each training cycle runs ``structure_steps``
+minibatch updates of the structure objective, then (for adversarial models)
+``disc_steps`` discriminator updates followed by ``gen_steps`` generator
+updates. The generator G is a single shared parameter bundle: the structure
+phase and the adversarial phase update the same network.
 """
 
 from __future__ import annotations
@@ -30,9 +32,14 @@ import numpy as np
 from . import nn
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp, log_sigmoid, sigmoid
 from .proximity import PpmiConfig, ppmi_features
-from .walker import WalkConfig, iter_batches, negative_sampler, positive_pairs, random_walks
-
-MODEL_KINDS = ("idw", "aidw", "dae", "adae")
+from .walker import (
+    WalkConfig,
+    batch_bounds,
+    iter_batches,
+    negative_sampler,
+    positive_pairs,
+    random_walks,
+)
 
 # discriminator probabilities are clamped here before taking logs
 PROB_CLAMP = 1e-12
@@ -97,8 +104,11 @@ class TrainConfig:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if min(self.batch_size, self.adv_batch_size) < 1:
-            raise ValueError("batch sizes must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.adv_batch_size < 2:
+            # batch norm in train mode needs two rows
+            raise ValueError(f"adv_batch_size must be >= 2, got {self.adv_batch_size}")
         if min(self.structure_steps, self.disc_steps, self.gen_steps) < 0:
             raise ValueError("step counts must be >= 0")
         if not 0.0 <= self.dae_corruption < 1.0:
@@ -345,6 +355,87 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng, train=True):
     return loss
 
 
+def _embedding_generator(features, config, rng):
+    return build_generator(
+        features.shape[1], config.dim, rng, bn_before_activation=config.bn_before_activation
+    )
+
+
+class SkipGram:
+    """Skip-gram structure objective of idw and aidw.
+
+    A target generator G and a context generator F map feature rows to
+    vectors and are trained with negative sampling on the positive pairs of
+    a random-walk corpus. Items are pairs; a batch is a :class:`PairBatch`.
+    """
+
+    def __init__(self, graph, config, features, rng_init, rng_walks):
+        self.config = config
+        self.features = features
+        self.gen_g = _embedding_generator(features, config, rng_init)
+        self.gen_f = _embedding_generator(features, config, rng_init)
+        self.nets = {"generator": self.gen_g, "context_generator": self.gen_f}
+
+        walk_cfg = WalkConfig(
+            walks_per_node=config.walks_per_node,
+            walk_length=config.walk_length,
+            context_size=config.context_size,
+            seed=config.seed,
+        )
+        corpus = random_walks(graph, walk_cfg, rng_walks)
+        self.pair_targets, self.pair_contexts = positive_pairs(corpus, config.context_size)
+        if self.pair_targets.size == 0:
+            raise ValueError("walk corpus produced no positive pairs; increase context_size")
+        self.neg_table = negative_sampler(graph)
+        self.num_items = self.pair_targets.size
+
+    def batches(self, rng):
+        """One epoch of shuffled pair batches with their negative draws."""
+        cfg = self.config
+        return iter_batches(
+            self.pair_targets, self.pair_contexts, self.neg_table, cfg.negatives,
+            cfg.batch_size, rng,
+        )
+
+    def loss(self, batch, rng):
+        """Loss of one batch; leaves gradients on the networks."""
+        return idw_batch_loss(self.gen_g, self.gen_f, batch, self.features)
+
+
+class Dae:
+    """Denoising-autoencoder structure objective of dae and adae.
+
+    The encoder is the generator G; a linear decoder reconstructs the clean
+    feature row from the encoding of a corrupted one. Items are nodes; a
+    batch is an array of node indices.
+    """
+
+    def __init__(self, graph, config, features, rng_init, rng_walks):
+        self.config = config
+        self.features = features
+        self.gen_g = _embedding_generator(features, config, rng_init)
+        self.decoder = build_decoder(config.dim, features.shape[1], rng_init)
+        self.nets = {"generator": self.gen_g, "decoder": self.decoder}
+        self.num_items = graph.num_nodes
+
+    def batches(self, rng):
+        """One epoch of shuffled node batches."""
+        order = rng.permutation(self.num_items)
+        for start, stop in batch_bounds(order.size, self.config.batch_size):
+            yield order[start:stop]
+
+    def loss(self, batch, rng):
+        """Loss of one batch, corrupted with ``rng``; leaves gradients on the networks."""
+        return dae_batch_loss(
+            self.gen_g, self.decoder, self.features[batch], self.config.dae_corruption, rng
+        )
+
+
+# structure objective of each model kind
+OBJECTIVES = {"idw": SkipGram, "aidw": SkipGram, "dae": Dae, "adae": Dae}
+MODEL_KINDS = tuple(OBJECTIVES)
+
+
 class Trainer:
     """Owns the networks, optimizers and RNG streams for one training run.
 
@@ -377,25 +468,11 @@ class Trainer:
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
             )
         self.features = features
-        in_dim = features.shape[1]
-
-        if config.model in ("idw", "aidw"):
-            self.gen_g = build_generator(
-                in_dim, config.dim, self.rng_init, bn_before_activation=config.bn_before_activation
-            )
-            self.gen_f = build_generator(
-                in_dim, config.dim, self.rng_init, bn_before_activation=config.bn_before_activation
-            )
-            self.decoder = None
-            structure_nets = [self.gen_g, self.gen_f]
-        else:
-            self.gen_g = build_generator(
-                in_dim, config.dim, self.rng_init, bn_before_activation=config.bn_before_activation
-            )
-            self.gen_f = None
-            self.decoder = build_decoder(config.dim, in_dim, self.rng_init)
-            structure_nets = [self.gen_g, self.decoder]
-        self.structure_nets = structure_nets
+        self.objective = OBJECTIVES[config.model](
+            graph, config, features, self.rng_init, self.rng_walks
+        )
+        self.gen_g = self.objective.gen_g
+        self.structure_nets = list(self.objective.nets.values())
 
         self.disc = None
         if config.adversarial:
@@ -405,36 +482,14 @@ class Trainer:
             self.gen_adv_opt = RmsProp(self.gen_g.parameters(), lr=config.gen_lr)
 
         self.structure_opt = RmsProp(
-            [p for net in structure_nets for p in net.parameters()], lr=config.structure_lr
+            [p for net in self.structure_nets for p in net.parameters()], lr=config.structure_lr
         )
-
-        if config.model in ("idw", "aidw"):
-            walk_cfg = WalkConfig(
-                walks_per_node=config.walks_per_node,
-                walk_length=config.walk_length,
-                context_size=config.context_size,
-                seed=config.seed,
-            )
-            corpus = random_walks(graph, walk_cfg, self.rng_walks)
-            self.pair_targets, self.pair_contexts = positive_pairs(corpus, config.context_size)
-            if self.pair_targets.size == 0:
-                raise ValueError(
-                    "walk corpus produced no positive pairs; increase context_size"
-                )
-            self.neg_table = negative_sampler(graph)
-
         self.log = TrainingLog()
 
     # -- single steps ------------------------------------------------------
 
     def _structure_step(self, batch):
-        cfg = self.config
-        if cfg.model in ("idw", "aidw"):
-            loss = idw_batch_loss(self.gen_g, self.gen_f, batch, self.features)
-        else:
-            loss = dae_batch_loss(
-                self.gen_g, self.decoder, self.features[batch], cfg.dae_corruption, self.rng_noise
-            )
+        loss = self.objective.loss(batch, self.rng_noise)
         self._check_finite(loss, "structure")
         grads = [g for net in self.structure_nets for g in net.gradients()]
         self.structure_opt.step(grads)
@@ -467,25 +522,6 @@ class Trainer:
         if not np.isfinite(loss):
             raise TrainingDiverged(f"{phase} loss became {loss!r}")
 
-    # -- epoch streams -----------------------------------------------------
-
-    def _structure_batches(self):
-        cfg = self.config
-        if cfg.model in ("idw", "aidw"):
-            return iter_batches(
-                self.pair_targets,
-                self.pair_contexts,
-                self.neg_table,
-                cfg.negatives,
-                cfg.batch_size,
-                self.rng_batches,
-            )
-        order = self.rng_batches.permutation(self.graph.num_nodes)
-        return (
-            order[start : start + cfg.batch_size]
-            for start in range(0, order.size, cfg.batch_size)
-        )
-
     def _bn_stats(self, nets):
         mean_abs = 0.0
         var_err = 0.0
@@ -498,25 +534,22 @@ class Trainer:
     def run(self):
         """Train to completion and return (embeddings, training log).
 
-        An epoch is one pass over the structure stream (positive pairs, or
-        feature rows for the autoencoder models); its length still defines
-        the cycle count when ``structure_steps`` is 0 and only the
-        adversarial phase runs.
+        An epoch is one pass over the objective's batch stream (positive
+        pairs, or feature rows for the autoencoder models); its length still
+        defines the cycle count, ``ceil(items / batch_size)``, when
+        ``structure_steps`` is 0 and only the adversarial phase runs.
         """
         cfg = self.config
-        if cfg.model in ("idw", "aidw"):
-            n_items = self.pair_targets.size
-        else:
-            n_items = self.graph.num_nodes
-        n_batches = -(-n_items // cfg.batch_size)
+        n_items = self.objective.num_items
         if cfg.structure_steps > 0:
+            n_batches = len(batch_bounds(n_items, cfg.batch_size))
             cycles_per_epoch = -(-n_batches // cfg.structure_steps)
         else:
-            cycles_per_epoch = n_batches
+            cycles_per_epoch = -(-n_items // cfg.batch_size)
 
         cycle = 0
         for _ in range(cfg.epochs):
-            batches = self._structure_batches() if cfg.structure_steps > 0 else None
+            batches = self.objective.batches(self.rng_batches) if cfg.structure_steps > 0 else None
             for _ in range(cycles_per_epoch):
                 started = time.perf_counter()
                 bn_mean = 0.0
@@ -579,11 +612,7 @@ class Trainer:
         """One neural-kernel checkpoint file per network."""
         import os
 
-        names = {"generator": self.gen_g}
-        if self.gen_f is not None:
-            names["context_generator"] = self.gen_f
-        if self.decoder is not None:
-            names["decoder"] = self.decoder
+        names = dict(self.objective.nets)
         if self.disc is not None:
             names["discriminator"] = self.disc
         for name, net in names.items():

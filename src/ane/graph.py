@@ -20,7 +20,8 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Immutable undirected weighted graph with dense node indices.
+    """Immutable undirected weighted graph with dense node indices, stored as
+    a symmetric CSR adjacency matrix.
 
     Attributes
     ----------
@@ -29,49 +30,73 @@ class Graph:
         External id of each dense index.
     index_of : dict
         External id -> dense index.
-    nbr_idx, nbr_wt : lists of arrays
-        Per-node neighbor indices (sorted ascending) and matching weights.
+    indptr : int64 array, shape (N + 1,)
+        Row ``i`` of the adjacency is ``indices[indptr[i]:indptr[i + 1]]``.
+    indices : int64 array
+        Neighbor indices, sorted ascending within each row. Every edge
+        ``(i, j)`` with ``i != j`` is stored in both rows; a self-loop once.
+    weights : float64 array
+        Edge weight of each entry of ``indices``.
     """
 
-    def __init__(self, ids, edges):
-        """Build from external ids and undirected edges ``{(i, j): w}``.
+    def __init__(self, ids, src, dst, weights):
+        """Build from external ids and undirected edges ``src[k] -- dst[k]``
+        of weight ``weights[k]``.
 
-        ``edges`` keys are unordered dense-index pairs with ``i <= j``;
-        a key ``(i, i)`` is a self-loop. Weights must be positive and finite.
+        Each edge is given once, with ``src[k] <= dst[k]``; ``src[k] ==
+        dst[k]`` is a self-loop. Weights must be non-negative and finite.
         """
         n = len(ids)
-        adj = [{} for _ in range(n)]
-        for (i, j), w in edges.items():
-            if not (0 <= i <= j < n):
-                raise GraphError(f"edge ({i},{j}) out of range for N={n}")
-            if not np.isfinite(w) or w < 0:
-                raise GraphError(f"edge ({i},{j}) has invalid weight {w!r}")
-            adj[i][j] = w
-            adj[j][i] = w
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        bad = np.flatnonzero((src < 0) | (src > dst) | (dst >= n))
+        if bad.size:
+            k = bad[0]
+            raise GraphError(f"edge ({src[k]},{dst[k]}) out of range for N={n}")
+        bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
+        if bad.size:
+            k = bad[0]
+            raise GraphError(f"edge ({src[k]},{dst[k]}) has invalid weight {weights[k]!r}")
+
+        off = src != dst
+        rows = np.concatenate([src, dst[off]])
+        cols = np.concatenate([dst, src[off]])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
+            raise GraphError("duplicate edge")
 
         self.num_nodes = n
         self.ids = list(ids)
         self.index_of = {v: k for k, v in enumerate(self.ids)}
-        self.nbr_idx = []
-        self.nbr_wt = []
-        for i in range(n):
-            order = sorted(adj[i])
-            self.nbr_idx.append(np.array(order, dtype=np.int64))
-            self.nbr_wt.append(np.array([adj[i][j] for j in order], dtype=np.float64))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self.indices = cols
+        self.weights = np.concatenate([weights, weights[off]])[order]
+
+    def entry_rows(self):
+        """Row index of every stored entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
 
     def degrees(self):
-        """Weighted degree of every node (sum of incident edge weights)."""
-        return np.array([w.sum() for w in self.nbr_wt], dtype=np.float64)
+        """Weighted degree of every node (sum of incident edge weights).
+
+        Each row is summed on its own with ``ndarray.sum``; a segmented sum
+        over the flat array rounds differently on rows of 8 or more entries.
+        """
+        w, ptr = self.weights, self.indptr
+        return np.array([w[ptr[i] : ptr[i + 1]].sum() for i in range(self.num_nodes)],
+                        dtype=np.float64)
 
     def num_edges(self):
         """Number of undirected edges (self-loops count once)."""
-        total = sum(len(a) for a in self.nbr_idx)
-        loops = sum(int((a == i).any()) for i, a in enumerate(self.nbr_idx))
-        return (total + loops) // 2
+        loops = int((self.entry_rows() == self.indices).sum())
+        return (self.indices.size + loops) // 2
 
     def has_edge(self, i, j):
-        pos = np.searchsorted(self.nbr_idx[i], j)
-        return pos < len(self.nbr_idx[i]) and self.nbr_idx[i][pos] == j
+        row = self.indices[self.indptr[i] : self.indptr[i + 1]]
+        pos = np.searchsorted(row, j)
+        return pos < row.size and row[pos] == j
 
     def __len__(self):
         return self.num_nodes
@@ -82,8 +107,9 @@ class Graph:
         return (
             self.num_nodes == other.num_nodes
             and self.ids == other.ids
-            and all(np.array_equal(a, b) for a, b in zip(self.nbr_idx, other.nbr_idx))
-            and all(np.array_equal(a, b) for a, b in zip(self.nbr_wt, other.nbr_wt))
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.weights, other.weights)
         )
 
     def __repr__(self):
@@ -100,7 +126,7 @@ def parse_edge_lines(lines, weighted=True, source="<memory>"):
     """
     ids = []
     index_of = {}
-    directed = {}
+    src, dst, wts = [], [], []
 
     def dense(token):
         if token not in index_of:
@@ -130,15 +156,22 @@ def parse_edge_lines(lines, weighted=True, source="<memory>"):
                 raise EdgeListError(f"{source}:{lineno}: negative weight {w}")
         else:
             w = 1.0
-        i, j = dense(parts[0]), dense(parts[1])
-        directed[(i, j)] = directed.get((i, j), 0.0) + w
+        src.append(dense(parts[0]))
+        dst.append(dense(parts[1]))
+        wts.append(w)
 
-    edges = {}
-    for (i, j), w in directed.items():
-        key = (i, j) if i <= j else (j, i)
-        other = directed.get((j, i), 0.0)
-        edges[key] = max(w, other)
-    return Graph(ids, edges)
+    n = len(ids)
+    src = np.array(src, dtype=np.int64)
+    dst = np.array(dst, dtype=np.int64)
+    # bincount adds in input order, as summing line by line would
+    directed, pos = np.unique(src * n + dst, return_inverse=True)
+    summed = np.bincount(pos, weights=np.array(wts, dtype=np.float64))
+    i, j = np.divmod(directed, n)
+    undirected, pos = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)
+    merged = np.zeros(undirected.size)
+    np.maximum.at(merged, pos, summed)
+    i, j = np.divmod(undirected, n)
+    return Graph(ids, i, j, merged)
 
 
 def load_edge_list(path, weighted=True):
@@ -153,19 +186,16 @@ def preprocess(g):
     External ids are preserved so labels stay alignable. Idempotent: applying
     it to an already-clean graph returns an equal graph.
     """
-    edges = {}
-    for i in range(g.num_nodes):
-        for j, w in zip(g.nbr_idx[i], g.nbr_wt[i]):
-            if i < j and w > 0:
-                edges[(i, int(j))] = float(w)
-
-    keep = sorted({i for ij in edges for i in ij})
-    if not keep:
+    rows = g.entry_rows()
+    upper = (rows < g.indices) & (g.weights > 0)
+    src, dst = rows[upper], g.indices[upper]
+    keep = np.unique(np.concatenate([src, dst]))
+    if not keep.size:
         raise GraphError("graph has no usable nodes after preprocessing")
-    remap = {old: new for new, old in enumerate(keep)}
     new_ids = [g.ids[old] for old in keep]
-    new_edges = {(remap[i], remap[j]): w for (i, j), w in edges.items()}
-    return Graph(new_ids, new_edges)
+    return Graph(
+        new_ids, np.searchsorted(keep, src), np.searchsorted(keep, dst), g.weights[upper]
+    )
 
 
 def row_normalize(g):
@@ -174,10 +204,11 @@ def row_normalize(g):
     Requires every node to have positive degree (run :func:`preprocess` first).
     """
     n = g.num_nodes
+    deg = g.degrees()
+    bad = np.flatnonzero(deg <= 0)
+    if bad.size:
+        raise GraphError(f"node {g.ids[bad[0]]!r} has zero degree; cannot normalize")
+    rows = g.entry_rows()
     mat = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        deg = g.nbr_wt[i].sum()
-        if deg <= 0:
-            raise GraphError(f"node {g.ids[i]!r} has zero degree; cannot normalize")
-        mat[i, g.nbr_idx[i]] = g.nbr_wt[i] / deg
+    mat[rows, g.indices] = g.weights / deg[rows]
     return mat

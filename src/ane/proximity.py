@@ -119,23 +119,6 @@ def save_ppmi(ppmi, path):
             fh.write("\n")
 
 
-def load_ppmi(path):
-    """Reload a matrix written by :func:`save_ppmi`."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: expected header 'N t beta', got {header}")
-        n, steps, beta = int(header[0]), int(header[1]), float(header[2])
-        mat = np.empty((n, n), dtype=np.float64)
-        for i in range(n):
-            row = np.fromstring(fh.readline(), dtype=np.float64, sep=" ")
-            if row.shape[0] != n:
-                raise ValueError(f"{path}: row {i} has {row.shape[0]} values, expected {n}")
-            mat[i] = row
-    zero_cols = int((mat.sum(axis=0) == 0).sum())
-    return PpmiMatrix(matrix=mat, steps=steps, beta=beta, zero_columns=zero_cols)
-
-
 def load_feature_matrix(path):
     """Load node features from text: ``N D`` (or ``N t beta``) header plus rows.
 

@@ -56,10 +56,6 @@ class AliasTable:
         self.prob = prob
         self.alias = alias
 
-    def sample(self, rng):
-        k = int(rng.integers(self.size))
-        return k if rng.random() < self.prob[k] else int(self.alias[k])
-
     def sample_many(self, rng, shape):
         """Vectorized draws; consumes one uniform-int and one uniform-float block."""
         k = rng.integers(self.size, size=shape)
@@ -106,23 +102,21 @@ class PairBatch:
 
 
 class _NeighborSampler:
-    """All per-node alias tables flattened so a whole walk front steps at once."""
+    """One alias table per CSR row, laid out like ``graph.indices`` so a whole
+    walk front steps at once."""
 
     def __init__(self, graph):
-        counts = np.array([len(a) for a in graph.nbr_idx], dtype=np.int64)
-        if (counts == 0).any():
+        self.counts = np.diff(graph.indptr)
+        if (self.counts == 0).any():
             raise ValueError("graph has isolated nodes; preprocess it first")
-        self.counts = counts
-        self.offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self.flat_nbr = np.concatenate(graph.nbr_idx)
-        probs = []
-        aliases = []
-        for wts in graph.nbr_wt:
-            table = AliasTable(wts)
-            probs.append(table.prob)
-            aliases.append(table.alias)
-        self.flat_prob = np.concatenate(probs)
-        self.flat_alias = np.concatenate(aliases)
+        self.offsets = graph.indptr[:-1]
+        self.flat_nbr = graph.indices
+        tables = [
+            AliasTable(graph.weights[start:stop])
+            for start, stop in zip(graph.indptr[:-1], graph.indptr[1:])
+        ]
+        self.flat_prob = np.concatenate([t.prob for t in tables])
+        self.flat_alias = np.concatenate([t.alias for t in tables])
 
     def step(self, current, rng):
         deg = self.counts[current]
@@ -189,6 +183,18 @@ def negative_sampler(graph):
     return AliasTable(graph.degrees() ** 0.75)
 
 
+def batch_bounds(num_items, batch_size):
+    """``(start, stop)`` of each minibatch over ``num_items`` items in order.
+
+    Batch norm needs at least two rows, so a trailing batch of one item is
+    folded into the batch before it.
+    """
+    starts = list(range(0, num_items, batch_size))
+    if len(starts) > 1 and num_items - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [num_items]))
+
+
 def iter_batches(targets, contexts, neg_table, num_negatives, batch_size, rng):
     """One epoch of minibatches: pairs globally shuffled, each pair carrying
     ``num_negatives`` independent noise draws."""
@@ -197,17 +203,7 @@ def iter_batches(targets, contexts, neg_table, num_negatives, batch_size, rng):
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = rng.permutation(targets.shape[0])
-    for start in range(0, order.size, batch_size):
-        sel = order[start : start + batch_size]
+    for start, stop in batch_bounds(order.size, batch_size):
+        sel = order[start:stop]
         negs = neg_table.sample_many(rng, (sel.size, num_negatives))
         yield PairBatch(targets[sel], contexts[sel], negs.astype(np.int64))
-
-
-def save_corpus(corpus, path):
-    """Cache walks as text, one walk of space-separated dense indices per line."""
-    np.savetxt(path, corpus, fmt="%d")
-
-
-def load_corpus(path):
-    walks = np.loadtxt(path, dtype=np.int64, ndmin=2)
-    return walks

@@ -102,17 +102,18 @@ def karate_2d_run(karate):
         seed=0,
     )
     probe = Trainer(graph, cfg)
+    skipgram = probe.objective
     rng = np.random.default_rng(999)
     batches = iter_batches(
-        probe.pair_targets,
-        probe.pair_contexts,
-        probe.neg_table,
+        skipgram.pair_targets,
+        skipgram.pair_contexts,
+        skipgram.neg_table,
         cfg.negatives,
         cfg.batch_size,
         rng,
     )
     initial = float(
-        np.mean([idw_batch_loss(probe.gen_g, probe.gen_f, b, probe.features) for b in batches])
+        np.mean([idw_batch_loss(probe.gen_g, skipgram.gen_f, b, probe.features) for b in batches])
     )
     t0 = time.perf_counter()
     embedding, log = train(graph, cfg)

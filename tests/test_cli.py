@@ -78,6 +78,27 @@ def test_embed_bad_flag_value_exit_2(karate, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # 34 nodes in batches of 33: a 1-node tail
+        ["--model", "dae", "--batch", "33"],
+        # 136 pairs in batches of 135: a 1-pair tail
+        ["--model", "idw", "--walks", "1", "--walk-length", "3", "--context", "2", "--batch", "135"],
+    ],
+)
+def test_embed_one_item_tail_batch_runs(karate, tmp_path, flags):
+    edges, _ = karate
+    assert run_cli("embed", edges, "--out", tmp_path / "o", "--dim", "4", "--epochs", "1", *flags) == 0
+
+
+def test_embed_adv_batch_below_two_exit_2(karate, tmp_path, capsys):
+    edges, _ = karate
+    code = run_cli("embed", edges, "--out", tmp_path / "o", "--adv-batch", "1")
+    assert code == 2
+    assert "adv_batch_size must be >= 2" in capsys.readouterr().err
+
+
 def test_idw_equals_aidw_with_adversary_disabled(ring, tmp_path):
     edges, _ = ring
     a, b = tmp_path / "a", tmp_path / "b"

@@ -74,6 +74,8 @@ def test_config_validation():
         TrainConfig(disc_steps=-1)
     with pytest.raises(ValueError):
         TrainConfig(dae_corruption=1.0)
+    with pytest.raises(ValueError, match="adv_batch_size"):
+        TrainConfig(adv_batch_size=1)
 
 
 def test_config_digest_stable_and_sensitive():
@@ -284,7 +286,7 @@ def test_cycle_count_and_log_shape():
     )
     trainer = Trainer(g, cfg)
     _, log = trainer.run()
-    n_pairs = trainer.pair_targets.size
+    n_pairs = trainer.objective.pair_targets.size
     n_batches = -(-n_pairs // 64)
     assert len(log) == 2 * (-(-n_batches // 2))
     rec = log.records[0]
@@ -302,6 +304,16 @@ def test_structure_steps_zero_logs_nan_structure():
     assert len(log) >= 1
     assert all(math.isnan(r.structure_loss) for r in log.records)
     assert all(np.isfinite(r.disc_loss) for r in log.records)
+
+
+def test_one_item_tail_folded_but_adversarial_only_cycle_count_kept():
+    # 9 nodes in batches of 4: the 1-node tail joins the second batch
+    g = ring_graph(9)
+    base = dict(model="adae", dim=3, epochs=1, batch_size=4, adv_batch_size=4, seed=2)
+    _, log = train(g, TrainConfig(**base))
+    assert len(log) == 2
+    _, log = train(g, TrainConfig(structure_steps=0, **base))
+    assert len(log) == 3
 
 
 def test_reduction_identity_aidw_to_idw():
@@ -354,23 +366,24 @@ def test_phase_isolation():
     def unchanged(net, before):
         return all(np.array_equal(p, b) for p, b in zip(net.parameters(), before))
 
-    batch = next(trainer._structure_batches())
-    g_before, f_before, d_before = map(snapshot, (trainer.gen_g, trainer.gen_f, trainer.disc))
+    gen_f = trainer.objective.gen_f
+    batch = next(trainer.objective.batches(trainer.rng_batches))
+    g_before, f_before, d_before = map(snapshot, (trainer.gen_g, gen_f, trainer.disc))
     trainer._structure_step(batch)
     assert not unchanged(trainer.gen_g, g_before)
-    assert not unchanged(trainer.gen_f, f_before)
+    assert not unchanged(gen_f, f_before)
     assert unchanged(trainer.disc, d_before)
 
-    g_before, f_before, d_before = map(snapshot, (trainer.gen_g, trainer.gen_f, trainer.disc))
+    g_before, f_before, d_before = map(snapshot, (trainer.gen_g, gen_f, trainer.disc))
     trainer._disc_step()
     assert unchanged(trainer.gen_g, g_before)
-    assert unchanged(trainer.gen_f, f_before)
+    assert unchanged(gen_f, f_before)
     assert not unchanged(trainer.disc, d_before)
 
-    g_before, f_before, d_before = map(snapshot, (trainer.gen_g, trainer.gen_f, trainer.disc))
+    g_before, f_before, d_before = map(snapshot, (trainer.gen_g, gen_f, trainer.disc))
     trainer._gen_step()
     assert not unchanged(trainer.gen_g, g_before)
-    assert unchanged(trainer.gen_f, f_before)
+    assert unchanged(gen_f, f_before)
     assert unchanged(trainer.disc, d_before)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,13 @@ def test_symmetric_duplicate_merges_to_single_weight():
     g = parse_edge_lines(["a b 2.0", "b a 2.0"])
     assert g.num_nodes == 2
     assert g.num_edges() == 1
-    assert g.nbr_wt[0].tolist() == [2.0]
+    assert g.weights.tolist() == [2.0, 2.0]
 
 
 def test_repeated_directed_lines_sum_then_max_symmetrizes():
     # same direction repeats sum: a->b twice gives 3.0; reverse 1.0; max wins
     g = parse_edge_lines(["a b 1.0", "a b 2.0", "b a 1.0"])
-    assert g.nbr_wt[0].tolist() == [3.0]
+    assert g.weights.tolist() == [3.0, 3.0]
 
 
 def test_comments_and_blank_lines_ignored():
@@ -53,7 +55,7 @@ def test_non_numeric_weight_rejected():
 
 def test_unweighted_flag_forces_unit_weights():
     g = parse_edge_lines(["a b 9.0"], weighted=False)
-    assert g.nbr_wt[0].tolist() == [1.0]
+    assert g.weights.tolist() == [1.0, 1.0]
 
 
 def test_ids_dense_by_first_appearance():
@@ -99,8 +101,35 @@ def test_preprocess_idempotent_random(rng=np.random.default_rng(0)):
 def test_symmetry_preserved():
     g = parse_edge_lines(["a b 2", "b c 5", "a c 1"])
     for i in range(g.num_nodes):
-        for j in g.nbr_idx[i]:
+        for j in g.indices[g.indptr[i] : g.indptr[i + 1]]:
             assert g.has_edge(int(j), i)
+
+
+def test_csr_invariants():
+    # a self-loop, a repeated line, and rows given out of order
+    g = parse_edge_lines(["c a 1.5", "a a 2", "b c 0.5", "a b 1", "c a 1", "b b 3"])
+    n = g.num_nodes
+    assert g.indptr[0] == 0 and g.indptr[-1] == g.indices.size == g.weights.size
+    assert (np.diff(g.indptr) >= 0).all()
+    dense = np.zeros((n, n))
+    for i in range(n):
+        row = g.indices[g.indptr[i] : g.indptr[i + 1]]
+        assert (np.diff(row) > 0).all()
+        dense[i, row] = g.weights[g.indptr[i] : g.indptr[i + 1]]
+    np.testing.assert_array_equal(dense, dense.T)
+    assert g.indices.size == 2 * 3 + 2  # three edges both ways, two self-loops once
+    assert g.num_edges() == 5
+    a, c = g.index_of["a"], g.index_of["c"]
+    assert dense[a, a] == 2.0 and dense[a, c] == 2.5  # repeated c-a lines summed
+
+
+def test_degrees_equal_per_row_sums_bitwise():
+    lines = (Path(__file__).parent / "data" / "weighted.edges").read_text().splitlines()
+    g = preprocess(parse_edge_lines(lines))
+    assert np.diff(g.indptr).max() >= 8
+    rows = [g.weights[g.indptr[i] : g.indptr[i + 1]].copy() for i in range(g.num_nodes)]
+    expected = np.array([row.sum() for row in rows])
+    assert g.degrees().tobytes() == expected.tobytes()
 
 
 def test_row_normalize_two_node_edge():
@@ -139,10 +168,14 @@ def test_row_normalize_rows_sum_to_one_random():
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(GraphError):
-        Graph(["a"], {(0, 1): 1.0})
-    with pytest.raises(GraphError):
-        Graph(["a", "b"], {(0, 1): float("nan")})
+    with pytest.raises(GraphError, match="out of range"):
+        Graph(["a"], [0], [1], [1.0])
+    with pytest.raises(GraphError, match="out of range"):
+        Graph(["a", "b"], [1], [0], [1.0])
+    with pytest.raises(GraphError, match="invalid weight"):
+        Graph(["a", "b"], [0], [1], [float("nan")])
+    with pytest.raises(GraphError, match="duplicate"):
+        Graph(["a", "b"], [0, 0], [1, 1], [1.0, 2.0])
 
 
 def test_load_edge_list_roundtrip(tmp_path):
@@ -152,4 +185,4 @@ def test_load_edge_list_roundtrip(tmp_path):
     assert g.num_nodes == 3
     assert g.num_edges() == 2
     unweighted = load_edge_list(path, weighted=False)
-    assert unweighted.nbr_wt[0].tolist() == [1.0]
+    assert unweighted.weights.tolist() == [1.0, 1.0, 1.0, 1.0]
