@@ -266,8 +266,8 @@ def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
         (grad_neg[:, :, None] * u[:, None, :]).reshape(b * k, -1),
     )
 
-    gen_g.backward(grad_u_rows)
-    gen_f.backward(grad_v_rows)
+    gen_g.backward(grad_u_rows, input_grad=False)
+    gen_f.backward(grad_v_rows, input_grad=False)
     return loss
 
 
@@ -323,7 +323,7 @@ def generator_adversarial_loss(gen_g, disc, x_rows):
     loss = -np.log(pc).mean()
     grad_logits = np.where(inside, -(1.0 - p), 0.0) / x_rows.shape[0]
     grad_u = disc.backward(grad_logits)
-    gen_g.backward(grad_u)
+    gen_g.backward(grad_u, input_grad=False)
     return loss
 
 
@@ -351,7 +351,7 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng, train=True):
     loss = float((diff * diff).mean())
     grad_recon = 2.0 * diff / diff.size
     grad_hidden = decoder.backward(grad_recon)
-    encoder.backward(grad_hidden)
+    encoder.backward(grad_hidden, input_grad=False)
     return loss
 
 

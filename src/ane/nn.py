@@ -1,9 +1,11 @@
 """Minimal dense-network kernel with hand-written backpropagation.
 
 Everything runs in float64. Layers follow one protocol: ``forward(x, train,
-update_running)`` caches whatever the matching ``backward(grad)`` needs and
-``backward`` returns the gradient with respect to the layer input while
-storing parameter gradients on the layer. Optimizer state lives outside the
+update_running)`` caches whatever the matching ``backward(grad, input_grad)``
+needs, and ``backward`` stores parameter gradients on the layer and returns
+the gradient with respect to the layer input, or ``None`` when
+``input_grad=False`` (for networks whose input is a constant, such as feature
+rows, so nothing reads that gradient). Optimizer state lives outside the
 layers so several objectives can update the same parameters independently.
 """
 
@@ -56,10 +58,10 @@ class DenseLayer:
         self._input = x
         return x @ self.weights.T + self.bias
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         self.grad_weights = grad.T @ self._input
         self.grad_bias = grad.sum(axis=0)
-        return grad @ self.weights
+        return grad @ self.weights if input_grad else None
 
     def parameters(self):
         return [self.weights, self.bias]
@@ -82,8 +84,8 @@ class LeakyRelu:
         self._scale = np.where(x > 0, 1.0, self.slope)
         return x * self._scale
 
-    def backward(self, grad):
-        return grad * self._scale
+    def backward(self, grad, input_grad=True):
+        return grad * self._scale if input_grad else None
 
     def parameters(self):
         return []
@@ -144,11 +146,13 @@ class BatchNorm:
         norm = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
         return self.gamma * norm + self.shift
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         norm, inv_std = self._norm, self._inv_std
         b = grad.shape[0]
         self.grad_gamma = (grad * norm).sum(axis=0)
         self.grad_shift = grad.sum(axis=0)
+        if not input_grad:
+            return None
         dnorm = grad * self.gamma
         return (inv_std / b) * (
             b * dnorm - dnorm.sum(axis=0) - norm * (dnorm * norm).sum(axis=0)
@@ -181,10 +185,12 @@ class Mlp:
             out = layer.forward(out, train=train, update_running=update_running)
         return out
 
-    def backward(self, grad):
-        for layer in reversed(self.layers):
+    def backward(self, grad, input_grad=True):
+        """Backpropagate ``grad``; the first layer skips its input gradient,
+        and ``None`` is returned, when ``input_grad`` is False."""
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        return self.layers[0].backward(grad, input_grad=input_grad)
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]

@@ -259,7 +259,7 @@ def test_dae_corruption_masks_exact_count():
             seen["input"] = inp.copy()
             return inp
 
-        def backward(self, grad):
+        def backward(self, grad, input_grad=True):
             return grad
 
     dae_batch_loss(SpyNet(), SpyNet(), x, 0.3, rng)

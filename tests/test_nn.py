@@ -181,6 +181,23 @@ def test_batchnorm_gradients_match_finite_differences():
     assert gradient_check(net, loss_fn) < 1e-5
 
 
+@pytest.mark.parametrize("first", ["dense", "batchnorm", "leaky"])
+def test_backward_without_input_grad_keeps_parameter_gradients(first):
+    rng = np.random.default_rng(12)
+    head = {"dense": DenseLayer(4, 4, rng), "batchnorm": BatchNorm(4), "leaky": LeakyRelu()}
+    net = Mlp([head[first], DenseLayer(4, 3, rng), LeakyRelu(), BatchNorm(3)])
+    x = rng.normal(size=(7, 4))
+    g = rng.normal(size=(7, 3))
+
+    net.forward(x, update_running=False)
+    assert net.backward(g).shape == x.shape
+    full = [a.copy() for a in net.gradients()]
+    net.forward(x, update_running=False)
+    assert net.backward(g, input_grad=False) is None
+    for a, b in zip(full, net.gradients()):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_batchnorm_input_gradient_matches_finite_differences():
     # differentiates through the batch statistics, not around them
     rng = np.random.default_rng(10)
