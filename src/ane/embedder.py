@@ -104,15 +104,18 @@ class TrainConfig:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # batch norm in train mode needs two rows
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.adv_batch_size < 2:
-            # batch norm in train mode needs two rows
             raise ValueError(f"adv_batch_size must be >= 2, got {self.adv_batch_size}")
         if min(self.structure_steps, self.disc_steps, self.gen_steps) < 0:
             raise ValueError("step counts must be >= 0")
         if not 0.0 <= self.dae_corruption < 1.0:
             raise ValueError(f"dae_corruption must be in [0, 1), got {self.dae_corruption}")
+        if OBJECTIVES[self.model] is SkipGram:
+            # the walks are drawn after the PPMI features; check their settings now
+            _walk_config(self)
 
     @property
     def adversarial(self):
@@ -203,18 +206,6 @@ def build_decoder(in_dim, out_dim, rng):
     return Mlp([DenseLayer(in_dim, out_dim, rng)])
 
 
-def _scatter_add_rows(out, idx, vals):
-    """out[idx[k]] += vals[k] with repeated indices accumulated."""
-    if idx.size == 0:
-        return
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    sorted_vals = vals[order]
-    starts = np.concatenate(([0], np.nonzero(np.diff(sorted_idx))[0] + 1))
-    sums = np.add.reduceat(sorted_vals, starts, axis=0)
-    out[sorted_idx[starts]] += sums
-
-
 def sgns_loss_from_scores(pos_scores, neg_scores):
     """Negative-sampling objective on raw dot-product scores.
 
@@ -233,9 +224,15 @@ def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
     """Structure loss for one pair batch; leaves gradients on both generators.
 
     Each generator runs once on the batch's unique node rows (so batch-norm
-    statistics are over distinct nodes) and per-pair gradients are scattered
-    back onto those rows.
+    statistics are over distinct nodes). Row gradients come from sparse
+    products: ``W`` (unique context rows x pairs) holds each pair's positive
+    and negative score gradients at its context rows, summing repeats, and
+    ``T`` (unique target rows x pairs) is one-hot, so context rows get
+    ``W @ u`` and target rows ``T @ (W.T @ v_rows)``.
     """
+    # imported here so that the autoencoder models and evaluation never load it
+    from scipy import sparse
+
     tgt_nodes, tgt_pos = np.unique(batch.targets, return_inverse=True)
     ctx_flat = np.concatenate([batch.contexts, batch.negatives.ravel()])
     ctx_nodes, ctx_pos = np.unique(ctx_flat, return_inverse=True)
@@ -247,24 +244,23 @@ def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
     u = u_rows[tgt_pos]
     pos_idx = ctx_pos[:b]
     neg_idx = ctx_pos[b:].reshape(b, k)
-    v_pos = v_rows[pos_idx]
-    v_neg = v_rows[neg_idx]
 
-    pos_scores = (u * v_pos).sum(axis=1)
-    neg_scores = np.einsum("bd,bkd->bk", u, v_neg)
+    pos_scores = (u * v_rows[pos_idx]).sum(axis=1)
+    neg_scores = np.einsum("bd,bkd->bk", u, v_rows[neg_idx])
     loss, grad_pos, grad_neg = sgns_loss_from_scores(pos_scores, neg_scores)
 
-    grad_u = grad_pos[:, None] * v_pos + np.einsum("bk,bkd->bd", grad_neg, v_neg)
-    grad_u_rows = np.zeros_like(u_rows)
-    _scatter_add_rows(grad_u_rows, tgt_pos, grad_u)
-
-    grad_v_rows = np.zeros_like(v_rows)
-    _scatter_add_rows(grad_v_rows, pos_idx, grad_pos[:, None] * u)
-    _scatter_add_rows(
-        grad_v_rows,
-        neg_idx.ravel(),
-        (grad_neg[:, :, None] * u[:, None, :]).reshape(b * k, -1),
+    # column p of W: the context row of pair p, then its k negative rows
+    w = sparse.csc_array(
+        (
+            np.column_stack([grad_pos, grad_neg]).ravel(),
+            np.column_stack([pos_idx, neg_idx]).ravel(),
+            np.arange(0, b * (k + 1) + 1, k + 1),
+        ),
+        shape=(ctx_nodes.size, b),
     )
+    t = sparse.csc_array((np.ones(b), tgt_pos, np.arange(b + 1)), shape=(tgt_nodes.size, b))
+    grad_v_rows = w @ u
+    grad_u_rows = t @ (w.T @ v_rows)
 
     gen_g.backward(grad_u_rows, input_grad=False)
     gen_f.backward(grad_v_rows, input_grad=False)
@@ -361,6 +357,15 @@ def _embedding_generator(features, config, rng):
     )
 
 
+def _walk_config(config):
+    return WalkConfig(
+        walks_per_node=config.walks_per_node,
+        walk_length=config.walk_length,
+        context_size=config.context_size,
+        seed=config.seed,
+    )
+
+
 class SkipGram:
     """Skip-gram structure objective of idw and aidw.
 
@@ -376,16 +381,8 @@ class SkipGram:
         self.gen_f = _embedding_generator(features, config, rng_init)
         self.nets = {"generator": self.gen_g, "context_generator": self.gen_f}
 
-        walk_cfg = WalkConfig(
-            walks_per_node=config.walks_per_node,
-            walk_length=config.walk_length,
-            context_size=config.context_size,
-            seed=config.seed,
-        )
-        corpus = random_walks(graph, walk_cfg, rng_walks)
+        corpus = random_walks(graph, _walk_config(config), rng_walks)
         self.pair_targets, self.pair_contexts = positive_pairs(corpus, config.context_size)
-        if self.pair_targets.size == 0:
-            raise ValueError("walk corpus produced no positive pairs; increase context_size")
         self.neg_table = negative_sampler(graph)
         self.num_items = self.pair_targets.size
 

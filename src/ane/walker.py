@@ -83,9 +83,10 @@ class WalkConfig:
             raise ValueError(f"walks_per_node must be >= 1, got {self.walks_per_node}")
         if self.walk_length < 2:
             raise ValueError(f"walk_length must be >= 2, got {self.walk_length}")
-        if not 1 <= self.context_size < self.walk_length:
+        # a window of 1 holds no pair
+        if not 2 <= self.context_size < self.walk_length:
             raise ValueError(
-                f"context_size must be in [1, walk_length), got {self.context_size}"
+                f"context_size must be in [2, walk_length), got {self.context_size}"
             )
 
 

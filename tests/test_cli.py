@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from ane import embedder
 from ane.cli import main
 from ane.datasets import dataset_paths
 
@@ -97,6 +98,26 @@ def test_embed_adv_batch_below_two_exit_2(karate, tmp_path, capsys):
     code = run_cli("embed", edges, "--out", tmp_path / "o", "--adv-batch", "1")
     assert code == 2
     assert "adv_batch_size must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--model", "dae", "--batch", "1"], "batch_size must be >= 2"),
+        (["--model", "idw", "--context", "1"], "context_size must be in [2, walk_length)"),
+        (["--model", "idw", "--walk-length", "1"], "walk_length must be >= 2"),
+    ],
+)
+def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
+    karate, tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_ppmi(*args, **kwargs):
+        raise AssertionError("PPMI features computed for a rejected configuration")
+
+    monkeypatch.setattr(embedder, "ppmi_features", no_ppmi)
+    edges, _ = karate
+    assert run_cli("embed", edges, "--out", tmp_path / "o", *flags) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_idw_equals_aidw_with_adversary_disabled(ring, tmp_path):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ane
 from ane.datasets import load_dataset
 from ane.embedder import (
     EmbeddingMatrix,
@@ -23,7 +28,7 @@ from ane.embedder import (
     train,
 )
 from ane.graph import parse_edge_lines, preprocess
-from ane.nn import sigmoid
+from ane.nn import gradient_check, sigmoid
 from ane.walker import PairBatch
 
 
@@ -76,6 +81,15 @@ def test_config_validation():
         TrainConfig(dae_corruption=1.0)
     with pytest.raises(ValueError, match="adv_batch_size"):
         TrainConfig(adv_batch_size=1)
+    with pytest.raises(ValueError, match="batch_size must be >= 2"):
+        TrainConfig(batch_size=1)
+    for model in ("idw", "aidw"):
+        with pytest.raises(ValueError, match="context_size"):
+            TrainConfig(model=model, context_size=1)
+        with pytest.raises(ValueError, match="walk_length"):
+            TrainConfig(model=model, walk_length=1)
+    # the autoencoder models draw no walks
+    TrainConfig(model="dae", context_size=1, walk_length=1)
 
 
 def test_config_digest_stable_and_sensitive():
@@ -133,6 +147,71 @@ def test_idw_loss_batch_average_scale():
     b1 = tiny_batch(rng, 5, 8, 2)
     loss = idw_batch_loss(gen_g, gen_f, b1, feats)
     assert np.isfinite(loss) and loss > 0
+
+
+def test_idw_loss_gradients_with_repeated_rows():
+    rng = np.random.default_rng(3)
+    gen_g = build_generator(6, 3, rng)
+    gen_f = build_generator(6, 3, rng)
+    feats = rng.standard_normal((8, 6))
+    batch = PairBatch(
+        targets=np.array([0, 0, 1, 2, 2, 2]),  # repeated targets
+        contexts=np.array([1, 3, 4, 5, 6, 7]),
+        negatives=np.array(
+            [
+                [1, 5, 6],  # the pair's own context among its negatives
+                [4, 4, 7],  # one negative drawn twice
+                [0, 1, 2],
+                [3, 3, 3],
+                [6, 0, 5],
+                [7, 2, 7],
+            ]
+        ),
+    )
+    worst = gradient_check([gen_g, gen_f], lambda: idw_batch_loss(gen_g, gen_f, batch, feats))
+    assert worst < 1e-4
+
+
+def test_idw_row_gradients_match_scatter_reference():
+    n, d, b, k = 40, 5, 300, 4
+    rng = np.random.default_rng(4)
+    table = rng.standard_normal((n, d))
+
+    class Recorder:
+        """Linear stand-in for a generator: feature rows are one-hot, so a
+        node's output is its row of ``table``; backward keeps its input."""
+
+        def forward(self, x, train=True, update_running=True):
+            return x @ table
+
+        def backward(self, grad, input_grad=True):
+            self.grad = grad
+
+    batch = tiny_batch(rng, n, b, k)
+    gen_g, gen_f = Recorder(), Recorder()
+    loss = idw_batch_loss(gen_g, gen_f, batch, np.eye(n))
+
+    # reference: per-pair gradients scattered row by row with np.add.at
+    tgt_nodes, tgt_pos = np.unique(batch.targets, return_inverse=True)
+    ctx_nodes, ctx_pos = np.unique(
+        np.concatenate([batch.contexts, batch.negatives.ravel()]), return_inverse=True
+    )
+    u = table[tgt_nodes][tgt_pos]
+    v_pos = table[ctx_nodes][ctx_pos[:b]]
+    v_neg = table[ctx_nodes][ctx_pos[b:].reshape(b, k)]
+    ref_loss, grad_pos, grad_neg = sgns_loss_from_scores(
+        (u * v_pos).sum(axis=1), np.einsum("bd,bkd->bk", u, v_neg)
+    )
+    grad_u_rows = np.zeros((tgt_nodes.size, d))
+    grad_u = grad_pos[:, None] * v_pos + (grad_neg[:, :, None] * v_neg).sum(axis=1)
+    np.add.at(grad_u_rows, tgt_pos, grad_u)
+    grad_v_rows = np.zeros((ctx_nodes.size, d))
+    np.add.at(grad_v_rows, ctx_pos[:b], grad_pos[:, None] * u)
+    np.add.at(grad_v_rows, ctx_pos[b:], (grad_neg[:, :, None] * u[:, None, :]).reshape(b * k, d))
+
+    assert loss == ref_loss
+    np.testing.assert_allclose(gen_g.grad, grad_u_rows, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gen_f.grad, grad_v_rows, rtol=1e-12, atol=0)
 
 
 # adversarial losses
@@ -247,6 +326,27 @@ def test_dae_all_zero_rows_zero_loss():
     zero_params(decoder)
     loss = dae_batch_loss(encoder, decoder, np.zeros((5, 4)), 0.2, rng)
     assert loss == 0.0
+
+
+def test_autoencoder_training_does_not_import_scipy_sparse():
+    # scipy.sparse costs about 22 MB of RSS and only the skip-gram step uses it
+    script = """
+import sys
+import ane
+from ane.datasets import load_dataset
+from ane.embedder import TrainConfig, train
+graph, _ = load_dataset("karate")
+train(graph, TrainConfig(model="dae", dim=4, epochs=1, batch_size=16, adv_batch_size=16))
+assert "scipy.sparse" not in sys.modules, "dae loaded scipy.sparse"
+train(graph, TrainConfig(model="idw", dim=4, epochs=1, walks_per_node=1, walk_length=5,
+                         context_size=2, batch_size=64))
+assert "scipy.sparse" in sys.modules, "idw did not load scipy.sparse"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(ane.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_dae_corruption_masks_exact_count():
