@@ -29,8 +29,8 @@ from .graph import (
     preprocess,
     row_normalize,
 )
-from .proximity import PpmiConfig, PpmiMatrix, ppmi_features, shifted_ppmi
-from .walker import AliasTable, WalkConfig, negative_sampler, positive_pairs, random_walks
+from .proximity import PpmiMatrix, ppmi_features, shifted_ppmi
+from .walker import AliasTable, negative_sampler, positive_pairs, random_walks
 
 __all__ = [
     "__version__",
@@ -40,14 +40,12 @@ __all__ = [
     "Graph",
     "GraphError",
     "LabelSet",
-    "PpmiConfig",
     "PpmiMatrix",
     "SplitSpec",
     "TrainConfig",
     "Trainer",
     "TrainingDiverged",
     "TrainingLog",
-    "WalkConfig",
     "evaluate",
     "export_embeddings",
     "fit_linear_ovr",

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .embedder import (
     MODEL_KINDS,
+    PRIOR_KINDS,
     TrainConfig,
     Trainer,
     export_embeddings,
@@ -37,7 +38,7 @@ from .evaluation import (
 from .graph import EdgeListError, GraphError, load_edge_list, preprocess
 from .proximity import load_feature_matrix
 
-MANIFEST_FORMAT = "ane-manifest-v1"
+MANIFEST_FORMAT = "ane-manifest-v2"
 
 
 class UsageError(Exception):
@@ -87,16 +88,6 @@ def _write_json(path, payload):
     )
 
 
-def _parse_ratios(text):
-    try:
-        ratios = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad ratio list {text!r}") from exc
-    if not ratios:
-        raise argparse.ArgumentTypeError("empty ratio list")
-    return ratios
-
-
 def _parse_list(caster):
     def parse(text):
         try:
@@ -119,7 +110,7 @@ def _add_train_flags(p):
     p.add_argument("--negatives", type=int, default=5, help="negative samples per pair")
     p.add_argument("--ppmi-steps", type=int, default=4, help="transition steps t in the PPMI input")
     p.add_argument("--ppmi-beta", type=float, default=None, help="PPMI shift, default 1/N")
-    p.add_argument("--prior", choices=("uniform", "gaussian"), default="uniform")
+    p.add_argument("--prior", choices=PRIOR_KINDS, default="uniform")
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--batch", type=int, default=256, help="structure-phase batch size")
     p.add_argument("--adv-batch", type=int, default=128, help="adversarial-phase batch size")
@@ -151,9 +142,7 @@ def _config_from_args(args):
             structure_steps=args.structure_steps,
             disc_steps=args.disc_steps,
             gen_steps=args.gen_steps,
-            structure_lr=args.lr,
-            disc_lr=args.lr,
-            gen_lr=args.lr,
+            lr=args.lr,
             prior=args.prior,
             dae_corruption=args.dae_corruption,
             grad_clip=args.grad_clip,
@@ -176,7 +165,10 @@ def _load_graph(edge_path, weighted):
 
 def _load_features(path, graph):
     with _stage("proximity"):
-        feats = load_feature_matrix(path)
+        try:
+            feats = load_feature_matrix(path)
+        except ValueError as exc:
+            raise UsageError(f"[proximity] {exc}") from exc
         if feats.shape[0] != len(graph):
             raise GraphError(
                 f"feature matrix has {feats.shape[0]} rows but the graph has "
@@ -219,15 +211,20 @@ def _train_and_write(graph, cfg, out_dir, dataset_meta, features=None):
 def cmd_embed(args):
     if args.from_manifest:
         manifest_path = _require_file(args.from_manifest)
-        payload = json.loads(manifest_path.read_text())
         try:
+            payload = json.loads(manifest_path.read_text())
+            if (payload.get("format"), payload.get("command")) != (MANIFEST_FORMAT, "embed"):
+                raise ValueError(
+                    f"expected format {MANIFEST_FORMAT!r} and command 'embed', got format "
+                    f"{payload.get('format')!r} and command {payload.get('command')!r}"
+                )
             cfg = TrainConfig(**payload["config"])
             dataset = payload["dataset"]
-        except (KeyError, TypeError, ValueError) as exc:
+            edge_path = dataset["edge_list"]
+            weighted = dataset.get("weighted", False)
+            features_path = dataset.get("features")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad manifest {manifest_path}: {exc}") from exc
-        edge_path = dataset["edge_list"]
-        weighted = dataset.get("weighted", False)
-        features_path = dataset.get("features")
     else:
         if args.edge_list is None:
             raise UsageError("an edge-list path is required (or --from-manifest)")
@@ -304,7 +301,13 @@ def cmd_eval(args):
     return 0
 
 
-SWEEP_AXES = ("dim", "walk_length", "context_size", "prior")
+# TrainConfig field of each sweep axis -> its --grid-* flag
+SWEEP_AXES = {
+    "dim": "grid_dim",
+    "walk_length": "grid_walk_length",
+    "context_size": "grid_context",
+    "prior": "grid_prior",
+}
 
 
 def cmd_sweep(args):
@@ -312,23 +315,16 @@ def cmd_sweep(args):
     labels_path = _require_file(args.labels)
     base_cfg = _config_from_args(args)
 
-    axes = {}
-    if args.grid_dim:
-        axes["dim"] = args.grid_dim
-    if args.grid_walk_length:
-        axes["walk_length"] = args.grid_walk_length
-    if args.grid_context:
-        axes["context_size"] = args.grid_context
-    if args.grid_prior:
-        axes["prior"] = args.grid_prior
+    axes = {name: getattr(args, flag) for name, flag in SWEEP_AXES.items() if getattr(args, flag)}
     if not axes:
         raise UsageError("no sweep points")
-    names = [a for a in SWEEP_AXES if a in axes]
+    names = list(axes)
 
     graph = _load_graph(edge_path, args.weighted)
     with _stage("evalkit"):
         try:
             label_set = load_labels(labels_path, {nid: i for i, nid in enumerate(graph.ids)})
+            spec = SplitSpec(ratios=args.ratios, repetitions=args.reps, seed=args.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -350,7 +346,6 @@ def cmd_sweep(args):
         try:
             cfg = replace(base_cfg, **overrides)
             embedding, _ = _train_and_write(graph, cfg, point_dir, dataset_meta)
-            spec = SplitSpec(ratios=args.ratios, repetitions=args.reps, seed=args.seed)
             results = evaluate(embedding.vectors, label_set, spec, l2=args.l2)
             for r in results:
                 rows.append(
@@ -421,7 +416,7 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="node-classification accuracy for an embedding")
     p_eval.add_argument("embedding", help="embedding file from the embed command")
     p_eval.add_argument("labels", help="label file with 'node_id label' lines")
-    p_eval.add_argument("--ratios", type=_parse_ratios, default=DEFAULT_RATIOS)
+    p_eval.add_argument("--ratios", type=_parse_list(float), default=DEFAULT_RATIOS)
     p_eval.add_argument("--reps", type=int, default=10)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--l2", type=float, default=1.0)
@@ -437,7 +432,7 @@ def build_parser():
     p_sweep.add_argument("--grid-walk-length", type=_parse_list(int), default=None)
     p_sweep.add_argument("--grid-context", type=_parse_list(int), default=None)
     p_sweep.add_argument("--grid-prior", type=_parse_list(str), default=None)
-    p_sweep.add_argument("--ratios", type=_parse_ratios, default=(0.5,))
+    p_sweep.add_argument("--ratios", type=_parse_list(float), default=(0.5,))
     p_sweep.add_argument("--reps", type=int, default=10)
     p_sweep.add_argument("--l2", type=float, default=1.0)
     p_sweep.add_argument("--out", default="ane_sweep")

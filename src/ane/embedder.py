@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -31,18 +32,13 @@ import numpy as np
 
 from . import nn
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp, log_sigmoid, sigmoid
-from .proximity import PpmiConfig, ppmi_features
-from .walker import (
-    WalkConfig,
-    batch_bounds,
-    iter_batches,
-    negative_sampler,
-    positive_pairs,
-    random_walks,
-)
+from .proximity import ppmi_features
+from .walker import batch_bounds, iter_batches, negative_sampler, positive_pairs, random_walks
 
 # discriminator probabilities are clamped here before taking logs
 PROB_CLAMP = 1e-12
+
+PRIOR_KINDS = ("uniform", "gaussian")
 
 
 class TrainingDiverged(RuntimeError):
@@ -59,7 +55,7 @@ class Prior:
     kind: str = "uniform"
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian"):
+        if self.kind not in PRIOR_KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}")
 
     def sample(self, rng, count, dim):
@@ -70,7 +66,13 @@ class Prior:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a training run depends on besides the graph itself."""
+    """Everything a training run depends on besides the graph itself.
+
+    Construction checks every bound, so a config that exists can train:
+    the CLI turns a ``ValueError`` here into exit code 2 before any work.
+    ``lr`` is the RMSProp step of every phase; ``grad_clip`` bounds the
+    global gradient norm of the adversarial steps (``inf``: no clipping).
+    """
 
     model: str = "aidw"
     dim: int = 128
@@ -81,13 +83,10 @@ class TrainConfig:
     structure_steps: int = 1
     disc_steps: int = 1
     gen_steps: int = 1
-    structure_lr: float = 0.001
-    disc_lr: float = 0.001
-    gen_lr: float = 0.001
+    lr: float = 0.001
     prior: str = "uniform"
     dae_corruption: float = 0.2
     grad_clip: float = 5.0
-    bn_before_activation: bool = False
     walks_per_node: int = 10
     walk_length: int = 80
     context_size: int = 10
@@ -113,9 +112,29 @@ class TrainConfig:
             raise ValueError("step counts must be >= 0")
         if not 0.0 <= self.dae_corruption < 1.0:
             raise ValueError(f"dae_corruption must be in [0, 1), got {self.dae_corruption}")
+        # a negative step or clip norm would reverse the updates
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
+        if not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be > 0 (inf: no clipping), got {self.grad_clip}")
+        if self.prior not in PRIOR_KINDS:
+            raise ValueError(f"prior must be one of {PRIOR_KINDS}, got {self.prior!r}")
+        if self.ppmi_steps < 1:
+            raise ValueError(f"ppmi_steps must be >= 1, got {self.ppmi_steps}")
+        if self.ppmi_beta is not None and not (
+            math.isfinite(self.ppmi_beta) and self.ppmi_beta > 0
+        ):
+            raise ValueError(f"ppmi_beta must be a finite number > 0, got {self.ppmi_beta}")
         if OBJECTIVES[self.model] is SkipGram:
-            # the walks are drawn after the PPMI features; check their settings now
-            _walk_config(self)
+            if self.walks_per_node < 1:
+                raise ValueError(f"walks_per_node must be >= 1, got {self.walks_per_node}")
+            if self.walk_length < 2:
+                raise ValueError(f"walk_length must be >= 2, got {self.walk_length}")
+            # a window of 1 holds no pair
+            if not 2 <= self.context_size < self.walk_length:
+                raise ValueError(
+                    f"context_size must be in [2, walk_length), got {self.context_size}"
+                )
 
     @property
     def adversarial(self):
@@ -178,12 +197,9 @@ class EmbeddingMatrix:
         return self.vectors.shape[1]
 
 
-def build_generator(in_dim, out_dim, rng, leak=0.2, bn_before_activation=False):
+def build_generator(in_dim, out_dim, rng, leak=0.2):
     """Single dense layer with leaky ReLU and batch norm on the output."""
-    dense = DenseLayer(in_dim, out_dim, rng)
-    if bn_before_activation:
-        return Mlp([dense, BatchNorm(out_dim), LeakyRelu(leak)])
-    return Mlp([dense, LeakyRelu(leak), BatchNorm(out_dim)])
+    return Mlp([DenseLayer(in_dim, out_dim, rng), LeakyRelu(leak), BatchNorm(out_dim)])
 
 
 def build_discriminator(in_dim, rng, hidden=512, leak=0.2):
@@ -351,21 +367,6 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng, train=True):
     return loss
 
 
-def _embedding_generator(features, config, rng):
-    return build_generator(
-        features.shape[1], config.dim, rng, bn_before_activation=config.bn_before_activation
-    )
-
-
-def _walk_config(config):
-    return WalkConfig(
-        walks_per_node=config.walks_per_node,
-        walk_length=config.walk_length,
-        context_size=config.context_size,
-        seed=config.seed,
-    )
-
-
 class SkipGram:
     """Skip-gram structure objective of idw and aidw.
 
@@ -377,11 +378,11 @@ class SkipGram:
     def __init__(self, graph, config, features, rng_init, rng_walks):
         self.config = config
         self.features = features
-        self.gen_g = _embedding_generator(features, config, rng_init)
-        self.gen_f = _embedding_generator(features, config, rng_init)
+        self.gen_g = build_generator(features.shape[1], config.dim, rng_init)
+        self.gen_f = build_generator(features.shape[1], config.dim, rng_init)
         self.nets = {"generator": self.gen_g, "context_generator": self.gen_f}
 
-        corpus = random_walks(graph, _walk_config(config), rng_walks)
+        corpus = random_walks(graph, config.walks_per_node, config.walk_length, rng_walks)
         self.pair_targets, self.pair_contexts = positive_pairs(corpus, config.context_size)
         self.neg_table = negative_sampler(graph)
         self.num_items = self.pair_targets.size
@@ -410,7 +411,7 @@ class Dae:
     def __init__(self, graph, config, features, rng_init, rng_walks):
         self.config = config
         self.features = features
-        self.gen_g = _embedding_generator(features, config, rng_init)
+        self.gen_g = build_generator(features.shape[1], config.dim, rng_init)
         self.decoder = build_decoder(config.dim, features.shape[1], rng_init)
         self.nets = {"generator": self.gen_g, "decoder": self.decoder}
         self.num_items = graph.num_nodes
@@ -458,8 +459,7 @@ class Trainer:
         ) = (np.random.default_rng(s) for s in streams)
 
         if features is None:
-            ppmi = ppmi_features(graph, PpmiConfig(config.ppmi_steps, config.ppmi_beta))
-            features = ppmi.matrix
+            features = ppmi_features(graph, config.ppmi_steps, config.ppmi_beta).matrix
         if features.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
@@ -475,11 +475,11 @@ class Trainer:
         if config.adversarial:
             self.disc = build_discriminator(config.dim, self.rng_disc_init)
             self.prior = Prior(config.prior)
-            self.disc_opt = RmsProp(self.disc.parameters(), lr=config.disc_lr)
-            self.gen_adv_opt = RmsProp(self.gen_g.parameters(), lr=config.gen_lr)
+            self.disc_opt = RmsProp(self.disc.parameters(), lr=config.lr)
+            self.gen_adv_opt = RmsProp(self.gen_g.parameters(), lr=config.lr)
 
         self.structure_opt = RmsProp(
-            [p for net in self.structure_nets for p in net.parameters()], lr=config.structure_lr
+            [p for net in self.structure_nets for p in net.parameters()], lr=config.lr
         )
         self.log = TrainingLog()
 

@@ -18,20 +18,6 @@ DENSE_NODE_LIMIT = 20_000
 
 
 @dataclass(frozen=True)
-class PpmiConfig:
-    """Feature construction settings: max transition step and log shift."""
-
-    steps: int = 4
-    beta: float | None = None  # None -> 1/N at build time
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-
-@dataclass(frozen=True)
 class PpmiMatrix:
     """Shifted-PPMI feature matrix with the settings that produced it."""
 
@@ -73,7 +59,7 @@ def shifted_ppmi(m, beta, steps=0):
     columns and are counted in ``zero_columns``.
     """
     m = np.asarray(m, dtype=np.float64)
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if (m < 0).any():
         raise ValueError("proximity matrix must be non-negative")
@@ -90,8 +76,9 @@ def shifted_ppmi(m, beta, steps=0):
     return PpmiMatrix(matrix=x, steps=steps, beta=float(beta), zero_columns=zero_cols)
 
 
-def ppmi_features(graph, config=PpmiConfig(), max_nodes=DENSE_NODE_LIMIT):
-    """Full pipeline from a preprocessed graph to its feature matrix."""
+def ppmi_features(graph, steps=4, beta=None, max_nodes=DENSE_NODE_LIMIT):
+    """Full pipeline from a preprocessed graph to its feature matrix: powers
+    up to ``steps``, then the shifted PPMI with ``beta`` (None means 1/N)."""
     from .graph import row_normalize
 
     n = graph.num_nodes
@@ -100,9 +87,10 @@ def ppmi_features(graph, config=PpmiConfig(), max_nodes=DENSE_NODE_LIMIT):
             f"graph has {n} nodes, above the dense limit {max_nodes}; "
             "precompute features externally and pass them in instead"
         )
-    beta = config.beta if config.beta is not None else 1.0 / n
-    m = accumulate_powers(row_normalize(graph), config.steps)
-    return shifted_ppmi(m, beta, steps=config.steps)
+    if beta is None:
+        beta = 1.0 / n
+    m = accumulate_powers(row_normalize(graph), steps)
+    return shifted_ppmi(m, beta, steps=steps)
 
 
 def save_ppmi(ppmi, path):
@@ -123,7 +111,9 @@ def load_feature_matrix(path):
     """Load node features from text: ``N D`` (or ``N t beta``) header plus rows.
 
     Accepts both the :func:`save_ppmi` cache format and a generic ``N D``
-    header for externally computed features of any dimension.
+    header for externally computed features of any dimension. A malformed
+    header or row, a missing or extra row or a non-finite value raises
+    ``ValueError``.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -135,8 +125,15 @@ def load_feature_matrix(path):
             raise ValueError(f"{path}: expected 'N D' or 'N t beta' header, got {header}")
         mat = np.empty((n, d), dtype=np.float64)
         for i in range(n):
-            row = np.fromstring(fh.readline(), dtype=np.float64, sep=" ")
+            try:
+                row = np.array(fh.readline().split(), dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from exc
             if row.shape[0] != d:
                 raise ValueError(f"{path}: row {i} has {row.shape[0]} values, expected {d}")
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}: row {i} holds a non-finite value")
             mat[i] = row
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: more than the {n} rows the header gives")
     return mat

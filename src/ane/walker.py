@@ -70,27 +70,6 @@ class AliasTable:
 
 
 @dataclass(frozen=True)
-class WalkConfig:
-    """Corpus settings: walks per node, walk length, context window, seed."""
-
-    walks_per_node: int = 10
-    walk_length: int = 80
-    context_size: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.walks_per_node < 1:
-            raise ValueError(f"walks_per_node must be >= 1, got {self.walks_per_node}")
-        if self.walk_length < 2:
-            raise ValueError(f"walk_length must be >= 2, got {self.walk_length}")
-        # a window of 1 holds no pair
-        if not 2 <= self.context_size < self.walk_length:
-            raise ValueError(
-                f"context_size must be in [2, walk_length), got {self.context_size}"
-            )
-
-
-@dataclass(frozen=True)
 class PairBatch:
     """Minibatch of positive pairs with per-pair negative context draws."""
 
@@ -127,23 +106,20 @@ class _NeighborSampler:
         return self.flat_nbr[self.offsets[current] + choice]
 
 
-def random_walks(graph, config, rng=None):
+def random_walks(graph, walks_per_node, walk_length, rng):
     """Sample the walk corpus: ``walks_per_node`` rounds, each round starting
     one walk from every node in shuffled order.
 
     Returns an int64 array of shape (N * walks_per_node, walk_length).
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     sampler = _NeighborSampler(graph)
     n = graph.num_nodes
-    length = config.walk_length
-    corpus = np.empty((n * config.walks_per_node, length), dtype=np.int64)
-    for r in range(config.walks_per_node):
+    corpus = np.empty((n * walks_per_node, walk_length), dtype=np.int64)
+    for r in range(walks_per_node):
         current = rng.permutation(n)
         block = corpus[r * n : (r + 1) * n]
         block[:, 0] = current
-        for step in range(1, length):
+        for step in range(1, walk_length):
             current = sampler.step(current, rng)
             block[:, step] = current
     return corpus

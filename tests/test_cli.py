@@ -50,7 +50,7 @@ def test_embed_writes_artifacts(karate, tmp_path, capsys):
     assert (out / "embedding.txt").is_file()
     assert (out / "training_log.txt").is_file()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["format"] == "ane-manifest-v1"
+    assert manifest["format"] == "ane-manifest-v2"
     assert manifest["graph"]["nodes"] == 34
     assert manifest["config"]["model"] == "aidw"
     header = (out / "embedding.txt").read_text().splitlines()
@@ -106,6 +106,14 @@ def test_embed_adv_batch_below_two_exit_2(karate, tmp_path, capsys):
         (["--model", "dae", "--batch", "1"], "batch_size must be >= 2"),
         (["--model", "idw", "--context", "1"], "context_size must be in [2, walk_length)"),
         (["--model", "idw", "--walk-length", "1"], "walk_length must be >= 2"),
+        (["--model", "idw", "--walks", "0"], "walks_per_node must be >= 1"),
+        (["--ppmi-steps", "0"], "ppmi_steps must be >= 1"),
+        (["--ppmi-beta", "-1"], "ppmi_beta must be a finite number > 0"),
+        (["--ppmi-beta", "nan"], "ppmi_beta must be a finite number > 0"),
+        (["--lr", "0"], "lr must be a finite number > 0"),
+        (["--lr", "nan"], "lr must be a finite number > 0"),
+        (["--grad-clip", "0"], "grad_clip must be > 0"),
+        (["--grad-clip", "nan"], "grad_clip must be > 0"),
     ],
 )
 def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
@@ -118,6 +126,27 @@ def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
     edges, _ = karate
     assert run_cli("embed", edges, "--out", tmp_path / "o", *flags) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1 2\n" * 20, "row 20 has 0 values"),  # truncated: 20 of 34 rows
+        ("1 2\n" * 20 + "1 x\n" + "1 2\n" * 13, "row 20"),
+        ("1 2\n" * 20 + "1 nan\n" + "1 2\n" * 13, "row 20 holds a non-finite value"),
+        ("1 2\n" * 40, "more than the 34 rows"),
+    ],
+    ids=["truncated", "non-numeric", "nan", "extra-rows"],
+)
+def test_embed_bad_features_file_exit_2(karate, tmp_path, capsys, body, message):
+    edges, _ = karate
+    features = tmp_path / "features.txt"
+    features.write_text("34 2\n" + body)
+    code = run_cli("embed", edges, "--out", tmp_path / "o", "--features", features, *FAST)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[proximity]" in err and message in err
+    assert not (tmp_path / "o" / "training_log.txt").exists()
 
 
 def test_idw_equals_aidw_with_adversary_disabled(ring, tmp_path):
@@ -146,10 +175,50 @@ def test_from_manifest_replay_byte_identical(ring, tmp_path):
 
 def test_from_manifest_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "manifest.json"
-    bad.write_text(json.dumps({"config": {"model": "aidw", "unknown_knob": 1}}))
+    bad.write_text(
+        json.dumps(
+            {
+                "format": "ane-manifest-v2",
+                "command": "embed",
+                "config": {"model": "aidw", "unknown_knob": 1},
+            }
+        )
+    )
     code = run_cli("embed", "--from-manifest", bad)
     assert code == 2
     assert "bad manifest" in capsys.readouterr().err
+
+
+def test_from_manifest_rejects_v1_manifest(ring, tmp_path, capsys):
+    edges, _ = ring
+    assert run_cli("embed", edges, "--out", tmp_path / "run", *FAST) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    # the v1 config schema: one learning rate per phase
+    lr = manifest["config"].pop("lr")
+    manifest["config"].update(structure_lr=lr, disc_lr=lr, gen_lr=lr, bn_before_activation=False)
+    manifest["format"] = "ane-manifest-v1"
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(manifest))
+    code = run_cli("embed", "--from-manifest", old, "--out", tmp_path / "replay")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad manifest" in err and "'ane-manifest-v2'" in err
+    assert not (tmp_path / "replay").exists()
+
+
+def test_from_manifest_rejects_eval_manifest(tmp_path, capsys):
+    classes = [0, 1] * 10
+    emb = tmp_path / "e.txt"
+    ids = write_one_hot_embedding(emb, classes)
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"{i} c{c}\n" for i, c in zip(ids, classes)))
+    out = tmp_path / "ev"
+    assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "2", "--out", out) == 0
+    capsys.readouterr()
+    code = run_cli("embed", "--from-manifest", out / "manifest.json")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad manifest" in err and "'ane-manifest-v2'" in err and "'eval'" in err
 
 
 # eval
@@ -279,6 +348,24 @@ def test_sweep_records_failures_and_continues(ring, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["failures"]) == 1
     assert manifest["failures"][0]["point"] == {"dim": 0}
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--reps", "0"], "repetitions must be >= 1"),
+        (["--ratios", "1.5"], "train ratio must be in (0, 1)"),
+    ],
+)
+def test_sweep_bad_evaluation_settings_exit_2_before_training(
+    ring, tmp_path, capsys, flags, message
+):
+    edges, labels = ring
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", edges, labels, "--grid-dim", "2,3", "--out", out, *FAST, *flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "point_000").exists()
 
 
 def test_sweep_all_points_failed_exit_1(ring, tmp_path, capsys):

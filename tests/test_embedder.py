@@ -10,6 +10,7 @@ import pytest
 import ane
 from ane.datasets import load_dataset
 from ane.embedder import (
+    MODEL_KINDS,
     EmbeddingMatrix,
     Prior,
     TrainConfig,
@@ -90,6 +91,16 @@ def test_config_validation():
             TrainConfig(model=model, walk_length=1)
     # the autoencoder models draw no walks
     TrainConfig(model="dae", context_size=1, walk_length=1)
+    for model in MODEL_KINDS:
+        with pytest.raises(ValueError, match="prior"):
+            TrainConfig(model=model, prior="cauchy")
+    for lr in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+    for clip in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="grad_clip"):
+            TrainConfig(grad_clip=clip)
+    TrainConfig(grad_clip=float("inf"))  # no clipping
 
 
 def test_config_digest_stable_and_sensitive():

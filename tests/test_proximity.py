@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ane.embedder import TrainConfig
 from ane.graph import parse_edge_lines, preprocess, row_normalize
 from ane.proximity import (
-    PpmiConfig,
     accumulate_powers,
     load_feature_matrix,
     ppmi_features,
@@ -140,10 +140,12 @@ def test_ppmi_features_size_guard():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PpmiConfig(steps=0)
-    with pytest.raises(ValueError):
-        PpmiConfig(beta=-0.1)
+    # the PPMI settings live in TrainConfig, checked before any feature work
+    with pytest.raises(ValueError, match="ppmi_steps"):
+        TrainConfig(ppmi_steps=0)
+    for beta in (-0.1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ppmi_beta"):
+            TrainConfig(ppmi_beta=beta)
 
 
 def test_load_feature_matrix_generic_header(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from ane.embedder import TrainConfig
 from ane.graph import parse_edge_lines, preprocess
 from ane.walker import (
     AliasTable,
     PairBatch,
-    WalkConfig,
     iter_batches,
     negative_sampler,
     positive_pairs,
@@ -88,7 +88,7 @@ def test_scalar_sample_matches_support():
 
 def test_two_cycle_walks_alternate():
     g = preprocess(parse_edge_lines(["a b"]))
-    corpus = random_walks(g, WalkConfig(walks_per_node=3, walk_length=4, context_size=2))
+    corpus = random_walks(g, 3, 4, np.random.default_rng(0))
     assert corpus.shape == (6, 4)
     for walk in corpus:
         assert walk[0] != walk[1]
@@ -98,7 +98,7 @@ def test_two_cycle_walks_alternate():
 def test_star_graph_leaf_walks_visit_hub_on_odd_positions():
     g = preprocess(parse_edge_lines(["hub a", "hub b", "hub c"]))
     hub = g.index_of["hub"]
-    corpus = random_walks(g, WalkConfig(walks_per_node=2, walk_length=6, context_size=2))
+    corpus = random_walks(g, 2, 6, np.random.default_rng(0))
     for walk in corpus:
         if walk[0] != hub:
             assert (walk[1::2] == hub).all()
@@ -106,8 +106,7 @@ def test_star_graph_leaf_walks_visit_hub_on_odd_positions():
 
 def test_every_node_starts_once_per_round():
     g = ring_graph(7)
-    cfg = WalkConfig(walks_per_node=4, walk_length=5, context_size=2, seed=5)
-    corpus = random_walks(g, cfg)
+    corpus = random_walks(g, 4, 5, np.random.default_rng(5))
     assert corpus.shape == (28, 5)
     for r in range(4):
         starts = np.sort(corpus[r * 7 : (r + 1) * 7, 0])
@@ -116,7 +115,7 @@ def test_every_node_starts_once_per_round():
 
 def test_walk_steps_follow_edges():
     g = preprocess(parse_edge_lines(["a b", "b c", "c d", "d a", "a c"]))
-    corpus = random_walks(g, WalkConfig(walks_per_node=3, walk_length=10, context_size=2))
+    corpus = random_walks(g, 3, 10, np.random.default_rng(0))
     for walk in corpus:
         for u, v in zip(walk[:-1], walk[1:]):
             assert g.has_edge(int(u), int(v))
@@ -127,8 +126,7 @@ def test_weighted_next_hop_frequency():
     # about 1e5 walk steps in total, roughly half of which leave A
     g = preprocess(parse_edge_lines(["A B 9", "A C 1", "B C 1"]))
     a, b = g.index_of["A"], g.index_of["B"]
-    cfg = WalkConfig(walks_per_node=334, walk_length=100, context_size=2, seed=2)
-    corpus = random_walks(g, cfg)
+    corpus = random_walks(g, 334, 100, np.random.default_rng(2))
     assert corpus.size > 100_000
     from_a = corpus[:, :-1].ravel() == a
     nxt = corpus[:, 1:].ravel()[from_a]
@@ -141,19 +139,23 @@ def test_weighted_next_hop_frequency():
 
 def test_walks_deterministic_by_seed():
     g = ring_graph(9)
-    cfg = WalkConfig(walks_per_node=2, walk_length=12, context_size=3, seed=42)
-    np.testing.assert_array_equal(random_walks(g, cfg), random_walks(g, cfg))
+    np.testing.assert_array_equal(
+        random_walks(g, 2, 12, np.random.default_rng(42)),
+        random_walks(g, 2, 12, np.random.default_rng(42)),
+    )
 
 
 def test_walk_config_validation():
-    with pytest.raises(ValueError):
-        WalkConfig(walks_per_node=0)
-    with pytest.raises(ValueError):
-        WalkConfig(walk_length=1)
-    with pytest.raises(ValueError):
-        WalkConfig(context_size=10, walk_length=10)
-    with pytest.raises(ValueError):
-        WalkConfig(context_size=0)
+    # the walk bounds live in TrainConfig and apply to the walk models
+    for model in ("idw", "aidw"):
+        with pytest.raises(ValueError, match="walks_per_node"):
+            TrainConfig(model=model, walks_per_node=0)
+        with pytest.raises(ValueError, match="walk_length"):
+            TrainConfig(model=model, walk_length=1)
+        with pytest.raises(ValueError, match="context_size"):
+            TrainConfig(model=model, context_size=10, walk_length=10)
+        with pytest.raises(ValueError, match="context_size"):
+            TrainConfig(model=model, context_size=0)
 
 
 # positive pairs
