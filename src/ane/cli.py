@@ -321,6 +321,7 @@ def cmd_sweep(args):
     names = list(axes)
 
     graph = _load_graph(edge_path, args.weighted)
+    features = _load_features(_require_file(args.features), graph) if args.features else None
     with _stage("evalkit"):
         try:
             label_set = load_labels(labels_path, {nid: i for i, nid in enumerate(graph.ids)})
@@ -333,7 +334,7 @@ def cmd_sweep(args):
     dataset_meta = {
         "edge_list": str(Path(edge_path).resolve()),
         "weighted": bool(args.weighted),
-        "features": None,
+        "features": str(Path(args.features).resolve()) if args.features else None,
     }
 
     header = list(names) + ["ratio", "mean_acc", "std_acc", "n_reps", "status"]
@@ -345,7 +346,7 @@ def cmd_sweep(args):
         point_label = ", ".join(f"{k}={v}" for k, v in overrides.items())
         try:
             cfg = replace(base_cfg, **overrides)
-            embedding, _ = _train_and_write(graph, cfg, point_dir, dataset_meta)
+            embedding, _ = _train_and_write(graph, cfg, point_dir, dataset_meta, features=features)
             results = evaluate(embedding.vectors, label_set, spec, l2=args.l2)
             for r in results:
                 rows.append(

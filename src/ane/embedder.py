@@ -638,7 +638,8 @@ def export_embeddings(embedding, path):
 
 
 def load_embeddings(path):
-    """Reload a file written by :func:`export_embeddings`."""
+    """Reload a file written by :func:`export_embeddings`; a malformed row, a
+    non-finite coordinate or a row beyond the header's N raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -652,4 +653,8 @@ def load_embeddings(path):
                 raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, expected {d + 1}")
             ids.append(parts[0])
             vectors[i] = [float(tok) for tok in parts[1:]]
+            if not np.isfinite(vectors[i]).all():
+                raise ValueError(f"{path}: line {i + 2} holds a non-finite coordinate")
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: more than the {n} rows the header gives")
     return EmbeddingMatrix(vectors=vectors, ids=ids)

@@ -38,11 +38,13 @@ def load_labels(path, index_of):
     """Read a ``node_id label`` file and align it to dense indices.
 
     ``index_of`` maps external ids to dense indices (from a Graph or an
-    embedding file). Unknown ids are an error listing the first offenders;
-    class indices are assigned by sorted label string for reproducibility.
+    embedding file). Unknown ids are an error listing the first offenders,
+    and a node listed twice is an error; class indices are assigned by
+    sorted label string for reproducibility.
     """
     pairs = []
     unknown = []
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -54,7 +56,10 @@ def load_labels(path, index_of):
             node_id, label = parts
             if node_id not in index_of:
                 unknown.append(node_id)
+            elif node_id in seen:
+                raise ValueError(f"{path}:{lineno}: node {node_id!r} is labeled twice")
             else:
+                seen.add(node_id)
                 pairs.append((index_of[node_id], label))
     if unknown:
         shown = ", ".join(unknown[:5])

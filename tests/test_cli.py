@@ -291,6 +291,33 @@ def test_eval_unknown_label_ids_exit_2(tmp_path, capsys):
     assert "stranger" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["n0 nan 1", "n1 1 0", "n2 0 1", "n3 1 1"], "line 2 holds a non-finite coordinate"),
+        (["n0 1 0", "n1 inf 0", "n2 0 1", "n3 1 1"], "line 3 holds a non-finite coordinate"),
+        (["n0 1 0", "n1 1 0", "n2 0 1", "n3 0 1", "n4 1 1"], "more than the 4 rows"),
+    ],
+    ids=["nan", "inf", "extra-row"],
+)
+def test_eval_bad_embedding_file_exit_2(tmp_path, capsys, rows, message):
+    emb = tmp_path / "e.txt"
+    emb.write_text("4 2\n" + "".join(row + "\n" for row in rows))
+    labels = tmp_path / "l.txt"
+    labels.write_text("n0 a\nn1 a\nn2 b\nn3 b\n")
+    assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_eval_label_listed_twice_exit_2(tmp_path, capsys):
+    emb = tmp_path / "e.txt"
+    ids = write_one_hot_embedding(emb, [0, 1, 0, 1])
+    labels = tmp_path / "l.txt"
+    labels.write_text(f"{ids[0]} c0\n{ids[1]} c1\n{ids[2]} c0\n{ids[3]} c1\n{ids[0]} c1\n")
+    assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1") == 2
+    assert f"l.txt:5: node '{ids[0]}' is labeled twice" in capsys.readouterr().err
+
+
 # sweep
 
 
@@ -366,6 +393,43 @@ def test_sweep_bad_evaluation_settings_exit_2_before_training(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (out / "point_000").exists()
+
+
+def test_sweep_missing_features_file_exit_2_before_training(ring, tmp_path, capsys):
+    edges, labels = ring
+    out = tmp_path / "sweep"
+    missing = tmp_path / "nope.txt"
+    code = run_cli(
+        "sweep", edges, labels, "--grid-dim", "2,3", "--features", missing, "--out", out, *FAST
+    )
+    assert code == 2
+    assert f"file not found: {missing}" in capsys.readouterr().err
+    assert not (out / "point_000").exists()
+
+
+def test_sweep_trains_every_point_on_the_features_file(ring, tmp_path):
+    edges, labels = ring
+    features = tmp_path / "features.txt"
+    rows = np.random.default_rng(0).random((12, 3))
+    features.write_text("12 3\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    out = tmp_path / "sweep"
+    code = run_cli(
+        "sweep", edges, labels, "--grid-dim", "2,3", "--features", features,
+        "--ratios", "0.5", "--reps", "1", "--out", out, *FAST,
+    )
+    assert code == 0
+    for idx in range(2):
+        point = json.loads((out / f"point_{idx:03d}" / "manifest.json").read_text())
+        assert point["dataset"]["features"] == str(features.resolve())
+    assert json.loads((out / "manifest.json").read_text())["dataset"]["features"] == str(
+        features.resolve()
+    )
+    single = tmp_path / "single"
+    code = run_cli("embed", edges, "--features", features, "--out", single, *FAST, "--dim", "2")
+    assert code == 0
+    assert (out / "point_000" / "embedding.txt").read_bytes() == (
+        single / "embedding.txt"
+    ).read_bytes()
 
 
 def test_sweep_all_points_failed_exit_1(ring, tmp_path, capsys):

@@ -50,6 +50,14 @@ def test_load_labels_malformed_line(tmp_path):
         load_labels(path, {"n0": 0})
 
 
+def test_load_labels_node_listed_twice(tmp_path):
+    # one node in two positions could land in both the train and test split
+    path = tmp_path / "x.labels"
+    path.write_text("n0 A\nn1 B\nn0 B\n")
+    with pytest.raises(ValueError, match=r"x.labels:3: node 'n0' is labeled twice"):
+        load_labels(path, {"n0": 0, "n1": 1})
+
+
 def test_load_labels_empty_file(tmp_path):
     path = tmp_path / "x.labels"
     path.write_text("# nothing\n")

@@ -12,6 +12,13 @@ The idw and aidw digests were recorded again, with scipy 1.17.1, when the
 skip-gram gradients moved to sparse incidence products: those sum each row's
 pair terms in pair order, which rounds differently from the sorted segment
 sums they replaced. The sparse products are scipy's own loops, not BLAS.
+
+They were recorded once more when walks and negatives moved to one alias
+table built for all CSR rows at once: its build pairs small and large
+entries in another order, and negatives are now drawn with two uniform
+floats instead of a uniform integer and a float. Unit-weight rows never
+alias, so walks on unweighted graphs are unchanged, but the negatives
+change on every graph.
 """
 
 import ctypes
@@ -36,20 +43,20 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0 SkylakeX"
 
 DIGESTS = {
-    "karate-unweighted-idw": "1a7fa968623c4d1c595f0662ae8baa64bdaf180d7ceb42bcfe6b8a5da453d390",
-    "karate-unweighted-aidw": "66006b070b7b0fd64114f4ce2164d27a83be126de431dd606ff2c660f7b77d1e",
+    "karate-unweighted-idw": "b75152a88edd527973ae7449fdc361f5de4e9c18b0aeb5be14e0f45af5727f96",
+    "karate-unweighted-aidw": "a2251d2de7f0486ab9fcf1fdbe90156815bee54a9d5aeb12b9dd0501e781dbc1",
     "karate-unweighted-dae": "3d8366346e4436dff4168ad234a9840c9ebd8095f676c232096b91ad395dff63",
     "karate-unweighted-adae": "48dba5446ed5df17b29c644b5f5ebec0d7ac1c7c86aaa7fe72ea96694bddec52",
-    "karate-weighted-idw": "1a7fa968623c4d1c595f0662ae8baa64bdaf180d7ceb42bcfe6b8a5da453d390",
-    "karate-weighted-aidw": "66006b070b7b0fd64114f4ce2164d27a83be126de431dd606ff2c660f7b77d1e",
+    "karate-weighted-idw": "b75152a88edd527973ae7449fdc361f5de4e9c18b0aeb5be14e0f45af5727f96",
+    "karate-weighted-aidw": "a2251d2de7f0486ab9fcf1fdbe90156815bee54a9d5aeb12b9dd0501e781dbc1",
     "karate-weighted-dae": "3d8366346e4436dff4168ad234a9840c9ebd8095f676c232096b91ad395dff63",
     "karate-weighted-adae": "48dba5446ed5df17b29c644b5f5ebec0d7ac1c7c86aaa7fe72ea96694bddec52",
-    "weighted-unweighted-idw": "7c3319bbfa9f265878901911fbbe5a46e65bc53ce007d690aa828b0a4628e8ee",
-    "weighted-unweighted-aidw": "6b697ddb245658b8db3f7c0c783b82608ee6f82ce8892e43a211189935dca404",
+    "weighted-unweighted-idw": "3e900c130e999014568b654c1f8d45e7307e6517b9276780c17977272ae8fedd",
+    "weighted-unweighted-aidw": "323b1ca8316ee557e8ca54a526364005cd078689c92bb99c1a56d30d28ab04fd",
     "weighted-unweighted-dae": "0a4b8d4f2c116dc03ca2e3a9d2d8722c9e233fbdda047556e2279645aef6c247",
     "weighted-unweighted-adae": "72404e5d0fddcbf7d91d862b394c683536ee23bc95261ea34d8d7a3b7facb484",
-    "weighted-weighted-idw": "8c8f0400747d267d35440817f123b3c1d4141a3e08658a979031e4a78c0a0958",
-    "weighted-weighted-aidw": "fbec2f4b64faf7f809599a3425349a298b32c4b1b5cb18814a4ed17d42ce5ee2",
+    "weighted-weighted-idw": "73bceeba534ad11b138bf86aed9f718522d87d6c814f1aa103ee2abe6cfae9e0",
+    "weighted-weighted-aidw": "33f24a5a09434fbaf8f7effb30b54df9a1c6ca9ecfa9ccd126918b3dc664e321",
     "weighted-weighted-dae": "f6ea2b9257f7401a9911fc80d21594fc56e11750bd19b2e902ad7017880b620b",
     "weighted-weighted-adae": "6bef5673b678553dd26d7ff5a3688b4083812faf45e06196f6871ff72c95cae1",
 }

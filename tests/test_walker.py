@@ -42,7 +42,7 @@ def test_three_to_one_probabilities():
 def test_zero_weight_outcome_never_drawn():
     table = AliasTable([0, 5])
     np.testing.assert_array_equal(table.outcome_probabilities(), [0.0, 1.0])
-    draws = table.sample_many(np.random.default_rng(0), 1000)
+    draws = table.sample(np.random.default_rng(0), np.zeros(1000, dtype=np.int64))
     assert (draws == 1).all()
 
 
@@ -53,6 +53,10 @@ def test_all_zero_weights_rejected():
         AliasTable([])
     with pytest.raises(ValueError):
         AliasTable([1.0, -1.0])
+    with pytest.raises(ValueError, match="positive"):
+        AliasTable([1.0, 0.0], [0, 1, 2])
+    with pytest.raises(ValueError, match="at least one weight"):
+        AliasTable([1.0, 2.0], [0, 0, 2])
 
 
 def test_reconstruction_exact_random_weights():
@@ -70,7 +74,7 @@ def test_reconstruction_exact_random_weights():
 
 def test_three_to_one_empirical_within_three_sigma():
     rng = np.random.default_rng(11)
-    draws = AliasTable([3, 1]).sample_many(rng, 10**6)
+    draws = AliasTable([3, 1]).sample(rng, np.zeros(10**6, dtype=np.int64))
     ones = (draws == 1).sum()
     sigma = np.sqrt(10**6 * 0.25 * 0.75)
     assert abs(ones - 250_000) < 3 * sigma
@@ -79,8 +83,44 @@ def test_three_to_one_empirical_within_three_sigma():
 def test_scalar_sample_matches_support():
     rng = np.random.default_rng(3)
     table = AliasTable([2.0, 0.0, 1.0])
-    draws = {int(table.sample_many(rng, 1)[0]) for _ in range(500)}
+    draws = {int(table.sample(rng, np.zeros(1, dtype=np.int64))[0]) for _ in range(500)}
     assert draws == {0, 2}
+
+
+def test_multi_row_tables_exact_random_csr():
+    # weights over six orders of magnitude with 20 % zeros; one layout in
+    # three has equal weights, whose q can all round below 1 in a row, and
+    # one in three small integers, whose deficits and excesses often end at
+    # the same point
+    rng = np.random.default_rng(13)
+    for layout in range(60):
+        counts = rng.integers(1, 30, size=int(rng.integers(1, 25)))
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        row = np.repeat(np.arange(counts.size), counts)
+        if layout % 3 == 0:
+            w = np.full(indptr[-1], 0.1)
+        elif layout % 3 == 1:
+            w = rng.integers(0, 4, size=indptr[-1]).astype(float)
+            w[indptr[:-1]] += 1.0
+        else:
+            w = 10.0 ** rng.uniform(-3, 3, size=indptr[-1])
+            w[rng.random(w.size) < 0.2] = 0.0
+            w[indptr[:-1]] += 1.0  # every row keeps a positive total
+        table = AliasTable(w, indptr)
+        want = w / np.add.reduceat(w, indptr[:-1])[row]
+        np.testing.assert_allclose(table.outcome_probabilities(), want, rtol=0, atol=1e-12)
+        assert ((table.alias >= 0) & (table.alias < counts[row])).all()
+        zero = w == 0
+        assert (table.prob[zero] == 0).all()
+        assert not zero[indptr[:-1][row] + table.alias][table.prob < 1].any()
+        draws = table.sample(rng, np.repeat(np.arange(counts.size), 200))
+        assert not zero[np.repeat(indptr[:-1], 200) + draws].any()
+
+
+def test_unit_weight_rows_never_alias():
+    # unit weights give q = 1 exactly, so a walk step keeps its first draw
+    g = preprocess(parse_edge_lines(["a b", "a c", "a d", "b c", "d e"]))
+    assert (AliasTable(g.weights, g.indptr).prob == 1).all()
 
 
 # walk corpus
@@ -227,7 +267,7 @@ def test_negative_sampler_empirical_frequency():
     g = preprocess(parse_edge_lines(["a b", "a c", "b c", "c d", "c e", "c f"]))
     table = negative_sampler(g)
     want = table.outcome_probabilities()
-    draws = table.sample_many(np.random.default_rng(1), 10**6)
+    draws = table.sample(np.random.default_rng(1), np.zeros(10**6, dtype=np.int64))
     counts = np.bincount(draws, minlength=g.num_nodes)
     sigma = np.sqrt(10**6 * want * (1 - want))
     assert (np.abs(counts - 10**6 * want) < 3 * sigma + 1).all()
