@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -36,7 +37,7 @@ from .evaluation import (
     load_labels,
 )
 from .graph import EdgeListError, GraphError, load_edge_list, preprocess
-from .proximity import load_feature_matrix
+from .proximity import load_feature_matrix, ppmi_features
 
 MANIFEST_FORMAT = "ane-manifest-v2"
 
@@ -99,6 +100,17 @@ def _parse_list(caster):
         return values
 
     return parse
+
+
+def _positive_float(text):
+    """argparse type of a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _add_train_flags(p):
@@ -328,6 +340,10 @@ def cmd_sweep(args):
             spec = SplitSpec(ratios=args.ratios, repetitions=args.reps, seed=args.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    if features is None:
+        # no sweep axis changes the PPMI features, so every point trains on one build
+        with _stage("proximity"):
+            features = ppmi_features(graph, base_cfg.ppmi_steps, base_cfg.ppmi_beta).matrix
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -420,7 +436,7 @@ def build_parser():
     p_eval.add_argument("--ratios", type=_parse_list(float), default=DEFAULT_RATIOS)
     p_eval.add_argument("--reps", type=int, default=10)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--l2", type=float, default=1.0)
+    p_eval.add_argument("--l2", type=_positive_float, default=1.0)
     p_eval.add_argument("--no-normalize", action="store_true")
     p_eval.add_argument("--out", default=None, help="optional output directory")
     p_eval.set_defaults(func=cmd_eval)
@@ -435,7 +451,7 @@ def build_parser():
     p_sweep.add_argument("--grid-prior", type=_parse_list(str), default=None)
     p_sweep.add_argument("--ratios", type=_parse_list(float), default=(0.5,))
     p_sweep.add_argument("--reps", type=int, default=10)
-    p_sweep.add_argument("--l2", type=float, default=1.0)
+    p_sweep.add_argument("--l2", type=_positive_float, default=1.0)
     p_sweep.add_argument("--out", default="ane_sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 

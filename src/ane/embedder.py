@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy import sparse
 
 from . import nn
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp, log_sigmoid, sigmoid
@@ -246,9 +247,6 @@ def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
     ``T`` (unique target rows x pairs) is one-hot, so context rows get
     ``W @ u`` and target rows ``T @ (W.T @ v_rows)``.
     """
-    # imported here so that the autoencoder models and evaluation never load it
-    from scipy import sparse
-
     tgt_nodes, tgt_pos = np.unique(batch.targets, return_inverse=True)
     ctx_flat = np.concatenate([batch.contexts, batch.negatives.ravel()])
     ctx_nodes, ctx_pos = np.unique(ctx_flat, return_inverse=True)
@@ -631,10 +629,11 @@ def export_embeddings(embedding, path):
     vecs = embedding.vectors
     if not np.isfinite(vecs).all():
         raise ValueError("embedding matrix contains non-finite values")
+    line = "%s" + " %.17g" * vecs.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{vecs.shape[0]} {vecs.shape[1]}\n")
-        for node_id, row in zip(embedding.ids, vecs):
-            fh.write(str(node_id) + " " + " ".join(f"{v:.17g}" for v in row) + "\n")
+        for node_id, row in zip(embedding.ids, vecs.tolist()):
+            fh.write(line % (node_id, *row))
 
 
 def load_embeddings(path):

@@ -9,6 +9,7 @@ ignored. Node ids may be arbitrary strings; they are mapped to dense indices
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 class EdgeListError(ValueError):
@@ -81,12 +82,10 @@ class Graph:
     def degrees(self):
         """Weighted degree of every node (sum of incident edge weights).
 
-        Each row is summed on its own with ``ndarray.sum``; a segmented sum
-        over the flat array rounds differently on rows of 8 or more entries.
+        One segmented sum: each row's weights are added in entry order, and
+        a node with no entries gets 0.
         """
-        w, ptr = self.weights, self.indptr
-        return np.array([w[ptr[i] : ptr[i + 1]].sum() for i in range(self.num_nodes)],
-                        dtype=np.float64)
+        return np.bincount(self.entry_rows(), weights=self.weights, minlength=self.num_nodes)
 
     def num_edges(self):
         """Number of undirected edges (self-loops count once)."""
@@ -199,7 +198,8 @@ def preprocess(g):
 
 
 def row_normalize(g):
-    """Dense row-stochastic transition matrix: entry (i, j) is w_ij / deg(i).
+    """Row-stochastic transition matrix as a scipy CSR array with the graph's
+    sparsity: entry (i, j) is w_ij / deg(i).
 
     Requires every node to have positive degree (run :func:`preprocess` first).
     """
@@ -208,7 +208,4 @@ def row_normalize(g):
     bad = np.flatnonzero(deg <= 0)
     if bad.size:
         raise GraphError(f"node {g.ids[bad[0]]!r} has zero degree; cannot normalize")
-    rows = g.entry_rows()
-    mat = np.zeros((n, n), dtype=np.float64)
-    mat[rows, g.indices] = g.weights / deg[rows]
-    return mat
+    return sparse.csr_array((g.weights / deg[g.entry_rows()], g.indices, g.indptr), shape=(n, n))

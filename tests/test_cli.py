@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from ane import embedder
+from ane import cli, embedder, proximity
 from ane.cli import main
 from ane.datasets import dataset_paths
+from ane.proximity import ppmi_features
 
 FAST = [
     "--dim", "4",
@@ -126,6 +127,21 @@ def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
     edges, _ = karate
     assert run_cli("embed", edges, "--out", tmp_path / "o", *flags) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_ppmi_features_over_memory_exit_2_before_training(
+    ring, tmp_path, capsys, monkeypatch, command
+):
+    # the 12-node ring needs 4 * 8 * 12^2 = 4 608 bytes
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 4_000)
+    edges, labels = ring
+    out = tmp_path / "o"
+    argv = ["embed", edges] if command == "embed" else ["sweep", edges, labels, "--grid-dim", "2,3"]
+    assert run_cli(*argv, "--out", out, *FAST) == 2
+    err = capsys.readouterr().err
+    assert "PPMI features of 12 nodes need about 0.0 GB" in err
+    assert not (out / "embedding.txt").exists() and not (out / "point_000").exists()
 
 
 @pytest.mark.parametrize(
@@ -309,6 +325,22 @@ def test_eval_bad_embedding_file_exit_2(tmp_path, capsys, rows, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("l2", ["nan", "inf", "0", "-1"])
+def test_eval_bad_l2_exit_2(tmp_path, capsys, l2):
+    classes = np.array([0, 1] * 10)
+    emb = tmp_path / "e.txt"
+    ids = write_one_hot_embedding(emb, classes)
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"{i} c{c}\n" for i, c in zip(ids, classes)))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1", "--l2", l2)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert f"argument --l2: must be a finite number > 0, got '{l2}'" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_label_listed_twice_exit_2(tmp_path, capsys):
     emb = tmp_path / "e.txt"
     ids = write_one_hot_embedding(emb, [0, 1, 0, 1])
@@ -430,6 +462,44 @@ def test_sweep_trains_every_point_on_the_features_file(ring, tmp_path):
     assert (out / "point_000" / "embedding.txt").read_bytes() == (
         single / "embedding.txt"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("l2", ["nan", "inf", "0", "-1"])
+def test_sweep_bad_l2_exit_2_before_training(ring, tmp_path, capsys, l2):
+    edges, labels = ring
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", edges, labels, "--grid-dim", "2,3", "--out", out, *FAST, "--l2", l2)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument --l2: must be a finite number > 0, got '{l2}'" in err
+    assert not out.exists()
+
+
+def test_sweep_builds_ppmi_features_once(ring, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ppmi_features(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ppmi_features", counted)
+    monkeypatch.setattr(embedder, "ppmi_features", counted)
+    edges, labels = ring
+    out = tmp_path / "sweep"
+    code = run_cli(
+        "sweep", edges, labels, "--grid-dim", "2,3", "--ratios", "0.5", "--reps", "1",
+        "--out", out, *FAST,
+    )
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for idx, dim in enumerate(["2", "3"]):
+        single = tmp_path / f"single_{dim}"
+        assert run_cli("embed", edges, "--out", single, *FAST, "--dim", dim) == 0
+        assert (out / f"point_{idx:03d}" / "embedding.txt").read_bytes() == (
+            single / "embedding.txt"
+        ).read_bytes()
 
 
 def test_sweep_all_points_failed_exit_1(ring, tmp_path, capsys):

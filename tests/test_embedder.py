@@ -1,13 +1,8 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ane
 from ane.datasets import load_dataset
 from ane.embedder import (
     MODEL_KINDS,
@@ -337,27 +332,6 @@ def test_dae_all_zero_rows_zero_loss():
     zero_params(decoder)
     loss = dae_batch_loss(encoder, decoder, np.zeros((5, 4)), 0.2, rng)
     assert loss == 0.0
-
-
-def test_autoencoder_training_does_not_import_scipy_sparse():
-    # scipy.sparse costs about 22 MB of RSS and only the skip-gram step uses it
-    script = """
-import sys
-import ane
-from ane.datasets import load_dataset
-from ane.embedder import TrainConfig, train
-graph, _ = load_dataset("karate")
-train(graph, TrainConfig(model="dae", dim=4, epochs=1, batch_size=16, adv_batch_size=16))
-assert "scipy.sparse" not in sys.modules, "dae loaded scipy.sparse"
-train(graph, TrainConfig(model="idw", dim=4, epochs=1, walks_per_node=1, walk_length=5,
-                         context_size=2, batch_size=64))
-assert "scipy.sparse" in sys.modules, "idw did not load scipy.sparse"
-"""
-    env = dict(os.environ, PYTHONPATH=str(Path(ane.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_dae_corruption_masks_exact_count():

@@ -123,29 +123,37 @@ def test_csr_invariants():
     assert dense[a, a] == 2.0 and dense[a, c] == 2.5  # repeated c-a lines summed
 
 
-def test_degrees_equal_per_row_sums_bitwise():
+def test_degrees_match_per_row_sums():
     lines = (Path(__file__).parent / "data" / "weighted.edges").read_text().splitlines()
     g = preprocess(parse_edge_lines(lines))
     assert np.diff(g.indptr).max() >= 8
-    rows = [g.weights[g.indptr[i] : g.indptr[i + 1]].copy() for i in range(g.num_nodes)]
-    expected = np.array([row.sum() for row in rows])
-    assert g.degrees().tobytes() == expected.tobytes()
+    expected = [g.weights[g.indptr[i] : g.indptr[i + 1]].sum() for i in range(g.num_nodes)]
+    np.testing.assert_allclose(g.degrees(), expected, rtol=1e-15, atol=0)
+
+
+def test_degrees_of_isolated_nodes_are_zero():
+    # "b" and "d" have no entries, including the last row
+    g = Graph(["a", "b", "c", "d"], [0, 2], [2, 2], [1.5, 4.0])
+    assert np.diff(g.indptr).tolist() == [1, 0, 2, 0]
+    assert g.degrees().tolist() == [1.5, 0.0, 5.5, 0.0]
+    empty = Graph(["a", "b"], [], [], [])
+    assert empty.degrees().tolist() == [0.0, 0.0]
 
 
 def test_row_normalize_two_node_edge():
     g = preprocess(parse_edge_lines(["0 1"]))
-    assert row_normalize(g).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert row_normalize(g).toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_row_normalize_star_center():
     g = preprocess(parse_edge_lines(["hub a", "hub b", "hub c"]))
-    mat = row_normalize(g)
+    mat = row_normalize(g).toarray()
     np.testing.assert_allclose(mat[0], [0.0, 1 / 3, 1 / 3, 1 / 3])
 
 
 def test_row_normalize_weighted():
     g = preprocess(parse_edge_lines(["a b 1", "a c 3"]))
-    mat = row_normalize(g)
+    mat = row_normalize(g).toarray()
     np.testing.assert_allclose(sorted(mat[0].tolist()), [0.0, 0.25, 0.75])
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ane import proximity
 from ane.embedder import TrainConfig
-from ane.graph import parse_edge_lines, preprocess, row_normalize
+from ane.graph import Graph, parse_edge_lines, preprocess, row_normalize
 from ane.proximity import (
     accumulate_powers,
     load_feature_matrix,
@@ -133,10 +134,19 @@ def test_ppmi_features_defaults_beta_to_inverse_n():
     assert feats.matrix.shape == (3, 3)
 
 
-def test_ppmi_features_size_guard():
+def test_ppmi_features_size_guard(monkeypatch):
     g = preprocess(parse_edge_lines(["a b", "b c"]))
-    with pytest.raises(ValueError, match="dense limit"):
-        ppmi_features(g, max_nodes=2)
+    need = proximity.PEAK_DENSE_ARRAYS * 8 * 3 * 3
+    monkeypatch.setattr(proximity, "memory_budget", lambda: need)
+    assert ppmi_features(g).matrix.shape == (3, 3)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("transition matrix built past the memory check")
+
+    monkeypatch.setattr(proximity, "memory_budget", lambda: need - 1)
+    monkeypatch.setattr(proximity, "row_normalize", no_build)
+    with pytest.raises(ValueError, match=r"need about 0\.0 GB .*more than the 0\.0 GB"):
+        ppmi_features(g)
 
 
 def test_config_validation():
@@ -175,3 +185,30 @@ def test_row_normalize_feeds_accumulate():
     g = preprocess(parse_edge_lines(["a b", "b c", "c d", "d a"]))
     m = accumulate_powers(row_normalize(g), 4)
     np.testing.assert_allclose(m.sum(axis=1), 4.0, atol=1e-6)
+
+
+def test_sparse_chain_matches_dense_chain_on_random_weighted_graphs():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(5, 40))
+        src, dst = np.triu_indices(n, k=1)
+        keep = rng.random(src.size) < rng.uniform(0.05, 0.5)
+        ring = np.arange(n)  # every node gets an edge
+        pairs = np.unique(
+            np.vstack([np.column_stack([src[keep], dst[keep]]),
+                       np.sort(np.column_stack([ring, (ring + 1) % n]), axis=1)]),
+            axis=0,
+        )
+        g = Graph([str(i) for i in range(n)], pairs[:, 0], pairs[:, 1],
+                  rng.uniform(0.1, 5.0, size=len(pairs)))
+        a = row_normalize(g)
+        dense = a.toarray()
+        power, want = dense.copy(), dense.copy()
+        for t in range(1, 7):
+            if t > 1:
+                power = power @ dense
+                want = want + power
+            got = accumulate_powers(a, t)
+            assert isinstance(got, np.ndarray) and got.shape == (n, n)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.sum(axis=1), t, rtol=0, atol=1e-12)
