@@ -23,6 +23,7 @@ phase and the adversarial phase update the same network.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -240,12 +241,13 @@ def sgns_loss_from_scores(pos_scores, neg_scores):
 def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
     """Structure loss for one pair batch; leaves gradients on both generators.
 
-    Each generator runs once on the batch's unique node rows (so batch-norm
-    statistics are over distinct nodes). Row gradients come from sparse
-    products: ``W`` (unique context rows x pairs) holds each pair's positive
-    and negative score gradients at its context rows, summing repeats, and
-    ``T`` (unique target rows x pairs) is one-hot, so context rows get
-    ``W @ u`` and target rows ``T @ (W.T @ v_rows)``.
+    Each generator runs once on the batch's unique rows of ``features`` (a
+    CSR array in training), so batch-norm statistics are over distinct
+    nodes. Row gradients come from sparse products: ``W`` (unique context
+    rows x pairs) holds each pair's positive and negative score gradients at
+    its context rows, summing repeats, and ``T`` (unique target rows x
+    pairs) is one-hot, so context rows get ``W @ u`` and target rows
+    ``T @ (W.T @ v_rows)``.
     """
     tgt_nodes, tgt_pos = np.unique(batch.targets, return_inverse=True)
     ctx_flat = np.concatenate([batch.contexts, batch.negatives.ravel()])
@@ -260,7 +262,7 @@ def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
     neg_idx = ctx_pos[b:].reshape(b, k)
 
     pos_scores = (u * v_rows[pos_idx]).sum(axis=1)
-    neg_scores = np.einsum("bd,bkd->bk", u, v_rows[neg_idx])
+    neg_scores = np.matmul(v_rows[neg_idx], u[:, :, None])[:, :, 0]
     loss, grad_pos, grad_neg = sgns_loss_from_scores(pos_scores, neg_scores)
 
     # column p of W: the context row of pair p, then its k negative rows
@@ -324,15 +326,16 @@ def generator_adversarial_loss(gen_g, disc, x_rows):
     """Generator payoff step: make embeddings score as prior samples.
 
     The discriminator is evaluated with batch statistics but its running
-    statistics are frozen, and its parameter gradients are simply never
-    applied, so this step can only change the generator.
+    statistics are frozen, and it backpropagates only the gradient with
+    respect to its input (no parameter gradients), so this step can only
+    change the generator.
     """
     u = gen_g.forward(x_rows, train=True)
     logits = disc.forward(u, train=True, update_running=False)
     p, pc, inside = _clamped_probs(logits)
     loss = -np.log(pc).mean()
     grad_logits = np.where(inside, -(1.0 - p), 0.0) / x_rows.shape[0]
-    grad_u = disc.backward(grad_logits)
+    grad_u = disc.backward(grad_logits, param_grads=False)
     gen_g.backward(grad_u, input_grad=False)
     return loss
 
@@ -421,9 +424,14 @@ class Dae:
             yield order[start:stop]
 
     def loss(self, batch, rng):
-        """Loss of one batch, corrupted with ``rng``; leaves gradients on the networks."""
+        """Loss of one batch, corrupted with ``rng``; leaves gradients on the networks.
+
+        The batch's feature rows are densified: the corruption masks a fixed
+        count of all entries of each row, zeros included.
+        """
         return dae_batch_loss(
-            self.gen_g, self.decoder, self.features[batch], self.config.dae_corruption, rng
+            self.gen_g, self.decoder, self.features[batch].toarray(),
+            self.config.dae_corruption, rng,
         )
 
 
@@ -458,6 +466,8 @@ class Trainer:
 
         if features is None:
             features = ppmi_features(graph, config.ppmi_steps, config.ppmi_beta).matrix
+        # CSR whatever the source: PPMI, a features file, or a shared matrix
+        features = sparse.csr_array(features, dtype=np.float64)
         if features.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
@@ -530,22 +540,19 @@ class Trainer:
         """Train to completion and return (embeddings, training log).
 
         An epoch is one pass over the objective's batch stream (positive
-        pairs, or feature rows for the autoencoder models); its length still
-        defines the cycle count, ``ceil(items / batch_size)``, when
-        ``structure_steps`` is 0 and only the adversarial phase runs.
+        pairs, or feature rows for the autoencoder models): each cycle takes
+        the next ``structure_steps`` batches, and the epoch ends when the
+        stream runs dry. When ``structure_steps`` is 0 and only the
+        adversarial phase runs, an epoch is ``ceil(items / batch_size)``
+        cycles.
         """
         cfg = self.config
-        n_items = self.objective.num_items
-        if cfg.structure_steps > 0:
-            n_batches = len(batch_bounds(n_items, cfg.batch_size))
-            cycles_per_epoch = -(-n_batches // cfg.structure_steps)
-        else:
-            cycles_per_epoch = -(-n_items // cfg.batch_size)
+        adversarial_cycles = -(-self.objective.num_items // cfg.batch_size)
 
         cycle = 0
         for _ in range(cfg.epochs):
             batches = self.objective.batches(self.rng_batches) if cfg.structure_steps > 0 else None
-            for _ in range(cycles_per_epoch):
+            for _ in itertools.count() if batches is not None else range(adversarial_cycles):
                 started = time.perf_counter()
                 bn_mean = 0.0
                 bn_var = 0.0
@@ -559,6 +566,8 @@ class Trainer:
                         stats = self._bn_stats(self.structure_nets)
                         bn_mean = max(bn_mean, stats[0])
                         bn_var = max(bn_var, stats[1])
+                    if not structure_losses:
+                        break  # the epoch's batches are used up
 
                 disc_loss = float("nan")
                 gen_loss = float("nan")
@@ -602,16 +611,6 @@ class Trainer:
             seed=self.config.seed,
             config_digest=self.config.digest(),
         )
-
-    def save_checkpoints(self, directory):
-        """One neural-kernel checkpoint file per network."""
-        import os
-
-        names = dict(self.objective.nets)
-        if self.disc is not None:
-            names["discriminator"] = self.disc
-        for name, net in names.items():
-            nn.save_checkpoint(net, os.path.join(directory, f"{name}.npz"))
 
 
 def train(graph, config, features=None):

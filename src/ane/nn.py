@@ -1,17 +1,22 @@
 """Minimal dense-network kernel with hand-written backpropagation.
 
 Everything runs in float64. Layers follow one protocol: ``forward(x, train,
-update_running)`` caches whatever the matching ``backward(grad, input_grad)``
-needs, and ``backward`` stores parameter gradients on the layer and returns
-the gradient with respect to the layer input, or ``None`` when
-``input_grad=False`` (for networks whose input is a constant, such as feature
-rows, so nothing reads that gradient). Optimizer state lives outside the
-layers so several objectives can update the same parameters independently.
+update_running)`` caches whatever the matching ``backward(grad, input_grad,
+param_grads)`` needs, and ``backward`` stores parameter gradients on the
+layer (skipped when ``param_grads=False``, for a network whose parameters
+the step does not update) and returns the gradient with respect to the
+layer input, or ``None`` when ``input_grad=False`` (for networks whose input
+is a constant, such as feature rows, so nothing reads that gradient).
+A network's input may be a scipy sparse array, such as CSR feature rows: the
+first ``DenseLayer`` takes it through scipy's sparse-times-dense products.
+Optimizer state lives outside the layers so several objectives can update
+the same parameters independently.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 class GradientError(RuntimeError):
@@ -41,7 +46,11 @@ def glorot_uniform(rng, out_dim, in_dim):
 
 
 class DenseLayer:
-    """Affine map x -> x W^T + b with weights of shape (out_dim, in_dim)."""
+    """Affine map x -> x W^T + b with weights of shape (out_dim, in_dim).
+
+    ``x`` is a dense array or a scipy sparse array; the weight gradient is
+    C-contiguous either way.
+    """
 
     def __init__(self, in_dim, out_dim, rng):
         self.weights = glorot_uniform(rng, out_dim, in_dim)
@@ -58,9 +67,11 @@ class DenseLayer:
         self._input = x
         return x @ self.weights.T + self.bias
 
-    def backward(self, grad, input_grad=True):
-        self.grad_weights = grad.T @ self._input
-        self.grad_bias = grad.sum(axis=0)
+    def backward(self, grad, input_grad=True, param_grads=True):
+        if param_grads:
+            # a sparse input gives an F-ordered product
+            self.grad_weights = np.ascontiguousarray(grad.T @ self._input)
+            self.grad_bias = grad.sum(axis=0)
         return grad @ self.weights if input_grad else None
 
     def parameters(self):
@@ -68,9 +79,6 @@ class DenseLayer:
 
     def gradients(self):
         return [self.grad_weights, self.grad_bias]
-
-    def state_arrays(self):
-        return {"weights": self.weights, "bias": self.bias}
 
 
 class LeakyRelu:
@@ -84,7 +92,7 @@ class LeakyRelu:
         self._scale = np.where(x > 0, 1.0, self.slope)
         return x * self._scale
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad, input_grad=True, param_grads=True):
         return grad * self._scale if input_grad else None
 
     def parameters(self):
@@ -92,9 +100,6 @@ class LeakyRelu:
 
     def gradients(self):
         return []
-
-    def state_arrays(self):
-        return {}
 
 
 class BatchNorm:
@@ -146,11 +151,12 @@ class BatchNorm:
         norm = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
         return self.gamma * norm + self.shift
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad, input_grad=True, param_grads=True):
         norm, inv_std = self._norm, self._inv_std
         b = grad.shape[0]
-        self.grad_gamma = (grad * norm).sum(axis=0)
-        self.grad_shift = grad.sum(axis=0)
+        if param_grads:
+            self.grad_gamma = (grad * norm).sum(axis=0)
+            self.grad_shift = grad.sum(axis=0)
         if not input_grad:
             return None
         dnorm = grad * self.gamma
@@ -164,14 +170,6 @@ class BatchNorm:
     def gradients(self):
         return [self.grad_gamma, self.grad_shift]
 
-    def state_arrays(self):
-        return {
-            "gamma": self.gamma,
-            "shift": self.shift,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
-
 
 class Mlp:
     """Ordered stack of layers sharing the forward/backward protocol."""
@@ -180,17 +178,19 @@ class Mlp:
         self.layers = list(layers)
 
     def forward(self, x, train=True, update_running=True):
-        out = np.asarray(x, dtype=np.float64)
+        out = x if sparse.issparse(x) else np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             out = layer.forward(out, train=train, update_running=update_running)
         return out
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad, input_grad=True, param_grads=True):
         """Backpropagate ``grad``; the first layer skips its input gradient,
-        and ``None`` is returned, when ``input_grad`` is False."""
+        and ``None`` is returned, when ``input_grad`` is False. With
+        ``param_grads=False`` no layer computes or stores parameter
+        gradients; the input gradient is unchanged."""
         for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
-        return self.layers[0].backward(grad, input_grad=input_grad)
+            grad = layer.backward(grad, param_grads=param_grads)
+        return self.layers[0].backward(grad, input_grad=input_grad, param_grads=param_grads)
 
     def parameters(self):
         return [p for layer in self.layers for p in layer.parameters()]
@@ -200,13 +200,6 @@ class Mlp:
 
     def num_parameters(self):
         return sum(p.size for p in self.parameters())
-
-    def state_arrays(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.state_arrays().items():
-                out[f"layer{i:02d}.{name}"] = arr
-        return out
 
     def bn_layers(self):
         return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
@@ -235,34 +228,6 @@ class RmsProp:
             a *= self.rho
             a += (1.0 - self.rho) * g * g
             p -= self.lr * g / np.sqrt(a + self.eps)
-
-
-CHECKPOINT_FORMAT = "ane-mlp-v1"
-
-
-def save_checkpoint(network, path):
-    """Write all network state (parameters, batch-norm running statistics) to
-    a shape-tagged binary file; the roundtrip is bit-exact."""
-    np.savez(path, __format__=CHECKPOINT_FORMAT, **network.state_arrays())
-
-
-def load_checkpoint(network, path):
-    """Restore state saved by :func:`save_checkpoint` into ``network`` in place."""
-    with np.load(path) as data:
-        fmt = str(data["__format__"])
-        if fmt != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: unsupported checkpoint format {fmt!r}")
-        state = network.state_arrays()
-        missing = set(state) - set(data.files)
-        if missing:
-            raise ValueError(f"{path}: checkpoint is missing arrays {sorted(missing)}")
-        for name, arr in state.items():
-            saved = data[name]
-            if saved.shape != arr.shape:
-                raise ValueError(
-                    f"{path}: array {name} has shape {saved.shape}, expected {arr.shape}"
-                )
-            arr[...] = saved
 
 
 def clip_global_norm(grads, max_norm):

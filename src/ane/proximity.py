@@ -3,10 +3,12 @@
 The node feature matrix is built in two steps: sum the first ``t`` powers of
 the row-stochastic transition matrix ``A``, then apply a column-normalized,
 log-shifted, zero-clamped transform. ``A`` is held as a scipy CSR array with
-the graph's sparsity, so each power is one sparse-times-dense product,
-``A @ A^k``, of about ``2 nnz(A) N`` flops. The powers and their sum are
-dense N x N: they fill in within a few steps. The result is the dense input
-row ``x_i`` fed to every generator network.
+the graph's sparsity, so each power is a sparse-times-dense product,
+``A @ A^k``, of about ``2 nnz(A) N`` flops, taken one block of columns at a
+time. The sum ``M`` is dense N x N: the powers fill in within a few steps.
+The transform keeps only the positive entries, one block of rows at a time,
+so the result is a scipy CSR array (5.9 % non-zero at t = 4 on a Cora-sized
+graph). Its rows are the input ``x_i`` of every generator network.
 """
 
 from __future__ import annotations
@@ -19,18 +21,26 @@ from scipy import sparse
 
 from .graph import GraphError, row_normalize
 
+# Most columns of the powers built at once: (A @ P)[:, J] = A @ P[:, J], so
+# a block carries its own columns through every step.
+POWER_COLUMNS = 128
+# Most rows of M transformed at once.
+PPMI_ROWS = 256
 # N x N float64 arrays alive at once at the peak of the feature build: the
-# running sum, the last power and the next one, then the sum, the PPMI output
-# and the transform's temporaries. Traced on a 2 708-node planted graph: 3.0
-# arrays at t = 2 to 4, 4.1 at t = 8 and 10, where M is nearly full.
-PEAK_DENSE_ARRAYS = 4
+# sum M, then M plus the CSR output, which holds 16 bytes per positive entry
+# twice while it is assembled. Three arrays cover a PPMI matrix up to half
+# non-zero. Blocks are at most a sixteenth of the rows or columns, so their
+# working set stays under half an array. Traced on a 2 708-node planted
+# graph: 1.2 arrays at t = 4 and 1.6 at t = 10.
+PEAK_DENSE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
 class PpmiMatrix:
-    """Shifted-PPMI feature matrix with the settings that produced it."""
+    """Shifted-PPMI feature matrix, as a scipy CSR array of its positive
+    entries, with the settings that produced it."""
 
-    matrix: np.ndarray
+    matrix: sparse.csr_array
     steps: int
     beta: float
     zero_columns: int = 0  # columns of M that summed to zero (output forced to 0)
@@ -40,35 +50,52 @@ class PpmiMatrix:
         return self.matrix.shape[0]
 
 
+def _block_size(n, most):
+    """Rows or columns per block of an n x n build: at most ``most``, and at
+    most a sixteenth of n, so a block's temporaries stay a small share of
+    one N x N array."""
+    return max(1, min(most, -(-n // 16)))
+
+
 def accumulate_powers(a_hat, t):
     """Dense sum of transition-matrix powers A + A^2 + ... + A^t.
 
     ``a_hat`` is a square scipy sparse matrix, such as the CSR array from
     :func:`ane.graph.row_normalize`, or a dense array, which is converted to
     CSR. Each step is ``power = A @ power``: sparse ``A`` times the dense
-    last power, in a fixed order so the result is bit-stable for a fixed
-    input. Each row sums to t because every power of a row-stochastic matrix
-    is row-stochastic.
+    last power, taken for a block of at most ``POWER_COLUMNS`` columns at a
+    time and added into the sum in place, so only the sum is N x N. Every
+    entry is added up in the same fixed order as in the whole-matrix
+    product, so the result is bit-stable for a fixed input. Each row sums to
+    t because every power of a row-stochastic matrix is row-stochastic.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     a_hat = sparse.csr_array(a_hat, dtype=np.float64)
     if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
         raise ValueError(f"expected square matrix, got shape {a_hat.shape}")
-    power = a_hat.toarray()
-    total = power.copy()
-    for _ in range(t - 1):
-        power = a_hat @ power
-        total += power
+    n = a_hat.shape[0]
+    width = _block_size(n, POWER_COLUMNS)
+    a_cols = a_hat.tocsc()
+    total = np.empty((n, n))
+    for start in range(0, n, width):
+        power = a_cols[:, start : start + width].toarray()
+        block = total[:, start : start + width]
+        block[...] = power
+        for _ in range(t - 1):
+            power = a_hat @ power
+            block += power
     return total
 
 
 def shifted_ppmi(m, beta, steps=0):
     """Column-normalized log transform, shifted by -log(beta), clamped at 0.
 
-    Cells with ``m[i, j] == 0`` are exactly 0 in the output; the log is never
-    evaluated there. Columns of ``m`` summing to zero produce all-zero output
-    columns and are counted in ``zero_columns``.
+    Returns a :class:`PpmiMatrix` whose ``matrix`` is a CSR array holding
+    only the positive results. ``m`` is transformed in blocks of at most
+    ``PPMI_ROWS`` rows, and the log is evaluated only where ``m[i, j] > 0``;
+    every other cell is 0. Columns of ``m`` summing to zero produce all-zero
+    output columns and are counted in ``zero_columns``.
     """
     m = np.asarray(m, dtype=np.float64)
     if not beta > 0:
@@ -76,16 +103,32 @@ def shifted_ppmi(m, beta, steps=0):
     if (m < 0).any():
         raise ValueError("proximity matrix must be non-negative")
 
+    # a column of non-negative values sums to zero only if every entry is
+    # zero, so the division below never meets a zero sum
     col_sums = m.sum(axis=0)
     zero_cols = int((col_sums == 0).sum())
-    safe_cols = np.where(col_sums > 0, col_sums, 1.0)
-
-    x = np.zeros_like(m)
-    mask = m > 0
-    x[mask] = np.log(m[mask] / np.broadcast_to(safe_cols, m.shape)[mask]) - np.log(beta)
-    np.maximum(x, 0.0, out=x)
-    x[:, col_sums == 0] = 0.0
-    return PpmiMatrix(matrix=x, steps=steps, beta=float(beta), zero_columns=zero_cols)
+    shift = np.log(beta)
+    height = _block_size(m.shape[0], PPMI_ROWS)
+    indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
+    indices, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for start in range(0, m.shape[0], height):
+        rows = m[start : start + height]
+        r, c = np.nonzero(rows > 0)
+        x = rows[r, c]
+        x /= col_sums[c]
+        np.log(x, out=x)
+        x -= shift
+        keep = x > 0
+        indptr[start + 1 : start + 1 + rows.shape[0]] = np.bincount(
+            r[keep], minlength=rows.shape[0]
+        )
+        indices.append(c[keep])
+        values.append(x[keep])
+    np.cumsum(indptr, out=indptr)
+    matrix = sparse.csr_array(
+        (np.concatenate(values), np.concatenate(indices), indptr), shape=m.shape
+    )
+    return PpmiMatrix(matrix=matrix, steps=steps, beta=float(beta), zero_columns=zero_cols)
 
 
 def memory_budget():
@@ -124,15 +167,17 @@ def ppmi_features(graph, steps=4, beta=None):
 def save_ppmi(ppmi, path):
     """Write a feature matrix as text: header ``N t beta`` then one row per line.
 
-    Values are printed with 17 significant digits so reloading reproduces the
-    matrix bit for bit.
+    Every entry, zeros included, is printed with 17 significant digits, so
+    reloading reproduces the matrix bit for bit. The CSR matrix is written
+    ``PPMI_ROWS`` dense rows at a time.
     """
-    mat = ppmi.matrix
+    mat = sparse.csr_array(ppmi.matrix)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{mat.shape[0]} {ppmi.steps} {ppmi.beta:.17g}\n")
-        for row in mat:
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+        for start in range(0, mat.shape[0], PPMI_ROWS):
+            for row in mat[start : start + PPMI_ROWS].toarray():
+                fh.write(" ".join(f"{v:.17g}" for v in row))
+                fh.write("\n")
 
 
 def load_feature_matrix(path):

@@ -161,13 +161,37 @@ def batch_bounds(num_items, batch_size):
 
 def iter_batches(targets, contexts, neg_table, num_negatives, batch_size, rng):
     """One epoch of minibatches: pairs globally shuffled, each pair carrying
-    ``num_negatives`` independent noise draws."""
+    ``num_negatives`` independent noise draws.
+
+    Each generator normalizes over the distinct nodes of a batch, so a batch
+    whose pairs share one target or one context is folded into the batch
+    before it (the first batch takes in the one after it). Every pair is
+    still in exactly one batch, and an epoch without such a batch draws the
+    same batches as plain fixed-size slicing.
+    """
     if num_negatives < 1:
         raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+    def one_node(sel):
+        t, c = targets[sel], contexts[sel]
+        return (t == t[0]).all() or (c == c[0]).all()
+
+    def batch(sel):
+        negs = neg_table.sample(rng, np.zeros((sel.size, num_negatives), dtype=np.int64))
+        return PairBatch(targets[sel], contexts[sel], negs)
+
     order = rng.permutation(targets.shape[0])
+    held = None  # the next batch out, held while the one after it is checked
     for start, stop in batch_bounds(order.size, batch_size):
         sel = order[start:stop]
-        negs = neg_table.sample(rng, np.zeros((sel.size, num_negatives), dtype=np.int64))
-        yield PairBatch(targets[sel], contexts[sel], negs)
+        if held is None:
+            held = sel
+        elif one_node(held) or one_node(sel):
+            held = np.concatenate([held, sel])
+        else:
+            yield batch(held)
+            held = sel
+    if held is not None:
+        yield batch(held)

@@ -1,9 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ane import cli, embedder, proximity
 from ane.cli import main
@@ -133,8 +135,10 @@ def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
 def test_ppmi_features_over_memory_exit_2_before_training(
     ring, tmp_path, capsys, monkeypatch, command
 ):
-    # the 12-node ring needs 4 * 8 * 12^2 = 4 608 bytes
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 4_000)
+    # one byte short of the 12-node ring's estimate, PEAK_DENSE_ARRAYS * 8 * 12^2
+    monkeypatch.setattr(
+        proximity, "memory_budget", lambda: proximity.PEAK_DENSE_ARRAYS * 8 * 12**2 - 1
+    )
     edges, labels = ring
     out = tmp_path / "o"
     argv = ["embed", edges] if command == "embed" else ["sweep", edges, labels, "--grid-dim", "2,3"]
@@ -142,6 +146,41 @@ def test_ppmi_features_over_memory_exit_2_before_training(
     err = capsys.readouterr().err
     assert "PPMI features of 12 nodes need about 0.0 GB" in err
     assert not (out / "embedding.txt").exists() and not (out / "point_000").exists()
+
+
+@pytest.mark.parametrize("source", ["ppmi", "features-file"])
+def test_embed_trains_on_csr_features(ring, tmp_path, monkeypatch, source):
+    seen = []
+
+    class Spy(embedder.Trainer):
+        def run(self):
+            seen.append(self.features)
+            return super().run()
+
+    monkeypatch.setattr(cli, "Trainer", Spy)
+    edges, _ = ring
+    flags = []
+    if source == "features-file":
+        features = tmp_path / "features.txt"
+        features.write_text("12 3\n" + "".join(f"{i} 0 0.5\n" for i in range(12)))
+        flags = ["--features", features]
+    assert run_cli("embed", edges, "--out", tmp_path / "o", *flags, *FAST) == 0
+    (held,) = seen
+    assert isinstance(held, sparse.csr_array) and held.shape == (12, 12 if source == "ppmi" else 3)
+
+
+def test_embed_folds_a_batch_whose_pairs_share_one_target(karate, tmp_path):
+    # 204 pairs in batches of 202 leave 2 pairs with one target, a one-row
+    # batch-norm batch for the target generator unless folded
+    edges, _ = karate
+    out = tmp_path / "o"
+    code = run_cli(
+        "embed", edges, "--model", "idw", "--dim", "2", "--walks", "1", "--walk-length", "4",
+        "--context", "2", "--epochs", "1", "--batch", "202", "--seed", "27", "--out", out,
+    )
+    assert code == 0
+    rows = (out / "training_log.txt").read_text().splitlines()[1:]
+    assert len(rows) == 1 and math.isfinite(float(rows[0].split()[1]))
 
 
 @pytest.mark.parametrize(

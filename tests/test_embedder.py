@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ane.datasets import load_dataset
 from ane.embedder import (
@@ -495,6 +496,22 @@ def test_divergence_aborts():
         train(g, cfg, features=bad)
 
 
+def test_generator_on_csr_rows_matches_dense_rows():
+    rng = np.random.default_rng(30)
+    dense = rng.random((50, 40)) * (rng.random((50, 40)) < 0.1)
+    grad = rng.standard_normal((50, 6))
+    results = []
+    for rows in (dense, sparse.csr_array(dense)):
+        net = build_generator(40, 6, np.random.default_rng(8))
+        out = net.forward(rows)
+        assert net.backward(grad, input_grad=False) is None
+        assert net.layers[0].grad_weights.flags.c_contiguous
+        results.append((out, net.layers[0].grad_weights))
+    (out_dense, gw_dense), (out_csr, gw_csr) = results
+    np.testing.assert_allclose(out_csr, out_dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw_csr, gw_dense, rtol=0, atol=1e-12)
+
+
 def test_features_row_count_checked():
     g = ring_graph(6)
     with pytest.raises(ValueError, match="feature rows"):
@@ -531,19 +548,6 @@ def test_embeddings_inference_mode_stable():
     a = trainer.embeddings().vectors
     b = trainer.embeddings().vectors
     np.testing.assert_array_equal(a, b)
-
-
-def test_checkpoints_written(tmp_path):
-    g = ring_graph(8)
-    cfg = TrainConfig(
-        model="aidw", dim=3, epochs=1, batch_size=64, adv_batch_size=8,
-        walks_per_node=2, walk_length=6, context_size=2, seed=10,
-    )
-    trainer = Trainer(g, cfg)
-    trainer.run()
-    trainer.save_checkpoints(tmp_path)
-    names = {p.name for p in tmp_path.iterdir()}
-    assert names == {"generator.npz", "context_generator.npz", "discriminator.npz"}
 
 
 # training log and embedding files

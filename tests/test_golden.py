@@ -29,6 +29,16 @@ chaotic, so every digest changes. In the same change ``Graph.degrees``
 became one segmented sum in entry order, which rounds differently from
 ``ndarray.sum`` on rows of 8 or more entries, so the transition matrix and
 the negative-sampling weights can move by one rounding as well.
+
+All sixteen were recorded again when the generators started taking their
+feature rows as a scipy CSR array: the first layer's ``x @ W.T`` and
+``grad.T @ x`` became scipy's sparse-times-dense loops, which add only the
+non-zero terms, in entry order, where BLAS added every term. The PPMI
+values themselves are bit-equal to the dense transform. In the same change
+the skip-gram negative scores moved from ``np.einsum`` to a batched
+``np.matmul``, which rounds differently. dae and adae change through the
+adversarial phase and the exported embedding; their corrupted training
+batches are still dense.
 """
 
 import ctypes
@@ -53,22 +63,22 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0 SkylakeX"
 
 DIGESTS = {
-    "karate-unweighted-idw": "fec6015f36124f7acf64b698918a9bdddbce73e756bb5ac588a0b0c9cae30ce0",
-    "karate-unweighted-aidw": "bb10f1109979cc8450a16aab7439de1940f604d33e153adba823a2a11fdc3a71",
-    "karate-unweighted-dae": "c124cac78af0cdb4da39385bedda550e1da442a8f1c8d3681bca252f492c22d1",
-    "karate-unweighted-adae": "bad3d1afa6f3b998b78709921b235448fffd2859f19006d326f6b03b9dac9290",
-    "karate-weighted-idw": "fec6015f36124f7acf64b698918a9bdddbce73e756bb5ac588a0b0c9cae30ce0",
-    "karate-weighted-aidw": "bb10f1109979cc8450a16aab7439de1940f604d33e153adba823a2a11fdc3a71",
-    "karate-weighted-dae": "c124cac78af0cdb4da39385bedda550e1da442a8f1c8d3681bca252f492c22d1",
-    "karate-weighted-adae": "bad3d1afa6f3b998b78709921b235448fffd2859f19006d326f6b03b9dac9290",
-    "weighted-unweighted-idw": "816cf0ca14df8fbdd2ea4a55271a7e4033e042fd2d4ce8e101b25a1f4a4f5077",
-    "weighted-unweighted-aidw": "cd8ee9e73fc674315e36ca44cb8ee3a776fbd4e956ca8ba0cf5977cb644a7c2b",
-    "weighted-unweighted-dae": "5438bd7a79f4519012180a50929244f3689f87999cf799b45ee82c60f7d312b3",
-    "weighted-unweighted-adae": "d86c3c7c808ec079122b9a25f68cd7d64f35854859c03d8e88895c7373debc5f",
-    "weighted-weighted-idw": "14c1a9cdcc37c6e697430c4927cfdc1bee8af4f58741046401223fb3ea623e66",
-    "weighted-weighted-aidw": "766cfe1d5f6f65d9a88d2a61a5a3f3c8ff74687932f3eaf278768b9f0c33765b",
-    "weighted-weighted-dae": "ec641dd0819289bf0fd23c8043e62022b41ee55205f7be9834864647a51bcf8a",
-    "weighted-weighted-adae": "6ad620c007446aa414853a3bebf57d649f94d897b183c9714d4bfb913efddd82",
+    "karate-unweighted-idw": "f98914b398ac1f0b3b5a7c60cc25387760e0495c79b7a0273b3fee4a741b8660",
+    "karate-unweighted-aidw": "af3fd85a1e8181efebfc20326f48865ea98696780352eb561e9e39e86823dd2c",
+    "karate-unweighted-dae": "2c44d72cc7066ab0daf1ed10e24b992b6a61892cdb52ac4ce62210748049a57d",
+    "karate-unweighted-adae": "0038e5a1250596b9f6de52794b5c9b131af3f345cdfe3becfa2118aaf188004d",
+    "karate-weighted-idw": "f98914b398ac1f0b3b5a7c60cc25387760e0495c79b7a0273b3fee4a741b8660",
+    "karate-weighted-aidw": "af3fd85a1e8181efebfc20326f48865ea98696780352eb561e9e39e86823dd2c",
+    "karate-weighted-dae": "2c44d72cc7066ab0daf1ed10e24b992b6a61892cdb52ac4ce62210748049a57d",
+    "karate-weighted-adae": "0038e5a1250596b9f6de52794b5c9b131af3f345cdfe3becfa2118aaf188004d",
+    "weighted-unweighted-idw": "d25e91de6e0a4e41c1a38448f2a950f6f85817bc86e876720db2c43e866ba7a4",
+    "weighted-unweighted-aidw": "93a75ffa1eb0df8187066fef4b4623e89fd75978d7091d776f5fd7d75bcf33f0",
+    "weighted-unweighted-dae": "eaab0b724cbc82715e3d0ad5851f3a908e76ed36a86390c9a84a60ceb2ef3689",
+    "weighted-unweighted-adae": "cc286c6e24f9f60c64f3de6287864055226969c4c6a658bda96e87094652b165",
+    "weighted-weighted-idw": "63495daa42af31437d7e1bf187533f35284b65e0ba8980213e81f2a7d47c9698",
+    "weighted-weighted-aidw": "d72d5cac31b9f0081f0975788482647dd7346fd9e5434615f5b57d0a39ab4f45",
+    "weighted-weighted-dae": "c939fe4846ec6be97748ace4f23fb9f938bf6bf391e70e51f2da377bf3b18459",
+    "weighted-weighted-adae": "fab8c00b9e52fa3dd292679659a547bbaa3282422394d5e0a5bc7853086680fe",
 }
 
 

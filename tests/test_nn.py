@@ -11,9 +11,7 @@ from ane.nn import (
     clip_global_norm,
     glorot_uniform,
     gradient_check,
-    load_checkpoint,
     log_sigmoid,
-    save_checkpoint,
     sigmoid,
 )
 
@@ -198,6 +196,23 @@ def test_backward_without_input_grad_keeps_parameter_gradients(first):
         np.testing.assert_array_equal(a, b)
 
 
+def test_backward_without_param_grads_keeps_input_gradient():
+    rng = np.random.default_rng(13)
+    net = Mlp([DenseLayer(4, 5, rng), LeakyRelu(), BatchNorm(5), DenseLayer(5, 1, rng)])
+    x = rng.normal(size=(6, 4))
+    g1, g2 = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+
+    net.forward(x, update_running=False)
+    want = net.backward(g2)
+    net.forward(x, update_running=False)
+    net.backward(g1)
+    before = [a.copy() for a in net.gradients()]
+    net.forward(x, update_running=False)
+    np.testing.assert_array_equal(net.backward(g2, param_grads=False), want)
+    for a, b in zip(before, net.gradients()):
+        np.testing.assert_array_equal(a, b)  # the g1 gradients are left in place
+
+
 def test_batchnorm_input_gradient_matches_finite_differences():
     # differentiates through the batch statistics, not around them
     rng = np.random.default_rng(10)
@@ -299,46 +314,6 @@ def test_gradient_check_multi_network():
         return float(scores)
 
     assert gradient_check([a, b], loss_fn) < 1e-6
-
-
-# checkpoints
-
-
-def build_net(rng):
-    return Mlp([DenseLayer(4, 3, rng), LeakyRelu(), BatchNorm(3)])
-
-
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(13)
-    net = build_net(rng)
-    net.forward(rng.normal(size=(8, 4)))  # move BN running stats off defaults
-    path = tmp_path / "net.npz"
-    save_checkpoint(net, path)
-
-    other = build_net(np.random.default_rng(99))
-    load_checkpoint(other, path)
-    for mine, theirs in zip(net.state_arrays().values(), other.state_arrays().values()):
-        np.testing.assert_array_equal(mine, theirs)
-
-
-def test_checkpoint_shape_mismatch_rejected(tmp_path):
-    rng = np.random.default_rng(14)
-    net = build_net(rng)
-    path = tmp_path / "net.npz"
-    save_checkpoint(net, path)
-    small = Mlp([DenseLayer(2, 3, rng), LeakyRelu(), BatchNorm(3)])
-    with pytest.raises(ValueError, match="shape"):
-        load_checkpoint(small, path)
-
-
-def test_checkpoint_missing_arrays_rejected(tmp_path):
-    rng = np.random.default_rng(15)
-    small = Mlp([DenseLayer(4, 3, rng)])
-    path = tmp_path / "net.npz"
-    save_checkpoint(small, path)
-    bigger = build_net(rng)
-    with pytest.raises(ValueError, match="missing"):
-        load_checkpoint(bigger, path)
 
 
 # clipping

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ane import proximity
 from ane.embedder import TrainConfig
@@ -26,6 +28,21 @@ def scalar_ppmi_oracle(m, beta):
                 continue
             out[i, j] = max(math.log(m[i][j] / col_sums[j]) - math.log(beta), 0.0)
     return out
+
+
+def dense_ppmi(m, beta):
+    """The transform on a dense output: every cell, masked where m is zero."""
+    col_sums = m.sum(axis=0)
+    x = np.zeros_like(m)
+    mask = m > 0
+    x[mask] = np.log(m[mask] / np.broadcast_to(col_sums, m.shape)[mask]) - np.log(beta)
+    return np.maximum(x, 0.0)
+
+
+def ring_with_chords(rng, n):
+    lines = [f"{i} {(i + 1) % n}" for i in range(n)]
+    lines += [f"{a} {b}" for a, b in rng.integers(n, size=(n, 2)) if a != b]
+    return preprocess(parse_edge_lines(lines))
 
 
 def random_transition(rng, n):
@@ -66,7 +83,7 @@ def test_powers_rejects_t_zero():
 
 def test_two_cycle_ppmi_hand_value():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = shifted_ppmi(m, beta=0.5).matrix
+    x = shifted_ppmi(m, beta=0.5).matrix.toarray()
     ln2 = math.log(2.0)
     np.testing.assert_allclose(x, [[0.0, ln2], [ln2, 0.0]])
     assert x[0, 0] == 0.0  # zero cell stays exactly zero
@@ -74,7 +91,7 @@ def test_two_cycle_ppmi_hand_value():
 
 def test_uniform_matrix_cancels_exactly():
     m = np.full((4, 4), 0.25)
-    x = shifted_ppmi(m, beta=0.25).matrix
+    x = shifted_ppmi(m, beta=0.25).matrix.toarray()
     np.testing.assert_array_equal(x, np.zeros((4, 4)))
 
 
@@ -82,7 +99,7 @@ def test_matches_scalar_oracle_random():
     rng = np.random.default_rng(3)
     a = random_transition(rng, 8)
     m = accumulate_powers(a, 2)
-    x = shifted_ppmi(m, beta=1 / 8).matrix
+    x = shifted_ppmi(m, beta=1 / 8).matrix.toarray()
     np.testing.assert_allclose(x, scalar_ppmi_oracle(m, 1 / 8), atol=1e-9)
 
 
@@ -90,14 +107,14 @@ def test_zero_column_flagged_and_zeroed():
     m = np.array([[0.5, 0.0], [0.5, 0.0]])
     res = shifted_ppmi(m, beta=0.1)
     assert res.zero_columns == 1
-    assert (res.matrix[:, 1] == 0).all()
+    assert (res.matrix.toarray()[:, 1] == 0).all()
 
 
 def test_monotone_in_beta():
     rng = np.random.default_rng(4)
     m = accumulate_powers(random_transition(rng, 6), 3)
-    x_small = shifted_ppmi(m, beta=0.05).matrix
-    x_large = shifted_ppmi(m, beta=0.5).matrix
+    x_small = shifted_ppmi(m, beta=0.05).matrix.toarray()
+    x_large = shifted_ppmi(m, beta=0.5).matrix.toarray()
     assert (x_small >= x_large).all()
 
 
@@ -106,8 +123,8 @@ def test_column_scale_invariance():
     m = accumulate_powers(random_transition(rng, 6), 2)
     scaled = m.copy()
     scaled[:, 2] *= 7.5
-    a = shifted_ppmi(m, beta=0.2).matrix
-    b = shifted_ppmi(scaled, beta=0.2).matrix
+    a = shifted_ppmi(m, beta=0.2).matrix.toarray()
+    b = shifted_ppmi(scaled, beta=0.2).matrix.toarray()
     np.testing.assert_allclose(a[:, 2], b[:, 2], atol=1e-12)
     np.testing.assert_array_equal(a[:, [0, 1, 3, 4, 5]], b[:, [0, 1, 3, 4, 5]])
 
@@ -115,7 +132,7 @@ def test_column_scale_invariance():
 def test_sparsity_alignment():
     rng = np.random.default_rng(6)
     m = accumulate_powers(random_transition(rng, 7), 2)
-    x = shifted_ppmi(m, beta=1 / 7).matrix
+    x = shifted_ppmi(m, beta=1 / 7).matrix.toarray()
     assert not ((x > 0) & (m == 0)).any()
 
 
@@ -171,7 +188,7 @@ def test_load_feature_matrix_accepts_ppmi_cache(tmp_path):
     path = tmp_path / "x.ppmi"
     save_ppmi(feats, path)
     # bitwise after the text round trip
-    np.testing.assert_array_equal(load_feature_matrix(path), feats.matrix)
+    np.testing.assert_array_equal(load_feature_matrix(path), feats.matrix.toarray())
 
 
 def test_load_feature_matrix_bad_rows(tmp_path):
@@ -212,3 +229,55 @@ def test_sparse_chain_matches_dense_chain_on_random_weighted_graphs():
             assert isinstance(got, np.ndarray) and got.shape == (n, n)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.sum(axis=1), t, rtol=0, atol=1e-12)
+
+
+def test_column_blocks_bit_equal_to_whole_matrix_chain():
+    # 300 nodes span several column blocks
+    rng = np.random.default_rng(8)
+    a = row_normalize(ring_with_chords(rng, 300))
+    power = a.toarray()
+    want = power.copy()
+    for t in range(1, 6):
+        if t > 1:
+            power = a @ power
+            want += power
+        np.testing.assert_array_equal(accumulate_powers(a, t), want)
+
+
+def test_csr_ppmi_bit_equal_to_dense_transform():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 17, 300):
+        m = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        m[:, ::5] = 0.0  # zero columns
+        m[0, :] = 1.0 / n  # some cells land exactly on the shift
+        for beta in (1.0 / n, 0.3):
+            got = shifted_ppmi(m, beta)
+            assert isinstance(got.matrix, sparse.csr_array)
+            assert got.matrix.has_sorted_indices and (got.matrix.data > 0).all()
+            np.testing.assert_array_equal(got.matrix.toarray(), dense_ppmi(m, beta))
+            assert got.zero_columns == int((m.sum(axis=0) == 0).sum())
+
+
+@pytest.mark.parametrize("steps", [2, 8])
+def test_ppmi_features_peak_within_estimate(steps):
+    g = ring_with_chords(np.random.default_rng(10), 300)
+    tracemalloc.start()
+    try:
+        ppmi_features(g, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= proximity.PEAK_DENSE_ARRAYS * 8 * g.num_nodes**2
+
+
+def test_save_ppmi_writes_every_entry_from_csr(tmp_path):
+    # 40 rows: several row blocks
+    feats = ppmi_features(ring_with_chords(np.random.default_rng(11), 40))
+    assert isinstance(feats.matrix, sparse.csr_array)
+    path = tmp_path / "x.ppmi"
+    save_ppmi(feats, path)
+    dense = feats.matrix.toarray()
+    want = f"40 {feats.steps} {feats.beta:.17g}\n" + "".join(
+        " ".join(f"{v:.17g}" for v in row) + "\n" for row in dense
+    )
+    assert path.read_text() == want

@@ -317,6 +317,25 @@ def test_batches_deterministic_by_seed():
     assert collect(5) != collect(6)
 
 
+@pytest.mark.parametrize("shared", ["targets", "contexts"])
+def test_batches_sharing_one_node_are_folded(shared):
+    # 25 of 30 pairs share node 0 on one side; the other side names the pair
+    many = np.array([0] * 25 + [1, 2, 3, 4, 5], dtype=np.int32)
+    ids = np.arange(30, dtype=np.int32)
+    targets, contexts = (many, ids) if shared == "targets" else (ids, many)
+    table = AliasTable([1, 1, 1])
+    folded = 0
+    for seed in range(20):
+        batches = list(iter_batches(targets, contexts, table, 2, 3, np.random.default_rng(seed)))
+        for b in batches:
+            assert np.unique(b.targets).size >= 2 and np.unique(b.contexts).size >= 2
+            assert b.negatives.shape == (len(b), 2)
+        named = np.concatenate([b.contexts if shared == "targets" else b.targets for b in batches])
+        np.testing.assert_array_equal(np.sort(named), ids)  # every pair once
+        folded += len(batches) < 10
+    assert folded > 0
+
+
 def test_batch_validation():
     table = AliasTable([1.0])
     rng = np.random.default_rng(0)
