@@ -198,9 +198,6 @@ class Mlp:
     def gradients(self):
         return [g for layer in self.layers for g in layer.gradients()]
 
-    def num_parameters(self):
-        return sum(p.size for p in self.parameters())
-
     def bn_layers(self):
         return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
 

@@ -389,6 +389,15 @@ def test_eval_label_listed_twice_exit_2(tmp_path, capsys):
     assert f"l.txt:5: node '{ids[0]}' is labeled twice" in capsys.readouterr().err
 
 
+def test_eval_one_class_labels_exit_2(tmp_path, capsys):
+    emb = tmp_path / "e.txt"
+    ids = write_one_hot_embedding(emb, [0, 1, 0, 1])
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"{i} only\n" for i in ids))
+    assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1") == 2
+    assert "need at least 2 classes, every node is labeled 'only'" in capsys.readouterr().err
+
+
 # sweep
 
 
@@ -476,6 +485,17 @@ def test_sweep_missing_features_file_exit_2_before_training(ring, tmp_path, caps
     assert code == 2
     assert f"file not found: {missing}" in capsys.readouterr().err
     assert not (out / "point_000").exists()
+
+
+def test_sweep_one_class_labels_exit_2_before_training(ring, tmp_path, capsys):
+    edges, _ = ring
+    labels = tmp_path / "one.labels"
+    labels.write_text("".join(f"v{i} only\n" for i in range(12)))
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", edges, labels, "--grid-dim", "2,3", "--out", out, *FAST)
+    assert code == 2
+    assert "need at least 2 classes, every node is labeled 'only'" in capsys.readouterr().err
+    assert not list(out.glob("point_*"))
 
 
 def test_sweep_trains_every_point_on_the_features_file(ring, tmp_path):

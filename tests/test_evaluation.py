@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from ane import evaluation
 from ane.evaluation import (
     LabelSet,
     SplitSpec,
@@ -63,6 +67,13 @@ def test_load_labels_empty_file(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no labels"):
         load_labels(path, {})
+
+
+def test_load_labels_one_class_rejected(tmp_path):
+    path = tmp_path / "x.labels"
+    path.write_text("n0 a\nn1 a\n")
+    with pytest.raises(ValueError, match="need at least 2 classes, every node is labeled 'a'"):
+        load_labels(path, {"n0": 0, "n1": 1})
 
 
 # splits
@@ -157,7 +168,7 @@ def test_convexity_final_loss_below_zero_weights():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(60, 4))
     y = rng.integers(3, size=60)
-    model = fit_linear_ovr(x, y, l2=1.0, max_iters=200)
+    model = fit_linear_ovr(x, y, l2=1.0)
     zero = type(model)(3, 4)
     assert model.loss(x, y) <= zero.loss(x, y)
 
@@ -180,17 +191,78 @@ def test_column_permutation_preserves_predictions():
     x = rng.normal(size=(50, 6))
     y = rng.integers(2, size=50)
     perm = rng.permutation(6)
-    m1 = fit_linear_ovr(x, y, max_iters=150)
-    m2 = fit_linear_ovr(x[:, perm], y, max_iters=150)
+    m1 = fit_linear_ovr(x, y)
+    m2 = fit_linear_ovr(x[:, perm], y)
     np.testing.assert_array_equal(m1.predict(x), m2.predict(x[:, perm]))
 
 
-def test_gradient_norm_convergence_reported():
+def test_newton_meets_tol_at_the_lbfgs_minimum():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(30, 3))
-    y = rng.integers(2, size=30)
-    model = fit_linear_ovr(x, y, max_iters=5000, tol=1e-5)
-    assert model.final_grad_norm < 1e-5 or model.iterations_run == 5000
+    n, d, c, l2 = 60, 4, 3, 0.5
+    x = rng.normal(size=(n, d))
+    y = rng.integers(c, size=n)
+    model = fit_linear_ovr(x, y, l2=l2)
+    assert model.final_grad_norm < 1e-5
+    assert model.iterations_run <= 10
+
+    onehot = np.eye(c)[y]
+    xa = np.hstack([x, np.ones((n, 1))])
+
+    def objective(flat):
+        wa = flat.reshape(c, d + 1)
+        z = xa @ wa.T
+        value = (np.logaddexp(0.0, z) - onehot * z).sum() / n
+        value += l2 / (2 * n) * (wa[:, :d] ** 2).sum()
+        grad = (1.0 / (1.0 + np.exp(-z)) - onehot).T @ xa / n
+        grad[:, :d] += l2 / n * wa[:, :d]
+        return value, grad.ravel()
+
+    ref = minimize(
+        objective, np.zeros(c * (d + 1)), jac=True, method="L-BFGS-B",
+        options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000},
+    ).x.reshape(c, d + 1)
+    # a gradient norm under 1e-5 leaves the weights within about 1e-5 over
+    # the smallest Hessian eigenvalue of the minimum
+    np.testing.assert_allclose(model.weights, ref[:, :d], atol=1e-4)
+    np.testing.assert_allclose(model.intercepts, ref[:, d], atol=1e-4)
+    assert model.loss(x, y, l2=l2) == pytest.approx(objective(ref.ravel())[0], abs=1e-9)
+
+
+def test_saturating_fit_converges_with_step_halving():
+    # large features and a tiny penalty: full Newton steps overshoot into
+    # saturation, where the undamped iteration meets a singular Hessian
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(100, 40)) * 10
+    y = rng.integers(3, size=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_linear_ovr(x, y, l2=1e-6)
+    assert model.final_grad_norm < 1e-5
+    assert np.isfinite(model.weights).all() and np.isfinite(model.intercepts).all()
+
+
+def test_fit_stopped_at_step_cap_warns(monkeypatch):
+    monkeypatch.setattr(evaluation, "MAX_NEWTON_STEPS", 1)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 3))
+    y = rng.integers(2, size=40)
+    with pytest.warns(UserWarning, match="stopped after 1 Newton steps"):
+        model = fit_linear_ovr(x, y)
+    assert model.iterations_run == 1 and model.final_grad_norm >= 1e-5
+
+
+@pytest.mark.parametrize("l2", [0.0, -1.0, np.nan, np.inf])
+def test_fit_rejects_l2_not_finite_and_positive(l2):
+    with pytest.raises(ValueError, match="l2 must be a finite number > 0"):
+        fit_linear_ovr(np.eye(4), np.array([0, 1, 0, 1]), l2=l2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_features(bad):
+    x = np.eye(4)
+    x[2, 1] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        fit_linear_ovr(x, np.array([0, 1, 0, 1]))
 
 
 # evaluate
