@@ -29,7 +29,7 @@ from .graph import (
     preprocess,
     row_normalize,
 )
-from .proximity import PpmiMatrix, ppmi_features, shifted_ppmi
+from .proximity import ppmi_features, shifted_ppmi
 from .walker import AliasTable, negative_sampler, positive_pairs, random_walks
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "LabelSet",
-    "PpmiMatrix",
     "SplitSpec",
     "TrainConfig",
     "Trainer",

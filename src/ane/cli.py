@@ -113,26 +113,36 @@ def _positive_float(text):
     return value
 
 
+# TrainConfig field -> its flag and argparse options; the default is the field's
+TRAIN_FLAGS = {
+    "model": ("--model", {"choices": MODEL_KINDS}),
+    "dim": ("--dim", {"type": int, "help": "embedding dimension"}),
+    "walks_per_node": ("--walks", {"type": int, "help": "walks per node"}),
+    "walk_length": ("--walk-length", {"type": int}),
+    "context_size": ("--context", {"type": int, "help": "window size for walk pairs"}),
+    "negatives": ("--negatives", {"type": int, "help": "negative samples per pair"}),
+    "ppmi_steps": ("--ppmi-steps", {"type": int, "help": "transition steps t in the PPMI input"}),
+    "ppmi_beta": ("--ppmi-beta", {"type": float, "help": "PPMI shift, default 1/N"}),
+    "prior": ("--prior", {"choices": PRIOR_KINDS}),
+    "epochs": ("--epochs", {"type": int}),
+    "batch_size": ("--batch", {"type": int, "help": "structure-phase batch size"}),
+    "adv_batch_size": ("--adv-batch", {"type": int, "help": "adversarial-phase batch size"}),
+    "lr": ("--lr", {"type": float, "help": "learning rate for all phases"}),
+    "structure_steps": ("--structure-steps", {"type": int}),
+    "disc_steps": ("--disc-steps", {"type": int}),
+    "gen_steps": ("--gen-steps", {"type": int}),
+    "dae_corruption": ("--dae-corruption", {"type": float}),
+    "grad_clip": ("--grad-clip", {"type": float}),
+    "seed": ("--seed", {"type": int}),
+}
+
+
 def _add_train_flags(p):
-    p.add_argument("--model", choices=MODEL_KINDS, default="aidw")
-    p.add_argument("--dim", type=int, default=128, help="embedding dimension")
-    p.add_argument("--walks", type=int, default=10, help="walks per node")
-    p.add_argument("--walk-length", type=int, default=80)
-    p.add_argument("--context", type=int, default=10, help="window size for walk pairs")
-    p.add_argument("--negatives", type=int, default=5, help="negative samples per pair")
-    p.add_argument("--ppmi-steps", type=int, default=4, help="transition steps t in the PPMI input")
-    p.add_argument("--ppmi-beta", type=float, default=None, help="PPMI shift, default 1/N")
-    p.add_argument("--prior", choices=PRIOR_KINDS, default="uniform")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch", type=int, default=256, help="structure-phase batch size")
-    p.add_argument("--adv-batch", type=int, default=128, help="adversarial-phase batch size")
-    p.add_argument("--lr", type=float, default=0.001, help="learning rate for all phases")
-    p.add_argument("--structure-steps", type=int, default=1)
-    p.add_argument("--disc-steps", type=int, default=1)
-    p.add_argument("--gen-steps", type=int, default=1)
-    p.add_argument("--dae-corruption", type=float, default=0.2)
-    p.add_argument("--grad-clip", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = TrainConfig()
+    for name, (flag, options) in TRAIN_FLAGS.items():
+        # name the value after the flag, not the field (--batch BATCH)
+        metavar = None if "choices" in options else flag[2:].replace("-", "_").upper()
+        p.add_argument(flag, dest=name, default=getattr(defaults, name), metavar=metavar, **options)
     p.add_argument("--weighted", action="store_true", help="read edge weights from column 3")
     p.add_argument(
         "--features",
@@ -144,27 +154,7 @@ def _add_train_flags(p):
 
 def _config_from_args(args):
     try:
-        return TrainConfig(
-            model=args.model,
-            dim=args.dim,
-            negatives=args.negatives,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            adv_batch_size=args.adv_batch,
-            structure_steps=args.structure_steps,
-            disc_steps=args.disc_steps,
-            gen_steps=args.gen_steps,
-            lr=args.lr,
-            prior=args.prior,
-            dae_corruption=args.dae_corruption,
-            grad_clip=args.grad_clip,
-            walks_per_node=args.walks,
-            walk_length=args.walk_length,
-            context_size=args.context,
-            ppmi_steps=args.ppmi_steps,
-            ppmi_beta=args.ppmi_beta,
-            seed=args.seed,
-        )
+        return TrainConfig(**{name: getattr(args, name) for name in TRAIN_FLAGS})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -343,7 +333,7 @@ def cmd_sweep(args):
     if features is None:
         # no sweep axis changes the PPMI features, so every point trains on one build
         with _stage("proximity"):
-            features = ppmi_features(graph, base_cfg.ppmi_steps, base_cfg.ppmi_beta).matrix
+            features = ppmi_features(graph, base_cfg.ppmi_steps, base_cfg.ppmi_beta)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -127,6 +127,8 @@ class TrainConfig:
             math.isfinite(self.ppmi_beta) and self.ppmi_beta > 0
         ):
             raise ValueError(f"ppmi_beta must be a finite number > 0, got {self.ppmi_beta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if OBJECTIVES[self.model] is SkipGram:
             if self.walks_per_node < 1:
                 raise ValueError(f"walks_per_node must be >= 1, got {self.walks_per_node}")
@@ -182,13 +184,10 @@ class TrainingLog:
 
 @dataclass
 class EmbeddingMatrix:
-    """Learned node representations plus provenance."""
+    """Learned node representations, one row per node id."""
 
     vectors: np.ndarray  # (N, d)
     ids: list
-    model: str = ""
-    seed: int = 0
-    config_digest: str = ""
 
     @property
     def num_nodes(self):
@@ -465,7 +464,7 @@ class Trainer:
         ) = (np.random.default_rng(s) for s in streams)
 
         if features is None:
-            features = ppmi_features(graph, config.ppmi_steps, config.ppmi_beta).matrix
+            features = ppmi_features(graph, config.ppmi_steps, config.ppmi_beta)
         # CSR whatever the source: PPMI, a features file, or a shared matrix
         features = sparse.csr_array(features, dtype=np.float64)
         if features.shape[0] != graph.num_nodes:
@@ -604,13 +603,7 @@ class Trainer:
         """Current node representations in inference mode (running statistics),
         so the result does not depend on batch composition."""
         vectors = self.gen_g.forward(self.features, train=False)
-        return EmbeddingMatrix(
-            vectors=vectors,
-            ids=list(self.graph.ids),
-            model=self.config.model,
-            seed=self.config.seed,
-            config_digest=self.config.digest(),
-        )
+        return EmbeddingMatrix(vectors=vectors, ids=list(self.graph.ids))
 
 
 def train(graph, config, features=None):
@@ -637,22 +630,28 @@ def export_embeddings(embedding, path):
 
 def load_embeddings(path):
     """Reload a file written by :func:`export_embeddings`; a malformed row, a
-    non-finite coordinate or a row beyond the header's N raises ``ValueError``."""
+    non-finite coordinate, a repeated node id or a row beyond the header's N
+    raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'N d' header, got {header!r}")
         n, d = int(header[0]), int(header[1])
-        ids = []
+        line_of = {}  # node id -> its line
         vectors = np.empty((n, d), dtype=np.float64)
         for i in range(n):
             parts = fh.readline().split()
             if len(parts) != d + 1:
                 raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, expected {d + 1}")
-            ids.append(parts[0])
+            if parts[0] in line_of:
+                raise ValueError(
+                    f"{path}: line {i + 2} repeats the node id {parts[0]!r} "
+                    f"of line {line_of[parts[0]]}"
+                )
+            line_of[parts[0]] = i + 2
             vectors[i] = [float(tok) for tok in parts[1:]]
             if not np.isfinite(vectors[i]).all():
                 raise ValueError(f"{path}: line {i + 2} holds a non-finite coordinate")
         if any(line.strip() for line in fh):
             raise ValueError(f"{path}: more than the {n} rows the header gives")
-    return EmbeddingMatrix(vectors=vectors, ids=ids)
+    return EmbeddingMatrix(vectors=vectors, ids=list(line_of))

@@ -96,6 +96,8 @@ class SplitSpec:
                 raise ValueError(f"train ratio must be in (0, 1), got {r}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def split(label_set, ratio, rep, seed, max_redraws=20):

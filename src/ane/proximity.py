@@ -14,7 +14,6 @@ graph). Its rows are the input ``x_i`` of every generator network.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -33,21 +32,6 @@ PPMI_ROWS = 256
 # working set stays under half an array. Traced on a 2 708-node planted
 # graph: 1.2 arrays at t = 4 and 1.6 at t = 10.
 PEAK_DENSE_ARRAYS = 3
-
-
-@dataclass(frozen=True)
-class PpmiMatrix:
-    """Shifted-PPMI feature matrix, as a scipy CSR array of its positive
-    entries, with the settings that produced it."""
-
-    matrix: sparse.csr_array
-    steps: int
-    beta: float
-    zero_columns: int = 0  # columns of M that summed to zero (output forced to 0)
-
-    @property
-    def num_nodes(self):
-        return self.matrix.shape[0]
 
 
 def _block_size(n, most):
@@ -88,14 +72,13 @@ def accumulate_powers(a_hat, t):
     return total
 
 
-def shifted_ppmi(m, beta, steps=0):
+def shifted_ppmi(m, beta):
     """Column-normalized log transform, shifted by -log(beta), clamped at 0.
 
-    Returns a :class:`PpmiMatrix` whose ``matrix`` is a CSR array holding
-    only the positive results. ``m`` is transformed in blocks of at most
-    ``PPMI_ROWS`` rows, and the log is evaluated only where ``m[i, j] > 0``;
-    every other cell is 0. Columns of ``m`` summing to zero produce all-zero
-    output columns and are counted in ``zero_columns``.
+    Returns a scipy CSR array holding only the positive results. ``m`` is
+    transformed in blocks of at most ``PPMI_ROWS`` rows, and the log is
+    evaluated only where ``m[i, j] > 0``; every other cell is 0. A column of
+    ``m`` summing to zero gives an all-zero output column.
     """
     m = np.asarray(m, dtype=np.float64)
     if not beta > 0:
@@ -106,7 +89,6 @@ def shifted_ppmi(m, beta, steps=0):
     # a column of non-negative values sums to zero only if every entry is
     # zero, so the division below never meets a zero sum
     col_sums = m.sum(axis=0)
-    zero_cols = int((col_sums == 0).sum())
     shift = np.log(beta)
     height = _block_size(m.shape[0], PPMI_ROWS)
     indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
@@ -125,10 +107,9 @@ def shifted_ppmi(m, beta, steps=0):
         indices.append(c[keep])
         values.append(x[keep])
     np.cumsum(indptr, out=indptr)
-    matrix = sparse.csr_array(
+    return sparse.csr_array(
         (np.concatenate(values), np.concatenate(indices), indptr), shape=m.shape
     )
-    return PpmiMatrix(matrix=matrix, steps=steps, beta=float(beta), zero_columns=zero_cols)
 
 
 def memory_budget():
@@ -141,7 +122,8 @@ def memory_budget():
 
 def ppmi_features(graph, steps=4, beta=None):
     """Full pipeline from a preprocessed graph to its feature matrix: powers
-    up to ``steps``, then the shifted PPMI with ``beta`` (None means 1/N).
+    up to ``steps``, then the shifted PPMI with ``beta`` (None means 1/N),
+    as a scipy CSR array.
 
     Before anything is allocated, the build's peak (``PEAK_DENSE_ARRAYS``
     N x N float64 arrays) is compared with :func:`memory_budget`; a build
@@ -161,41 +143,20 @@ def ppmi_features(graph, steps=4, beta=None):
     if beta is None:
         beta = 1.0 / n
     m = accumulate_powers(row_normalize(graph), steps)
-    return shifted_ppmi(m, beta, steps=steps)
-
-
-def save_ppmi(ppmi, path):
-    """Write a feature matrix as text: header ``N t beta`` then one row per line.
-
-    Every entry, zeros included, is printed with 17 significant digits, so
-    reloading reproduces the matrix bit for bit. The CSR matrix is written
-    ``PPMI_ROWS`` dense rows at a time.
-    """
-    mat = sparse.csr_array(ppmi.matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{mat.shape[0]} {ppmi.steps} {ppmi.beta:.17g}\n")
-        for start in range(0, mat.shape[0], PPMI_ROWS):
-            for row in mat[start : start + PPMI_ROWS].toarray():
-                fh.write(" ".join(f"{v:.17g}" for v in row))
-                fh.write("\n")
+    return shifted_ppmi(m, beta)
 
 
 def load_feature_matrix(path):
-    """Load node features from text: ``N D`` (or ``N t beta``) header plus rows.
+    """Load node features from text: an ``N D`` header, then N rows of D values.
 
-    Accepts both the :func:`save_ppmi` cache format and a generic ``N D``
-    header for externally computed features of any dimension. A malformed
-    header or row, a missing or extra row or a non-finite value raises
-    ``ValueError``.
+    The features may have any dimension D. A malformed header or row, a
+    missing or extra row or a non-finite value raises ``ValueError``.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) == 3:
-            n, d = int(header[0]), int(header[0])
-        elif len(header) == 2:
-            n, d = int(header[0]), int(header[1])
-        else:
-            raise ValueError(f"{path}: expected 'N D' or 'N t beta' header, got {header}")
+        if len(header) != 2:
+            raise ValueError(f"{path}: expected 'N D' header, got {header}")
+        n, d = int(header[0]), int(header[1])
         mat = np.empty((n, d), dtype=np.float64)
         for i in range(n):
             try:

@@ -218,7 +218,7 @@ def test_criterion_2_ppmi_oracle_equivalence():
         beta = 1.0 / n if case % 2 == 0 else float(rng.uniform(0.01, 2.0 / n))
         transition = adj / adj.sum(axis=1, keepdims=True)
         acc = accumulate_powers(transition, steps)
-        got = shifted_ppmi(acc, beta).matrix
+        got = shifted_ppmi(acc, beta)
         want = scalar_pipeline(adj.tolist(), steps, beta)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - t0

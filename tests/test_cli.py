@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ def run_cli(*argv):
 
 
 # embed
+
+
+def test_train_flags_cover_every_config_field():
+    assert set(cli.TRAIN_FLAGS) == {f.name for f in fields(embedder.TrainConfig)}
+    parser = cli.build_parser()
+    for argv in (["embed", "x"], ["sweep", "x", "y"]):
+        assert cli._config_from_args(parser.parse_args(argv)) == embedder.TrainConfig()
 
 
 def test_embed_writes_artifacts(karate, tmp_path, capsys):
@@ -117,6 +125,7 @@ def test_embed_adv_batch_below_two_exit_2(karate, tmp_path, capsys):
         (["--lr", "nan"], "lr must be a finite number > 0"),
         (["--grad-clip", "0"], "grad_clip must be > 0"),
         (["--grad-clip", "nan"], "grad_clip must be > 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
@@ -184,19 +193,21 @@ def test_embed_folds_a_batch_whose_pairs_share_one_target(karate, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body, message",
+    "text, message",
     [
-        ("1 2\n" * 20, "row 20 has 0 values"),  # truncated: 20 of 34 rows
-        ("1 2\n" * 20 + "1 x\n" + "1 2\n" * 13, "row 20"),
-        ("1 2\n" * 20 + "1 nan\n" + "1 2\n" * 13, "row 20 holds a non-finite value"),
-        ("1 2\n" * 40, "more than the 34 rows"),
+        ("34 2\n" + "1 2\n" * 20, "row 20 has 0 values"),  # truncated: 20 of 34 rows
+        ("34 2\n" + "1 2\n" * 20 + "1 x\n" + "1 2\n" * 13, "row 20"),
+        ("34 2\n" + "1 2\n" * 20 + "1 nan\n" + "1 2\n" * 13, "row 20 holds a non-finite value"),
+        ("34 2\n" + "1 2\n" * 40, "more than the 34 rows"),
+        # the old PPMI cache header; such a file loads once its header reads '34 34'
+        ("34 4 0.03\n" + ("0 " * 34 + "\n") * 34, "expected 'N D' header"),
     ],
-    ids=["truncated", "non-numeric", "nan", "extra-rows"],
+    ids=["truncated", "non-numeric", "nan", "extra-rows", "n-t-beta-header"],
 )
-def test_embed_bad_features_file_exit_2(karate, tmp_path, capsys, body, message):
+def test_embed_bad_features_file_exit_2(karate, tmp_path, capsys, text, message):
     edges, _ = karate
     features = tmp_path / "features.txt"
-    features.write_text("34 2\n" + body)
+    features.write_text(text)
     code = run_cli("embed", edges, "--out", tmp_path / "o", "--features", features, *FAST)
     assert code == 2
     err = capsys.readouterr().err
@@ -352,8 +363,9 @@ def test_eval_unknown_label_ids_exit_2(tmp_path, capsys):
         (["n0 nan 1", "n1 1 0", "n2 0 1", "n3 1 1"], "line 2 holds a non-finite coordinate"),
         (["n0 1 0", "n1 inf 0", "n2 0 1", "n3 1 1"], "line 3 holds a non-finite coordinate"),
         (["n0 1 0", "n1 1 0", "n2 0 1", "n3 0 1", "n4 1 1"], "more than the 4 rows"),
+        (["n0 1 0", "n0 0 1", "n2 0 1", "n3 1 1"], "line 3 repeats the node id 'n0' of line 2"),
     ],
-    ids=["nan", "inf", "extra-row"],
+    ids=["nan", "inf", "extra-row", "repeated-id"],
 )
 def test_eval_bad_embedding_file_exit_2(tmp_path, capsys, rows, message):
     emb = tmp_path / "e.txt"
@@ -377,6 +389,18 @@ def test_eval_bad_l2_exit_2(tmp_path, capsys, l2):
     captured = capsys.readouterr()
     assert "usage:" in captured.err
     assert f"argument --l2: must be a finite number > 0, got '{l2}'" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_negative_seed_exit_2(tmp_path, capsys):
+    emb = tmp_path / "e.txt"
+    classes = [0, 1, 0, 1]
+    ids = write_one_hot_embedding(emb, classes)
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"{i} c{c}\n" for i, c in zip(ids, classes)))
+    assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert "seed must be >= 0, got -1" in captured.err
     assert captured.out == ""
 
 
@@ -462,6 +486,7 @@ def test_sweep_records_failures_and_continues(ring, tmp_path, capsys):
     [
         (["--reps", "0"], "repetitions must be >= 1"),
         (["--ratios", "1.5"], "train ratio must be in (0, 1)"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_sweep_bad_evaluation_settings_exit_2_before_training(
@@ -472,7 +497,7 @@ def test_sweep_bad_evaluation_settings_exit_2_before_training(
     code = run_cli("sweep", edges, labels, "--grid-dim", "2,3", "--out", out, *FAST, *flags)
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not (out / "point_000").exists()
+    assert not list(out.glob("point_*"))
 
 
 def test_sweep_missing_features_file_exit_2_before_training(ring, tmp_path, capsys):

@@ -12,7 +12,6 @@ from ane.proximity import (
     accumulate_powers,
     load_feature_matrix,
     ppmi_features,
-    save_ppmi,
     shifted_ppmi,
 )
 
@@ -83,7 +82,7 @@ def test_powers_rejects_t_zero():
 
 def test_two_cycle_ppmi_hand_value():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = shifted_ppmi(m, beta=0.5).matrix.toarray()
+    x = shifted_ppmi(m, beta=0.5).toarray()
     ln2 = math.log(2.0)
     np.testing.assert_allclose(x, [[0.0, ln2], [ln2, 0.0]])
     assert x[0, 0] == 0.0  # zero cell stays exactly zero
@@ -91,7 +90,7 @@ def test_two_cycle_ppmi_hand_value():
 
 def test_uniform_matrix_cancels_exactly():
     m = np.full((4, 4), 0.25)
-    x = shifted_ppmi(m, beta=0.25).matrix.toarray()
+    x = shifted_ppmi(m, beta=0.25).toarray()
     np.testing.assert_array_equal(x, np.zeros((4, 4)))
 
 
@@ -99,22 +98,21 @@ def test_matches_scalar_oracle_random():
     rng = np.random.default_rng(3)
     a = random_transition(rng, 8)
     m = accumulate_powers(a, 2)
-    x = shifted_ppmi(m, beta=1 / 8).matrix.toarray()
+    x = shifted_ppmi(m, beta=1 / 8).toarray()
     np.testing.assert_allclose(x, scalar_ppmi_oracle(m, 1 / 8), atol=1e-9)
 
 
 def test_zero_column_flagged_and_zeroed():
     m = np.array([[0.5, 0.0], [0.5, 0.0]])
     res = shifted_ppmi(m, beta=0.1)
-    assert res.zero_columns == 1
-    assert (res.matrix.toarray()[:, 1] == 0).all()
+    assert (res.toarray()[:, 1] == 0).all()
 
 
 def test_monotone_in_beta():
     rng = np.random.default_rng(4)
     m = accumulate_powers(random_transition(rng, 6), 3)
-    x_small = shifted_ppmi(m, beta=0.05).matrix.toarray()
-    x_large = shifted_ppmi(m, beta=0.5).matrix.toarray()
+    x_small = shifted_ppmi(m, beta=0.05).toarray()
+    x_large = shifted_ppmi(m, beta=0.5).toarray()
     assert (x_small >= x_large).all()
 
 
@@ -123,8 +121,8 @@ def test_column_scale_invariance():
     m = accumulate_powers(random_transition(rng, 6), 2)
     scaled = m.copy()
     scaled[:, 2] *= 7.5
-    a = shifted_ppmi(m, beta=0.2).matrix.toarray()
-    b = shifted_ppmi(scaled, beta=0.2).matrix.toarray()
+    a = shifted_ppmi(m, beta=0.2).toarray()
+    b = shifted_ppmi(scaled, beta=0.2).toarray()
     np.testing.assert_allclose(a[:, 2], b[:, 2], atol=1e-12)
     np.testing.assert_array_equal(a[:, [0, 1, 3, 4, 5]], b[:, [0, 1, 3, 4, 5]])
 
@@ -132,7 +130,7 @@ def test_column_scale_invariance():
 def test_sparsity_alignment():
     rng = np.random.default_rng(6)
     m = accumulate_powers(random_transition(rng, 7), 2)
-    x = shifted_ppmi(m, beta=1 / 7).matrix.toarray()
+    x = shifted_ppmi(m, beta=1 / 7).toarray()
     assert not ((x > 0) & (m == 0)).any()
 
 
@@ -146,16 +144,16 @@ def test_negative_input_rejected():
 def test_ppmi_features_defaults_beta_to_inverse_n():
     g = preprocess(parse_edge_lines(["a b", "b c", "c a"]))
     feats = ppmi_features(g)
-    assert feats.beta == pytest.approx(1 / 3)
-    assert feats.steps == 4
-    assert feats.matrix.shape == (3, 3)
+    want = shifted_ppmi(accumulate_powers(row_normalize(g), 4), 1 / 3)
+    assert isinstance(feats, sparse.csr_array) and feats.shape == (3, 3)
+    np.testing.assert_array_equal(feats.toarray(), want.toarray())
 
 
 def test_ppmi_features_size_guard(monkeypatch):
     g = preprocess(parse_edge_lines(["a b", "b c"]))
     need = proximity.PEAK_DENSE_ARRAYS * 8 * 3 * 3
     monkeypatch.setattr(proximity, "memory_budget", lambda: need)
-    assert ppmi_features(g).matrix.shape == (3, 3)
+    assert ppmi_features(g).shape == (3, 3)
 
     def no_build(*args, **kwargs):
         raise AssertionError("transition matrix built past the memory check")
@@ -180,15 +178,6 @@ def test_load_feature_matrix_generic_header(tmp_path):
     path.write_text("2 3\n1 2 3\n4 5 6\n")
     mat = load_feature_matrix(path)
     np.testing.assert_array_equal(mat, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-
-
-def test_load_feature_matrix_accepts_ppmi_cache(tmp_path):
-    g = preprocess(parse_edge_lines(["a b 2", "b c 1", "c a 0.5", "c d 4"]))
-    feats = ppmi_features(g)
-    path = tmp_path / "x.ppmi"
-    save_ppmi(feats, path)
-    # bitwise after the text round trip
-    np.testing.assert_array_equal(load_feature_matrix(path), feats.matrix.toarray())
 
 
 def test_load_feature_matrix_bad_rows(tmp_path):
@@ -252,10 +241,9 @@ def test_csr_ppmi_bit_equal_to_dense_transform():
         m[0, :] = 1.0 / n  # some cells land exactly on the shift
         for beta in (1.0 / n, 0.3):
             got = shifted_ppmi(m, beta)
-            assert isinstance(got.matrix, sparse.csr_array)
-            assert got.matrix.has_sorted_indices and (got.matrix.data > 0).all()
-            np.testing.assert_array_equal(got.matrix.toarray(), dense_ppmi(m, beta))
-            assert got.zero_columns == int((m.sum(axis=0) == 0).sum())
+            assert isinstance(got, sparse.csr_array)
+            assert got.has_sorted_indices and (got.data > 0).all()
+            np.testing.assert_array_equal(got.toarray(), dense_ppmi(m, beta))
 
 
 @pytest.mark.parametrize("steps", [2, 8])
@@ -268,16 +256,3 @@ def test_ppmi_features_peak_within_estimate(steps):
     finally:
         tracemalloc.stop()
     assert peak <= proximity.PEAK_DENSE_ARRAYS * 8 * g.num_nodes**2
-
-
-def test_save_ppmi_writes_every_entry_from_csr(tmp_path):
-    # 40 rows: several row blocks
-    feats = ppmi_features(ring_with_chords(np.random.default_rng(11), 40))
-    assert isinstance(feats.matrix, sparse.csr_array)
-    path = tmp_path / "x.ppmi"
-    save_ppmi(feats, path)
-    dense = feats.matrix.toarray()
-    want = f"40 {feats.steps} {feats.beta:.17g}\n" + "".join(
-        " ".join(f"{v:.17g}" for v in row) + "\n" for row in dense
-    )
-    assert path.read_text() == want
