@@ -34,11 +34,14 @@ from scipy import sparse
 
 from . import nn
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp, log_sigmoid, sigmoid
-from .proximity import ppmi_features
+from .proximity import check_memory, ppmi_features
 from .walker import batch_bounds, iter_batches, negative_sampler, positive_pairs, random_walks
 
 # discriminator probabilities are clamped here before taking logs
 PROB_CLAMP = 1e-12
+# Pairs whose negative scores are computed at once: the (pairs, k, d) gather
+# of their negative rows stays small.
+NEG_BLOCK = 256
 
 PRIOR_KINDS = ("uniform", "gaussian")
 
@@ -261,7 +264,10 @@ def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
     neg_idx = ctx_pos[b:].reshape(b, k)
 
     pos_scores = (u * v_rows[pos_idx]).sum(axis=1)
-    neg_scores = np.matmul(v_rows[neg_idx], u[:, :, None])[:, :, 0]
+    neg_scores = np.empty((b, k))
+    for start in range(0, b, NEG_BLOCK):
+        rows = slice(start, start + NEG_BLOCK)
+        neg_scores[rows] = np.matmul(v_rows[neg_idx[rows]], u[rows, :, None])[:, :, 0]
     loss, grad_pos, grad_neg = sgns_loss_from_scores(pos_scores, neg_scores)
 
     # column p of W: the context row of pair p, then its k negative rows
@@ -373,9 +379,20 @@ class SkipGram:
     A target generator G and a context generator F map feature rows to
     vectors and are trained with negative sampling on the positive pairs of
     a random-walk corpus. Items are pairs; a batch is a :class:`PairBatch`.
+    The corpus and the pairs are checked against physical memory before the
+    walks start.
     """
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
+        walks = graph.num_nodes * config.walks_per_node
+        pairs = 2 * walks * sum(config.walk_length - off for off in range(1, config.context_size))
+        # the int64 corpus, then two int32 arrays of pairs and each epoch's int64 order
+        check_memory(
+            8 * walks * config.walk_length + 16 * pairs,
+            f"Walk pairs of {graph.num_nodes} nodes",
+            f"{walks} walks of {config.walk_length} steps, {pairs} pairs",
+            "lower --walks, --walk-length or --context",
+        )
         self.config = config
         self.features = features
         self.gen_g = build_generator(features.shape[1], config.dim, rng_init)

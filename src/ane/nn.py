@@ -202,11 +202,22 @@ class Mlp:
         return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
 
 
+# Elements of a parameter updated at once, so a step's temporaries stay in
+# the L2 cache; each element's arithmetic does not depend on the slicing.
+STEP_SLICE = 32_768
+
+
 class RmsProp:
-    """RMSProp over a fixed parameter list; one accumulator per array."""
+    """RMSProp over a fixed parameter list; one accumulator per array.
+
+    Parameters are updated in place through flat views, so each must be
+    C-contiguous.
+    """
 
     def __init__(self, params, lr=0.001, rho=0.9, eps=1e-8):
         self.params = list(params)
+        if not all(p.flags.c_contiguous for p in self.params):
+            raise ValueError("RmsProp parameters must be C-contiguous arrays")
         self.lr = lr
         self.rho = rho
         self.eps = eps
@@ -222,9 +233,13 @@ class RmsProp:
                 raise GradientError(
                     f"non-finite gradient for parameter of shape {p.shape}; aborting"
                 )
-            a *= self.rho
-            a += (1.0 - self.rho) * g * g
-            p -= self.lr * g / np.sqrt(a + self.eps)
+            p, g, a = p.reshape(-1), g.reshape(-1), a.reshape(-1)
+            for start in range(0, p.size, STEP_SLICE):
+                cut = slice(start, start + STEP_SLICE)
+                ps, gs, acc = p[cut], g[cut], a[cut]
+                acc *= self.rho
+                acc += (1.0 - self.rho) * gs * gs
+                ps -= self.lr * gs / np.sqrt(acc + self.eps)
 
 
 def clip_global_norm(grads, max_norm):

@@ -2,13 +2,13 @@
 
 The node feature matrix is built in two steps: sum the first ``t`` powers of
 the row-stochastic transition matrix ``A``, then apply a column-normalized,
-log-shifted, zero-clamped transform. ``A`` is held as a scipy CSR array with
-the graph's sparsity, so each power is a sparse-times-dense product,
-``A @ A^k``, of about ``2 nnz(A) N`` flops, taken one block of columns at a
-time. The sum ``M`` is dense N x N: the powers fill in within a few steps.
-The transform keeps only the positive entries, one block of rows at a time,
-so the result is a scipy CSR array (5.9 % non-zero at t = 4 on a Cora-sized
-graph). Its rows are the input ``x_i`` of every generator network.
+log-shifted, zero-clamped transform. ``A``, every power, the sum ``M`` and
+the result are scipy CSR arrays: each power is a sparse-times-sparse
+product, ``A @ A^k``, and no N x N array is allocated (at t = 4 on a
+Cora-sized graph ``M`` is 10.4 % non-zero and the result 5.9 %). Before each
+product and before the transform, the step's memory is bounded from the
+sparsity patterns and checked against physical memory. The rows of the
+result are the input ``x_i`` of every generator network.
 """
 
 from __future__ import annotations
@@ -20,96 +20,8 @@ from scipy import sparse
 
 from .graph import GraphError, row_normalize
 
-# Most columns of the powers built at once: (A @ P)[:, J] = A @ P[:, J], so
-# a block carries its own columns through every step.
-POWER_COLUMNS = 128
-# Most rows of M transformed at once.
-PPMI_ROWS = 256
-# N x N float64 arrays alive at once at the peak of the feature build: the
-# sum M, then M plus the CSR output, which holds 16 bytes per positive entry
-# twice while it is assembled. Three arrays cover a PPMI matrix up to half
-# non-zero. Blocks are at most a sixteenth of the rows or columns, so their
-# working set stays under half an array. Traced on a 2 708-node planted
-# graph: 1.2 arrays at t = 4 and 1.6 at t = 10.
-PEAK_DENSE_ARRAYS = 3
-
-
-def _block_size(n, most):
-    """Rows or columns per block of an n x n build: at most ``most``, and at
-    most a sixteenth of n, so a block's temporaries stay a small share of
-    one N x N array."""
-    return max(1, min(most, -(-n // 16)))
-
-
-def accumulate_powers(a_hat, t):
-    """Dense sum of transition-matrix powers A + A^2 + ... + A^t.
-
-    ``a_hat`` is a square scipy sparse matrix, such as the CSR array from
-    :func:`ane.graph.row_normalize`, or a dense array, which is converted to
-    CSR. Each step is ``power = A @ power``: sparse ``A`` times the dense
-    last power, taken for a block of at most ``POWER_COLUMNS`` columns at a
-    time and added into the sum in place, so only the sum is N x N. Every
-    entry is added up in the same fixed order as in the whole-matrix
-    product, so the result is bit-stable for a fixed input. Each row sums to
-    t because every power of a row-stochastic matrix is row-stochastic.
-    """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    a_hat = sparse.csr_array(a_hat, dtype=np.float64)
-    if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {a_hat.shape}")
-    n = a_hat.shape[0]
-    width = _block_size(n, POWER_COLUMNS)
-    a_cols = a_hat.tocsc()
-    total = np.empty((n, n))
-    for start in range(0, n, width):
-        power = a_cols[:, start : start + width].toarray()
-        block = total[:, start : start + width]
-        block[...] = power
-        for _ in range(t - 1):
-            power = a_hat @ power
-            block += power
-    return total
-
-
-def shifted_ppmi(m, beta):
-    """Column-normalized log transform, shifted by -log(beta), clamped at 0.
-
-    Returns a scipy CSR array holding only the positive results. ``m`` is
-    transformed in blocks of at most ``PPMI_ROWS`` rows, and the log is
-    evaluated only where ``m[i, j] > 0``; every other cell is 0. A column of
-    ``m`` summing to zero gives an all-zero output column.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if (m < 0).any():
-        raise ValueError("proximity matrix must be non-negative")
-
-    # a column of non-negative values sums to zero only if every entry is
-    # zero, so the division below never meets a zero sum
-    col_sums = m.sum(axis=0)
-    shift = np.log(beta)
-    height = _block_size(m.shape[0], PPMI_ROWS)
-    indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
-    indices, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for start in range(0, m.shape[0], height):
-        rows = m[start : start + height]
-        r, c = np.nonzero(rows > 0)
-        x = rows[r, c]
-        x /= col_sums[c]
-        np.log(x, out=x)
-        x -= shift
-        keep = x > 0
-        indptr[start + 1 : start + 1 + rows.shape[0]] = np.bincount(
-            r[keep], minlength=rows.shape[0]
-        )
-        indices.append(c[keep])
-        values.append(x[keep])
-    np.cumsum(indptr, out=indptr)
-    return sparse.csr_array(
-        (np.concatenate(values), np.concatenate(indices), indptr), shape=m.shape
-    )
+# Bytes of one stored CSR entry: a float64 value and an int64 index.
+ENTRY_BYTES = 16
 
 
 def memory_budget():
@@ -120,28 +32,114 @@ def memory_budget():
         return None
 
 
+def check_memory(need, what, detail, remedy):
+    """Raise :class:`~ane.graph.GraphError` (a ``ValueError``) when ``need``
+    bytes exceed :func:`memory_budget`. The message names ``what`` needs
+    them, how they were counted (``detail``) and a ``remedy``."""
+    budget = memory_budget()
+    if budget is not None and need > budget:
+        raise GraphError(
+            f"{what} need about {need / 1e9:.1f} GB ({detail}), more than the "
+            f"{budget / 1e9:.1f} GB of physical memory; {remedy}"
+        )
+
+
+def _check_ppmi_memory(n, entries):
+    check_memory(
+        ENTRY_BYTES * entries,
+        f"PPMI features of {n} nodes",
+        f"{entries} sparse entries of {ENTRY_BYTES} bytes",
+        "precompute features and pass them in instead (ane embed --features)",
+    )
+
+
+def accumulate_powers(a_hat, t):
+    """Sum of transition-matrix powers A + A^2 + ... + A^t as a CSR array.
+
+    ``a_hat`` is a square scipy sparse matrix, such as the CSR array from
+    :func:`ane.graph.row_normalize`, or a dense array, which is converted to
+    CSR. Each step is ``power = A @ power``, a sparse-times-sparse product
+    that adds every entry's terms in the order of A's stored row, as a
+    sparse-times-dense product does, then ``total = total + power``; the
+    result is bit-stable for a fixed input. Its rows are not sorted. Each
+    row sums to t because every power of a row-stochastic matrix is
+    row-stochastic.
+
+    Before each product, the step's peak is bounded from the sparsity
+    patterns and checked with :func:`memory_budget`. Row i of ``A @ power``
+    holds at most ``min(N, sum of nnz(power[k]) over the k in row i of A)``
+    entries; these bounds add up to ``B``. The step holds the sum as
+    allocated (scipy's sum keeps room for both its terms), the product (at
+    most ``B``), and either the last power (at most ``nnz(sum)``) while the
+    product is built or the new sum (at most ``nnz(sum) + B``) while it is
+    added, plus A's pattern and the row pointers. A step that cannot fit raises
+    :class:`~ane.graph.GraphError` before the product is allocated.
+    """
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    a_hat = sparse.csr_array(a_hat, dtype=np.float64)
+    if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
+        raise ValueError(f"expected square matrix, got shape {a_hat.shape}")
+    n = a_hat.shape[0]
+    pattern = sparse.csr_array(
+        (np.ones(a_hat.nnz, dtype=np.int64), a_hat.indices, a_hat.indptr), shape=a_hat.shape
+    )
+    total, power = a_hat.copy(), a_hat
+    held = total.nnz  # entries allocated to the sum
+    for _ in range(t - 1):
+        bound = int(np.minimum(pattern @ np.diff(power.indptr), n).sum())
+        _check_ppmi_memory(n, held + total.nnz + 2 * bound + a_hat.nnz + 2 * (n + 1))
+        power = a_hat @ power
+        held = total.nnz + power.nnz
+        total = total + power
+    return total
+
+
+def shifted_ppmi(m, beta):
+    """Column-normalized log transform, shifted by -log(beta), clamped at 0.
+
+    ``m`` is a scipy sparse matrix or a dense array. Only its stored entries
+    are transformed: every other cell is 0, and so is every result that is
+    not positive. Column sums add the stored entries in row order, as a
+    dense column sum does. A column of ``m`` summing to zero gives an
+    all-zero output column. Returns a scipy CSR array of the positive
+    results with sorted rows; the transform's temporaries and output (at
+    most two entries per stored entry of ``m``) are checked with
+    :func:`memory_budget` first.
+    """
+    m = sparse.csr_array(m, dtype=np.float64)
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if (m.data < 0).any():
+        raise ValueError("proximity matrix must be non-negative")
+    _check_ppmi_memory(m.shape[0], 2 * m.nnz)
+
+    # a stored zero gives log(0), or 0/0 in a column of zeros: the clamp drops both
+    col_sums = np.bincount(m.indices, weights=m.data, minlength=m.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = m.data / col_sums[m.indices]
+        np.log(x, out=x)
+    x -= np.log(beta)
+    keep = x > 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[m.indptr]
+    out = sparse.csr_array((x[keep], m.indices[keep], indptr), shape=m.shape)
+    # the generators' CSR products add in stored order
+    out.sort_indices()
+    return out
+
+
 def ppmi_features(graph, steps=4, beta=None):
     """Full pipeline from a preprocessed graph to its feature matrix: powers
     up to ``steps``, then the shifted PPMI with ``beta`` (None means 1/N),
     as a scipy CSR array.
 
-    Before anything is allocated, the build's peak (``PEAK_DENSE_ARRAYS``
-    N x N float64 arrays) is compared with :func:`memory_budget`; a build
-    that cannot fit raises :class:`~ane.graph.GraphError` (a ``ValueError``)
-    naming the estimate.
+    Each product of the powers and the transform are checked against
+    :func:`memory_budget` before they allocate; a build that cannot fit
+    raises :class:`~ane.graph.GraphError` (a ``ValueError``) naming the
+    estimate.
     """
-    n = graph.num_nodes
-    need = PEAK_DENSE_ARRAYS * 8 * n * n
-    budget = memory_budget()
-    if budget is not None and need > budget:
-        raise GraphError(
-            f"PPMI features of {n} nodes need about {need / 1e9:.1f} GB "
-            f"({PEAK_DENSE_ARRAYS} dense {n} x {n} float64 arrays), more than the "
-            f"{budget / 1e9:.1f} GB of physical memory; precompute features and pass "
-            "them in instead (ane embed --features)"
-        )
     if beta is None:
-        beta = 1.0 / n
+        beta = 1.0 / graph.num_nodes
     m = accumulate_powers(row_normalize(graph), steps)
     return shifted_ppmi(m, beta)
 

@@ -116,26 +116,24 @@ def positive_pairs(corpus, context_size):
     """All ordered target-context pairs within the window, self-pairs excluded.
 
     Positions i, j in the same walk form a pair when ``0 < |i - j| < s``; both
-    orientations are emitted. Returns (targets, contexts) int32 arrays.
+    orientations are emitted, offset by offset. Returns (targets, contexts)
+    int32 arrays, each written in place with no int64 copy of the pairs.
     """
     if corpus.size == 0:
         raise ValueError("empty walk corpus")
-    targets = []
-    contexts = []
-    for off in range(1, context_size):
-        left = corpus[:, :-off].ravel()
-        right = corpus[:, off:].ravel()
-        targets.append(left)
-        contexts.append(right)
-        targets.append(right)
-        contexts.append(left)
-    if not targets:
-        empty = np.empty(0, dtype=np.int32)
-        return empty, empty.copy()
-    return (
-        np.concatenate(targets).astype(np.int32),
-        np.concatenate(contexts).astype(np.int32),
-    )
+    offsets = range(1, context_size)
+    size = 2 * sum(corpus[:, off:].size for off in offsets)
+    targets = np.empty(size, dtype=np.int32)
+    contexts = np.empty(size, dtype=np.int32)
+    pos = 0
+    for off in offsets:
+        left, right = corpus[:, :-off], corpus[:, off:]
+        for tgt, ctx in ((left, right), (right, left)):
+            stop = pos + tgt.size
+            targets[pos:stop].reshape(tgt.shape)[...] = tgt
+            contexts[pos:stop].reshape(ctx.shape)[...] = ctx
+            pos = stop
+    return targets, contexts
 
 
 def negative_sampler(graph):

@@ -144,10 +144,8 @@ def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
 def test_ppmi_features_over_memory_exit_2_before_training(
     ring, tmp_path, capsys, monkeypatch, command
 ):
-    # one byte short of the 12-node ring's estimate, PEAK_DENSE_ARRAYS * 8 * 12^2
-    monkeypatch.setattr(
-        proximity, "memory_budget", lambda: proximity.PEAK_DENSE_ARRAYS * 8 * 12**2 - 1
-    )
+    # a machine with 1 byte of memory: the first power product cannot fit
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 1)
     edges, labels = ring
     out = tmp_path / "o"
     argv = ["embed", edges] if command == "embed" else ["sweep", edges, labels, "--grid-dim", "2,3"]
@@ -155,6 +153,23 @@ def test_ppmi_features_over_memory_exit_2_before_training(
     err = capsys.readouterr().err
     assert "PPMI features of 12 nodes need about 0.0 GB" in err
     assert not (out / "embedding.txt").exists() and not (out / "point_000").exists()
+
+
+def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
+    # 40 walks of 8 steps from 12 nodes: 30 720 corpus bytes and 6 720 pairs
+    # of 16 bytes; the PPMI steps of the ring need under 6 kB
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks sampled past the memory check")
+
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 20_000)
+    monkeypatch.setattr(embedder, "random_walks", no_walks)
+    edges, _ = ring
+    out = tmp_path / "o"
+    assert run_cli("embed", edges, "--out", out, *FAST, "--walks", "40") == 2
+    err = capsys.readouterr().err
+    assert "Walk pairs of 12 nodes need about 0.0 GB (480 walks of 8 steps, 6720 pairs)" in err
+    assert "lower --walks, --walk-length or --context" in err
+    assert not (out / "embedding.txt").exists()
 
 
 @pytest.mark.parametrize("source", ["ppmi", "features-file"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from ane import embedder
 from ane.datasets import load_dataset
 from ane.embedder import (
     MODEL_KINDS,
@@ -177,6 +178,26 @@ def test_idw_loss_gradients_with_repeated_rows():
     )
     worst = gradient_check([gen_g, gen_f], lambda: idw_batch_loss(gen_g, gen_f, batch, feats))
     assert worst < 1e-4
+
+
+def test_idw_negative_score_blocks_bit_equal_to_one_gather(monkeypatch):
+    # 1 000 pairs span four blocks of NEG_BLOCK = 256 and a partial one
+    rng = np.random.default_rng(12)
+    feats = sparse.csr_array(rng.random((60, 30)) * (rng.random((60, 30)) < 0.2))
+    batch = tiny_batch(rng, 60, 1000, 5)
+
+    def run():
+        nets = [build_generator(30, 4, np.random.default_rng(13)) for _ in range(2)]
+        loss = idw_batch_loss(*nets, batch, feats)
+        return loss, [g.copy() for net in nets for g in net.gradients()]
+
+    assert embedder.NEG_BLOCK < len(batch) // 3
+    loss, grads = run()
+    monkeypatch.setattr(embedder, "NEG_BLOCK", len(batch))
+    whole_loss, whole_grads = run()
+    assert loss == whole_loss
+    for got, want in zip(grads, whole_grads):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_idw_row_gradients_match_scatter_reference():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ane import nn
 from ane.nn import (
     BatchNorm,
     DenseLayer,
@@ -271,6 +272,42 @@ def test_rmsprop_rejects_nonfinite_gradient():
     opt = RmsProp([np.zeros(2)])
     with pytest.raises(GradientError):
         opt.step([np.array([1.0, np.nan])])
+
+
+def test_rmsprop_slices_bit_equal_to_whole_array_step():
+    # 128 x 2 708 spans 11 slices of STEP_SLICE elements and a partial one
+    rng = np.random.default_rng(13)
+    p = rng.standard_normal((128, 2708))
+    want, acc = p.copy(), np.zeros_like(p)
+    opt = RmsProp([p], lr=0.01)
+    assert p.size > 10 * nn.STEP_SLICE
+    for _ in range(5):
+        g = rng.standard_normal(p.shape)
+        opt.step([g])
+        acc *= opt.rho
+        acc += (1.0 - opt.rho) * g * g
+        want -= opt.lr * g / np.sqrt(acc + opt.eps)
+    np.testing.assert_array_equal(p, want)
+    np.testing.assert_array_equal(opt.acc[0], acc)
+
+
+def test_rmsprop_non_finite_gradient_leaves_parameter_untouched():
+    rng = np.random.default_rng(14)
+    p = rng.standard_normal(3 * nn.STEP_SLICE)
+    opt = RmsProp([p])
+    opt.step([rng.standard_normal(p.shape)])
+    before, acc_before = p.copy(), opt.acc[0].copy()
+    g = rng.standard_normal(p.shape)
+    g[-1] = np.inf  # in the last slice: no earlier slice may be updated
+    with pytest.raises(GradientError):
+        opt.step([g])
+    np.testing.assert_array_equal(p, before)
+    np.testing.assert_array_equal(opt.acc[0], acc_before)
+
+
+def test_rmsprop_rejects_non_contiguous_parameter():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        RmsProp([np.zeros((4, 3)).T])
 
 
 def test_rmsprop_shape_checks():

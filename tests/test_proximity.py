@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import sparse
 
 from ane import proximity
 from ane.embedder import TrainConfig
-from ane.graph import Graph, parse_edge_lines, preprocess, row_normalize
+from ane.graph import Graph, GraphError, parse_edge_lines, preprocess, row_normalize
 from ane.proximity import (
     accumulate_powers,
     load_feature_matrix,
@@ -52,20 +53,20 @@ def random_transition(rng, n):
 
 def test_two_cycle_powers():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(accumulate_powers(a, 2), np.ones((2, 2)))
+    np.testing.assert_array_equal(accumulate_powers(a, 2).toarray(), np.ones((2, 2)))
 
 
 def test_power_t1_is_identity_case():
     rng = np.random.default_rng(0)
     a = random_transition(rng, 5)
-    np.testing.assert_array_equal(accumulate_powers(a, 1), a)
+    np.testing.assert_array_equal(accumulate_powers(a, 1).toarray(), a)
 
 
 def test_powers_match_matrix_power_oracle():
     rng = np.random.default_rng(1)
     a = random_transition(rng, 10)
     oracle = sum(np.linalg.matrix_power(a, k) for k in range(1, 4))
-    np.testing.assert_allclose(accumulate_powers(a, 3), oracle, atol=1e-9)
+    np.testing.assert_allclose(accumulate_powers(a, 3).toarray(), oracle, atol=1e-9)
 
 
 def test_powers_row_sums():
@@ -99,7 +100,7 @@ def test_matches_scalar_oracle_random():
     a = random_transition(rng, 8)
     m = accumulate_powers(a, 2)
     x = shifted_ppmi(m, beta=1 / 8).toarray()
-    np.testing.assert_allclose(x, scalar_ppmi_oracle(m, 1 / 8), atol=1e-9)
+    np.testing.assert_allclose(x, scalar_ppmi_oracle(m.toarray(), 1 / 8), atol=1e-9)
 
 
 def test_zero_column_flagged_and_zeroed():
@@ -118,7 +119,7 @@ def test_monotone_in_beta():
 
 def test_column_scale_invariance():
     rng = np.random.default_rng(5)
-    m = accumulate_powers(random_transition(rng, 6), 2)
+    m = accumulate_powers(random_transition(rng, 6), 2).toarray()
     scaled = m.copy()
     scaled[:, 2] *= 7.5
     a = shifted_ppmi(m, beta=0.2).toarray()
@@ -131,6 +132,7 @@ def test_sparsity_alignment():
     rng = np.random.default_rng(6)
     m = accumulate_powers(random_transition(rng, 7), 2)
     x = shifted_ppmi(m, beta=1 / 7).toarray()
+    m = m.toarray()
     assert not ((x > 0) & (m == 0)).any()
 
 
@@ -150,18 +152,38 @@ def test_ppmi_features_defaults_beta_to_inverse_n():
 
 
 def test_ppmi_features_size_guard(monkeypatch):
+    # path a - b - c, t = 4: A has 4 entries and row counts (1, 2, 1). Each
+    # step checks held + nnz(sum) + 2 * bound + nnz(A) + 2 * (N + 1) entries:
+    #   step 2: 4 + 4 + 2 * 6 + 4 + 8 = 32 (bound: rows (2, 2, 2))
+    #   step 3: (4 + 5) + 9 + 2 * 5 + 4 + 8 = 40 (A^2 has 5 entries; rows (1, 3, 1))
+    #   step 4: (9 + 4) + 9 + 2 * 6 + 4 + 8 = 46 (A^3 has 4 entries)
+    # and the transform checks 2 * 9 entries, so the largest need is 46 entries.
     g = preprocess(parse_edge_lines(["a b", "b c"]))
-    need = proximity.PEAK_DENSE_ARRAYS * 8 * 3 * 3
+    need = 46 * proximity.ENTRY_BYTES
     monkeypatch.setattr(proximity, "memory_budget", lambda: need)
     assert ppmi_features(g).shape == (3, 3)
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("transition matrix built past the memory check")
-
     monkeypatch.setattr(proximity, "memory_budget", lambda: need - 1)
-    monkeypatch.setattr(proximity, "row_normalize", no_build)
     with pytest.raises(ValueError, match=r"need about 0\.0 GB .*more than the 0\.0 GB"):
         ppmi_features(g)
+
+
+def test_memory_guard_fires_before_first_product(monkeypatch):
+    matmul = sparse.csr_array.__matmul__
+
+    def no_product(self, other):
+        if sparse.issparse(other):
+            raise AssertionError("power product computed past the memory check")
+        return matmul(self, other)
+
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 1)
+    monkeypatch.setattr(sparse.csr_array, "__matmul__", no_product)
+    g = ring_with_chords(np.random.default_rng(11), 50)
+    with pytest.raises(GraphError, match="PPMI features of 50 nodes need about 0.0 GB"):
+        ppmi_features(g)
+    # one step needs no product: the transform's own check still fires
+    with pytest.raises(GraphError, match="PPMI features of 50 nodes"):
+        ppmi_features(g, steps=1)
 
 
 def test_config_validation():
@@ -193,21 +215,24 @@ def test_row_normalize_feeds_accumulate():
     np.testing.assert_allclose(m.sum(axis=1), 4.0, atol=1e-6)
 
 
+def random_weighted_graph(rng, n):
+    src, dst = np.triu_indices(n, k=1)
+    keep = rng.random(src.size) < rng.uniform(0.05, 0.5)
+    ring = np.arange(n)  # every node gets an edge
+    pairs = np.unique(
+        np.vstack([np.column_stack([src[keep], dst[keep]]),
+                   np.sort(np.column_stack([ring, (ring + 1) % n]), axis=1)]),
+        axis=0,
+    )
+    return Graph([str(i) for i in range(n)], pairs[:, 0], pairs[:, 1],
+                 rng.uniform(0.1, 5.0, size=len(pairs)))
+
+
 def test_sparse_chain_matches_dense_chain_on_random_weighted_graphs():
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = int(rng.integers(5, 40))
-        src, dst = np.triu_indices(n, k=1)
-        keep = rng.random(src.size) < rng.uniform(0.05, 0.5)
-        ring = np.arange(n)  # every node gets an edge
-        pairs = np.unique(
-            np.vstack([np.column_stack([src[keep], dst[keep]]),
-                       np.sort(np.column_stack([ring, (ring + 1) % n]), axis=1)]),
-            axis=0,
-        )
-        g = Graph([str(i) for i in range(n)], pairs[:, 0], pairs[:, 1],
-                  rng.uniform(0.1, 5.0, size=len(pairs)))
-        a = row_normalize(g)
+        a = row_normalize(random_weighted_graph(rng, n))
         dense = a.toarray()
         power, want = dense.copy(), dense.copy()
         for t in range(1, 7):
@@ -215,22 +240,31 @@ def test_sparse_chain_matches_dense_chain_on_random_weighted_graphs():
                 power = power @ dense
                 want = want + power
             got = accumulate_powers(a, t)
-            assert isinstance(got, np.ndarray) and got.shape == (n, n)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert isinstance(got, sparse.csr_array) and got.shape == (n, n)
+            np.testing.assert_allclose(got.toarray(), want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.sum(axis=1), t, rtol=0, atol=1e-12)
 
 
-def test_column_blocks_bit_equal_to_whole_matrix_chain():
-    # 300 nodes span several column blocks
+def test_sparse_chain_bit_equal_to_sparse_times_dense_chain():
+    # the sparse-times-dense chain adds each entry's terms in A's row order,
+    # and so must the sparse-times-sparse one; 300 nodes reach a dense sum
     rng = np.random.default_rng(8)
-    a = row_normalize(ring_with_chords(rng, 300))
-    power = a.toarray()
-    want = power.copy()
-    for t in range(1, 6):
-        if t > 1:
-            power = a @ power
-            want += power
-        np.testing.assert_array_equal(accumulate_powers(a, t), want)
+    graphs = [ring_with_chords(rng, 300)]
+    graphs += [random_weighted_graph(rng, int(rng.integers(5, 60))) for _ in range(10)]
+    for g in graphs:
+        a = row_normalize(g)
+        power = a.toarray()
+        want = power.copy()
+        for t in range(1, 6):
+            if t > 1:
+                power = a @ power
+                want += power
+            got = accumulate_powers(a, t)
+            np.testing.assert_array_equal(got.toarray(), want)
+            assert (got.data > 0).all()  # no stored zeros
+            # column sums add in row order, like the dense sum over axis 0
+            col_sums = np.bincount(got.indices, weights=got.data, minlength=g.num_nodes)
+            np.testing.assert_array_equal(col_sums, want.sum(axis=0))
 
 
 def test_csr_ppmi_bit_equal_to_dense_transform():
@@ -239,20 +273,58 @@ def test_csr_ppmi_bit_equal_to_dense_transform():
         m = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
         m[:, ::5] = 0.0  # zero columns
         m[0, :] = 1.0 / n  # some cells land exactly on the shift
+        # rows stored out of order, as the power products leave them
+        shuffled = sparse.csr_array(m)
+        for r in range(n):
+            row = slice(shuffled.indptr[r], shuffled.indptr[r + 1])
+            order = rng.permutation(row.stop - row.start)
+            shuffled.indices[row] = shuffled.indices[row][order]
+            shuffled.data[row] = shuffled.data[row][order]
+        shuffled.has_sorted_indices = False
+        stored_zeros = sparse.csr_array(m)
+        stored_zeros.data[::7] = 0.0
+        stored_zeros.data[stored_zeros.indices == 1] = 0.0  # a column of stored zeros
         for beta in (1.0 / n, 0.3):
-            got = shifted_ppmi(m, beta)
-            assert isinstance(got, sparse.csr_array)
-            assert got.has_sorted_indices and (got.data > 0).all()
-            np.testing.assert_array_equal(got.toarray(), dense_ppmi(m, beta))
+            for source in (m, sparse.csr_array(m), shuffled, stored_zeros):
+                dense = source.toarray() if sparse.issparse(source) else source
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = shifted_ppmi(source, beta)
+                assert isinstance(got, sparse.csr_array)
+                assert got.has_sorted_indices and (got.data > 0).all()
+                np.testing.assert_array_equal(got.toarray(), dense_ppmi(dense, beta))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates above what is already held."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("steps", [2, 8])
-def test_ppmi_features_peak_within_estimate(steps):
-    g = ring_with_chords(np.random.default_rng(10), 300)
-    tracemalloc.start()
-    try:
-        ppmi_features(g, steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= proximity.PEAK_DENSE_ARRAYS * 8 * g.num_nodes**2
+def test_ppmi_features_peak_within_estimate(monkeypatch, steps):
+    checked = []
+
+    def record(n, entries):
+        checked.append(entries * proximity.ENTRY_BYTES)
+
+    monkeypatch.setattr(proximity, "_check_ppmi_memory", record)
+    # 1 000 nodes, so the arrays outweigh the interpreter's own few kB
+    g = ring_with_chords(np.random.default_rng(10), 1000)
+    a = row_normalize(g)
+    m, chain_peak = traced_peak(accumulate_powers, a, steps)
+    assert len(checked) == steps - 1 and chain_peak <= max(checked)
+    _, transform_peak = traced_peak(shifted_ppmi, m, 1 / g.num_nodes)
+    assert len(checked) == steps and transform_peak <= checked[-1]
+
+
+def test_ppmi_features_allocate_no_dense_n_by_n_array():
+    # a Cora-sized graph: a dense N x N float64 array alone is 58.7 MB
+    g = ring_with_chords(np.random.default_rng(12), 2708)
+    _, peak = traced_peak(ppmi_features, g)
+    assert peak < 8 * g.num_nodes**2

@@ -239,6 +239,21 @@ def test_pair_symmetry():
     assert forward == backward
 
 
+def test_pairs_in_offset_order_as_int32():
+    # offset by offset: every left -> right pair, then every right -> left
+    rng = np.random.default_rng(10)
+    corpus = rng.integers(0, 50, size=(6, 9))
+    t, c = positive_pairs(corpus, context_size=5)
+    want_t, want_c = [], []
+    for off in range(1, 5):
+        left, right = corpus[:, :-off].ravel(), corpus[:, off:].ravel()
+        want_t += [left, right]
+        want_c += [right, left]
+    assert t.dtype == np.int32 and c.dtype == np.int32
+    np.testing.assert_array_equal(t, np.concatenate(want_t))
+    np.testing.assert_array_equal(c, np.concatenate(want_c))
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty"):
         positive_pairs(np.empty((0, 5), dtype=np.int64), 3)
