@@ -313,14 +313,14 @@ def discriminator_loss(disc, real_z, fake_u):
     p_real, pc_real, in_real = _clamped_probs(logits_real)
     loss_real = -np.log(pc_real).mean()
     grad_real = np.where(in_real, -(1.0 - p_real), 0.0) / b
-    disc.backward(grad_real)
+    disc.backward(grad_real, input_grad=False)
     stash = [g.copy() for g in disc.gradients()]
 
     logits_fake = disc.forward(fake_u, train=True)
     p_fake, pc_fake, in_fake = _clamped_probs(logits_fake)
     loss_fake = -np.log1p(-pc_fake).mean()
     grad_fake = np.where(in_fake, p_fake, 0.0) / b
-    disc.backward(grad_fake)
+    disc.backward(grad_fake, input_grad=False)
     for g, s in zip(disc.gradients(), stash):
         g += s
 
@@ -379,11 +379,12 @@ class SkipGram:
     A target generator G and a context generator F map feature rows to
     vectors and are trained with negative sampling on the positive pairs of
     a random-walk corpus. Items are pairs; a batch is a :class:`PairBatch`.
-    The corpus and the pairs are checked against physical memory before the
-    walks start.
     """
 
-    def __init__(self, graph, config, features, rng_init, rng_walks):
+    @staticmethod
+    def check_fits(graph, config):
+        """Raise ``GraphError`` when the walk corpus and its pairs cannot fit in
+        physical memory; needs only the node count and the config."""
         walks = graph.num_nodes * config.walks_per_node
         pairs = 2 * walks * sum(config.walk_length - off for off in range(1, config.context_size))
         # the int64 corpus, then two int32 arrays of pairs and each epoch's int64 order
@@ -393,6 +394,8 @@ class SkipGram:
             f"{walks} walks of {config.walk_length} steps, {pairs} pairs",
             "lower --walks, --walk-length or --context",
         )
+
+    def __init__(self, graph, config, features, rng_init, rng_walks):
         self.config = config
         self.features = features
         self.gen_g = build_generator(features.shape[1], config.dim, rng_init)
@@ -424,6 +427,10 @@ class Dae:
     feature row from the encoding of a corrupted one. Items are nodes; a
     batch is an array of node indices.
     """
+
+    @staticmethod
+    def check_fits(graph, config):
+        """Nothing to check: the batches are rows of the features."""
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
         self.config = config
@@ -480,6 +487,9 @@ class Trainer:
             self.rng_adv_rows,
         ) = (np.random.default_rng(s) for s in streams)
 
+        # the objective's memory check first: it is cheap, the feature build is not
+        objective = OBJECTIVES[config.model]
+        objective.check_fits(graph, config)
         if features is None:
             features = ppmi_features(graph, config.ppmi_steps, config.ppmi_beta)
         # CSR whatever the source: PPMI, a features file, or a shared matrix
@@ -489,9 +499,7 @@ class Trainer:
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
             )
         self.features = features
-        self.objective = OBJECTIVES[config.model](
-            graph, config, features, self.rng_init, self.rng_walks
-        )
+        self.objective = objective(graph, config, features, self.rng_init, self.rng_walks)
         self.gen_g = self.objective.gen_g
         self.structure_nets = list(self.objective.nets.values())
 

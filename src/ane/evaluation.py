@@ -5,6 +5,10 @@ labeled nodes at each train ratio, fit a one-vs-rest L2-regularized logistic
 regression on the training embeddings, and report mean and standard
 deviation of test accuracy over the repetitions. Each class is solved to a
 gradient-norm tolerance by damped Newton (Lin, Weng and Keerthi, JMLR 2008).
+A step's Hessian is a matrix times its own transpose, which numpy hands to a
+symmetric rank-k update, and the first step is solved once for all classes.
+Only numpy is used: importing ``scipy.linalg`` for a Cholesky solve would
+cost more resident memory than the solve saves time.
 """
 
 from __future__ import annotations
@@ -162,9 +166,37 @@ def _objective(z, target, w, l2):
     return float(ce.sum() / z.size + (l2 / (2.0 * z.size)) * (w @ w))
 
 
+def _hessian(xt, d, penalty, buf):
+    """``xt diag(d) xt.T + diag(penalty)`` as ``S @ S.T`` with ``S = xt sqrt(d)``.
+
+    numpy computes a matrix times its own transpose by a symmetric rank-k
+    update, half the work of a general product. ``buf``, shaped like ``xt``,
+    holds ``S``.
+    """
+    np.multiply(xt, np.sqrt(d), out=buf)
+    hessian = buf @ buf.T
+    hessian.flat[:: hessian.shape[0] + 1] += penalty
+    return hessian
+
+
+def _first_steps(xt, targets, penalty, buf):
+    """Gradients and Newton directions of every class at ``w = 0``, one per column.
+
+    At zero every score is 0 and every probability 1/2, so all classes share
+    one Hessian, solved once for all their gradients.
+    """
+    n = xt.shape[1]
+    grads = xt @ ((0.5 - targets) / n)
+    return grads, np.linalg.solve(_hessian(xt, np.full(n, 0.25 / n), penalty, buf), grads)
+
+
 def fit_linear_ovr(features, classes, l2=1.0):
     """Fit each class by Newton steps from zero, halving a step until the objective
-    does not rise, to gradient norm < ``TOL``; warns if ``MAX_NEWTON_STEPS`` fall short."""
+    does not rise, to gradient norm < ``TOL``; warns if ``MAX_NEWTON_STEPS`` fall short.
+
+    The Hessian is built as ``S @ S.T`` (see ``_hessian``) and the first step
+    is shared by all classes (see ``_first_steps``).
+    """
     if not (np.isfinite(l2) and l2 > 0):
         raise ValueError(f"l2 must be a finite number > 0, got {l2}")
     x = np.asarray(features, dtype=np.float64)
@@ -176,27 +208,34 @@ def fit_linear_ovr(features, classes, l2=1.0):
 
     n, dim = x.shape
     model = LinearOvrClassifier(int(classes.max()) + 1, dim)
-    xa = np.hstack([x, np.ones((n, 1))])
+    # [x, 1] transposed and C-contiguous; xa is its (n, dim + 1) view
+    xt = np.ones((dim + 1, n))
+    xt[:-1] = x.T
+    xa, buf = xt.T, np.empty_like(xt)
     penalty = np.append(np.full(dim, l2 / n), 0.0)
+    targets = (classes[:, None] == np.arange(model.weights.shape[0])).astype(np.float64)
+    first_grads, first_directions = _first_steps(xt, targets, penalty, buf)
     steps, norms = [], []
     for k in range(model.weights.shape[0]):
-        target = (classes == k).astype(np.float64)
+        target = targets[:, k]
         w, z = np.zeros(dim + 1), np.zeros(n)
         f = _objective(z, target, w[:-1], l2)
+        grad, direction = first_grads[:, k], first_directions[:, k]
         for step in range(MAX_NEWTON_STEPS + 1):
-            p = sigmoid(z)
-            grad = xa.T @ ((p - target) / n) + penalty * w
+            if step:
+                p = sigmoid(z)
+                grad = xt @ ((p - target) / n) + penalty * w
             grad_norm = float(np.linalg.norm(grad))
             if grad_norm < TOL or step == MAX_NEWTON_STEPS:
                 break
-            hessian = (xa.T * (p * (1.0 - p) / n)) @ xa + np.diag(penalty)
-            direction = np.linalg.solve(hessian, grad)
+            if step:
+                direction = np.linalg.solve(_hessian(xt, p * (1.0 - p) / n, penalty, buf), grad)
             # halving ends: a small enough step rounds to w itself, which keeps f
             scale, w_new = 1.0, w - direction
-            while not (f_new := _objective(xa @ w_new, target, w_new[:-1], l2)) <= f:
+            while not (f_new := _objective(z_new := xa @ w_new, target, w_new[:-1], l2)) <= f:
                 scale *= 0.5
                 w_new = w - scale * direction
-            w, z, f = w_new, xa @ w_new, f_new
+            w, z, f = w_new, z_new, f_new
         model.weights[k], model.intercepts[k] = w[:-1], w[-1]
         steps.append(step)
         norms.append(grad_norm)

@@ -144,11 +144,16 @@ def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
 def test_ppmi_features_over_memory_exit_2_before_training(
     ring, tmp_path, capsys, monkeypatch, command
 ):
-    # a machine with 1 byte of memory: the first power product cannot fit
+    # a machine with 1 byte of memory: the first power product cannot fit.
+    # embed trains dae, which samples no walks: an aidw Trainer checks its
+    # walk pairs first, and they cannot fit either
     monkeypatch.setattr(proximity, "memory_budget", lambda: 1)
     edges, labels = ring
     out = tmp_path / "o"
-    argv = ["embed", edges] if command == "embed" else ["sweep", edges, labels, "--grid-dim", "2,3"]
+    if command == "embed":
+        argv = ["embed", edges, "--model", "dae"]
+    else:
+        argv = ["sweep", edges, labels, "--grid-dim", "2,3"]
     assert run_cli(*argv, "--out", out, *FAST) == 2
     err = capsys.readouterr().err
     assert "PPMI features of 12 nodes need about 0.0 GB" in err
@@ -161,8 +166,12 @@ def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monk
     def no_walks(*args, **kwargs):
         raise AssertionError("walks sampled past the memory check")
 
+    def no_features(*args, **kwargs):
+        raise AssertionError("PPMI features built before the walk memory check")
+
     monkeypatch.setattr(proximity, "memory_budget", lambda: 20_000)
     monkeypatch.setattr(embedder, "random_walks", no_walks)
+    monkeypatch.setattr(embedder, "ppmi_features", no_features)
     edges, _ = ring
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *FAST, "--walks", "40") == 2

@@ -273,9 +273,9 @@ def test_discriminator_loss_saturated_perfect():
         def forward(self, x, train=True, update_running=True):
             return np.where(x.sum(axis=1, keepdims=True) > 0, 800.0, -800.0)
 
-        def backward(self, grad):
+        def backward(self, grad, input_grad=True):
             self.grad = self.grad + grad.sum()
-            return grad
+            return grad if input_grad else None
 
         def gradients(self):
             return [self.grad]
@@ -286,6 +286,29 @@ def test_discriminator_loss_saturated_perfect():
     loss = discriminator_loss(disc, real, fake)
     assert 0.0 <= loss < 1e-11
     assert disc.grad[0] == 0.0
+
+
+def test_discriminator_parameter_gradients_bit_equal_with_input_gradients():
+    # the loss skips the first layer's input gradient, which nothing reads;
+    # reference: the same two passes with every input gradient computed
+    rng = np.random.default_rng(21)
+    real, fake = rng.normal(size=(32, 6)), rng.normal(size=(32, 6))
+
+    def reference(disc):
+        grads = []
+        for z, sign in ((real, -1.0), (fake, 1.0)):
+            p = sigmoid(disc.forward(z, train=True))
+            inside = (p > embedder.PROB_CLAMP) & (p < 1.0 - embedder.PROB_CLAMP)
+            grad = np.where(inside, p - (sign < 0), 0.0) / z.shape[0]
+            assert disc.backward(grad) is not None
+            grads.append([g.copy() for g in disc.gradients()])
+        return [a + b for a, b in zip(*grads)]
+
+    disc = build_discriminator(6, np.random.default_rng(22), hidden=16)
+    want = reference(build_discriminator(6, np.random.default_rng(22), hidden=16))
+    discriminator_loss(disc, real, fake)
+    for got, ref in zip(disc.gradients(), want):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_generator_loss_constant_discriminator():
