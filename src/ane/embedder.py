@@ -47,7 +47,8 @@ PRIOR_KINDS = ("uniform", "gaussian")
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss became non-finite; the run is unusable."""
+    """A loss became non-finite; the run is unusable. The message names the
+    cycle, the phase and the losses of the last cycle that finished."""
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,8 @@ def discriminator_loss(disc, real_z, fake_u):
     loss_real = -np.log(pc_real).mean()
     grad_real = np.where(in_real, -(1.0 - p_real), 0.0) / b
     disc.backward(grad_real, input_grad=False)
-    stash = [g.copy() for g in disc.gradients()]
+    # backward binds new gradient arrays, so these keep the real pass's
+    stash = disc.gradients()
 
     logits_fake = disc.forward(fake_u, train=True)
     p_fake, pc_fake, in_fake = _clamped_probs(logits_fake)
@@ -348,24 +350,41 @@ def generator_adversarial_loss(gen_g, disc, x_rows):
 def dae_batch_loss(encoder, decoder, rows, corruption, rng, train=True):
     """Denoising reconstruction loss on a batch of clean feature rows.
 
-    A fixed fraction of entries in each row is masked to zero, the corrupted
-    row is encoded and decoded, and the result is scored against the clean
-    row with mean squared error over all entries.
+    ``rows`` is a scipy sparse array without duplicate entries or a dense
+    array; it is taken as CSR and kept sparse through the encoder. Masking noise sets ``n_mask = round(corruption
+    * D)`` uniformly chosen entries of each D-wide row to zero. Only the
+    stored entries can change, so the law is drawn on them alone: a row
+    with ``s`` stored entries loses ``Hypergeometric(s, D - s, n_mask)`` of
+    them, a uniform subset of that size, and each stored entry is killed
+    with probability ``n_mask / D``. Killed entries stay stored as zeros.
+    The corrupted row is encoded and decoded, and the dense reconstruction
+    is scored against the clean row with mean squared error over all D
+    entries, zeros included.
     """
     if not 0.0 <= corruption < 1.0:
         raise ValueError(f"corruption must be in [0, 1), got {corruption}")
-    x = rows
+    x = sparse.csr_array(rows, dtype=np.float64)
+    n, d = x.shape
+    stored = np.diff(x.indptr)
+    row_of = np.repeat(np.arange(n, dtype=np.int64), stored)
     corrupted = x
-    n_mask = int(round(corruption * x.shape[1]))
+    n_mask = int(round(corruption * d))
     if n_mask > 0:
-        corrupted = x.copy()
-        scores = rng.random(x.shape)
-        kill = np.argpartition(scores, n_mask - 1, axis=1)[:, :n_mask]
-        corrupted[np.arange(x.shape[0])[:, None], kill] = 0.0
+        kills = rng.hypergeometric(stored, d - stored, n_mask)
+        # each entry's row packed above a random key: sorted, each row's
+        # entries come in uniform random order, and its first kills[row] die
+        shift = 63 - n.bit_length()
+        keys = rng.integers(0, 1 << shift, size=x.nnz, dtype=np.int64)
+        order = np.argsort((row_of << shift) | keys)
+        rank = np.arange(x.nnz) - x.indptr[row_of]
+        data = x.data.copy()
+        data[order[rank < kills[row_of]]] = 0.0
+        corrupted = sparse.csr_array((data, x.indices, x.indptr), shape=x.shape)
 
     hidden = encoder.forward(corrupted, train=train)
-    recon = decoder.forward(hidden, train=train)
-    diff = recon - x
+    diff = decoder.forward(hidden, train=train)
+    # recon - x: x is zero off its stored entries
+    diff[row_of, x.indices] -= x.data
     loss = float((diff * diff).mean())
     grad_recon = 2.0 * diff / diff.size
     grad_hidden = decoder.backward(grad_recon)
@@ -449,12 +468,12 @@ class Dae:
     def loss(self, batch, rng):
         """Loss of one batch, corrupted with ``rng``; leaves gradients on the networks.
 
-        The batch's feature rows are densified: the corruption masks a fixed
-        count of all entries of each row, zeros included.
+        The batch's feature rows stay CSR: the corruption masks only their
+        stored entries, with the law of masking a fixed count of all entries
+        of each row, and the encoder multiplies the sparse rows.
         """
         return dae_batch_loss(
-            self.gen_g, self.decoder, self.features[batch].toarray(),
-            self.config.dae_corruption, rng,
+            self.gen_g, self.decoder, self.features[batch], self.config.dae_corruption, rng
         )
 
 
@@ -546,10 +565,20 @@ class Trainer:
         self.gen_adv_opt.step(grads)
         return loss
 
-    @staticmethod
-    def _check_finite(loss, phase):
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"{phase} loss became {loss!r}")
+    def _check_finite(self, loss, phase):
+        if np.isfinite(loss):
+            return
+        # one record per finished cycle, so its length is the current cycle
+        cycle = len(self.log)
+        if cycle:
+            last = self.log.records[-1]
+            state = (
+                f"cycle {last.cycle} ended with structure loss {last.structure_loss!r}, "
+                f"disc loss {last.disc_loss!r}, gen loss {last.gen_loss!r}"
+            )
+        else:
+            state = "no cycle had finished"
+        raise TrainingDiverged(f"{phase} loss became {float(loss)!r} in cycle {cycle}; {state}")
 
     def _bn_stats(self, nets):
         mean_abs = 0.0

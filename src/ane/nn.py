@@ -8,7 +8,8 @@ the step does not update) and returns the gradient with respect to the
 layer input, or ``None`` when ``input_grad=False`` (for networks whose input
 is a constant, such as feature rows, so nothing reads that gradient).
 A network's input may be a scipy sparse array, such as CSR feature rows: the
-first ``DenseLayer`` takes it through scipy's sparse-times-dense products.
+first ``DenseLayer`` takes it through scipy's sparse-times-dense products,
+which read its C-contiguous ``(in_dim, out_dim)`` weights without a copy.
 Optimizer state lives outside the layers so several objectives can update
 the same parameters independently.
 """
@@ -46,33 +47,35 @@ def glorot_uniform(rng, out_dim, in_dim):
 
 
 class DenseLayer:
-    """Affine map x -> x W^T + b with weights of shape (out_dim, in_dim).
+    """Affine map x -> x W + b with C-contiguous weights of shape (in_dim, out_dim).
 
-    ``x`` is a dense array or a scipy sparse array; the weight gradient is
-    C-contiguous either way.
+    ``x`` is a dense array or a scipy sparse array. Forward is ``x @ W``,
+    the weight gradient ``x.T @ grad`` and the input gradient
+    ``grad @ W.T``, each C-contiguous; scipy's sparse products read ``W``
+    and a C-contiguous ``grad`` in place. The Glorot draw is the
+    ``(out_dim, in_dim)`` one of :func:`glorot_uniform`, stored transposed.
     """
 
     def __init__(self, in_dim, out_dim, rng):
-        self.weights = glorot_uniform(rng, out_dim, in_dim)
+        self.weights = np.ascontiguousarray(glorot_uniform(rng, out_dim, in_dim).T)
         self.bias = np.zeros(out_dim, dtype=np.float64)
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_bias = np.zeros_like(self.bias)
         self._input = None
 
     def forward(self, x, train=True, update_running=True):
-        if x.shape[1] != self.weights.shape[1]:
+        if x.shape[1] != self.weights.shape[0]:
             raise ValueError(
-                f"input dim {x.shape[1]} does not match layer in_dim {self.weights.shape[1]}"
+                f"input dim {x.shape[1]} does not match layer in_dim {self.weights.shape[0]}"
             )
         self._input = x
-        return x @ self.weights.T + self.bias
+        return x @ self.weights + self.bias
 
     def backward(self, grad, input_grad=True, param_grads=True):
         if param_grads:
-            # a sparse input gives an F-ordered product
-            self.grad_weights = np.ascontiguousarray(grad.T @ self._input)
+            self.grad_weights = self._input.T @ grad
             self.grad_bias = grad.sum(axis=0)
-        return grad @ self.weights if input_grad else None
+        return grad @ self.weights.T if input_grad else None
 
     def parameters(self):
         return [self.weights, self.bias]

@@ -73,7 +73,9 @@ def accumulate_powers(a_hat, t):
     most ``B``), and either the last power (at most ``nnz(sum)``) while the
     product is built or the new sum (at most ``nnz(sum) + B``) while it is
     added, plus A's pattern and the row pointers. A step that cannot fit raises
-    :class:`~ane.graph.GraphError` before the product is allocated.
+    :class:`~ane.graph.GraphError` before the product is allocated. The sum
+    is returned in arrays of its exact size, copied after the last power is
+    freed, so it carries none of that room on.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -84,7 +86,7 @@ def accumulate_powers(a_hat, t):
     pattern = sparse.csr_array(
         (np.ones(a_hat.nnz, dtype=np.int64), a_hat.indices, a_hat.indptr), shape=a_hat.shape
     )
-    total, power = a_hat.copy(), a_hat
+    total = power = a_hat
     held = total.nnz  # entries allocated to the sum
     for _ in range(t - 1):
         bound = int(np.minimum(pattern @ np.diff(power.indptr), n).sum())
@@ -92,7 +94,9 @@ def accumulate_powers(a_hat, t):
         power = a_hat @ power
         held = total.nnz + power.nnz
         total = total + power
-    return total
+    del power
+    # the data and indices are views of the sum's buffers; copy() takes only the views
+    return total.copy()
 
 
 def shifted_ppmi(m, beta):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from scipy import sparse
 
 from ane import embedder
@@ -379,22 +380,91 @@ def test_dae_all_zero_rows_zero_loss():
     assert loss == 0.0
 
 
+class SpyNet:
+    """Stands in for a network: keeps its input and passes it on densified."""
+
+    def forward(self, inp, train=True, update_running=True):
+        self.input = inp
+        return inp.toarray() if sparse.issparse(inp) else inp.copy()
+
+    def backward(self, grad, input_grad=True):
+        return grad
+
+
+def corrupt(rows, corruption, rng):
+    """The encoder input that ``dae_batch_loss`` makes of ``rows``."""
+    encoder = SpyNet()
+    dae_batch_loss(encoder, SpyNet(), rows, corruption, rng)
+    return encoder.input
+
+
+LAW_WIDTH = 20
+LAW_STORED = (0, 1, 7, 13, LAW_WIDTH)
+
+
+def law_rows(reps):
+    """``reps`` copies of one row per count in ``LAW_STORED``, each storing
+    that many entries of ``LAW_WIDTH`` at random columns."""
+    rng = np.random.default_rng(40)
+    block = np.zeros((len(LAW_STORED), LAW_WIDTH))
+    for row, stored in zip(block, LAW_STORED):
+        row[rng.choice(LAW_WIDTH, size=stored, replace=False)] = rng.uniform(0.5, 2.0, stored)
+    return sparse.csr_array(np.tile(block, (reps, 1)))
+
+
 def test_dae_corruption_masks_exact_count():
-    rng = np.random.default_rng(11)
-    x = np.ones((8, 10))
-    seen = {}
-
-    class SpyNet:
-        def forward(self, inp, train=True, update_running=True):
-            seen["input"] = inp.copy()
-            return inp
-
-        def backward(self, grad, input_grad=True):
-            return grad
-
-    dae_batch_loss(SpyNet(), SpyNet(), x, 0.3, rng)
-    zeros_per_row = (seen["input"] == 0).sum(axis=1)
+    x = sparse.csr_array(np.ones((8, 10)))
+    seen = corrupt(x, 0.3, np.random.default_rng(11))
+    # the encoder gets CSR rows with the batch's pattern; killed entries stay stored
+    assert isinstance(seen, sparse.csr_array)
+    np.testing.assert_array_equal(seen.indptr, x.indptr)
+    np.testing.assert_array_equal(seen.indices, x.indices)
+    zeros_per_row = (seen.toarray() == 0).sum(axis=1)
     np.testing.assert_array_equal(zeros_per_row, np.full(8, 3))
+
+
+def test_dae_corruption_kills_each_stored_entry_with_frequency_n_mask_over_d():
+    reps = 4000
+    x = law_rows(reps)
+    seen = corrupt(x, 0.3, np.random.default_rng(44))
+    p = round(0.3 * LAW_WIDTH) / LAW_WIDTH
+    # every copy of the block stores its entries in the same slots, and each
+    # entry's kill count is Binomial(reps, p): sum one chi-square term per entry
+    kills = (seen.data == 0).reshape(reps, -1).sum(axis=0)
+    stat = ((kills - reps * p) ** 2 / (reps * p * (1 - p))).sum()
+    assert scipy.stats.chi2(kills.size).sf(stat) > 1e-3
+
+
+def test_dae_corruption_kill_count_per_row_is_hypergeometric():
+    reps = 4000
+    n_mask = round(0.3 * LAW_WIDTH)
+    x = law_rows(reps)
+    seen = corrupt(x, 0.3, np.random.default_rng(42))
+    kills = ((seen.toarray() == 0).sum(axis=1) - (x.toarray() == 0).sum(axis=1)).reshape(reps, -1)
+    for col, stored in enumerate(LAW_STORED):
+        if stored in (0, LAW_WIDTH):
+            # nothing to kill, or every entry stored: the count is fixed
+            assert (kills[:, col] == min(stored, n_mask)).all()
+            continue
+        support = np.arange(min(stored, n_mask) + 1)
+        observed = np.bincount(kills[:, col], minlength=support.size)
+        assert observed.size == support.size
+        expected = reps * scipy.stats.hypergeom(LAW_WIDTH, stored, n_mask).pmf(support)
+        # fold each rare tail into the outermost count that expects at least 5
+        edges = np.r_[0, np.flatnonzero(expected >= 5)[1:]]
+        observed = np.add.reduceat(observed, edges)
+        expected = np.add.reduceat(expected, edges)
+        assert scipy.stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_dae_corruption_under_one_entry_leaves_rows_and_rng_untouched():
+    x = law_rows(3)
+    rng = np.random.default_rng(43)
+    state = rng.bit_generator.state
+    # round(0.02 * 20) = 0 entries to mask
+    seen = corrupt(x, 0.02, rng)
+    np.testing.assert_array_equal(seen.toarray(), x.toarray())
+    assert rng.bit_generator.state == state
 
 
 def test_dae_corruption_validation():
@@ -528,7 +598,7 @@ def test_generator_shared_between_phases():
     assert trainer.gen_adv_opt.params[0] is trainer.gen_g.parameters()[0]
 
 
-def test_divergence_aborts():
+def test_divergence_aborts(monkeypatch):
     # non-finite features make the very first structure loss NaN
     g = ring_graph(8)
     cfg = TrainConfig(
@@ -536,8 +606,26 @@ def test_divergence_aborts():
         walks_per_node=2, walk_length=8, context_size=3, seed=7,
     )
     bad = np.full((8, 8), np.nan)
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(
+        TrainingDiverged, match=r"^structure loss became nan in cycle 0; no cycle had finished$"
+    ):
         train(g, cfg, features=bad)
+
+    # a later divergence names its cycle and the last finished cycle's losses
+    trainer = Trainer(g, TrainConfig(model="adae", dim=3, batch_size=2, adv_batch_size=2, seed=7))
+    disc_loss = embedder.discriminator_loss
+    monkeypatch.setattr(
+        embedder, "discriminator_loss",
+        lambda *args: float("nan") if len(trainer.log) == 2 else disc_loss(*args),
+    )
+    with pytest.raises(TrainingDiverged) as caught:
+        trainer.run()
+    last = trainer.log.records[-1]
+    assert str(caught.value) == (
+        f"discriminator loss became nan in cycle 2; cycle 1 ended with structure loss "
+        f"{last.structure_loss!r}, disc loss {last.disc_loss!r}, gen loss {last.gen_loss!r}"
+    )
+    assert last.cycle == 1 and np.isfinite([last.structure_loss, last.disc_loss]).all()
 
 
 def test_generator_on_csr_rows_matches_dense_rows():
@@ -550,6 +638,7 @@ def test_generator_on_csr_rows_matches_dense_rows():
         out = net.forward(rows)
         assert net.backward(grad, input_grad=False) is None
         assert net.layers[0].grad_weights.flags.c_contiguous
+        assert net.layers[0].grad_weights.shape == (40, 6)
         results.append((out, net.layers[0].grad_weights))
     (out_dense, gw_dense), (out_csr, gw_csr) = results
     np.testing.assert_allclose(out_csr, out_dense, rtol=0, atol=1e-12)

@@ -267,6 +267,16 @@ def test_sparse_chain_bit_equal_to_sparse_times_dense_chain():
             np.testing.assert_array_equal(col_sums, want.sum(axis=0))
 
 
+def test_power_sum_arrays_hold_only_stored_entries():
+    # scipy's sum keeps room for both its terms; the returned sum keeps none
+    g = ring_with_chords(np.random.default_rng(13), 300)
+    for t in (1, 2, 4):
+        m = accumulate_powers(row_normalize(g), t)
+        for arr in (m.data, m.indices):
+            owner = arr if arr.base is None else arr.base
+            assert arr.size == owner.size == m.nnz
+
+
 def test_csr_ppmi_bit_equal_to_dense_transform():
     rng = np.random.default_rng(9)
     for n in (1, 2, 17, 300):
