@@ -321,6 +321,15 @@ def cmd_sweep(args):
     if not axes:
         raise UsageError("no sweep points")
     names = list(axes)
+    # every point's config first, so an invalid grid value exits 2 before any point trains
+    points = []
+    for values in itertools.product(*(axes[n] for n in names)):
+        overrides = dict(zip(names, values))
+        label = ", ".join(f"{k}={v}" for k, v in overrides.items())
+        try:
+            points.append((overrides, label, replace(base_cfg, **overrides)))
+        except ValueError as exc:
+            raise UsageError(f"sweep point ({label}): {exc}") from exc
 
     graph = _load_graph(edge_path, args.weighted)
     features = _load_features(_require_file(args.features), graph) if args.features else None
@@ -346,12 +355,9 @@ def cmd_sweep(args):
     header = list(names) + ["ratio", "mean_acc", "std_acc", "n_reps", "status"]
     rows = []
     failures = []
-    for idx, values in enumerate(itertools.product(*(axes[n] for n in names))):
-        overrides = dict(zip(names, values))
+    for idx, (overrides, label, cfg) in enumerate(points):
         point_dir = out_dir / f"point_{idx:03d}"
-        point_label = ", ".join(f"{k}={v}" for k, v in overrides.items())
         try:
-            cfg = replace(base_cfg, **overrides)
             embedding, _ = _train_and_write(graph, cfg, point_dir, dataset_meta, features=features)
             results = evaluate(embedding.vectors, label_set, spec, l2=args.l2)
             for r in results:
@@ -368,7 +374,7 @@ def cmd_sweep(args):
         except Exception as exc:
             failures.append({"point": overrides, "error": str(exc)})
             rows.append([str(overrides[n]) for n in names] + ["-", "-", "-", "-", "failed"])
-            print(f"sweep point failed ({point_label}): {exc}", file=sys.stderr)
+            print(f"sweep point failed ({label}): {exc}", file=sys.stderr)
 
     table = "\t".join(header) + "\n"
     table += "".join("\t".join(row) + "\n" for row in rows)

@@ -26,7 +26,6 @@ import hashlib
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -160,8 +159,7 @@ class CycleRecord:
     structure_loss: float
     disc_loss: float  # nan when the adversarial phase is disabled
     gen_loss: float
-    wall_ms: float
-    bn_mean_abs: float  # worst |mean| of normalized batch-norm outputs this cycle
+    bn_mean_abs: float  # worst |mean| of normalized batch-norm outputs, read after each phase
     bn_var_err: float  # worst |var - 1| likewise
 
 
@@ -176,8 +174,8 @@ class TrainingLog:
         return len(self.records)
 
     def save(self, path):
-        """Line-delimited log. Wall time is deliberately not written so runs
-        with equal seeds produce byte-identical files."""
+        """Line-delimited log of the three mean losses per cycle; runs with
+        equal seeds produce byte-identical files."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# cycle structure_loss disc_loss gen_loss\n")
             for r in self.records:
@@ -241,7 +239,7 @@ def sgns_loss_from_scores(pos_scores, neg_scores):
     return loss, grad_pos, grad_neg
 
 
-def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
+def idw_batch_loss(gen_g, gen_f, batch, features):
     """Structure loss for one pair batch; leaves gradients on both generators.
 
     Each generator runs once on the batch's unique rows of ``features`` (a
@@ -256,8 +254,8 @@ def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
     ctx_flat = np.concatenate([batch.contexts, batch.negatives.ravel()])
     ctx_nodes, ctx_pos = np.unique(ctx_flat, return_inverse=True)
 
-    u_rows = gen_g.forward(features[tgt_nodes], train=train)
-    v_rows = gen_f.forward(features[ctx_nodes], train=train)
+    u_rows = gen_g.forward(features[tgt_nodes])
+    v_rows = gen_f.forward(features[ctx_nodes])
 
     b, k = batch.negatives.shape
     u = u_rows[tgt_pos]
@@ -289,11 +287,20 @@ def idw_batch_loss(gen_g, gen_f, batch, features, train=True):
     return loss
 
 
-def _clamped_probs(logits):
+def _bce(logits, real):
+    """Mean cross-entropy of discriminator logits against one label (``real``:
+    prior samples, else embeddings) and its gradient in the logits. The
+    probabilities are clamped before the log; the gradient is 0 where it binds."""
     p = sigmoid(logits)
     clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-    return p, clamped, inside
+    if real:
+        loss = -np.log(clamped).mean()
+        grad = np.where(inside, -(1.0 - p), 0.0)
+    else:
+        loss = -np.log1p(-clamped).mean()
+        grad = np.where(inside, p, 0.0)
+    return loss, grad / logits.shape[0]
 
 
 def discriminator_loss(disc, real_z, fake_u):
@@ -308,20 +315,12 @@ def discriminator_loss(disc, real_z, fake_u):
         raise ValueError(
             f"real and fake batches must match: {real_z.shape[0]} vs {fake_u.shape[0]}"
         )
-    b = real_z.shape[0]
-
-    logits_real = disc.forward(real_z, train=True)
-    p_real, pc_real, in_real = _clamped_probs(logits_real)
-    loss_real = -np.log(pc_real).mean()
-    grad_real = np.where(in_real, -(1.0 - p_real), 0.0) / b
+    loss_real, grad_real = _bce(disc.forward(real_z), real=True)
     disc.backward(grad_real, input_grad=False)
     # backward binds new gradient arrays, so these keep the real pass's
     stash = disc.gradients()
 
-    logits_fake = disc.forward(fake_u, train=True)
-    p_fake, pc_fake, in_fake = _clamped_probs(logits_fake)
-    loss_fake = -np.log1p(-pc_fake).mean()
-    grad_fake = np.where(in_fake, p_fake, 0.0) / b
+    loss_fake, grad_fake = _bce(disc.forward(fake_u), real=False)
     disc.backward(grad_fake, input_grad=False)
     for g, s in zip(disc.gradients(), stash):
         g += s
@@ -337,26 +336,24 @@ def generator_adversarial_loss(gen_g, disc, x_rows):
     respect to its input (no parameter gradients), so this step can only
     change the generator.
     """
-    u = gen_g.forward(x_rows, train=True)
-    logits = disc.forward(u, train=True, update_running=False)
-    p, pc, inside = _clamped_probs(logits)
-    loss = -np.log(pc).mean()
-    grad_logits = np.where(inside, -(1.0 - p), 0.0) / x_rows.shape[0]
+    u = gen_g.forward(x_rows)
+    loss, grad_logits = _bce(disc.forward(u, update_running=False), real=True)
     grad_u = disc.backward(grad_logits, param_grads=False)
     gen_g.backward(grad_u, input_grad=False)
     return loss
 
 
-def dae_batch_loss(encoder, decoder, rows, corruption, rng, train=True):
+def dae_batch_loss(encoder, decoder, rows, corruption, rng):
     """Denoising reconstruction loss on a batch of clean feature rows.
 
     ``rows`` is a scipy sparse array without duplicate entries or a dense
-    array; it is taken as CSR and kept sparse through the encoder. Masking noise sets ``n_mask = round(corruption
-    * D)`` uniformly chosen entries of each D-wide row to zero. Only the
-    stored entries can change, so the law is drawn on them alone: a row
-    with ``s`` stored entries loses ``Hypergeometric(s, D - s, n_mask)`` of
-    them, a uniform subset of that size, and each stored entry is killed
-    with probability ``n_mask / D``. Killed entries stay stored as zeros.
+    array; it is taken as CSR and kept sparse through the encoder. Masking
+    noise sets ``n_mask = round(corruption * D)`` uniformly chosen entries of
+    each D-wide row to zero. Only the stored entries can change, so the law
+    is drawn on them alone: a row with ``s`` stored entries loses
+    ``Hypergeometric(s, D - s, n_mask)`` of them, a uniform subset of that
+    size, and each stored entry is killed with probability ``n_mask / D``.
+    Killed entries stay stored as zeros.
     The corrupted row is encoded and decoded, and the dense reconstruction
     is scored against the clean row with mean squared error over all D
     entries, zeros included.
@@ -381,14 +378,14 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng, train=True):
         data[order[rank < kills[row_of]]] = 0.0
         corrupted = sparse.csr_array((data, x.indices, x.indptr), shape=x.shape)
 
-    hidden = encoder.forward(corrupted, train=train)
-    diff = decoder.forward(hidden, train=train)
+    diff = decoder.forward(encoder.forward(corrupted))
     # recon - x: x is zero off its stored entries
     diff[row_of, x.indices] -= x.data
     loss = float((diff * diff).mean())
-    grad_recon = 2.0 * diff / diff.size
-    grad_hidden = decoder.backward(grad_recon)
-    encoder.backward(grad_hidden, input_grad=False)
+    # the gradient of the loss in recon, written over diff
+    diff *= 2.0
+    diff /= diff.size
+    encoder.backward(decoder.backward(diff), input_grad=False)
     return loss
 
 
@@ -480,6 +477,11 @@ class Dae:
 # structure objective of each model kind
 OBJECTIVES = {"idw": SkipGram, "aidw": SkipGram, "dae": Dae, "adae": Dae}
 MODEL_KINDS = tuple(OBJECTIVES)
+
+
+def _mean(losses):
+    """Mean of a phase's step losses; nan for a phase that took no step."""
+    return float(np.mean(losses)) if losses else float("nan")
 
 
 class Trainer:
@@ -580,14 +582,11 @@ class Trainer:
             state = "no cycle had finished"
         raise TrainingDiverged(f"{phase} loss became {float(loss)!r} in cycle {cycle}; {state}")
 
-    def _bn_stats(self, nets):
-        mean_abs = 0.0
-        var_err = 0.0
-        for net in nets:
-            for layer in net.bn_layers():
-                mean_abs = max(mean_abs, layer.last_norm_mean_abs)
-                var_err = max(var_err, layer.last_norm_var_err)
-        return mean_abs, var_err
+    @staticmethod
+    def _bn_drift(nets):
+        """(|mean|, |var - 1|) of every batch-norm layer's last train-mode forward."""
+        layers = [layer for net in nets for layer in net.bn_layers()]
+        return [(layer.last_norm_mean_abs, layer.last_norm_var_err) for layer in layers]
 
     def run(self):
         """Train to completion and return (embeddings, training log).
@@ -601,53 +600,37 @@ class Trainer:
         """
         cfg = self.config
         adversarial_cycles = -(-self.objective.num_items // cfg.batch_size)
+        disc_steps, gen_steps = (cfg.disc_steps, cfg.gen_steps) if cfg.adversarial else (0, 0)
 
         cycle = 0
         for _ in range(cfg.epochs):
-            batches = self.objective.batches(self.rng_batches) if cfg.structure_steps > 0 else None
-            for _ in itertools.count() if batches is not None else range(adversarial_cycles):
-                started = time.perf_counter()
-                bn_mean = 0.0
-                bn_var = 0.0
+            # a generator: with no structure steps it is never iterated and draws nothing
+            batches = self.objective.batches(self.rng_batches)
+            for _ in itertools.count() if cfg.structure_steps else range(adversarial_cycles):
                 structure_losses = []
-                if batches is not None:
-                    for _ in range(cfg.structure_steps):
-                        batch = next(batches, None)
-                        if batch is None:
-                            break
-                        structure_losses.append(self._structure_step(batch))
-                        stats = self._bn_stats(self.structure_nets)
-                        bn_mean = max(bn_mean, stats[0])
-                        bn_var = max(bn_var, stats[1])
-                    if not structure_losses:
-                        break  # the epoch's batches are used up
+                drift = [(0.0, 0.0)]
+                for _ in range(cfg.structure_steps):
+                    batch = next(batches, None)
+                    if batch is None:
+                        break
+                    structure_losses.append(self._structure_step(batch))
+                    drift += self._bn_drift(self.structure_nets)
+                if cfg.structure_steps and not structure_losses:
+                    break  # the epoch's batches are used up
 
-                disc_loss = float("nan")
-                gen_loss = float("nan")
-                if cfg.adversarial:
-                    disc_losses = [self._disc_step() for _ in range(cfg.disc_steps)]
-                    gen_losses = [self._gen_step() for _ in range(cfg.gen_steps)]
-                    if disc_losses or gen_losses:
-                        stats = self._bn_stats([self.disc, self.gen_g])
-                        bn_mean = max(bn_mean, stats[0])
-                        bn_var = max(bn_var, stats[1])
-                    if disc_losses:
-                        disc_loss = float(np.mean(disc_losses))
-                    if gen_losses:
-                        gen_loss = float(np.mean(gen_losses))
+                disc_losses = [self._disc_step() for _ in range(disc_steps)]
+                gen_losses = [self._gen_step() for _ in range(gen_steps)]
+                if disc_losses or gen_losses:
+                    drift += self._bn_drift([self.disc, self.gen_g])
 
-                structure_loss = (
-                    float(np.mean(structure_losses)) if structure_losses else float("nan")
-                )
                 self.log.append(
                     CycleRecord(
                         cycle=cycle,
-                        structure_loss=structure_loss,
-                        disc_loss=disc_loss,
-                        gen_loss=gen_loss,
-                        wall_ms=(time.perf_counter() - started) * 1e3,
-                        bn_mean_abs=bn_mean,
-                        bn_var_err=bn_var,
+                        structure_loss=_mean(structure_losses),
+                        disc_loss=_mean(disc_losses),
+                        gen_loss=_mean(gen_losses),
+                        bn_mean_abs=max(mean_abs for mean_abs, _ in drift),
+                        bn_var_err=max(var_err for _, var_err in drift),
                     )
                 )
                 cycle += 1

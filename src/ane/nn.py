@@ -69,7 +69,9 @@ class DenseLayer:
                 f"input dim {x.shape[1]} does not match layer in_dim {self.weights.shape[0]}"
             )
         self._input = x
-        return x @ self.weights + self.bias
+        out = x @ self.weights
+        out += self.bias
+        return out
 
     def backward(self, grad, input_grad=True, param_grads=True):
         if param_grads:
@@ -117,6 +119,11 @@ class BatchNorm:
     ``eps`` only guards the variance-zero case. Everything here is float64,
     so it is kept tiny: normalized outputs then have variance within ~eps/var
     of 1 even for features whose batch variance drops to 1e-8.
+
+    ``last_norm_mean_abs`` and ``last_norm_var_err`` are the worst feature's
+    |mean| and |var - 1| of the last train-mode forward's normalized output
+    (0 before the first). They are computed from the cached batch when read,
+    so a forward pays for none of it; an eval-mode forward leaves them as is.
     """
 
     def __init__(self, dim, momentum=0.9, eps=1e-12):
@@ -130,9 +137,14 @@ class BatchNorm:
         self.grad_shift = np.zeros_like(self.shift)
         self._norm = None
         self._inv_std = None
-        # diagnostics from the most recent train-mode forward
-        self.last_norm_mean_abs = 0.0
-        self.last_norm_var_err = 0.0
+
+    @property
+    def last_norm_mean_abs(self):
+        return 0.0 if self._norm is None else float(np.abs(self._norm.mean(axis=0)).max())
+
+    @property
+    def last_norm_var_err(self):
+        return 0.0 if self._norm is None else float(np.abs(self._norm.var(axis=0) - 1.0).max())
 
     def forward(self, x, train=True, update_running=True):
         if train:
@@ -144,8 +156,6 @@ class BatchNorm:
             norm = (x - mean) * inv_std
             self._norm = norm
             self._inv_std = inv_std
-            self.last_norm_mean_abs = float(np.abs(norm.mean(axis=0)).max())
-            self.last_norm_var_err = float(np.abs(norm.var(axis=0) - 1.0).max())
             if update_running:
                 m = self.momentum
                 self.running_mean = m * self.running_mean + (1.0 - m) * mean

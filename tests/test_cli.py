@@ -491,8 +491,9 @@ def test_sweep_empty_grid_exit_2(ring, tmp_path, capsys):
 def test_sweep_records_failures_and_continues(ring, tmp_path, capsys):
     edges, labels = ring
     out = tmp_path / "sweep"
+    # the first point's walk corpus cannot fit in memory: it fails when it trains
     code = run_cli(
-        "sweep", edges, labels, "--grid-dim", "0,3",
+        "sweep", edges, labels, "--grid-walk-length", "1000000000000,10",
         "--ratios", "0.5", "--reps", "2", "--out", out, *FAST,
     )
     assert code == 0
@@ -502,7 +503,23 @@ def test_sweep_records_failures_and_continues(ring, tmp_path, capsys):
     assert statuses == ["failed", "ok"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["failures"]) == 1
-    assert manifest["failures"][0]["point"] == {"dim": 0}
+    assert manifest["failures"][0]["point"] == {"walk_length": 1000000000000}
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--grid-dim", "2,0"], "sweep point (dim=0): dim must be >= 1, got 0"),
+        (["--grid-prior", "uniform,cauchy"], "sweep point (prior=cauchy): prior must be one of"),
+    ],
+)
+def test_sweep_invalid_grid_value_exit_2_before_training(ring, tmp_path, capsys, grid, message):
+    edges, labels = ring
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", edges, labels, *grid, "--out", out, *FAST)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("point_*"))
 
 
 @pytest.mark.parametrize(
@@ -613,7 +630,7 @@ def test_sweep_builds_ppmi_features_once(ring, tmp_path, monkeypatch):
 def test_sweep_all_points_failed_exit_1(ring, tmp_path, capsys):
     edges, labels = ring
     code = run_cli(
-        "sweep", edges, labels, "--grid-dim", "0",
+        "sweep", edges, labels, "--grid-walk-length", "1000000000000",
         "--ratios", "0.5", "--reps", "2", "--out", tmp_path / "s", *FAST,
     )
     assert code == 1

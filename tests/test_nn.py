@@ -132,6 +132,28 @@ def test_batchnorm_train_statistics():
     assert bn.last_norm_var_err < 1e-4
 
 
+def test_batchnorm_drift_reads_the_last_train_mode_forward():
+    def drift(x, eps=1e-12):
+        norm = (x - x.mean(axis=0)) * (1.0 / np.sqrt(x.var(axis=0) + eps))
+        return np.abs(norm.mean(axis=0)).max(), np.abs(norm.var(axis=0) - 1.0).max()
+
+    rng = np.random.default_rng(11)
+    bn = BatchNorm(4)
+    assert (bn.last_norm_mean_abs, bn.last_norm_var_err) == (0.0, 0.0)
+    a = rng.normal(loc=3.0, scale=2.0, size=(32, 4))
+    bn.forward(a)
+    assert (bn.last_norm_mean_abs, bn.last_norm_var_err) == drift(a)
+    # an eval-mode forward leaves the values of the last train-mode one
+    bn.forward(rng.normal(size=(16, 4)), train=False)
+    assert (bn.last_norm_mean_abs, bn.last_norm_var_err) == drift(a)
+    # a constant feature normalizes to 0, so its variance is 1 off
+    c = rng.normal(size=(8, 4))
+    c[:, 2] = 5.0
+    bn.forward(c, update_running=False)
+    assert (bn.last_norm_mean_abs, bn.last_norm_var_err) == drift(c)
+    assert bn.last_norm_var_err == 1.0
+
+
 def test_batchnorm_batch_of_one_rejected():
     with pytest.raises(ValueError, match="batch size >= 2"):
         BatchNorm(2).forward(np.zeros((1, 2)))
