@@ -30,8 +30,10 @@ from .embedder import (
     load_embeddings,
 )
 from .evaluation import (
+    ACCURACY_COLUMNS,
     DEFAULT_RATIOS,
     SplitSpec,
+    accuracy_cells,
     evaluate,
     format_accuracy_table,
     load_labels,
@@ -182,11 +184,14 @@ def _load_features(path, graph):
 def _train_and_write(graph, cfg, out_dir, dataset_meta, features=None):
     """Shared embed pipeline: train, then write embedding, log, manifest."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
     with _stage("embedder"):
-        embedding, log = Trainer(graph, cfg, features=features).run()
+        # the Trainer runs the memory checks: a run they stop leaves no directory
+        trainer = Trainer(graph, cfg, features=features)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with _stage("embedder"):
+        embedding, log = trainer.run()
     elapsed = time.perf_counter() - t0
     with _stage("io"):
         _atomic_write(out_dir / "embedding.txt", lambda p: export_embeddings(embedding, p))
@@ -352,7 +357,7 @@ def cmd_sweep(args):
         "features": str(Path(args.features).resolve()) if args.features else None,
     }
 
-    header = list(names) + ["ratio", "mean_acc", "std_acc", "n_reps", "status"]
+    header = [*names, *ACCURACY_COLUMNS, "status"]
     rows = []
     failures = []
     for idx, (overrides, label, cfg) in enumerate(points):
@@ -361,23 +366,15 @@ def cmd_sweep(args):
             embedding, _ = _train_and_write(graph, cfg, point_dir, dataset_meta, features=features)
             results = evaluate(embedding.vectors, label_set, spec, l2=args.l2)
             for r in results:
-                rows.append(
-                    [str(overrides[n]) for n in names]
-                    + [
-                        f"{r.ratio:.2f}",
-                        f"{100.0 * r.mean_accuracy:.2f}",
-                        f"{100.0 * r.std_accuracy:.2f}",
-                        str(r.repetitions),
-                        "ok",
-                    ]
-                )
+                rows.append([str(overrides[n]) for n in names] + accuracy_cells(r) + ["ok"])
         except Exception as exc:
             failures.append({"point": overrides, "error": str(exc)})
-            rows.append([str(overrides[n]) for n in names] + ["-", "-", "-", "-", "failed"])
+            rows.append(
+                [str(overrides[n]) for n in names] + ["-"] * len(ACCURACY_COLUMNS) + ["failed"]
+            )
             print(f"sweep point failed ({label}): {exc}", file=sys.stderr)
 
-    table = "\t".join(header) + "\n"
-    table += "".join("\t".join(row) + "\n" for row in rows)
+    table = "".join("\t".join(row) + "\n" for row in [header, *rows])
     sys.stdout.write(table)
     with _stage("io"):
         _atomic_write(out_dir / "sweep_results.tsv", lambda p: Path(p).write_text(table))

@@ -108,7 +108,7 @@ class TrainConfig:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        # batch norm in train mode needs two rows
+        # batch norm needs two rows
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.adv_batch_size < 2:
@@ -200,20 +200,20 @@ class EmbeddingMatrix:
         return self.vectors.shape[1]
 
 
-def build_generator(in_dim, out_dim, rng, leak=0.2):
+def build_generator(in_dim, out_dim, rng):
     """Single dense layer with leaky ReLU and batch norm on the output."""
-    return Mlp([DenseLayer(in_dim, out_dim, rng), LeakyRelu(leak), BatchNorm(out_dim)])
+    return Mlp([DenseLayer(in_dim, out_dim, rng), LeakyRelu(), BatchNorm(out_dim)])
 
 
-def build_discriminator(in_dim, rng, hidden=512, leak=0.2):
+def build_discriminator(in_dim, rng, hidden=512):
     """Hidden structure 512-512-1; sigmoid is applied by the loss functions."""
     return Mlp(
         [
             DenseLayer(in_dim, hidden, rng),
-            LeakyRelu(leak),
+            LeakyRelu(),
             BatchNorm(hidden),
             DenseLayer(hidden, hidden, rng),
-            LeakyRelu(leak),
+            LeakyRelu(),
             BatchNorm(hidden),
             DenseLayer(hidden, 1, rng),
         ]
@@ -331,13 +331,13 @@ def discriminator_loss(disc, real_z, fake_u):
 def generator_adversarial_loss(gen_g, disc, x_rows):
     """Generator payoff step: make embeddings score as prior samples.
 
-    The discriminator is evaluated with batch statistics but its running
-    statistics are frozen, and it backpropagates only the gradient with
-    respect to its input (no parameter gradients), so this step can only
-    change the generator.
+    The discriminator normalizes by the embeddings' batch statistics, as in
+    its own step, and backpropagates only the gradient with respect to its
+    input (no parameter gradients), so this step can only change the
+    generator.
     """
     u = gen_g.forward(x_rows)
-    loss, grad_logits = _bce(disc.forward(u, update_running=False), real=True)
+    loss, grad_logits = _bce(disc.forward(u), real=True)
     grad_u = disc.backward(grad_logits, param_grads=False)
     gen_g.backward(grad_u, input_grad=False)
     return loss
@@ -549,7 +549,7 @@ class Trainer:
         cfg = self.config
         real = self.prior.sample(self.rng_prior, cfg.adv_batch_size, cfg.dim)
         rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=cfg.adv_batch_size)
-        fake = self.gen_g.forward(self.features[rows], train=True, update_running=False)
+        fake = self.gen_g.forward(self.features[rows])
         loss = discriminator_loss(self.disc, real, fake)
         self._check_finite(loss, "discriminator")
         grads = self.disc.gradients()
@@ -584,7 +584,7 @@ class Trainer:
 
     @staticmethod
     def _bn_drift(nets):
-        """(|mean|, |var - 1|) of every batch-norm layer's last train-mode forward."""
+        """(|mean|, |var - 1|) of every batch-norm layer's last forward."""
         layers = [layer for net in nets for layer in net.bn_layers()]
         return [(layer.last_norm_mean_abs, layer.last_norm_var_err) for layer in layers]
 
@@ -637,9 +637,10 @@ class Trainer:
         return self.embeddings(), self.log
 
     def embeddings(self):
-        """Current node representations in inference mode (running statistics),
-        so the result does not depend on batch composition."""
-        vectors = self.gen_g.forward(self.features, train=False)
+        """Current node representations: all N feature rows pass through G as
+        one batch, so batch norm uses the population statistics and each
+        dimension has mean ``shift`` and variance ``gamma**2 var / (var + eps)``."""
+        vectors = self.gen_g.forward(self.features)
         return EmbeddingMatrix(vectors=vectors, ids=list(self.graph.ids))
 
 

@@ -288,19 +288,21 @@ def evaluate(vectors, label_set, spec=SplitSpec(), l2=1.0, normalize=True):
     return results
 
 
-def format_accuracy_table(results, delimiter="\t"):
-    """Delimiter-separated table with accuracy in percent, like the usual
+ACCURACY_COLUMNS = ("ratio", "mean_acc", "std_acc", "n_reps")
+
+
+def accuracy_cells(result):
+    """The ``ACCURACY_COLUMNS`` cells of one ``RatioResult``, accuracy in percent."""
+    return [
+        f"{result.ratio:.2f}",
+        f"{100.0 * result.mean_accuracy:.2f}",
+        f"{100.0 * result.std_accuracy:.2f}",
+        str(result.repetitions),
+    ]
+
+
+def format_accuracy_table(results):
+    """Tab-separated table with accuracy in percent, like the usual
     classification tables."""
-    lines = [delimiter.join(["ratio", "mean_acc", "std_acc", "n_reps"])]
-    for r in results:
-        lines.append(
-            delimiter.join(
-                [
-                    f"{r.ratio:.2f}",
-                    f"{100.0 * r.mean_accuracy:.2f}",
-                    f"{100.0 * r.std_accuracy:.2f}",
-                    str(r.repetitions),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    lines = [ACCURACY_COLUMNS] + [accuracy_cells(r) for r in results]
+    return "".join("\t".join(line) + "\n" for line in lines)

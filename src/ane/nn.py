@@ -1,12 +1,12 @@
 """Minimal dense-network kernel with hand-written backpropagation.
 
-Everything runs in float64. Layers follow one protocol: ``forward(x, train,
-update_running)`` caches whatever the matching ``backward(grad, input_grad,
-param_grads)`` needs, and ``backward`` stores parameter gradients on the
-layer (skipped when ``param_grads=False``, for a network whose parameters
-the step does not update) and returns the gradient with respect to the
-layer input, or ``None`` when ``input_grad=False`` (for networks whose input
-is a constant, such as feature rows, so nothing reads that gradient).
+Everything runs in float64. Layers follow one protocol: ``forward(x)``
+caches whatever the matching ``backward(grad, input_grad, param_grads)``
+needs, and ``backward`` stores parameter gradients on the layer (skipped
+when ``param_grads=False``, for a network whose parameters the step does
+not update) and returns the gradient with respect to the layer input, or
+``None`` when ``input_grad=False`` (for networks whose input is a
+constant, such as feature rows, so nothing reads that gradient).
 A network's input may be a scipy sparse array, such as CSR feature rows: the
 first ``DenseLayer`` takes it through scipy's sparse-times-dense products,
 which read its C-contiguous ``(in_dim, out_dim)`` weights without a copy.
@@ -63,7 +63,7 @@ class DenseLayer:
         self.grad_bias = np.zeros_like(self.bias)
         self._input = None
 
-    def forward(self, x, train=True, update_running=True):
+    def forward(self, x):
         if x.shape[1] != self.weights.shape[0]:
             raise ValueError(
                 f"input dim {x.shape[1]} does not match layer in_dim {self.weights.shape[0]}"
@@ -93,7 +93,7 @@ class LeakyRelu:
         self.slope = slope
         self._scale = None
 
-    def forward(self, x, train=True, update_running=True):
+    def forward(self, x):
         self._scale = np.where(x > 0, 1.0, self.slope)
         return x * self._scale
 
@@ -110,28 +110,25 @@ class LeakyRelu:
 class BatchNorm:
     """Per-feature batch normalization with learned scale and shift.
 
-    Train mode normalizes by batch statistics (biased variance) and tracks an
-    exponential moving average for inference; the backward pass differentiates
-    through the batch statistics, not around them. ``update_running=False``
-    keeps the running statistics untouched, which phases that must not modify
-    a network rely on.
+    Every forward normalizes by the statistics of the batch it is given
+    (biased variance), in training and at export alike; the export passes
+    all N feature rows as one batch, so it normalizes by the exact
+    population statistics. The backward pass differentiates through the
+    batch statistics, not around them.
 
     ``eps`` only guards the variance-zero case. Everything here is float64,
     so it is kept tiny: normalized outputs then have variance within ~eps/var
     of 1 even for features whose batch variance drops to 1e-8.
 
     ``last_norm_mean_abs`` and ``last_norm_var_err`` are the worst feature's
-    |mean| and |var - 1| of the last train-mode forward's normalized output
-    (0 before the first). They are computed from the cached batch when read,
-    so a forward pays for none of it; an eval-mode forward leaves them as is.
+    |mean| and |var - 1| of the last forward's normalized output (0 before
+    the first). They are computed from the cached batch when read, so a
+    forward pays for none of it.
     """
 
-    def __init__(self, dim, momentum=0.9, eps=1e-12):
+    def __init__(self, dim, eps=1e-12):
         self.gamma = np.ones(dim, dtype=np.float64)
         self.shift = np.zeros(dim, dtype=np.float64)
-        self.running_mean = np.zeros(dim, dtype=np.float64)
-        self.running_var = np.ones(dim, dtype=np.float64)
-        self.momentum = momentum
         self.eps = eps
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_shift = np.zeros_like(self.shift)
@@ -146,22 +143,15 @@ class BatchNorm:
     def last_norm_var_err(self):
         return 0.0 if self._norm is None else float(np.abs(self._norm.var(axis=0) - 1.0).max())
 
-    def forward(self, x, train=True, update_running=True):
-        if train:
-            if x.shape[0] < 2:
-                raise ValueError("batch norm in train mode needs batch size >= 2")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            norm = (x - mean) * inv_std
-            self._norm = norm
-            self._inv_std = inv_std
-            if update_running:
-                m = self.momentum
-                self.running_mean = m * self.running_mean + (1.0 - m) * mean
-                self.running_var = m * self.running_var + (1.0 - m) * var
-            return self.gamma * norm + self.shift
-        norm = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
+    def forward(self, x):
+        if x.shape[0] < 2:
+            raise ValueError("batch norm needs batch size >= 2")
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        norm = (x - mean) * inv_std
+        self._norm = norm
+        self._inv_std = inv_std
         return self.gamma * norm + self.shift
 
     def backward(self, grad, input_grad=True, param_grads=True):
@@ -190,10 +180,10 @@ class Mlp:
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def forward(self, x, train=True, update_running=True):
+    def forward(self, x):
         out = x if sparse.issparse(x) else np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            out = layer.forward(out, train=train, update_running=update_running)
+            out = layer.forward(out)
         return out
 
     def backward(self, grad, input_grad=True, param_grads=True):
@@ -271,7 +261,8 @@ def gradient_check(networks, loss_fn, h=1e-5, atol=1e-7):
     ``networks`` is one Mlp or a sequence of them; ``loss_fn()`` must return
     the scalar loss for the current parameters and leave matching analytic
     gradients on the layers (so it runs forward and backward on a fixed
-    batch, with ``update_running=False`` anywhere batch norm is involved).
+    batch; batch norm normalizes by that batch, so no state carries over
+    from one evaluation to the next).
     Entry pairs whose absolute difference is below ``atol`` count as exact,
     which keeps round-off noise on true-zero gradients from dominating.
     """

@@ -178,7 +178,7 @@ def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "Walk pairs of 12 nodes need about 0.0 GB (480 walks of 8 steps, 6720 pairs)" in err
     assert "lower --walks, --walk-length or --context" in err
-    assert not (out / "embedding.txt").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["ppmi", "features-file"])
@@ -504,6 +504,8 @@ def test_sweep_records_failures_and_continues(ring, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["failures"]) == 1
     assert manifest["failures"][0]["point"] == {"walk_length": 1000000000000}
+    assert not (out / "point_000").exists()
+    assert (out / "point_001" / "embedding.txt").is_file()
 
 
 @pytest.mark.parametrize(

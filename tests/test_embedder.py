@@ -210,7 +210,7 @@ def test_idw_row_gradients_match_scatter_reference():
         """Linear stand-in for a generator: feature rows are one-hot, so a
         node's output is its row of ``table``; backward keeps its input."""
 
-        def forward(self, x, train=True, update_running=True):
+        def forward(self, x):
             return x @ table
 
         def backward(self, grad, input_grad=True):
@@ -271,7 +271,7 @@ def test_discriminator_loss_saturated_perfect():
         def __init__(self):
             self.grad = np.zeros(1)
 
-        def forward(self, x, train=True, update_running=True):
+        def forward(self, x):
             return np.where(x.sum(axis=1, keepdims=True) > 0, 800.0, -800.0)
 
         def backward(self, grad, input_grad=True):
@@ -298,7 +298,7 @@ def test_discriminator_parameter_gradients_bit_equal_with_input_gradients():
     def reference(disc):
         grads = []
         for z, sign in ((real, -1.0), (fake, 1.0)):
-            p = sigmoid(disc.forward(z, train=True))
+            p = sigmoid(disc.forward(z))
             inside = (p > embedder.PROB_CLAMP) & (p < 1.0 - embedder.PROB_CLAMP)
             grad = np.where(inside, p - (sign < 0), 0.0) / z.shape[0]
             assert disc.backward(grad) is not None
@@ -337,7 +337,7 @@ def test_directional_signs_higher_d_output_helps_both_sides():
     # with the fake side saturated low, raising D's output lowers disc loss
     low, high = biased_disc(-20.0), biased_disc(-19.0)
     z = np.random.default_rng(8).uniform(-1, 1, size=(6, 3))
-    fake = gen.forward(x, train=True, update_running=False)
+    fake = gen.forward(x)
     assert discriminator_loss(high, z, fake) < discriminator_loss(low, z, fake)
     # raising D's output on embeddings lowers the generator loss
     assert generator_adversarial_loss(gen, high, x) < generator_adversarial_loss(gen, low, x)
@@ -383,7 +383,7 @@ def test_dae_all_zero_rows_zero_loss():
 class SpyNet:
     """Stands in for a network: keeps its input and passes it on densified."""
 
-    def forward(self, inp, train=True, update_running=True):
+    def forward(self, inp):
         self.input = inp
         return inp.toarray() if sparse.issparse(inp) else inp.copy()
 
@@ -659,11 +659,12 @@ def test_discriminator_drifts_toward_equilibrium_on_karate():
     )
     trainer = Trainer(graph, cfg)
     emb, log = trainer.run()
-    # held-out judgment: fresh prior draws vs final embeddings
+    # held-out judgment: fresh prior draws vs final embeddings, each side
+    # normalized by its own batch statistics as in training
     rng = np.random.default_rng(123)
     z = trainer.prior.sample(rng, 256, cfg.dim)
-    p_real = sigmoid(trainer.disc.forward(z, train=False))
-    p_fake = sigmoid(trainer.disc.forward(emb.vectors, train=False))
+    p_real = sigmoid(trainer.disc.forward(z))
+    p_fake = sigmoid(trainer.disc.forward(emb.vectors))
     acc = 0.5 * ((p_real > 0.5).mean() + (p_fake <= 0.5).mean())
     assert 0.3 <= acc <= 0.7
     # structure loss fell below its starting level
@@ -681,6 +682,26 @@ def test_embeddings_inference_mode_stable():
     a = trainer.embeddings().vectors
     b = trainer.embeddings().vectors
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("model", ["dae", "aidw"])
+def test_embeddings_normalize_by_all_feature_rows(model):
+    g = ring_graph(10)
+    cfg = TrainConfig(
+        model=model, dim=3, epochs=2, batch_size=4, adv_batch_size=4,
+        walks_per_node=2, walk_length=6, context_size=2, seed=4,
+    )
+    trainer = Trainer(g, cfg)
+    emb, _ = trainer.run()
+    dense, act, bn = trainer.gen_g.layers
+    # the batch-norm input over all N rows: the export's population
+    var = act.forward(dense.forward(trainer.features)).var(axis=0)
+    assert np.abs(bn.shift).max() > 1e-4 and np.abs(bn.gamma - 1.0).max() > 1e-4
+    np.testing.assert_allclose(emb.vectors.mean(axis=0), bn.shift, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        emb.vectors.var(axis=0), bn.gamma**2 * var / (var + bn.eps), rtol=1e-12, atol=0
+    )
+    np.testing.assert_array_equal(trainer.embeddings().vectors, emb.vectors)
 
 
 # training log and embedding files

@@ -143,13 +143,10 @@ def test_batchnorm_drift_reads_the_last_train_mode_forward():
     a = rng.normal(loc=3.0, scale=2.0, size=(32, 4))
     bn.forward(a)
     assert (bn.last_norm_mean_abs, bn.last_norm_var_err) == drift(a)
-    # an eval-mode forward leaves the values of the last train-mode one
-    bn.forward(rng.normal(size=(16, 4)), train=False)
-    assert (bn.last_norm_mean_abs, bn.last_norm_var_err) == drift(a)
     # a constant feature normalizes to 0, so its variance is 1 off
     c = rng.normal(size=(8, 4))
     c[:, 2] = 5.0
-    bn.forward(c, update_running=False)
+    bn.forward(c)
     assert (bn.last_norm_mean_abs, bn.last_norm_var_err) == drift(c)
     assert bn.last_norm_var_err == 1.0
 
@@ -159,29 +156,13 @@ def test_batchnorm_batch_of_one_rejected():
         BatchNorm(2).forward(np.zeros((1, 2)))
 
 
-def test_batchnorm_running_stats_ema():
-    bn = BatchNorm(2, momentum=0.9)
-    x = np.array([[0.0, 10.0], [2.0, 14.0]])
-    bn.forward(x)
-    np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=0))
-    np.testing.assert_allclose(bn.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=0))
-
-
-def test_batchnorm_update_running_flag():
-    bn = BatchNorm(2)
-    before = (bn.running_mean.copy(), bn.running_var.copy())
-    bn.forward(np.random.default_rng(7).normal(size=(8, 2)), update_running=False)
-    np.testing.assert_array_equal(bn.running_mean, before[0])
-    np.testing.assert_array_equal(bn.running_var, before[1])
-
-
 def test_batchnorm_infer_mode_pure():
     rng = np.random.default_rng(8)
     bn = BatchNorm(3)
-    bn.forward(rng.normal(size=(32, 3)))  # populate running stats
+    bn.forward(rng.normal(size=(32, 3)))  # leaves nothing the next forward reads
     x = rng.normal(size=(4, 3))
-    a = bn.forward(x, train=False)
-    b = bn.forward(x, train=False)
+    a = bn.forward(x)
+    b = bn.forward(x)
     np.testing.assert_array_equal(a, b)
 
 
@@ -195,7 +176,7 @@ def test_batchnorm_gradients_match_finite_differences():
     target = rng.normal(size=(10, 3))
 
     def loss_fn():
-        out = net.forward(x, train=True, update_running=False)
+        out = net.forward(x)
         net.backward(2.0 * (out - target) / out.size)
         return float(((out - target) ** 2).mean())
 
@@ -210,10 +191,10 @@ def test_backward_without_input_grad_keeps_parameter_gradients(first):
     x = rng.normal(size=(7, 4))
     g = rng.normal(size=(7, 3))
 
-    net.forward(x, update_running=False)
+    net.forward(x)
     assert net.backward(g).shape == x.shape
     full = [a.copy() for a in net.gradients()]
-    net.forward(x, update_running=False)
+    net.forward(x)
     assert net.backward(g, input_grad=False) is None
     for a, b in zip(full, net.gradients()):
         np.testing.assert_array_equal(a, b)
@@ -225,12 +206,12 @@ def test_backward_without_param_grads_keeps_input_gradient():
     x = rng.normal(size=(6, 4))
     g1, g2 = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
 
-    net.forward(x, update_running=False)
+    net.forward(x)
     want = net.backward(g2)
-    net.forward(x, update_running=False)
+    net.forward(x)
     net.backward(g1)
     before = [a.copy() for a in net.gradients()]
-    net.forward(x, update_running=False)
+    net.forward(x)
     np.testing.assert_array_equal(net.backward(g2, param_grads=False), want)
     for a, b in zip(before, net.gradients()):
         np.testing.assert_array_equal(a, b)  # the g1 gradients are left in place
@@ -243,11 +224,11 @@ def test_batchnorm_input_gradient_matches_finite_differences():
     x = rng.normal(size=(6, 2))
     target = rng.normal(size=(6, 2))
 
-    out = bn.forward(x, update_running=False)
+    out = bn.forward(x)
     grad_in = bn.backward(2.0 * (out - target) / out.size)
 
     def loss_at(xv):
-        o = BatchNorm(2).forward(xv, update_running=False)
+        o = BatchNorm(2).forward(xv)
         return float(((o - target) ** 2).mean())
 
     h = 1e-5
