@@ -38,8 +38,8 @@ from .walker import batch_bounds, iter_batches, negative_sampler, positive_pairs
 
 # discriminator probabilities are clamped here before taking logs
 PROB_CLAMP = 1e-12
-# Pairs whose negative scores are computed at once: the (pairs, k, d) gather
-# of their negative rows stays small.
+# Pairs whose scores are computed at once: the (pairs, k + 1, d) gather of
+# their context and negative rows stays small.
 NEG_BLOCK = 256
 
 PRIOR_KINDS = ("uniform", "gaussian")
@@ -244,46 +244,40 @@ def idw_batch_loss(gen_g, gen_f, batch, features):
 
     Each generator runs once on the batch's unique rows of ``features`` (a
     CSR array in training), so batch-norm statistics are over distinct
-    nodes. Row gradients come from sparse products: ``W`` (unique context
-    rows x pairs) holds each pair's positive and negative score gradients at
-    its context rows, summing repeats, and ``T`` (unique target rows x
-    pairs) is one-hot, so context rows get ``W @ u`` and target rows
-    ``T @ (W.T @ v_rows)``.
+    nodes. The ``k + 1`` scores of each pair (its context, then its ``k``
+    negatives) are taken straight from the unique output rows,
+    ``NEG_BLOCK`` pairs at a time. One sparse coupling matrix ``C`` (unique
+    context rows x unique target rows) sums each pair's score gradients at
+    its (context, target) entries, so context rows get ``C @ u_rows`` and
+    target rows ``C.T @ v_rows``. No array holds a row per pair: besides the
+    unique rows, the step keeps a few numbers per score and one block's
+    gathered rows.
     """
+    b, k = batch.negatives.shape
     tgt_nodes, tgt_pos = np.unique(batch.targets, return_inverse=True)
-    ctx_flat = np.concatenate([batch.contexts, batch.negatives.ravel()])
-    ctx_nodes, ctx_pos = np.unique(ctx_flat, return_inverse=True)
+    # column 0: the pair's context, then its negatives
+    ctx_nodes, ctx_pos = np.unique(
+        np.column_stack([batch.contexts, batch.negatives]), return_inverse=True
+    )
+    ctx_pos = ctx_pos.reshape(b, k + 1)
 
     u_rows = gen_g.forward(features[tgt_nodes])
     v_rows = gen_f.forward(features[ctx_nodes])
 
-    b, k = batch.negatives.shape
-    u = u_rows[tgt_pos]
-    pos_idx = ctx_pos[:b]
-    neg_idx = ctx_pos[b:].reshape(b, k)
-
-    pos_scores = (u * v_rows[pos_idx]).sum(axis=1)
-    neg_scores = np.empty((b, k))
+    scores = np.empty((b, k + 1))
     for start in range(0, b, NEG_BLOCK):
         rows = slice(start, start + NEG_BLOCK)
-        neg_scores[rows] = np.matmul(v_rows[neg_idx[rows]], u[rows, :, None])[:, :, 0]
-    loss, grad_pos, grad_neg = sgns_loss_from_scores(pos_scores, neg_scores)
+        scores[rows] = np.matmul(v_rows[ctx_pos[rows]], u_rows[tgt_pos[rows], :, None])[:, :, 0]
+    loss, grad_pos, grad_neg = sgns_loss_from_scores(scores[:, 0], scores[:, 1:])
 
-    # column p of W: the context row of pair p, then its k negative rows
-    w = sparse.csc_array(
-        (
-            np.column_stack([grad_pos, grad_neg]).ravel(),
-            np.column_stack([pos_idx, neg_idx]).ravel(),
-            np.arange(0, b * (k + 1) + 1, k + 1),
-        ),
-        shape=(ctx_nodes.size, b),
+    # the score gradients, written over the scores
+    scores[:, 0], scores[:, 1:] = grad_pos, grad_neg
+    coupling = sparse.csr_array(
+        (scores.ravel(), (ctx_pos.ravel(), np.repeat(tgt_pos, k + 1))),
+        shape=(ctx_nodes.size, tgt_nodes.size),
     )
-    t = sparse.csc_array((np.ones(b), tgt_pos, np.arange(b + 1)), shape=(tgt_nodes.size, b))
-    grad_v_rows = w @ u
-    grad_u_rows = t @ (w.T @ v_rows)
-
-    gen_g.backward(grad_u_rows, input_grad=False)
-    gen_f.backward(grad_v_rows, input_grad=False)
+    gen_g.backward(coupling.T @ v_rows, input_grad=False)
+    gen_f.backward(coupling @ u_rows, input_grad=False)
     return loss
 
 
@@ -399,16 +393,30 @@ class SkipGram:
 
     @staticmethod
     def check_fits(graph, config):
-        """Raise ``GraphError`` when the walk corpus and its pairs cannot fit in
-        physical memory; needs only the node count and the config."""
-        walks = graph.num_nodes * config.walks_per_node
+        """Raise ``GraphError`` when the walk corpus and its pairs, or the
+        pairs and the largest batch's step, cannot fit in physical memory;
+        needs only the node count and the config."""
+        n = graph.num_nodes
+        walks = n * config.walks_per_node
         pairs = 2 * walks * sum(config.walk_length - off for off in range(1, config.context_size))
-        # the int64 corpus, then two int32 arrays of pairs and each epoch's int64 order
+        # the int64 corpus, then two int32 arrays of pairs and each epoch's int32 order
         check_memory(
-            8 * walks * config.walk_length + 16 * pairs,
-            f"Walk pairs of {graph.num_nodes} nodes",
+            8 * walks * config.walk_length + 12 * pairs,
+            f"Walk pairs of {n} nodes",
             f"{walks} walks of {config.walk_length} steps, {pairs} pairs",
             "lower --walks, --walk-length or --context",
+        )
+        # a step holds about 64 bytes per score slot (a pair's context and
+        # negatives) and eight d-wide float64 arrays per distinct row of
+        # either generator
+        batch = min(config.batch_size, pairs)
+        slots = batch * (config.negatives + 1)
+        rows = min(n, batch) + min(n, slots)
+        check_memory(
+            12 * pairs + 64 * slots + 64 * config.dim * rows,
+            f"Skip-gram batches of {n} nodes",
+            f"{pairs} pairs, a batch of {batch} pairs with {config.negatives} negatives each",
+            "lower --batch or --negatives",
         )
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
@@ -655,15 +663,16 @@ def train(graph, config, features=None):
 
 def export_embeddings(embedding, path):
     """Write embeddings as text: ``N d`` header, then one node per line with
-    its external id and coordinates at 17 significant digits."""
+    its external id and coordinates at 17 significant digits. Rows become
+    Python floats one at a time, so the text costs no whole-matrix list."""
     vecs = embedding.vectors
     if not np.isfinite(vecs).all():
         raise ValueError("embedding matrix contains non-finite values")
     line = "%s" + " %.17g" * vecs.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{vecs.shape[0]} {vecs.shape[1]}\n")
-        for node_id, row in zip(embedding.ids, vecs.tolist()):
-            fh.write(line % (node_id, *row))
+        for node_id, row in zip(embedding.ids, vecs):
+            fh.write(line % (node_id, *row.tolist()))
 
 
 def load_embeddings(path):

@@ -87,18 +87,32 @@ class DenseLayer:
 
 
 class LeakyRelu:
-    """y = x for x > 0 else slope * x."""
+    """y = x for x > 0 else slope * x.
+
+    Only the boolean mask ``x > 0`` is cached; forward and backward rebuild
+    the scale ``mask * (1 - slope) + slope`` in the array they return. That
+    is exactly 1 or ``slope`` only when ``(1 - slope) + slope == 1``, so
+    other slopes are rejected.
+    """
 
     def __init__(self, slope=0.2):
+        if (1.0 - slope) + slope != 1.0:
+            raise ValueError(f"slope {slope!r} does not round to a scale of exactly 1 and slope")
         self.slope = slope
-        self._scale = None
+        self._mask = None
+
+    def _scaled(self, x):
+        out = self._mask * (1.0 - self.slope)
+        out += self.slope
+        out *= x
+        return out
 
     def forward(self, x):
-        self._scale = np.where(x > 0, 1.0, self.slope)
-        return x * self._scale
+        self._mask = x > 0
+        return self._scaled(x)
 
     def backward(self, grad, input_grad=True, param_grads=True):
-        return grad * self._scale if input_grad else None
+        return self._scaled(grad) if input_grad else None
 
     def parameters(self):
         return []
@@ -146,26 +160,40 @@ class BatchNorm:
     def forward(self, x):
         if x.shape[0] < 2:
             raise ValueError("batch norm needs batch size >= 2")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        # the arithmetic of x.var, with the centred batch kept for the output
+        norm = x - x.mean(axis=0)
+        out = np.square(norm)
+        var = out.sum(axis=0)
+        var /= x.shape[0]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        norm = (x - mean) * inv_std
+        norm *= inv_std
         self._norm = norm
         self._inv_std = inv_std
-        return self.gamma * norm + self.shift
+        np.multiply(self.gamma, norm, out=out)
+        out += self.shift
+        return out
 
     def backward(self, grad, input_grad=True, param_grads=True):
         norm, inv_std = self._norm, self._inv_std
         b = grad.shape[0]
+        tmp = None
         if param_grads:
-            self.grad_gamma = (grad * norm).sum(axis=0)
+            tmp = grad * norm
+            self.grad_gamma = tmp.sum(axis=0)
             self.grad_shift = grad.sum(axis=0)
         if not input_grad:
             return None
+        # (inv_std / b) * (b * dnorm - dnorm.sum(0) - norm * (dnorm * norm).sum(0)),
+        # term by term in two temporaries
         dnorm = grad * self.gamma
-        return (inv_std / b) * (
-            b * dnorm - dnorm.sum(axis=0) - norm * (dnorm * norm).sum(axis=0)
-        )
+        dnorm_sum = dnorm.sum(axis=0)
+        tmp = np.multiply(dnorm, norm, out=tmp)
+        np.multiply(norm, tmp.sum(axis=0), out=tmp)
+        dnorm *= b
+        dnorm -= dnorm_sum
+        dnorm -= tmp
+        dnorm *= inv_std / b
+        return dnorm
 
     def parameters(self):
         return [self.gamma, self.shift]

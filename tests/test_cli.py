@@ -162,7 +162,7 @@ def test_ppmi_features_over_memory_exit_2_before_training(
 
 def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
     # 40 walks of 8 steps from 12 nodes: 30 720 corpus bytes and 6 720 pairs
-    # of 16 bytes; the PPMI steps of the ring need under 6 kB
+    # of 12 bytes; the PPMI steps of the ring need under 6 kB
     def no_walks(*args, **kwargs):
         raise AssertionError("walks sampled past the memory check")
 
@@ -178,6 +178,30 @@ def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "Walk pairs of 12 nodes need about 0.0 GB (480 walks of 8 steps, 6720 pairs)" in err
     assert "lower --walks, --walk-length or --context" in err
+    assert not out.exists()
+
+
+def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
+    # 24 walks of 8 steps from 12 nodes: 1 536 corpus bytes and 336 pairs of
+    # 12 bytes fit in 50 kB. A batch of 64 pairs with 5 negatives needs about
+    # 35 kB with the pairs; --batch 100000 takes all 336 pairs, about 139 kB
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 50_000)
+    edges, _ = ring
+    assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST) == 0
+    capsys.readouterr()
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks sampled past the memory check")
+
+    monkeypatch.setattr(embedder, "random_walks", no_walks)
+    out = tmp_path / "o"
+    assert run_cli("embed", edges, "--out", out, *FAST, "--batch", "100000") == 2
+    err = capsys.readouterr().err
+    assert (
+        "Skip-gram batches of 12 nodes need about 0.0 GB "
+        "(336 pairs, a batch of 336 pairs with 5 negatives each)" in err
+    )
+    assert "lower --batch or --negatives" in err
     assert not out.exists()
 
 

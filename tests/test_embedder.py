@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,25 @@ def test_idw_row_gradients_match_scatter_reference():
     assert loss == ref_loss
     np.testing.assert_allclose(gen_g.grad, grad_u_rows, rtol=1e-12, atol=0)
     np.testing.assert_allclose(gen_f.grad, grad_v_rows, rtol=1e-12, atol=0)
+
+
+def test_idw_step_holds_no_array_with_a_row_per_pair():
+    # B = 8192 pairs over 200 nodes: the unique rows are few, so a B x d
+    # float64 array (8.4 MB) alone would exceed the whole step's peak
+    b, k, d, n = 8192, 5, 128, 200
+    rng = np.random.default_rng(17)
+    feats = sparse.csr_array(rng.random((n, n)) * (rng.random((n, n)) < 0.05))
+    gen_g, gen_f = build_generator(n, d, rng), build_generator(n, d, rng)
+    batch = tiny_batch(rng, n, b, k)
+    idw_batch_loss(gen_g, gen_f, batch, feats)  # warm up: gradients and caches exist
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idw_batch_loss(gen_g, gen_f, batch, feats)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < b * d * 8
 
 
 # adversarial losses
@@ -735,6 +755,17 @@ def test_export_roundtrip_and_idempotence(tmp_path):
     p2 = tmp_path / "b.emb"
     export_embeddings(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_export_bytes_equal_whole_matrix_formatting(tmp_path):
+    vectors = np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308], [0.1, -0.1, 1.0 / 3.0]])
+    emb = EmbeddingMatrix(vectors=vectors, ids=["a", "b", "c"])
+    path = tmp_path / "e.emb"
+    export_embeddings(emb, path)
+    line = "%s" + " %.17g" * 3 + "\n"
+    want = "3 3\n" + "".join(line % (i, *row) for i, row in zip(emb.ids, vectors.tolist()))
+    assert path.read_bytes() == want.encode()
+    assert path.read_text().splitlines()[1] == "a 0 -0 4.9406564584124654e-324"
 
 
 def test_export_rejects_nonfinite(tmp_path):

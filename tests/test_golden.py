@@ -56,6 +56,17 @@ batch and normalizes by their exact statistics, where it used to
 normalize by a moving average of the training batches'. Training never
 read the running averages, so every ``training_log.txt`` stayed
 byte-identical; only ``embedding.txt`` moved.
+
+The eight idw and aidw digests were recorded again when the skip-gram step
+stopped building arrays with a row per pair. Each pair's positive score is
+now the first column of the same batched ``np.matmul`` as its negative
+scores, where it used to be an elementwise product summed along the row.
+Both row gradients now come from one coupling matrix (unique context rows x
+unique target rows) that sums each pair's score gradients per entry, so
+``C.T @ v_rows`` gives the target rows. The old code took ``W.T @ v_rows``
+per pair and then summed the pairs of each target. The eight dae and adae
+digests did not move. Neither did any digest when batch norm and leaky ReLU
+started allocating less, or when the epoch's pair order moved to int32.
 """
 
 import ctypes
@@ -80,20 +91,20 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0 SkylakeX"
 
 DIGESTS = {
-    "karate-unweighted-idw": "5d1e8313fa3c617d741b04f4473dfd12e93e3011ee115f27f8e414289195b92b",
-    "karate-unweighted-aidw": "52b81349a00ff9b1a07239642c4f31302b8017ff0260abe57d57f3bcfd834c55",
+    "karate-unweighted-idw": "8ff5ef3ee9496abfad63fc4c0bb430833e0703d0f20ecd6674e8c366eba3406c",
+    "karate-unweighted-aidw": "c249ed0dd58980bd116de06005d5071cd1180a9459b1f91225d045f4a402dfbc",
     "karate-unweighted-dae": "b32b60c6219bce335f08802feb0d468bb75ae5231f7c397c94f4c3ebe8fb9294",
     "karate-unweighted-adae": "99392e408b13ece7a77172c24b741458684bc35b2a69e6ba10bbaa178b184f29",
-    "karate-weighted-idw": "5d1e8313fa3c617d741b04f4473dfd12e93e3011ee115f27f8e414289195b92b",
-    "karate-weighted-aidw": "52b81349a00ff9b1a07239642c4f31302b8017ff0260abe57d57f3bcfd834c55",
+    "karate-weighted-idw": "8ff5ef3ee9496abfad63fc4c0bb430833e0703d0f20ecd6674e8c366eba3406c",
+    "karate-weighted-aidw": "c249ed0dd58980bd116de06005d5071cd1180a9459b1f91225d045f4a402dfbc",
     "karate-weighted-dae": "b32b60c6219bce335f08802feb0d468bb75ae5231f7c397c94f4c3ebe8fb9294",
     "karate-weighted-adae": "99392e408b13ece7a77172c24b741458684bc35b2a69e6ba10bbaa178b184f29",
-    "weighted-unweighted-idw": "e25d10350ebc7c62d257cfcdc479786c81f7d578d3dd30fbdcb92188810ead25",
-    "weighted-unweighted-aidw": "56792dbd1eda86772b4290a8cbfe484e185c9e5e5570884ac8193ebb84e44350",
+    "weighted-unweighted-idw": "e36eb38b36f22e78fa1c8f122df8360d0bf0ab0b4a032330f7c01da601ed7451",
+    "weighted-unweighted-aidw": "81a2367729633b014979c763cb0627a52cbbdfd07c5fb5ea644ea6cec5c742dc",
     "weighted-unweighted-dae": "2f3ae1c239c423ef4124a48aa72e59442a815d4a8a48c509529eba638f023be9",
     "weighted-unweighted-adae": "7b3595b869881ff77679b8783a893667a820d35d13e0e241fb730509c7e283ef",
-    "weighted-weighted-idw": "2408a56a18c7ecf86efdd6f46d52e306c99a2e791f8d41401715971f04360c92",
-    "weighted-weighted-aidw": "59a99153255525799e265c790c89cbb85b905313c873ecb20ee7600891b63413",
+    "weighted-weighted-idw": "b6c70d3df1e9f471e7c065ed2c8125a8d1246601b18df28e551795e6d2ebd2d0",
+    "weighted-weighted-aidw": "a0ca19ef4a530b86db651f257eff3f5b2745b0c978ee810b44da548eec8a8e20",
     "weighted-weighted-dae": "14358a7d7fdf6ef413276ae9d6f554ac2ba56aa738c9c3be441e3e9ac5b817d0",
     "weighted-weighted-adae": "c3ab43bb82c80c5c7e13027f5e6e81e13a0be51e6601375bc91548059fd7af15",
 }

@@ -105,6 +105,44 @@ def test_leaky_relu_values_and_grad():
     np.testing.assert_array_equal(grad, [[1.0, 0.2, 0.2]])
 
 
+def signed_bits(a):
+    """The raw float64 bits, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# zeros of both signs, a constant column and a 2-row batch
+EDGE_BATCHES = [
+    np.array([[0.0, -0.0, 3.0, 1e-300], [-0.0, 0.0, -2.5, -1e-300], [0.0, -0.0, 3.0, 7.0]]),
+    np.array([[1.5, -0.0, 4.0], [-2.0, 0.0, 4.0]]),
+    np.random.default_rng(14).normal(size=(37, 40)),
+]
+
+
+@pytest.mark.parametrize("x", EDGE_BATCHES)
+def test_leaky_relu_bit_equal_to_where_scale_and_caches_a_bool_mask(x):
+    act = LeakyRelu(0.2)
+    scale = np.where(x > 0, 1.0, 0.2)
+    out = act.forward(x)
+    assert act._mask.dtype == np.bool_ and act._mask.shape == x.shape
+    np.testing.assert_array_equal(signed_bits(out), signed_bits(x * scale))
+    grad = np.random.default_rng(15).normal(size=x.shape)
+    grad[0] = [-0.0] * x.shape[1]
+    np.testing.assert_array_equal(signed_bits(act.backward(grad)), signed_bits(grad * scale))
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 0.5, 1.0])
+def test_leaky_relu_scale_is_exactly_one_or_slope(slope):
+    act = LeakyRelu(slope)
+    act.forward(np.array([[2.0, -2.0]]))
+    np.testing.assert_array_equal(act.backward(np.ones((1, 2))), [[1.0, slope]])
+
+
+@pytest.mark.parametrize("slope", [1e20, -0.9073248041278822, float("nan")])
+def test_leaky_relu_rejects_a_slope_whose_scale_does_not_round_to_one(slope):
+    with pytest.raises(ValueError, match="slope"):
+        LeakyRelu(slope)
+
+
 # batch norm
 
 
@@ -149,6 +187,37 @@ def test_batchnorm_drift_reads_the_last_train_mode_forward():
     bn.forward(c)
     assert (bn.last_norm_mean_abs, bn.last_norm_var_err) == drift(c)
     assert bn.last_norm_var_err == 1.0
+
+
+@pytest.mark.parametrize("x", EDGE_BATCHES)
+@pytest.mark.parametrize("param_grads", [True, False])
+def test_batchnorm_bit_equal_to_the_whole_expressions(x, param_grads):
+    rng = np.random.default_rng(16)
+    bn = BatchNorm(x.shape[1])
+    bn.gamma[:] = rng.uniform(0.5, 1.5, size=x.shape[1])
+    bn.shift[:] = rng.normal(size=x.shape[1])
+    grad = rng.normal(size=x.shape)
+    grad[-1] = [-0.0] * x.shape[1]
+    before = x.copy(), grad.copy()
+
+    mean, var = x.mean(axis=0), x.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    norm = (x - mean) * inv_std
+    b = x.shape[0]
+    dnorm = grad * bn.gamma
+    want_in = (inv_std / b) * (b * dnorm - dnorm.sum(axis=0) - norm * (dnorm * norm).sum(axis=0))
+
+    out = bn.forward(x)
+    np.testing.assert_array_equal(signed_bits(out), signed_bits(bn.gamma * norm + bn.shift))
+    np.testing.assert_array_equal(signed_bits(bn._norm), signed_bits(norm))
+    got_in = bn.backward(grad, param_grads=param_grads)
+    np.testing.assert_array_equal(signed_bits(got_in), signed_bits(want_in))
+    if param_grads:
+        np.testing.assert_array_equal(bn.grad_gamma, (grad * norm).sum(axis=0))
+        np.testing.assert_array_equal(bn.grad_shift, grad.sum(axis=0))
+    # the inputs are not written over
+    np.testing.assert_array_equal(x, before[0])
+    np.testing.assert_array_equal(grad, before[1])
 
 
 def test_batchnorm_batch_of_one_rejected():

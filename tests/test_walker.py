@@ -332,6 +332,23 @@ def test_batches_deterministic_by_seed():
     assert collect(5) != collect(6)
 
 
+@pytest.mark.parametrize("n", [10, 4_099, 65_536])
+def test_batch_order_is_rng_permutation_of_the_same_seed(n):
+    # the targets name each pair's index, so the batches spell out the order
+    targets = np.arange(n, dtype=np.int32)
+    table = AliasTable([1, 2, 3])
+    batches = list(iter_batches(targets, targets, table, 2, 1_000, np.random.default_rng(7)))
+    rng = np.random.default_rng(7)
+    np.testing.assert_array_equal(
+        np.concatenate([b.targets for b in batches]), rng.permutation(n)
+    )
+    # the stream is left where rng.permutation leaves it, so negatives are unchanged
+    first = batches[0]
+    np.testing.assert_array_equal(
+        first.negatives, table.sample(rng, np.zeros((len(first), 2), dtype=np.int64))
+    )
+
+
 @pytest.mark.parametrize("shared", ["targets", "contexts"])
 def test_batches_sharing_one_node_are_folded(shared):
     # 25 of 30 pairs share node 0 on one side; the other side names the pair
