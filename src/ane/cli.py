@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .embedder import (
+    ARITHMETIC,
     MODEL_KINDS,
     PRIOR_KINDS,
     TrainConfig,
@@ -205,6 +206,8 @@ def _train_and_write(graph, cfg, out_dir, dataset_meta, features=None):
             "config": asdict(cfg),
             "config_digest": cfg.digest(),
             "graph": {"nodes": len(graph), "edges": graph.num_edges()},
+            # informational: a replay reads only the config and the dataset
+            "arithmetic": dict(ARITHMETIC),
             "artifacts": {
                 "embedding": "embedding.txt",
                 "training_log": "training_log.txt",

@@ -44,6 +44,17 @@ NEG_BLOCK = 256
 
 PRIOR_KINDS = ("uniform", "gaussian")
 
+# dtype of the trained networks and of the rows they read in training; the
+# losses, the batch-norm statistics and the export are float64
+TRAIN_DTYPE = np.float32
+# the arithmetic above, as run manifests record it
+ARITHMETIC = {
+    "networks": TRAIN_DTYPE.__name__,
+    "batch_norm_statistics": "float64",
+    "losses": "float64",
+    "export": "float64",
+}
+
 
 class TrainingDiverged(RuntimeError):
     """A loss became non-finite; the run is unusable. The message names the
@@ -200,29 +211,31 @@ class EmbeddingMatrix:
         return self.vectors.shape[1]
 
 
-def build_generator(in_dim, out_dim, rng):
+def build_generator(in_dim, out_dim, rng, dtype=np.float64):
     """Single dense layer with leaky ReLU and batch norm on the output."""
-    return Mlp([DenseLayer(in_dim, out_dim, rng), LeakyRelu(), BatchNorm(out_dim)])
+    return Mlp(
+        [DenseLayer(in_dim, out_dim, rng, dtype), LeakyRelu(), BatchNorm(out_dim, dtype=dtype)]
+    )
 
 
-def build_discriminator(in_dim, rng, hidden=512):
+def build_discriminator(in_dim, rng, hidden=512, dtype=np.float64):
     """Hidden structure 512-512-1; sigmoid is applied by the loss functions."""
     return Mlp(
         [
-            DenseLayer(in_dim, hidden, rng),
+            DenseLayer(in_dim, hidden, rng, dtype),
             LeakyRelu(),
-            BatchNorm(hidden),
-            DenseLayer(hidden, hidden, rng),
+            BatchNorm(hidden, dtype=dtype),
+            DenseLayer(hidden, hidden, rng, dtype),
             LeakyRelu(),
-            BatchNorm(hidden),
-            DenseLayer(hidden, 1, rng),
+            BatchNorm(hidden, dtype=dtype),
+            DenseLayer(hidden, 1, rng, dtype),
         ]
     )
 
 
-def build_decoder(in_dim, out_dim, rng):
+def build_decoder(in_dim, out_dim, rng, dtype=np.float64):
     """Linear reconstruction head for the autoencoder models."""
-    return Mlp([DenseLayer(in_dim, out_dim, rng)])
+    return Mlp([DenseLayer(in_dim, out_dim, rng, dtype)])
 
 
 def sgns_loss_from_scores(pos_scores, neg_scores):
@@ -251,7 +264,8 @@ def idw_batch_loss(gen_g, gen_f, batch, features):
     its (context, target) entries, so context rows get ``C @ u_rows`` and
     target rows ``C.T @ v_rows``. No array holds a row per pair: besides the
     unique rows, the step keeps a few numbers per score and one block's
-    gathered rows.
+    gathered rows. Scores and their gradients are in the generators' dtype;
+    the loss is summed in float64.
     """
     b, k = batch.negatives.shape
     tgt_nodes, tgt_pos = np.unique(batch.targets, return_inverse=True)
@@ -264,7 +278,7 @@ def idw_batch_loss(gen_g, gen_f, batch, features):
     u_rows = gen_g.forward(features[tgt_nodes])
     v_rows = gen_f.forward(features[ctx_nodes])
 
-    scores = np.empty((b, k + 1))
+    scores = np.empty((b, k + 1), dtype=u_rows.dtype)
     for start in range(0, b, NEG_BLOCK):
         rows = slice(start, start + NEG_BLOCK)
         scores[rows] = np.matmul(v_rows[ctx_pos[rows]], u_rows[tgt_pos[rows], :, None])[:, :, 0]
@@ -284,7 +298,8 @@ def idw_batch_loss(gen_g, gen_f, batch, features):
 def _bce(logits, real):
     """Mean cross-entropy of discriminator logits against one label (``real``:
     prior samples, else embeddings) and its gradient in the logits. The
-    probabilities are clamped before the log; the gradient is 0 where it binds."""
+    probabilities are clamped before the log; the gradient is 0 where it binds.
+    Both are computed in float64; the gradient is returned in the logits' dtype."""
     p = sigmoid(logits)
     clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
@@ -294,7 +309,8 @@ def _bce(logits, real):
     else:
         loss = -np.log1p(-clamped).mean()
         grad = np.where(inside, p, 0.0)
-    return loss, grad / logits.shape[0]
+    grad /= logits.shape[0]
+    return loss, grad.astype(logits.dtype, copy=False)
 
 
 def discriminator_loss(disc, real_z, fake_u):
@@ -341,20 +357,21 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng):
     """Denoising reconstruction loss on a batch of clean feature rows.
 
     ``rows`` is a scipy sparse array without duplicate entries or a dense
-    array; it is taken as CSR and kept sparse through the encoder. Masking
-    noise sets ``n_mask = round(corruption * D)`` uniformly chosen entries of
-    each D-wide row to zero. Only the stored entries can change, so the law
-    is drawn on them alone: a row with ``s`` stored entries loses
-    ``Hypergeometric(s, D - s, n_mask)`` of them, a uniform subset of that
-    size, and each stored entry is killed with probability ``n_mask / D``.
+    array; it is taken as CSR in its own dtype and kept sparse through the
+    encoder. Masking noise sets ``n_mask = round(corruption * D)`` uniformly
+    chosen entries of each D-wide row to zero. Only the stored entries can
+    change, so the law is drawn on them alone: a row with ``s`` stored
+    entries loses ``Hypergeometric(s, D - s, n_mask)`` of them, a uniform
+    subset of that size, and each stored entry is killed with probability
+    ``n_mask / D``.
     Killed entries stay stored as zeros.
     The corrupted row is encoded and decoded, and the dense reconstruction
     is scored against the clean row with mean squared error over all D
-    entries, zeros included.
+    entries, zeros included, summed in float64.
     """
     if not 0.0 <= corruption < 1.0:
         raise ValueError(f"corruption must be in [0, 1), got {corruption}")
-    x = sparse.csr_array(rows, dtype=np.float64)
+    x = sparse.csr_array(rows)
     n, d = x.shape
     stored = np.diff(x.indptr)
     row_of = np.repeat(np.arange(n, dtype=np.int64), stored)
@@ -375,7 +392,7 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng):
     diff = decoder.forward(encoder.forward(corrupted))
     # recon - x: x is zero off its stored entries
     diff[row_of, x.indices] -= x.data
-    loss = float((diff * diff).mean())
+    loss = float((diff * diff).mean(dtype=np.float64))
     # the gradient of the loss in recon, written over diff
     diff *= 2.0
     diff /= diff.size
@@ -407,8 +424,9 @@ class SkipGram:
             "lower --walks, --walk-length or --context",
         )
         # a step holds about 64 bytes per score slot (a pair's context and
-        # negatives) and eight d-wide float64 arrays per distinct row of
-        # either generator
+        # negatives) and 64 bytes per dimension of each distinct row of either
+        # generator, the size of eight d-wide float64 arrays: an upper bound
+        # for the float32 networks, kept until a measurement sets a smaller one
         batch = min(config.batch_size, pairs)
         slots = batch * (config.negatives + 1)
         rows = min(n, batch) + min(n, slots)
@@ -422,8 +440,8 @@ class SkipGram:
     def __init__(self, graph, config, features, rng_init, rng_walks):
         self.config = config
         self.features = features
-        self.gen_g = build_generator(features.shape[1], config.dim, rng_init)
-        self.gen_f = build_generator(features.shape[1], config.dim, rng_init)
+        self.gen_g = build_generator(features.shape[1], config.dim, rng_init, TRAIN_DTYPE)
+        self.gen_f = build_generator(features.shape[1], config.dim, rng_init, TRAIN_DTYPE)
         self.nets = {"generator": self.gen_g, "context_generator": self.gen_f}
 
         corpus = random_walks(graph, config.walks_per_node, config.walk_length, rng_walks)
@@ -459,8 +477,8 @@ class Dae:
     def __init__(self, graph, config, features, rng_init, rng_walks):
         self.config = config
         self.features = features
-        self.gen_g = build_generator(features.shape[1], config.dim, rng_init)
-        self.decoder = build_decoder(config.dim, features.shape[1], rng_init)
+        self.gen_g = build_generator(features.shape[1], config.dim, rng_init, TRAIN_DTYPE)
+        self.decoder = build_decoder(config.dim, features.shape[1], rng_init, TRAIN_DTYPE)
         self.nets = {"generator": self.gen_g, "decoder": self.decoder}
         self.num_items = graph.num_nodes
 
@@ -499,6 +517,10 @@ class Trainer:
     adversarial phase does not shift the structure phase: an adversarial
     model with zero disc/gen steps reproduces its plain counterpart bit for
     bit under the same seed.
+
+    Every network is built in ``TRAIN_DTYPE`` (float32) and every step reads
+    ``train_features``, the float32 values of the float64 CSR ``features``;
+    :meth:`embeddings` reads ``features`` itself.
     """
 
     def __init__(self, graph, config, features=None):
@@ -527,14 +549,22 @@ class Trainer:
             raise ValueError(
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
             )
+        # the export reads the float64 rows; every training step reads their
+        # float32 values, which share the index arrays
         self.features = features
-        self.objective = objective(graph, config, features, self.rng_init, self.rng_walks)
+        self.train_features = sparse.csr_array(
+            (features.data.astype(TRAIN_DTYPE), features.indices, features.indptr),
+            shape=features.shape,
+        )
+        self.objective = objective(
+            graph, config, self.train_features, self.rng_init, self.rng_walks
+        )
         self.gen_g = self.objective.gen_g
         self.structure_nets = list(self.objective.nets.values())
 
         self.disc = None
         if config.adversarial:
-            self.disc = build_discriminator(config.dim, self.rng_disc_init)
+            self.disc = build_discriminator(config.dim, self.rng_disc_init, dtype=TRAIN_DTYPE)
             self.prior = Prior(config.prior)
             self.disc_opt = RmsProp(self.disc.parameters(), lr=config.lr)
             self.gen_adv_opt = RmsProp(self.gen_g.parameters(), lr=config.lr)
@@ -555,9 +585,9 @@ class Trainer:
 
     def _disc_step(self):
         cfg = self.config
-        real = self.prior.sample(self.rng_prior, cfg.adv_batch_size, cfg.dim)
+        real = self.prior.sample(self.rng_prior, cfg.adv_batch_size, cfg.dim).astype(TRAIN_DTYPE)
         rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=cfg.adv_batch_size)
-        fake = self.gen_g.forward(self.features[rows])
+        fake = self.gen_g.forward(self.train_features[rows])
         loss = discriminator_loss(self.disc, real, fake)
         self._check_finite(loss, "discriminator")
         grads = self.disc.gradients()
@@ -568,7 +598,7 @@ class Trainer:
     def _gen_step(self):
         cfg = self.config
         rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=cfg.adv_batch_size)
-        loss = generator_adversarial_loss(self.gen_g, self.disc, self.features[rows])
+        loss = generator_adversarial_loss(self.gen_g, self.disc, self.train_features[rows])
         self._check_finite(loss, "generator")
         grads = self.gen_g.gradients()
         nn.clip_global_norm(grads, cfg.grad_clip)
@@ -645,9 +675,10 @@ class Trainer:
         return self.embeddings(), self.log
 
     def embeddings(self):
-        """Current node representations: all N feature rows pass through G as
-        one batch, so batch norm uses the population statistics and each
-        dimension has mean ``shift`` and variance ``gamma**2 var / (var + eps)``."""
+        """Current node representations: all N float64 feature rows pass
+        through G as one batch, a float64 pass of its float32 parameters, so
+        batch norm uses the population statistics and each dimension has
+        mean ``shift`` and variance ``gamma**2 var / (var + eps)``."""
         vectors = self.gen_g.forward(self.features)
         return EmbeddingMatrix(vectors=vectors, ids=list(self.graph.ids))
 

@@ -1,12 +1,17 @@
 """Minimal dense-network kernel with hand-written backpropagation.
 
-Everything runs in float64. Layers follow one protocol: ``forward(x)``
-caches whatever the matching ``backward(grad, input_grad, param_grads)``
-needs, and ``backward`` stores parameter gradients on the layer (skipped
-when ``param_grads=False``, for a network whose parameters the step does
-not update) and returns the gradient with respect to the layer input, or
-``None`` when ``input_grad=False`` (for networks whose input is a
-constant, such as feature rows, so nothing reads that gradient).
+Each layer is built in one floating dtype (``dtype``, float64 by default)
+and computes in its input's dtype: a float32 network fed float32 rows
+computes its products, activations and gradients in float32. Only batch
+norm's statistics are summed in float64 whatever the dtype.
+
+Layers follow one protocol: ``forward(x)`` caches whatever the matching
+``backward(grad, input_grad, param_grads)`` needs, and ``backward`` stores
+parameter gradients on the layer (skipped when ``param_grads=False``, for
+a network whose parameters the step does not update) and returns the
+gradient with respect to the layer input, or ``None`` when
+``input_grad=False`` (for networks whose input is a constant, such as
+feature rows, so nothing reads that gradient).
 A network's input may be a scipy sparse array, such as CSR feature rows: the
 first ``DenseLayer`` takes it through scipy's sparse-times-dense products,
 which read its C-contiguous ``(in_dim, out_dim)`` weights without a copy.
@@ -53,12 +58,14 @@ class DenseLayer:
     the weight gradient ``x.T @ grad`` and the input gradient
     ``grad @ W.T``, each C-contiguous; scipy's sparse products read ``W``
     and a C-contiguous ``grad`` in place. The Glorot draw is the
-    ``(out_dim, in_dim)`` one of :func:`glorot_uniform`, stored transposed.
+    ``(out_dim, in_dim)`` one of :func:`glorot_uniform`, stored transposed
+    and rounded to ``dtype``. ``backward`` drops the cached input, so a
+    batch's feature rows do not outlive its step.
     """
 
-    def __init__(self, in_dim, out_dim, rng):
-        self.weights = np.ascontiguousarray(glorot_uniform(rng, out_dim, in_dim).T)
-        self.bias = np.zeros(out_dim, dtype=np.float64)
+    def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
+        self.weights = np.ascontiguousarray(glorot_uniform(rng, out_dim, in_dim).T, dtype=dtype)
+        self.bias = np.zeros(out_dim, dtype=dtype)
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_bias = np.zeros_like(self.bias)
         self._input = None
@@ -77,6 +84,7 @@ class DenseLayer:
         if param_grads:
             self.grad_weights = self._input.T @ grad
             self.grad_bias = grad.sum(axis=0)
+        self._input = None
         return grad @ self.weights.T if input_grad else None
 
     def parameters(self):
@@ -89,10 +97,11 @@ class DenseLayer:
 class LeakyRelu:
     """y = x for x > 0 else slope * x.
 
-    Only the boolean mask ``x > 0`` is cached; forward and backward rebuild
-    the scale ``mask * (1 - slope) + slope`` in the array they return. That
-    is exactly 1 or ``slope`` only when ``(1 - slope) + slope == 1``, so
-    other slopes are rejected.
+    Only the boolean mask ``x > 0`` is cached, and ``backward`` drops it.
+    Forward and backward return ``x * slope`` with the masked entries
+    copied over from ``x``, in ``x``'s dtype: the same bits as scaling by
+    ``mask * (1 - slope) + slope``, which is exactly 1 or ``slope`` only
+    when ``(1 - slope) + slope == 1``, so other slopes are rejected.
     """
 
     def __init__(self, slope=0.2):
@@ -102,9 +111,8 @@ class LeakyRelu:
         self._mask = None
 
     def _scaled(self, x):
-        out = self._mask * (1.0 - self.slope)
-        out += self.slope
-        out *= x
+        out = x * self.slope
+        np.copyto(out, x, where=self._mask)
         return out
 
     def forward(self, x):
@@ -112,7 +120,9 @@ class LeakyRelu:
         return self._scaled(x)
 
     def backward(self, grad, input_grad=True, param_grads=True):
-        return self._scaled(grad) if input_grad else None
+        out = self._scaled(grad) if input_grad else None
+        self._mask = None
+        return out
 
     def parameters(self):
         return []
@@ -130,19 +140,29 @@ class BatchNorm:
     population statistics. The backward pass differentiates through the
     batch statistics, not around them.
 
-    ``eps`` only guards the variance-zero case. Everything here is float64,
-    so it is kept tiny: normalized outputs then have variance within ~eps/var
-    of 1 even for features whose batch variance drops to 1e-8.
+    The output is in the input's dtype, but the statistics are float64
+    sums: the mean is taken in float64, the batch is centred by it rounded
+    to the input's dtype, and the part of the mean that this rounding lost
+    is subtracted once more (zero for a float64 batch). A float32 batch
+    whose mean is far larger than its spread is then still centred to
+    float32 resolution of the spread, not of the mean. The variance is
+    summed in float64 from the centred batch.
+
+    ``eps`` only guards the variance-zero case. It is added to the float64
+    variance, so it is kept tiny in float32 networks too: normalized
+    outputs have variance within ~eps/var of 1 (plus the float32 rounding
+    of the normalized values, ~1e-7) even for features whose batch variance
+    drops to 1e-8.
 
     ``last_norm_mean_abs`` and ``last_norm_var_err`` are the worst feature's
     |mean| and |var - 1| of the last forward's normalized output (0 before
-    the first). They are computed from the cached batch when read, so a
-    forward pays for none of it.
+    the first), summed in float64. They are computed from the cached batch
+    when read, so a forward pays for none of it.
     """
 
-    def __init__(self, dim, eps=1e-12):
-        self.gamma = np.ones(dim, dtype=np.float64)
-        self.shift = np.zeros(dim, dtype=np.float64)
+    def __init__(self, dim, eps=1e-12, dtype=np.float64):
+        self.gamma = np.ones(dim, dtype=dtype)
+        self.shift = np.zeros(dim, dtype=dtype)
         self.eps = eps
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_shift = np.zeros_like(self.shift)
@@ -151,21 +171,29 @@ class BatchNorm:
 
     @property
     def last_norm_mean_abs(self):
-        return 0.0 if self._norm is None else float(np.abs(self._norm.mean(axis=0)).max())
+        if self._norm is None:
+            return 0.0
+        return float(np.abs(self._norm.mean(axis=0, dtype=np.float64)).max())
 
     @property
     def last_norm_var_err(self):
-        return 0.0 if self._norm is None else float(np.abs(self._norm.var(axis=0) - 1.0).max())
+        if self._norm is None:
+            return 0.0
+        return float(np.abs(self._norm.var(axis=0, dtype=np.float64) - 1.0).max())
 
     def forward(self, x):
         if x.shape[0] < 2:
             raise ValueError("batch norm needs batch size >= 2")
-        # the arithmetic of x.var, with the centred batch kept for the output
-        norm = x - x.mean(axis=0)
+        # for a float64 batch the arithmetic of x.var (the remainder is 0),
+        # with the centred batch kept for the output
+        mean = x.mean(axis=0, dtype=np.float64)
+        rounded = mean.astype(x.dtype)
+        norm = x - rounded
+        norm -= (mean - rounded).astype(x.dtype)
         out = np.square(norm)
-        var = out.sum(axis=0)
+        var = out.sum(axis=0, dtype=np.float64)
         var /= x.shape[0]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
         norm *= inv_std
         self._norm = norm
         self._inv_std = inv_std
@@ -203,13 +231,18 @@ class BatchNorm:
 
 
 class Mlp:
-    """Ordered stack of layers sharing the forward/backward protocol."""
+    """Ordered stack of layers sharing the forward/backward protocol.
+
+    ``forward`` computes in its input's dtype: float32 rows through a
+    float32 network stay float32, and float64 rows through it give a
+    float64 pass of the float32 parameters.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
 
     def forward(self, x):
-        out = x if sparse.issparse(x) else np.asarray(x, dtype=np.float64)
+        out = x if sparse.issparse(x) else np.asarray(x)
         for layer in self.layers:
             out = layer.forward(out)
         return out

@@ -287,6 +287,24 @@ def test_from_manifest_replay_byte_identical(ring, tmp_path):
     assert (first / "training_log.txt").read_bytes() == (second / "training_log.txt").read_bytes()
 
 
+def test_manifest_records_the_arithmetic_and_replay_ignores_it(ring, tmp_path):
+    edges, _ = ring
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("embed", edges, "--out", first, "--seed", "3", *FAST) == 0
+    path = first / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["arithmetic"] == {
+        "networks": "float32", "batch_norm_statistics": "float64",
+        "losses": "float64", "export": "float64",
+    }
+    manifest["arithmetic"] = {"networks": "float64"}
+    path.write_text(json.dumps(manifest))
+    assert run_cli("embed", "--from-manifest", path, "--out", second) == 0
+    assert (first / "embedding.txt").read_bytes() == (second / "embedding.txt").read_bytes()
+    replayed = json.loads((second / "manifest.json").read_text())
+    assert replayed["arithmetic"]["networks"] == "float32"
+
+
 def test_from_manifest_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "manifest.json"
     bad.write_text(

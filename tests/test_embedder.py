@@ -263,6 +263,134 @@ def test_idw_step_holds_no_array_with_a_row_per_pair():
     assert peak < b * d * 8
 
 
+def test_idw_step_leaves_no_feature_gather_behind():
+    # each generator's first layer multiplies the batch's gathered CSR
+    # feature rows; once backward is done nothing may hold them
+    b, k, d, n = 1024, 5, 16, 1500
+    rng = np.random.default_rng(18)
+    feats = sparse.csr_array(rng.random((n, n)) * (rng.random((n, n)) < 0.1))
+    gen_g, gen_f = build_generator(n, d, rng), build_generator(n, d, rng)
+    batch = tiny_batch(rng, n, b, k)
+    gather = feats[np.unique(batch.targets)]  # the target generator's input, 1.4 MB
+    gather_bytes = gather.data.nbytes + gather.indices.nbytes + gather.indptr.nbytes
+    idw_batch_loss(gen_g, gen_f, batch, feats)  # warm up: gradients exist
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idw_batch_loss(gen_g, gen_f, batch, feats)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # what stays is the new gradients and the batch-norm caches (0.7 MB);
+    # the two gathers and the masks kept the step's holdings at 4.7 MB
+    assert held < gather_bytes
+    for net in (gen_g, gen_f):
+        assert net.layers[0]._input is None and net.layers[1]._mask is None
+
+
+# float32 training
+
+
+def record_outputs(nets):
+    """Wrap every layer's forward and backward so each returned array is kept."""
+    seen = []
+    for net in nets:
+        for layer in net.layers:
+            for name in ("forward", "backward"):
+                method = getattr(layer, name)
+
+                def wrapped(*args, _method=method, _name=f"{type(layer).__name__}.{name}",
+                            **kwargs):
+                    out = _method(*args, **kwargs)
+                    if out is not None:
+                        seen.append((_name, out.dtype))
+                    return out
+
+                setattr(layer, name, wrapped)
+    return seen
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_a_training_step_is_float32_throughout(model):
+    g = ring_graph(12)
+    cfg = TrainConfig(
+        model=model, dim=4, epochs=1, batch_size=16, adv_batch_size=8,
+        walks_per_node=2, walk_length=6, context_size=2, seed=5,
+    )
+    trainer = Trainer(g, cfg)
+    nets = trainer.structure_nets + ([trainer.disc] if trainer.disc else [])
+    seen = record_outputs(nets)
+    trainer._structure_step(next(trainer.objective.batches(trainer.rng_batches)))
+    if cfg.adversarial:
+        trainer._disc_step()
+        trainer._gen_step()
+    # a generator's dense layer returns no input gradient; its weight
+    # gradients are checked below with every other parameter gradient
+    names = {name for name, _ in seen}
+    assert {"DenseLayer.forward", "LeakyRelu.forward", "LeakyRelu.backward",
+            "BatchNorm.forward", "BatchNorm.backward"} <= names
+    assert [(name, dtype) for name, dtype in seen if dtype != np.float32] == []
+    opts = [trainer.structure_opt]
+    if trainer.disc:
+        opts += [trainer.disc_opt, trainer.gen_adv_opt]
+    for net in nets:
+        assert {a.dtype for a in net.parameters() + net.gradients()} == {np.dtype(np.float32)}
+    for opt in opts:
+        assert {a.dtype for a in opt.acc} == {np.dtype(np.float32)}
+    assert trainer.train_features.dtype == np.float32
+    assert trainer.embeddings().vectors.dtype == np.float64
+
+
+def float_twins(build, seed, *args, **kwargs):
+    """A float32 network and a float64 one with the same (float32) weights."""
+    net32 = build(*args, np.random.default_rng(seed), dtype=np.float32, **kwargs)
+    net64 = build(*args, np.random.default_rng(seed), **kwargs)
+    for p64, p32 in zip(net64.parameters(), net32.parameters()):
+        p64[...] = p32
+    return net32, net64
+
+
+def test_float32_gradients_match_float64_on_the_criterion_1_losses():
+    rng = np.random.default_rng(7)
+    feats = rng.standard_normal((8, 6)).astype(np.float32)
+    batch = PairBatch(
+        targets=np.array([0, 1, 2, 3, 4, 5]),
+        contexts=np.array([1, 2, 3, 4, 5, 6]),
+        negatives=rng.integers(0, 8, size=(6, 3)),
+    )
+    real = rng.uniform(-1.0, 1.0, size=(5, 3)).astype(np.float32)
+    fake = rng.standard_normal((5, 3)).astype(np.float32)
+    gen_g, gen_f, gen_a, enc = (float_twins(build_generator, s, 6, 3) for s in (1, 2, 3, 4))
+    disc, frozen = (float_twins(build_discriminator, s, 3, hidden=8) for s in (5, 6))
+    dec = float_twins(build_decoder, 7, 3, 6)
+
+    def gradients(nets):
+        return [g.astype(np.float64) for net in nets for g in net.gradients()]
+
+    worst = {}
+    for name, nets, step in [
+        ("structure", (gen_g, gen_f), lambda g, f, x: idw_batch_loss(g, f, batch, x)),
+        ("discriminator", (disc,), lambda d, x: discriminator_loss(d, *(
+            z.astype(x.dtype) for z in (real, fake)))),
+        ("generator", (gen_a, frozen), lambda g, d, x: generator_adversarial_loss(g, d, x[:5])),
+        ("reconstruction", (enc, dec), lambda e, d, x: dae_batch_loss(
+            e, d, x[:5], 0.3, np.random.default_rng(11))),
+    ]:
+        grads = {}
+        for i, dtype in enumerate((np.float32, np.float64)):
+            side = [pair[i] for pair in nets]
+            loss = step(*side, feats.astype(dtype))
+            assert isinstance(loss, float)
+            trained = side[:1] if name == "generator" else side
+            grads[dtype] = gradients(trained)
+        worst[name] = max(
+            np.linalg.norm(g32 - g64) / np.linalg.norm(g64)
+            for g32, g64 in zip(grads[np.float32], grads[np.float64])
+            if np.linalg.norm(g64) > 0
+        )
+    assert max(worst.values()) < 1e-3, worst
+
+
 # adversarial losses
 
 
@@ -714,12 +842,14 @@ def test_embeddings_normalize_by_all_feature_rows(model):
     trainer = Trainer(g, cfg)
     emb, _ = trainer.run()
     dense, act, bn = trainer.gen_g.layers
-    # the batch-norm input over all N rows: the export's population
+    # the batch-norm input over all N float64 rows: the export's population
     var = act.forward(dense.forward(trainer.features)).var(axis=0)
-    assert np.abs(bn.shift).max() > 1e-4 and np.abs(bn.gamma - 1.0).max() > 1e-4
+    # the float32 scale, squared in float64 as the export's float64 pass does
+    gamma = bn.gamma.astype(np.float64)
+    assert np.abs(bn.shift).max() > 1e-4 and np.abs(gamma - 1.0).max() > 1e-4
     np.testing.assert_allclose(emb.vectors.mean(axis=0), bn.shift, rtol=0, atol=1e-14)
     np.testing.assert_allclose(
-        emb.vectors.var(axis=0), bn.gamma**2 * var / (var + bn.eps), rtol=1e-12, atol=0
+        emb.vectors.var(axis=0), gamma**2 * var / (var + bn.eps), rtol=1e-12, atol=0
     )
     np.testing.assert_array_equal(trainer.embeddings().vectors, emb.vectors)
 

@@ -67,6 +67,15 @@ unique target rows) that sums each pair's score gradients per entry, so
 per pair and then summed the pairs of each target. The eight dae and adae
 digests did not move. Neither did any digest when batch norm and leaky ReLU
 started allocating less, or when the epoch's pair order moved to int32.
+
+All sixteen were recorded again when training moved to float32: the
+trainer builds every network in float32 and trains on float32 feature
+rows, so every product, activation, gradient and RMSProp update rounds to
+float32 (the dense products become OpenBLAS sgemm and scipy's float32
+loops). Batch norm still sums its statistics in float64, the losses are
+reduced in float64, and ``embedding.txt`` is a float64 pass of the float32
+parameters over the float64 features. The new digests were again the same
+with one and with two OpenBLAS threads.
 """
 
 import ctypes
@@ -91,22 +100,22 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0 SkylakeX"
 
 DIGESTS = {
-    "karate-unweighted-idw": "8ff5ef3ee9496abfad63fc4c0bb430833e0703d0f20ecd6674e8c366eba3406c",
-    "karate-unweighted-aidw": "c249ed0dd58980bd116de06005d5071cd1180a9459b1f91225d045f4a402dfbc",
-    "karate-unweighted-dae": "b32b60c6219bce335f08802feb0d468bb75ae5231f7c397c94f4c3ebe8fb9294",
-    "karate-unweighted-adae": "99392e408b13ece7a77172c24b741458684bc35b2a69e6ba10bbaa178b184f29",
-    "karate-weighted-idw": "8ff5ef3ee9496abfad63fc4c0bb430833e0703d0f20ecd6674e8c366eba3406c",
-    "karate-weighted-aidw": "c249ed0dd58980bd116de06005d5071cd1180a9459b1f91225d045f4a402dfbc",
-    "karate-weighted-dae": "b32b60c6219bce335f08802feb0d468bb75ae5231f7c397c94f4c3ebe8fb9294",
-    "karate-weighted-adae": "99392e408b13ece7a77172c24b741458684bc35b2a69e6ba10bbaa178b184f29",
-    "weighted-unweighted-idw": "e36eb38b36f22e78fa1c8f122df8360d0bf0ab0b4a032330f7c01da601ed7451",
-    "weighted-unweighted-aidw": "81a2367729633b014979c763cb0627a52cbbdfd07c5fb5ea644ea6cec5c742dc",
-    "weighted-unweighted-dae": "2f3ae1c239c423ef4124a48aa72e59442a815d4a8a48c509529eba638f023be9",
-    "weighted-unweighted-adae": "7b3595b869881ff77679b8783a893667a820d35d13e0e241fb730509c7e283ef",
-    "weighted-weighted-idw": "b6c70d3df1e9f471e7c065ed2c8125a8d1246601b18df28e551795e6d2ebd2d0",
-    "weighted-weighted-aidw": "a0ca19ef4a530b86db651f257eff3f5b2745b0c978ee810b44da548eec8a8e20",
-    "weighted-weighted-dae": "14358a7d7fdf6ef413276ae9d6f554ac2ba56aa738c9c3be441e3e9ac5b817d0",
-    "weighted-weighted-adae": "c3ab43bb82c80c5c7e13027f5e6e81e13a0be51e6601375bc91548059fd7af15",
+    "karate-unweighted-idw": "ef42f05948aed62e9e0fcd6f5744045a625695f199b33ea831cc5a66e1c25941",
+    "karate-unweighted-aidw": "086193d7ad28e166b8aa1e049e7c63fd6ea596c0164c69f7efa76bd9ce94fbf9",
+    "karate-unweighted-dae": "91344bb0806b3e9c469ee7906bd97fe2ba5f8cdf4b9ca4fbd7e32a781b224c97",
+    "karate-unweighted-adae": "12f82d0b52d2fd865408fa5673cb908b1fa0811d0e96516684ce49e314337144",
+    "karate-weighted-idw": "ef42f05948aed62e9e0fcd6f5744045a625695f199b33ea831cc5a66e1c25941",
+    "karate-weighted-aidw": "086193d7ad28e166b8aa1e049e7c63fd6ea596c0164c69f7efa76bd9ce94fbf9",
+    "karate-weighted-dae": "91344bb0806b3e9c469ee7906bd97fe2ba5f8cdf4b9ca4fbd7e32a781b224c97",
+    "karate-weighted-adae": "12f82d0b52d2fd865408fa5673cb908b1fa0811d0e96516684ce49e314337144",
+    "weighted-unweighted-idw": "f42e45fb9902c439e8c89149db935a2b43d4272d169e1d73f13b28ea6bc64593",
+    "weighted-unweighted-aidw": "46d3b5f5c391b4b286fa55f21f7265e14a1fd633835812f592c48909fb2a75e1",
+    "weighted-unweighted-dae": "5ac6cb70c6a3db8695b05e8d7b6164792e13747a0864a0048353dc1c2aefbaa7",
+    "weighted-unweighted-adae": "dae65003fa0304ea75fbdf28dfdbb4bcbaa21241578e83544c25f94faa1969bb",
+    "weighted-weighted-idw": "021e1376ff80b2dfe0e3c511ff57be8d303d79d7bd5a38034dd5a276582999b4",
+    "weighted-weighted-aidw": "22e7e9e7e05251c2556ac1a0159d0817c013cd73195990e2c6c16ef5ec76529c",
+    "weighted-weighted-dae": "132659135bea2160f348be5bc4eb616c76b0b5fb2c36a063cccc51c3bb9809f3",
+    "weighted-weighted-adae": "07f58b3ba4b246ad964bcebc31714c30dd88112382913cc5e2ab7dc5ae126c1b",
 }
 
 

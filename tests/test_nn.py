@@ -311,6 +311,73 @@ def test_batchnorm_input_gradient_matches_finite_differences():
             assert abs(numeric - grad_in[i, j]) < 1e-6
 
 
+# float32 layers
+
+
+def test_float32_layers_keep_the_input_dtype_forward_and_backward():
+    rng = np.random.default_rng(17)
+    net = Mlp(
+        [
+            DenseLayer(6, 5, rng, np.float32),
+            LeakyRelu(),
+            BatchNorm(5, dtype=np.float32),
+            DenseLayer(5, 2, rng, np.float32),
+        ]
+    )
+    x = rng.normal(size=(9, 6)).astype(np.float32)
+    outputs = []
+    for layer in net.layers:
+        x = layer.forward(x)
+        outputs.append(x)
+    grad = rng.normal(size=(9, 2)).astype(np.float32)
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+        outputs.append(grad)
+    assert [a.dtype for a in outputs] == [np.float32] * 8
+    assert [p.dtype for p in net.parameters() + net.gradients()] == [np.float32] * 12
+
+
+def test_float64_rows_through_a_float32_network_give_a_float64_pass():
+    rng = np.random.default_rng(18)
+    net32 = Mlp([DenseLayer(4, 3, rng, np.float32), LeakyRelu(), BatchNorm(3, dtype=np.float32)])
+    net64 = Mlp([DenseLayer(4, 3, rng), LeakyRelu(), BatchNorm(3)])
+    for p64, p32 in zip(net64.parameters(), net32.parameters()):
+        p64[...] = p32
+    x = rng.normal(size=(7, 4))
+    np.testing.assert_array_equal(net32.forward(x), net64.forward(x))
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0, 100.0])
+def test_float32_batchnorm_centres_to_the_resolution_of_the_spread(offset):
+    # centred by the float32 rounding of its mean alone, a feature whose mean
+    # is 1 000 times its spread keeps a normalized mean of ~3e-5; subtracting
+    # the float64 remainder of the mean takes it to float32 round-off
+    rng = np.random.default_rng(19)
+    x = (offset + rng.normal(scale=[1.0, 0.1, 3.0], size=(512, 3))).astype(np.float32)
+    bn = BatchNorm(3, dtype=np.float32)
+    out = bn.forward(x)
+    assert out.dtype == bn._norm.dtype == np.float32
+    assert bn.last_norm_mean_abs < 1e-7
+    assert bn.last_norm_var_err < 1e-6
+    mean = x.mean(axis=0, dtype=np.float64)
+    one_pass = (x - mean.astype(np.float32)) / x.std(axis=0, dtype=np.float64).astype(np.float32)
+    if offset == 100.0:
+        assert np.abs(one_pass.mean(axis=0, dtype=np.float64)).max() > 1e-5
+
+
+def test_backward_drops_the_dense_input_and_the_leaky_relu_mask():
+    rng = np.random.default_rng(20)
+    net = Mlp([DenseLayer(4, 3, rng), LeakyRelu(), BatchNorm(3)])
+    x = rng.normal(size=(6, 4))
+    net.forward(x)
+    dense, act, bn = net.layers
+    assert dense._input is x and act._mask is not None
+    net.backward(rng.normal(size=(6, 3)), input_grad=False)
+    assert dense._input is None and act._mask is None
+    # batch norm keeps its normalized batch: the drift is read after the step
+    assert bn._norm is not None and bn.last_norm_mean_abs < 1e-12
+
+
 # optimizer
 
 
