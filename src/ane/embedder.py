@@ -327,13 +327,12 @@ def discriminator_loss(disc, real_z, fake_u):
         )
     loss_real, grad_real = _bce(disc.forward(real_z), real=True)
     disc.backward(grad_real, input_grad=False)
-    # backward binds new gradient arrays, so these keep the real pass's
-    stash = disc.gradients()
+    # backward writes over the gradient vector, so keep the real pass's
+    real = disc.grads.copy()
 
     loss_fake, grad_fake = _bce(disc.forward(fake_u), real=False)
     disc.backward(grad_fake, input_grad=False)
-    for g, s in zip(disc.gradients(), stash):
-        g += s
+    disc.grads += real
 
     return loss_real + loss_fake
 
@@ -442,7 +441,7 @@ class SkipGram:
         self.features = features
         self.gen_g = build_generator(features.shape[1], config.dim, rng_init, TRAIN_DTYPE)
         self.gen_f = build_generator(features.shape[1], config.dim, rng_init, TRAIN_DTYPE)
-        self.nets = {"generator": self.gen_g, "context_generator": self.gen_f}
+        self.nets = (self.gen_g, self.gen_f)
 
         corpus = random_walks(graph, config.walks_per_node, config.walk_length, rng_walks)
         self.pair_targets, self.pair_contexts = positive_pairs(corpus, config.context_size)
@@ -479,7 +478,7 @@ class Dae:
         self.features = features
         self.gen_g = build_generator(features.shape[1], config.dim, rng_init, TRAIN_DTYPE)
         self.decoder = build_decoder(config.dim, features.shape[1], rng_init, TRAIN_DTYPE)
-        self.nets = {"generator": self.gen_g, "decoder": self.decoder}
+        self.nets = (self.gen_g, self.decoder)
         self.num_items = graph.num_nodes
 
     def batches(self, rng):
@@ -560,18 +559,16 @@ class Trainer:
             graph, config, self.train_features, self.rng_init, self.rng_walks
         )
         self.gen_g = self.objective.gen_g
-        self.structure_nets = list(self.objective.nets.values())
+        self.structure_nets = list(self.objective.nets)
 
         self.disc = None
         if config.adversarial:
             self.disc = build_discriminator(config.dim, self.rng_disc_init, dtype=TRAIN_DTYPE)
             self.prior = Prior(config.prior)
-            self.disc_opt = RmsProp(self.disc.parameters(), lr=config.lr)
-            self.gen_adv_opt = RmsProp(self.gen_g.parameters(), lr=config.lr)
+            self.disc_opt = RmsProp([self.disc], lr=config.lr)
+            self.gen_adv_opt = RmsProp([self.gen_g], lr=config.lr)
 
-        self.structure_opt = RmsProp(
-            [p for net in self.structure_nets for p in net.parameters()], lr=config.lr
-        )
+        self.structure_opt = RmsProp(self.structure_nets, lr=config.lr)
         self.log = TrainingLog()
 
     # -- single steps ------------------------------------------------------
@@ -579,8 +576,7 @@ class Trainer:
     def _structure_step(self, batch):
         loss = self.objective.loss(batch, self.rng_noise)
         self._check_finite(loss, "structure")
-        grads = [g for net in self.structure_nets for g in net.gradients()]
-        self.structure_opt.step(grads)
+        self.structure_opt.step()
         return loss
 
     def _disc_step(self):
@@ -590,9 +586,8 @@ class Trainer:
         fake = self.gen_g.forward(self.train_features[rows])
         loss = discriminator_loss(self.disc, real, fake)
         self._check_finite(loss, "discriminator")
-        grads = self.disc.gradients()
-        nn.clip_global_norm(grads, cfg.grad_clip)
-        self.disc_opt.step(grads)
+        nn.clip_global_norm(self.disc.grads, cfg.grad_clip)
+        self.disc_opt.step()
         return loss
 
     def _gen_step(self):
@@ -600,9 +595,8 @@ class Trainer:
         rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=cfg.adv_batch_size)
         loss = generator_adversarial_loss(self.gen_g, self.disc, self.train_features[rows])
         self._check_finite(loss, "generator")
-        grads = self.gen_g.gradients()
-        nn.clip_global_norm(grads, cfg.grad_clip)
-        self.gen_adv_opt.step(grads)
+        nn.clip_global_norm(self.gen_g.grads, cfg.grad_clip)
+        self.gen_adv_opt.step()
         return loss
 
     def _check_finite(self, loss, phase):

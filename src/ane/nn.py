@@ -6,16 +6,18 @@ computes its products, activations and gradients in float32. Only batch
 norm's statistics are summed in float64 whatever the dtype.
 
 Layers follow one protocol: ``forward(x)`` caches whatever the matching
-``backward(grad, input_grad, param_grads)`` needs, and ``backward`` stores
-parameter gradients on the layer (skipped when ``param_grads=False``, for
-a network whose parameters the step does not update) and returns the
-gradient with respect to the layer input, or ``None`` when
-``input_grad=False`` (for networks whose input is a constant, such as
-feature rows, so nothing reads that gradient).
+``backward(grad, input_grad, param_grads)`` needs, and ``backward`` writes
+the gradient of each parameter named in ``PARAMS`` into its ``grad_<name>``
+array (skipped when ``param_grads=False``, for a network whose parameters
+the step does not update) and returns the gradient with respect to the
+layer input, or ``None`` when ``input_grad=False`` (for networks whose input
+is a constant, such as feature rows, so nothing reads that gradient).
+An :class:`Mlp` owns one parameter vector and one gradient vector, of which
+its layers' arrays are views; clipping and RMSProp work on the vectors.
 A network's input may be a scipy sparse array, such as CSR feature rows: the
 first ``DenseLayer`` takes it through scipy's sparse-times-dense products,
 which read its C-contiguous ``(in_dim, out_dim)`` weights without a copy.
-Optimizer state lives outside the layers so several objectives can update
+Optimizer state lives outside the networks so several objectives can update
 the same parameters independently.
 """
 
@@ -57,16 +59,20 @@ class DenseLayer:
     ``x`` is a dense array or a scipy sparse array. Forward is ``x @ W``,
     the weight gradient ``x.T @ grad`` and the input gradient
     ``grad @ W.T``, each C-contiguous; scipy's sparse products read ``W``
-    and a C-contiguous ``grad`` in place. The Glorot draw is the
+    and a C-contiguous ``grad`` in place, but take no ``out=``, so a sparse
+    input's weight gradient is copied in. The Glorot draw is the
     ``(out_dim, in_dim)`` one of :func:`glorot_uniform`, stored transposed
     and rounded to ``dtype``. ``backward`` drops the cached input, so a
     batch's feature rows do not outlive its step.
     """
 
+    PARAMS = ("weights", "bias")
+
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         self.weights = np.ascontiguousarray(glorot_uniform(rng, out_dim, in_dim).T, dtype=dtype)
         self.bias = np.zeros(out_dim, dtype=dtype)
-        self.grad_weights = np.zeros_like(self.weights)
+        # np.zeros, unlike zeros_like, leaves the pages untouched until first written
+        self.grad_weights = np.zeros(self.weights.shape, dtype)
         self.grad_bias = np.zeros_like(self.bias)
         self._input = None
 
@@ -82,16 +88,14 @@ class DenseLayer:
 
     def backward(self, grad, input_grad=True, param_grads=True):
         if param_grads:
-            self.grad_weights = self._input.T @ grad
-            self.grad_bias = grad.sum(axis=0)
+            x = self._input
+            if sparse.issparse(x):
+                self.grad_weights[...] = x.T @ grad
+            else:
+                np.matmul(x.T, grad, out=self.grad_weights)
+            grad.sum(axis=0, out=self.grad_bias)
         self._input = None
         return grad @ self.weights.T if input_grad else None
-
-    def parameters(self):
-        return [self.weights, self.bias]
-
-    def gradients(self):
-        return [self.grad_weights, self.grad_bias]
 
 
 class LeakyRelu:
@@ -103,6 +107,8 @@ class LeakyRelu:
     ``mask * (1 - slope) + slope``, which is exactly 1 or ``slope`` only
     when ``(1 - slope) + slope == 1``, so other slopes are rejected.
     """
+
+    PARAMS = ()
 
     def __init__(self, slope=0.2):
         if (1.0 - slope) + slope != 1.0:
@@ -123,12 +129,6 @@ class LeakyRelu:
         out = self._scaled(grad) if input_grad else None
         self._mask = None
         return out
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
 
 
 class BatchNorm:
@@ -159,6 +159,8 @@ class BatchNorm:
     the first), summed in float64. They are computed from the cached batch
     when read, so a forward pays for none of it.
     """
+
+    PARAMS = ("gamma", "shift")
 
     def __init__(self, dim, eps=1e-12, dtype=np.float64):
         self.gamma = np.ones(dim, dtype=dtype)
@@ -207,8 +209,8 @@ class BatchNorm:
         tmp = None
         if param_grads:
             tmp = grad * norm
-            self.grad_gamma = tmp.sum(axis=0)
-            self.grad_shift = grad.sum(axis=0)
+            tmp.sum(axis=0, out=self.grad_gamma)
+            grad.sum(axis=0, out=self.grad_shift)
         if not input_grad:
             return None
         # (inv_std / b) * (b * dnorm - dnorm.sum(0) - norm * (dnorm * norm).sum(0)),
@@ -223,12 +225,6 @@ class BatchNorm:
         dnorm *= inv_std / b
         return dnorm
 
-    def parameters(self):
-        return [self.gamma, self.shift]
-
-    def gradients(self):
-        return [self.grad_gamma, self.grad_shift]
-
 
 class Mlp:
     """Ordered stack of layers sharing the forward/backward protocol.
@@ -236,10 +232,24 @@ class Mlp:
     ``forward`` computes in its input's dtype: float32 rows through a
     float32 network stay float32, and float64 rows through it give a
     float64 pass of the float32 parameters.
+
+    The layers' parameters are copied, in layer and ``PARAMS`` order, into
+    one contiguous vector ``params`` (empty without parameters), and each
+    parameter and its ``grad_<name>`` become views of ``params`` and ``grads``.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
+        slots = [(layer, name, getattr(layer, name)) for layer in self.layers
+                 for name in layer.PARAMS]
+        self.params = np.concatenate([value.ravel() for *_, value in slots] or [np.empty(0)])
+        self.grads = np.zeros(self.params.shape, self.params.dtype)
+        start = 0
+        for layer, name, value in slots:
+            cut = slice(start, start + value.size)
+            setattr(layer, name, self.params[cut].reshape(value.shape))
+            setattr(layer, f"grad_{name}", self.grads[cut].reshape(value.shape))
+            start = cut.stop
 
     def forward(self, x):
         out = x if sparse.issparse(x) else np.asarray(x)
@@ -256,48 +266,35 @@ class Mlp:
             grad = layer.backward(grad, param_grads=param_grads)
         return self.layers[0].backward(grad, input_grad=input_grad, param_grads=param_grads)
 
-    def parameters(self):
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def gradients(self):
-        return [g for layer in self.layers for g in layer.gradients()]
-
     def bn_layers(self):
         return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
 
 
-# Elements of a parameter updated at once, so a step's temporaries stay in
-# the L2 cache; each element's arithmetic does not depend on the slicing.
+# Elements of a parameter vector updated at once, so a step's temporaries
+# stay in the L2 cache; each element's arithmetic does not depend on the slicing.
 STEP_SLICE = 32_768
 
 
 class RmsProp:
-    """RMSProp over a fixed parameter list; one accumulator per array.
+    """RMSProp over the ``params`` of a fixed list of networks, stepped by
+    their ``grads``; one accumulator per network. Every gradient is checked
+    to be finite before any parameter or accumulator moves."""
 
-    Parameters are updated in place through flat views, so each must be
-    C-contiguous.
-    """
-
-    def __init__(self, params, lr=0.001, rho=0.9, eps=1e-8):
-        self.params = list(params)
-        if not all(p.flags.c_contiguous for p in self.params):
-            raise ValueError("RmsProp parameters must be C-contiguous arrays")
+    def __init__(self, nets, lr=0.001, rho=0.9, eps=1e-8):
+        self.nets = list(nets)
         self.lr = lr
         self.rho = rho
         self.eps = eps
-        self.acc = [np.zeros_like(p) for p in self.params]
+        self.acc = [np.zeros(net.params.shape, net.params.dtype) for net in self.nets]
 
-    def step(self, grads):
-        if len(grads) != len(self.params):
-            raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
-        for p, g, a in zip(self.params, grads, self.acc):
-            if p.shape != g.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-            if not np.isfinite(g).all():
+    def step(self):
+        for net in self.nets:
+            if not np.isfinite(net.grads).all():
                 raise GradientError(
-                    f"non-finite gradient for parameter of shape {p.shape}; aborting"
+                    f"non-finite gradient in a network of {net.params.size} parameters; aborting"
                 )
-            p, g, a = p.reshape(-1), g.reshape(-1), a.reshape(-1)
+        for net, a in zip(self.nets, self.acc):
+            p, g = net.params, net.grads
             for start in range(0, p.size, STEP_SLICE):
                 cut = slice(start, start + STEP_SLICE)
                 ps, gs, acc = p[cut], g[cut], a[cut]
@@ -307,12 +304,11 @@ class RmsProp:
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale the gradient list in place so its global L2 norm is <= max_norm."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    """Scale the gradient vector in place so its L2 norm is <= max_norm;
+    returns the norm before clipping."""
+    total = np.sqrt(float(np.dot(grads, grads)))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        grads *= max_norm / total
     return total
 
 
@@ -321,32 +317,31 @@ def gradient_check(networks, loss_fn, h=1e-5, atol=1e-7):
 
     ``networks`` is one Mlp or a sequence of them; ``loss_fn()`` must return
     the scalar loss for the current parameters and leave matching analytic
-    gradients on the layers (so it runs forward and backward on a fixed
+    gradients on the networks (so it runs forward and backward on a fixed
     batch; batch norm normalizes by that batch, so no state carries over
     from one evaluation to the next).
-    Entry pairs whose absolute difference is below ``atol`` count as exact,
-    which keeps round-off noise on true-zero gradients from dominating.
+    An entry whose numeric and analytic values are both below ``atol``
+    counts as exact, which keeps round-off noise on true-zero gradients from
+    dominating; any other adds ``|numeric - analytic| / max(|both|)``.
     """
     if isinstance(networks, Mlp):
         networks = [networks]
-    params = [p for net in networks for p in net.parameters()]
 
     loss_fn()
-    analytic = [g.copy() for net in networks for g in net.gradients()]
+    analytic = [net.grads.copy() for net in networks]
 
     worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.reshape(-1)
-        aflat = a.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
+    for net, grads in zip(networks, analytic):
+        params = net.params
+        for k in range(params.size):
+            orig = params[k]
+            params[k] = orig + h
             plus = loss_fn()
-            flat[k] = orig - h
+            params[k] = orig - h
             minus = loss_fn()
-            flat[k] = orig
+            params[k] = orig
             numeric = (plus - minus) / (2.0 * h)
-            diff = abs(numeric - aflat[k])
-            if diff > atol:
-                worst = max(worst, diff / max(abs(numeric), abs(aflat[k])))
+            scale = max(abs(numeric), abs(grads[k]))
+            if scale >= atol:
+                worst = max(worst, abs(numeric - grads[k]) / scale)
     return worst

@@ -33,8 +33,7 @@ from ane.walker import PairBatch
 
 
 def zero_params(net):
-    for p in net.parameters():
-        p[...] = 0.0
+    net.params[...] = 0.0
 
 
 def ring_graph(n):
@@ -191,7 +190,7 @@ def test_idw_negative_score_blocks_bit_equal_to_one_gather(monkeypatch):
     def run():
         nets = [build_generator(30, 4, np.random.default_rng(13)) for _ in range(2)]
         loss = idw_batch_loss(*nets, batch, feats)
-        return loss, [g.copy() for net in nets for g in net.gradients()]
+        return loss, [net.grads.copy() for net in nets]
 
     assert embedder.NEG_BLOCK < len(batch) // 3
     loss, grads = run()
@@ -334,7 +333,7 @@ def test_a_training_step_is_float32_throughout(model):
     if trainer.disc:
         opts += [trainer.disc_opt, trainer.gen_adv_opt]
     for net in nets:
-        assert {a.dtype for a in net.parameters() + net.gradients()} == {np.dtype(np.float32)}
+        assert {net.params.dtype, net.grads.dtype} == {np.dtype(np.float32)}
     for opt in opts:
         assert {a.dtype for a in opt.acc} == {np.dtype(np.float32)}
     assert trainer.train_features.dtype == np.float32
@@ -345,8 +344,7 @@ def float_twins(build, seed, *args, **kwargs):
     """A float32 network and a float64 one with the same (float32) weights."""
     net32 = build(*args, np.random.default_rng(seed), dtype=np.float32, **kwargs)
     net64 = build(*args, np.random.default_rng(seed), **kwargs)
-    for p64, p32 in zip(net64.parameters(), net32.parameters()):
-        p64[...] = p32
+    net64.params[...] = net32.params
     return net32, net64
 
 
@@ -365,7 +363,9 @@ def test_float32_gradients_match_float64_on_the_criterion_1_losses():
     dec = float_twins(build_decoder, 7, 3, 6)
 
     def gradients(nets):
-        return [g.astype(np.float64) for net in nets for g in net.gradients()]
+        # array by array, so no small gradient hides in its network's norm
+        return [getattr(layer, f"grad_{name}").astype(np.float64)
+                for net in nets for layer in net.layers for name in layer.PARAMS]
 
     worst = {}
     for name, nets, step in [
@@ -417,24 +417,21 @@ def test_discriminator_loss_saturated_perfect():
     # survives the clamp
     class SignDisc:
         def __init__(self):
-            self.grad = np.zeros(1)
+            self.grads = np.zeros(1)
 
         def forward(self, x):
             return np.where(x.sum(axis=1, keepdims=True) > 0, 800.0, -800.0)
 
         def backward(self, grad, input_grad=True):
-            self.grad = self.grad + grad.sum()
+            self.grads[...] = grad.sum()
             return grad if input_grad else None
-
-        def gradients(self):
-            return [self.grad]
 
     disc = SignDisc()
     real = np.full((5, 3), 2.0)
     fake = np.full((5, 3), -2.0)
     loss = discriminator_loss(disc, real, fake)
     assert 0.0 <= loss < 1e-11
-    assert disc.grad[0] == 0.0
+    assert disc.grads[0] == 0.0
 
 
 def test_discriminator_parameter_gradients_bit_equal_with_input_gradients():
@@ -450,14 +447,13 @@ def test_discriminator_parameter_gradients_bit_equal_with_input_gradients():
             inside = (p > embedder.PROB_CLAMP) & (p < 1.0 - embedder.PROB_CLAMP)
             grad = np.where(inside, p - (sign < 0), 0.0) / z.shape[0]
             assert disc.backward(grad) is not None
-            grads.append([g.copy() for g in disc.gradients()])
-        return [a + b for a, b in zip(*grads)]
+            grads.append(disc.grads.copy())
+        return grads[0] + grads[1]
 
     disc = build_discriminator(6, np.random.default_rng(22), hidden=16)
     want = reference(build_discriminator(6, np.random.default_rng(22), hidden=16))
     discriminator_loss(disc, real, fake)
-    for got, ref in zip(disc.gradients(), want):
-        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(disc.grads, want)
 
 
 def test_generator_loss_constant_discriminator():
@@ -468,8 +464,7 @@ def test_generator_loss_constant_discriminator():
     x = rng.random((7, 5))
     loss = generator_adversarial_loss(gen, disc, x)
     assert loss == pytest.approx(math.log(2), rel=1e-12)
-    for g in gen.gradients():
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    np.testing.assert_array_equal(gen.grads, np.zeros_like(gen.grads))
 
 
 def test_directional_signs_higher_d_output_helps_both_sides():
@@ -709,10 +704,10 @@ def test_phase_isolation():
     trainer = Trainer(g, cfg)
 
     def snapshot(net):
-        return [p.copy() for p in net.parameters()]
+        return net.params.copy()
 
     def unchanged(net, before):
-        return all(np.array_equal(p, b) for p, b in zip(net.parameters(), before))
+        return np.array_equal(net.params, before)
 
     gen_f = trainer.objective.gen_f
     batch = next(trainer.objective.batches(trainer.rng_batches))
@@ -743,7 +738,8 @@ def test_generator_shared_between_phases():
     )
     trainer = Trainer(g, cfg)
     assert trainer.structure_nets[0] is trainer.gen_g
-    assert trainer.gen_adv_opt.params[0] is trainer.gen_g.parameters()[0]
+    assert trainer.gen_adv_opt.nets == [trainer.gen_g]
+    assert trainer.structure_opt.nets[0] is trainer.gen_g
 
 
 def test_divergence_aborts(monkeypatch):

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ane import nn
 from ane.nn import (
@@ -262,11 +265,10 @@ def test_backward_without_input_grad_keeps_parameter_gradients(first):
 
     net.forward(x)
     assert net.backward(g).shape == x.shape
-    full = [a.copy() for a in net.gradients()]
+    full = net.grads.copy()
     net.forward(x)
     assert net.backward(g, input_grad=False) is None
-    for a, b in zip(full, net.gradients()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(full, net.grads)
 
 
 def test_backward_without_param_grads_keeps_input_gradient():
@@ -279,11 +281,10 @@ def test_backward_without_param_grads_keeps_input_gradient():
     want = net.backward(g2)
     net.forward(x)
     net.backward(g1)
-    before = [a.copy() for a in net.gradients()]
+    before = net.grads.copy()
     net.forward(x)
     np.testing.assert_array_equal(net.backward(g2, param_grads=False), want)
-    for a, b in zip(before, net.gradients()):
-        np.testing.assert_array_equal(a, b)  # the g1 gradients are left in place
+    np.testing.assert_array_equal(before, net.grads)  # the g1 gradients are left in place
 
 
 def test_batchnorm_input_gradient_matches_finite_differences():
@@ -334,15 +335,14 @@ def test_float32_layers_keep_the_input_dtype_forward_and_backward():
         grad = layer.backward(grad)
         outputs.append(grad)
     assert [a.dtype for a in outputs] == [np.float32] * 8
-    assert [p.dtype for p in net.parameters() + net.gradients()] == [np.float32] * 12
+    assert [a.dtype for a in (net.params, net.grads)] == [np.float32] * 2
 
 
 def test_float64_rows_through_a_float32_network_give_a_float64_pass():
     rng = np.random.default_rng(18)
     net32 = Mlp([DenseLayer(4, 3, rng, np.float32), LeakyRelu(), BatchNorm(3, dtype=np.float32)])
     net64 = Mlp([DenseLayer(4, 3, rng), LeakyRelu(), BatchNorm(3)])
-    for p64, p32 in zip(net64.parameters(), net32.parameters()):
-        p64[...] = p32
+    net64.params[...] = net32.params
     x = rng.normal(size=(7, 4))
     np.testing.assert_array_equal(net32.forward(x), net64.forward(x))
 
@@ -378,83 +378,146 @@ def test_backward_drops_the_dense_input_and_the_leaky_relu_mask():
     assert bn._norm is not None and bn.last_norm_mean_abs < 1e-12
 
 
+# flat parameter vectors
+
+
+def assert_layers_view_the_vectors(net):
+    """Every layer's parameter and gradient array is a C-contiguous view of
+    ``net.params`` or ``net.grads``, and the views tile the vectors in layer
+    and ``PARAMS`` order."""
+    for vector, prefix in ((net.params, ""), (net.grads, "grad_")):
+        arrays = [getattr(layer, prefix + name) for layer in net.layers for name in layer.PARAMS]
+        assert all(a.base is vector and a.flags.c_contiguous for a in arrays)
+        saved = vector.copy()
+        vector[...] = np.arange(vector.size)
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), vector)
+        vector[...] = saved
+
+
+@pytest.mark.parametrize("csr", [False, True])
+def test_layers_stay_views_of_the_vectors_through_backward_and_a_step(csr):
+    rng = np.random.default_rng(21)
+    net = Mlp([DenseLayer(12, 6, rng), LeakyRelu(), BatchNorm(6), DenseLayer(6, 2, rng)])
+    assert net.params.size == net.grads.size == 12 * 6 + 6 + 6 + 6 + 6 * 2 + 2
+    assert_layers_view_the_vectors(net)
+    x = rng.random((9, 12)) * (rng.random((9, 12)) < 0.3)
+    net.forward(sparse.csr_array(x) if csr else x)
+    assert_layers_view_the_vectors(net)
+    grad = rng.normal(size=(9, 2))
+    net.backward(grad, input_grad=False)
+    assert_layers_view_the_vectors(net)
+    # the backward wrote into the gradient vector
+    np.testing.assert_array_equal(net.grads[-2:], grad.sum(axis=0))
+    assert np.count_nonzero(net.grads) > net.grads.size // 2
+    before = net.params.copy()
+    RmsProp([net], lr=0.01).step()
+    assert_layers_view_the_vectors(net)
+    assert not np.array_equal(net.params, before)
+
+
+def test_a_network_without_parameters_has_empty_vectors():
+    net = Mlp([LeakyRelu()])
+    assert net.params.shape == net.grads.shape == (0,)
+    RmsProp([net]).step()
+
+
 # optimizer
 
 
+def vector(values):
+    """A stand-in network: RmsProp reads only ``params`` and ``grads``."""
+    values = np.asarray(values, dtype=np.float64)
+    return SimpleNamespace(params=values, grads=np.zeros_like(values))
+
+
 def test_rmsprop_zero_gradient_keeps_params():
-    p = np.array([1.0, -2.0])
-    opt = RmsProp([p])
-    opt.step([np.zeros(2)])
-    np.testing.assert_array_equal(p, [1.0, -2.0])
+    net = vector([1.0, -2.0])
+    RmsProp([net]).step()
+    np.testing.assert_array_equal(net.params, [1.0, -2.0])
 
 
 def test_rmsprop_single_step_algebra():
     g = 0.7
     lr, rho, eps = 0.001, 0.9, 1e-8
-    p = np.array([0.0])
-    RmsProp([p], lr=lr, rho=rho, eps=eps).step([np.array([g])])
+    net = vector([0.0])
+    net.grads[0] = g
+    RmsProp([net], lr=lr, rho=rho, eps=eps).step()
     expected = -lr * g / np.sqrt((1 - rho) * g * g + eps)
-    assert p[0] == pytest.approx(expected, rel=1e-12)
+    assert net.params[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_rmsprop_constant_gradient_update_approaches_lr():
-    p = np.array([0.0])
-    opt = RmsProp([p], lr=0.001)
-    g = np.array([2.5])
+    net = vector([0.0])
+    opt = RmsProp([net], lr=0.001)
+    net.grads[0] = 2.5
     for _ in range(400):
-        prev = p.copy()
-        opt.step([g])
-    assert abs(abs((p - prev)[0]) - 0.001) < 0.01 * 0.001
+        prev = net.params.copy()
+        opt.step()
+    assert abs(abs((net.params - prev)[0]) - 0.001) < 0.01 * 0.001
 
 
 def test_rmsprop_rejects_nonfinite_gradient():
-    opt = RmsProp([np.zeros(2)])
+    net = vector([0.0, 0.0])
+    net.grads[1] = np.nan
     with pytest.raises(GradientError):
-        opt.step([np.array([1.0, np.nan])])
+        RmsProp([net]).step()
 
 
 def test_rmsprop_slices_bit_equal_to_whole_array_step():
     # 128 x 2 708 spans 11 slices of STEP_SLICE elements and a partial one
     rng = np.random.default_rng(13)
-    p = rng.standard_normal((128, 2708))
-    want, acc = p.copy(), np.zeros_like(p)
-    opt = RmsProp([p], lr=0.01)
-    assert p.size > 10 * nn.STEP_SLICE
+    net = vector(rng.standard_normal(128 * 2708))
+    want, acc = net.params.copy(), np.zeros_like(net.params)
+    opt = RmsProp([net], lr=0.01)
+    assert net.params.size > 10 * nn.STEP_SLICE
     for _ in range(5):
-        g = rng.standard_normal(p.shape)
-        opt.step([g])
+        g = rng.standard_normal(net.params.shape)
+        net.grads[...] = g
+        opt.step()
         acc *= opt.rho
         acc += (1.0 - opt.rho) * g * g
         want -= opt.lr * g / np.sqrt(acc + opt.eps)
-    np.testing.assert_array_equal(p, want)
+    np.testing.assert_array_equal(net.params, want)
     np.testing.assert_array_equal(opt.acc[0], acc)
 
 
 def test_rmsprop_non_finite_gradient_leaves_parameter_untouched():
     rng = np.random.default_rng(14)
-    p = rng.standard_normal(3 * nn.STEP_SLICE)
-    opt = RmsProp([p])
-    opt.step([rng.standard_normal(p.shape)])
-    before, acc_before = p.copy(), opt.acc[0].copy()
-    g = rng.standard_normal(p.shape)
-    g[-1] = np.inf  # in the last slice: no earlier slice may be updated
+    net = vector(rng.standard_normal(3 * nn.STEP_SLICE))
+    opt = RmsProp([net])
+    net.grads[...] = rng.standard_normal(net.params.shape)
+    opt.step()
+    before, acc_before = net.params.copy(), opt.acc[0].copy()
+    net.grads[...] = rng.standard_normal(net.params.shape)
+    net.grads[-1] = np.inf  # in the last slice: no earlier slice may be updated
     with pytest.raises(GradientError):
-        opt.step([g])
-    np.testing.assert_array_equal(p, before)
+        opt.step()
+    np.testing.assert_array_equal(net.params, before)
     np.testing.assert_array_equal(opt.acc[0], acc_before)
 
 
-def test_rmsprop_rejects_non_contiguous_parameter():
-    with pytest.raises(ValueError, match="C-contiguous"):
-        RmsProp([np.zeros((4, 3)).T])
-
-
-def test_rmsprop_shape_checks():
-    opt = RmsProp([np.zeros(2)])
-    with pytest.raises(ValueError):
-        opt.step([np.zeros(3)])
-    with pytest.raises(ValueError):
-        opt.step([np.zeros(2), np.zeros(2)])
+def test_non_finite_last_bias_gradient_leaves_every_network_untouched():
+    rng = np.random.default_rng(22)
+    nets = [
+        Mlp([DenseLayer(5, 4, rng), LeakyRelu(), BatchNorm(4), DenseLayer(4, 3, rng)])
+        for _ in range(2)
+    ]
+    opt = RmsProp(nets, lr=0.01)
+    x = rng.normal(size=(6, 5))
+    for net in nets:
+        net.forward(x)
+        net.backward(rng.normal(size=(6, 3)))
+    opt.step()
+    before = [net.params.copy() for net in nets] + [a.copy() for a in opt.acc]
+    for net in nets:
+        net.forward(x)
+        net.backward(rng.normal(size=(6, 3)))
+    nets[-1].layers[-1].grad_bias[-1] = np.nan
+    with pytest.raises(GradientError):
+        opt.step()
+    after = [net.params for net in nets] + opt.acc
+    for a, b in zip(before, after):
+        np.testing.assert_array_equal(a, b)
 
 
 # gradient checker
@@ -473,6 +536,22 @@ def test_gradient_check_flags_wrong_gradient():
         return float(out.mean())
 
     assert gradient_check(net, broken_loss_fn) > 0.1
+
+
+def test_gradient_check_measures_small_gradients_relative_to_their_size():
+    # every analytic entry is 2 % off, but each difference is below atol
+    rng = np.random.default_rng(24)
+    net = Mlp([DenseLayer(3, 2, rng)])
+    x = rng.normal(size=(4, 3))
+
+    def loss_fn():
+        out = net.forward(x)
+        net.backward(np.full_like(out, 1e-6 / out.size))
+        net.grads *= 1.02
+        return 1e-6 * float(out.mean())
+
+    assert gradient_check(net, loss_fn) == pytest.approx(0.02 / 1.02, rel=1e-4)
+    assert 0.02 * np.abs(net.grads).max() < 1e-7
 
 
 def test_gradient_check_multi_network():
@@ -496,16 +575,28 @@ def test_gradient_check_multi_network():
 
 
 def test_clip_global_norm_scales_down():
-    g1 = np.array([3.0, 0.0])
-    g2 = np.array([0.0, 4.0])
-    total = clip_global_norm([g1, g2], max_norm=1.0)
+    g = np.array([3.0, 0.0, 0.0, 4.0])
+    total = clip_global_norm(g, max_norm=1.0)
     assert total == pytest.approx(5.0)
-    clipped = np.sqrt((g1**2).sum() + (g2**2).sum())
-    assert clipped == pytest.approx(1.0)
+    np.testing.assert_allclose(g, [0.6, 0.0, 0.0, 0.8], rtol=1e-15)
+    assert np.sqrt((g**2).sum()) == pytest.approx(1.0)
 
 
 def test_clip_global_norm_noop_below_threshold():
     g = np.array([0.3, 0.4])
-    total = clip_global_norm([g], max_norm=1.0)
+    total = clip_global_norm(g, max_norm=1.0)
     assert total == pytest.approx(0.5)
     np.testing.assert_array_equal(g, [0.3, 0.4])
+
+
+def test_clip_global_norm_of_a_float32_network_matches_the_per_array_float64_norm():
+    # one float32 dot over the vector; the reference sums each array in float64
+    rng = np.random.default_rng(23)
+    net = Mlp([DenseLayer(128, 512, rng, np.float32), LeakyRelu(),
+               BatchNorm(512, dtype=np.float32), DenseLayer(512, 1, rng, np.float32)])
+    net.grads[...] = rng.standard_normal(net.grads.size)
+    want = np.sqrt(sum(float((getattr(layer, f"grad_{name}").astype(np.float64) ** 2).sum())
+                       for layer in net.layers for name in layer.PARAMS))
+    rel = 64 * np.finfo(np.float32).eps
+    assert clip_global_norm(net.grads, max_norm=1.0) == pytest.approx(want, rel=rel)
+    assert np.linalg.norm(net.grads.astype(np.float64)) == pytest.approx(1.0, rel=rel)
