@@ -32,17 +32,21 @@ import numpy as np
 from scipy import sparse
 
 from . import nn
-from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp, log_sigmoid, sigmoid
+from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp
 from .proximity import check_memory, ppmi_features
 from .walker import batch_bounds, iter_batches, negative_sampler, positive_pairs, random_walks
 
-# discriminator probabilities are clamped here before taking logs
-PROB_CLAMP = 1e-12
 # Pairs whose scores are computed at once: the (pairs, k + 1, d) gather of
 # their context and negative rows stays small.
 NEG_BLOCK = 256
 
-PRIOR_KINDS = ("uniform", "gaussian")
+# the adversarial phase's source of 'real' samples, by prior kind: each
+# sampler(rng, count, dim) draws every coordinate from U[-1, 1] or N(0, 1)
+PRIORS = {
+    "uniform": lambda rng, count, dim: rng.uniform(-1.0, 1.0, size=(count, dim)),
+    "gaussian": lambda rng, count, dim: rng.standard_normal(size=(count, dim)),
+}
+PRIOR_KINDS = tuple(PRIORS)
 
 # dtype of the trained networks and of the rows they read in training; the
 # losses, the batch-norm statistics and the export are float64
@@ -57,27 +61,9 @@ ARITHMETIC = {
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss became non-finite; the run is unusable. The message names the
-    cycle, the phase and the losses of the last cycle that finished."""
-
-
-@dataclass(frozen=True)
-class Prior:
-    """Source of 'real' samples for the adversarial phase.
-
-    ``uniform`` draws each coordinate from U[-1, 1]; ``gaussian`` from N(0, 1).
-    """
-
-    kind: str = "uniform"
-
-    def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise ValueError(f"unknown prior kind {self.kind!r}")
-
-    def sample(self, rng, count, dim):
-        if self.kind == "uniform":
-            return rng.uniform(-1.0, 1.0, size=(count, dim))
-        return rng.standard_normal(size=(count, dim))
+    """A loss or a gradient became non-finite; the run is unusable. The
+    message names the cycle, the phase and the losses of the last cycle that
+    finished."""
 
 
 @dataclass(frozen=True)
@@ -238,20 +224,6 @@ def build_decoder(in_dim, out_dim, rng, dtype=np.float64):
     return Mlp([DenseLayer(in_dim, out_dim, rng, dtype)])
 
 
-def sgns_loss_from_scores(pos_scores, neg_scores):
-    """Negative-sampling objective on raw dot-product scores.
-
-    Per pair: -log sigma(s_pos) - sum_k log sigma(-s_neg_k), averaged over the
-    batch. Returns the loss and its gradients with respect to both score
-    arrays.
-    """
-    b = pos_scores.shape[0]
-    loss = -(log_sigmoid(pos_scores).sum() + log_sigmoid(-neg_scores).sum()) / b
-    grad_pos = -(1.0 - sigmoid(pos_scores)) / b
-    grad_neg = sigmoid(neg_scores) / b
-    return loss, grad_pos, grad_neg
-
-
 def idw_batch_loss(gen_g, gen_f, batch, features):
     """Structure loss for one pair batch; leaves gradients on both generators.
 
@@ -282,10 +254,13 @@ def idw_batch_loss(gen_g, gen_f, batch, features):
     for start in range(0, b, NEG_BLOCK):
         rows = slice(start, start + NEG_BLOCK)
         scores[rows] = np.matmul(v_rows[ctx_pos[rows]], u_rows[tgt_pos[rows], :, None])[:, :, 0]
-    loss, grad_pos, grad_neg = sgns_loss_from_scores(scores[:, 0], scores[:, 1:])
+    # -log sigma(s_pos) - sum_k log sigma(-s_neg_k), averaged over the pairs
+    loss_pos, grad_pos = nn.logistic_loss(scores[:, 0], 1)
+    loss_neg, grad_neg = nn.logistic_loss(scores[:, 1:], 0)
+    loss = (loss_pos + loss_neg) / b
 
     # the score gradients, written over the scores
-    scores[:, 0], scores[:, 1:] = grad_pos, grad_neg
+    scores[:, 0], scores[:, 1:] = grad_pos / b, grad_neg / b
     coupling = sparse.csr_array(
         (scores.ravel(), (ctx_pos.ravel(), np.repeat(tgt_pos, k + 1))),
         shape=(ctx_nodes.size, tgt_nodes.size),
@@ -297,20 +272,11 @@ def idw_batch_loss(gen_g, gen_f, batch, features):
 
 def _bce(logits, real):
     """Mean cross-entropy of discriminator logits against one label (``real``:
-    prior samples, else embeddings) and its gradient in the logits. The
-    probabilities are clamped before the log; the gradient is 0 where it binds.
-    Both are computed in float64; the gradient is returned in the logits' dtype."""
-    p = sigmoid(logits)
-    clamped = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    inside = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-    if real:
-        loss = -np.log(clamped).mean()
-        grad = np.where(inside, -(1.0 - p), 0.0)
-    else:
-        loss = -np.log1p(-clamped).mean()
-        grad = np.where(inside, p, 0.0)
-    grad /= logits.shape[0]
-    return loss, grad.astype(logits.dtype, copy=False)
+    prior samples, else embeddings) and its gradient in the logits, in the
+    logits' dtype."""
+    n = logits.shape[0]
+    loss, grad = nn.logistic_loss(logits, 1 if real else 0)
+    return loss / n, (grad / n).astype(logits.dtype, copy=False)
 
 
 def discriminator_loss(disc, real_z, fake_u):
@@ -564,7 +530,6 @@ class Trainer:
         self.disc = None
         if config.adversarial:
             self.disc = build_discriminator(config.dim, self.rng_disc_init, dtype=TRAIN_DTYPE)
-            self.prior = Prior(config.prior)
             self.disc_opt = RmsProp([self.disc], lr=config.lr)
             self.gen_adv_opt = RmsProp([self.gen_g], lr=config.lr)
 
@@ -575,33 +540,39 @@ class Trainer:
 
     def _structure_step(self, batch):
         loss = self.objective.loss(batch, self.rng_noise)
-        self._check_finite(loss, "structure")
-        self.structure_opt.step()
-        return loss
+        return self._update(loss, "structure", self.structure_opt)
 
     def _disc_step(self):
         cfg = self.config
-        real = self.prior.sample(self.rng_prior, cfg.adv_batch_size, cfg.dim).astype(TRAIN_DTYPE)
+        real = PRIORS[cfg.prior](self.rng_prior, cfg.adv_batch_size, cfg.dim).astype(TRAIN_DTYPE)
         rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=cfg.adv_batch_size)
         fake = self.gen_g.forward(self.train_features[rows])
         loss = discriminator_loss(self.disc, real, fake)
-        self._check_finite(loss, "discriminator")
-        nn.clip_global_norm(self.disc.grads, cfg.grad_clip)
-        self.disc_opt.step()
-        return loss
+        return self._update(loss, "discriminator", self.disc_opt, self.disc.grads)
 
     def _gen_step(self):
-        cfg = self.config
-        rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=cfg.adv_batch_size)
+        rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=self.config.adv_batch_size)
         loss = generator_adversarial_loss(self.gen_g, self.disc, self.train_features[rows])
-        self._check_finite(loss, "generator")
-        nn.clip_global_norm(self.gen_g.grads, cfg.grad_clip)
-        self.gen_adv_opt.step()
+        return self._update(loss, "generator", self.gen_adv_opt, self.gen_g.grads)
+
+    def _update(self, loss, phase, opt, clipped=None):
+        """Finish a step whose gradients are on ``opt``'s networks: check the
+        loss, clip the gradient vector ``clipped`` (if given) to
+        ``grad_clip``, and step ``opt``. A non-finite loss or gradient
+        raises :class:`TrainingDiverged`. Returns the loss."""
+        if not np.isfinite(loss):
+            raise self._diverged(f"{phase} loss became {float(loss)!r}")
+        if clipped is not None:
+            nn.clip_global_norm(clipped, self.config.grad_clip)
+        try:
+            opt.step()
+        except nn.GradientError as exc:
+            raise self._diverged(f"{phase} gradient became non-finite") from exc
         return loss
 
-    def _check_finite(self, loss, phase):
-        if np.isfinite(loss):
-            return
+    def _diverged(self, what):
+        """A :class:`TrainingDiverged` saying ``what`` happened in the current
+        cycle, with the losses of the last cycle that finished."""
         # one record per finished cycle, so its length is the current cycle
         cycle = len(self.log)
         if cycle:
@@ -612,7 +583,7 @@ class Trainer:
             )
         else:
             state = "no cycle had finished"
-        raise TrainingDiverged(f"{phase} loss became {float(loss)!r} in cycle {cycle}; {state}")
+        return TrainingDiverged(f"{what} in cycle {cycle}; {state}")
 
     @staticmethod
     def _bn_drift(nets):

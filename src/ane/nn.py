@@ -12,6 +12,8 @@ array (skipped when ``param_grads=False``, for a network whose parameters
 the step does not update) and returns the gradient with respect to the
 layer input, or ``None`` when ``input_grad=False`` (for networks whose input
 is a constant, such as feature rows, so nothing reads that gradient).
+:func:`logistic_loss` is the one cross-entropy of training: the skip-gram
+scores and the discriminator logits both go through it.
 An :class:`Mlp` owns one parameter vector and one gradient vector, of which
 its layers' arrays are views; clipping and RMSProp work on the vectors.
 A network's input may be a scipy sparse array, such as CSR feature rows: the
@@ -46,6 +48,21 @@ def log_sigmoid(x):
     """log(sigmoid(x)) computed as -softplus(-x); never overflows."""
     x = np.asarray(x, dtype=np.float64)
     return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+def logistic_loss(logits, label):
+    """Binary cross-entropy of ``logits`` against one label, 1 or 0.
+
+    Returns the float64 sum of ``-log_sigmoid(logits)`` (label 1) or
+    ``-log_sigmoid(-logits)`` (label 0), and the float64 gradient of each
+    term in its logit, ``sigmoid(logits) - label``. Both are exact at any
+    magnitude: nothing is clamped, so a confidently wrong logit keeps its
+    full gradient of -1 or 1.
+    """
+    loss = -log_sigmoid(logits if label else -logits).sum()
+    grad = sigmoid(logits)
+    grad -= label
+    return loss, grad
 
 
 def glorot_uniform(rng, out_dim, in_dim):

@@ -10,8 +10,8 @@ from ane import embedder
 from ane.datasets import load_dataset
 from ane.embedder import (
     MODEL_KINDS,
+    PRIORS,
     EmbeddingMatrix,
-    Prior,
     TrainConfig,
     Trainer,
     TrainingDiverged,
@@ -24,11 +24,10 @@ from ane.embedder import (
     generator_adversarial_loss,
     idw_batch_loss,
     load_embeddings,
-    sgns_loss_from_scores,
     train,
 )
 from ane.graph import parse_edge_lines, preprocess
-from ane.nn import gradient_check, sigmoid
+from ane.nn import GradientError, gradient_check, logistic_loss, sigmoid
 from ane.walker import PairBatch
 
 
@@ -53,17 +52,12 @@ def tiny_batch(rng, n_nodes, b, k):
 
 def test_prior_shapes_and_ranges():
     rng = np.random.default_rng(0)
-    u = Prior("uniform").sample(rng, 500, 4)
+    u = PRIORS["uniform"](rng, 500, 4)
     assert u.shape == (500, 4)
     assert (u >= -1).all() and (u <= 1).all()
-    g = Prior("gaussian").sample(rng, 500, 4)
+    g = PRIORS["gaussian"](rng, 500, 4)
     assert g.shape == (500, 4)
     assert abs(g.mean()) < 0.2 and abs(g.std() - 1.0) < 0.2
-
-
-def test_prior_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        Prior("cauchy")
 
 
 # config
@@ -119,19 +113,29 @@ def test_adversarial_property():
 # structure loss
 
 
+def sgns_loss(pos_scores, neg_scores):
+    """The skip-gram objective as ``idw_batch_loss`` takes it: the positive
+    column against label 1, the negatives against label 0, averaged over
+    the pairs; returns the loss and both score gradients."""
+    b = pos_scores.shape[0]
+    loss_pos, grad_pos = logistic_loss(pos_scores, 1)
+    loss_neg, grad_neg = logistic_loss(neg_scores, 0)
+    return (loss_pos + loss_neg) / b, grad_pos / b, grad_neg / b
+
+
 def test_sgns_loss_zero_scores_hand_value():
     # sigma(0) = 0.5 for the positive and each of K=5 negatives: 6 ln 2
-    loss, _, _ = sgns_loss_from_scores(np.zeros(3), np.zeros((3, 5)))
+    loss, _, _ = sgns_loss(np.zeros(3), np.zeros((3, 5)))
     assert loss == pytest.approx(6 * math.log(2), rel=1e-12)
 
 
 def test_sgns_loss_separated_scores_saturates():
-    loss, _, _ = sgns_loss_from_scores(np.array([50.0]), np.array([[-50.0] * 5]))
+    loss, _, _ = sgns_loss(np.array([50.0]), np.array([[-50.0] * 5]))
     assert loss < 1e-20
 
 
 def test_sgns_gradient_signs():
-    loss, grad_pos, grad_neg = sgns_loss_from_scores(np.array([0.3]), np.array([[0.1, -0.2]]))
+    loss, grad_pos, grad_neg = sgns_loss(np.array([0.3]), np.array([[0.1, -0.2]]))
     assert grad_pos[0] < 0  # raising a positive score lowers the loss
     assert (grad_neg > 0).all()  # raising a negative score raises the loss
 
@@ -228,7 +232,7 @@ def test_idw_row_gradients_match_scatter_reference():
     u = table[tgt_nodes][tgt_pos]
     v_pos = table[ctx_nodes][ctx_pos[:b]]
     v_neg = table[ctx_nodes][ctx_pos[b:].reshape(b, k)]
-    ref_loss, grad_pos, grad_neg = sgns_loss_from_scores(
+    ref_loss, grad_pos, grad_neg = sgns_loss(
         (u * v_pos).sum(axis=1), np.einsum("bd,bkd->bk", u, v_neg)
     )
     grad_u_rows = np.zeros((tgt_nodes.size, d))
@@ -412,9 +416,10 @@ def test_discriminator_loss_requires_equal_batches():
 
 
 def test_discriminator_loss_saturated_perfect():
-    # a perfect discriminator: logits follow the sign of the input sum,
-    # saturating the clamp on both sides, so the loss is ~0 and no gradient
-    # survives the clamp
+    # a perfect discriminator: logits of +-800 follow the sign of the input
+    # sum, so sigmoid rounds to exactly 1 on every real sample and exactly 0
+    # on every fake one; the loss is ~0 and the gradient sigmoid - label is
+    # exactly 0, with no clamp involved
     class SignDisc:
         def __init__(self):
             self.grads = np.zeros(1)
@@ -434,6 +439,33 @@ def test_discriminator_loss_saturated_perfect():
     assert disc.grads[0] == 0.0
 
 
+def test_discriminator_gradient_unclamped_on_confidently_wrong_real_sample():
+    # a real sample scored at logit -40 (sigmoid 4e-18) is the discriminator's
+    # worst mistake: it keeps the full gradient sigmoid - 1 = -1, over b
+    class FixedDisc:
+        def __init__(self):
+            self.grads = np.zeros(1)
+            self.seen = []
+
+        def forward(self, x):
+            return np.where(x[:, :1] > 0, -40.0, 0.0)
+
+        def backward(self, grad, input_grad=True):
+            self.seen.append(grad.copy())
+            return grad if input_grad else None
+
+    b = 4
+    disc = FixedDisc()
+    real = np.array([[1.0], [-1.0], [-1.0], [-1.0]])  # the first real logit is -40
+    loss = discriminator_loss(disc, real, np.full((b, 1), -1.0))
+    grad_real, grad_fake = disc.seen
+    assert grad_real[0, 0] == -1.0 / b
+    np.testing.assert_array_equal(grad_real[1:, 0], -0.5 / b)
+    np.testing.assert_array_equal(grad_fake[:, 0], 0.5 / b)
+    # the real side pays -log sigmoid(-40) = 40 on its first sample
+    assert loss == pytest.approx((40.0 + 3 * math.log(2)) / b + math.log(2), rel=1e-12)
+
+
 def test_discriminator_parameter_gradients_bit_equal_with_input_gradients():
     # the loss skips the first layer's input gradient, which nothing reads;
     # reference: the same two passes with every input gradient computed
@@ -442,10 +474,8 @@ def test_discriminator_parameter_gradients_bit_equal_with_input_gradients():
 
     def reference(disc):
         grads = []
-        for z, sign in ((real, -1.0), (fake, 1.0)):
-            p = sigmoid(disc.forward(z))
-            inside = (p > embedder.PROB_CLAMP) & (p < 1.0 - embedder.PROB_CLAMP)
-            grad = np.where(inside, p - (sign < 0), 0.0) / z.shape[0]
+        for z, label in ((real, 1.0), (fake, 0.0)):
+            grad = (sigmoid(disc.forward(z)) - label) / z.shape[0]
             assert disc.backward(grad) is not None
             grads.append(disc.grads.copy())
         return grads[0] + grads[1]
@@ -772,6 +802,30 @@ def test_divergence_aborts(monkeypatch):
     assert last.cycle == 1 and np.isfinite([last.structure_loss, last.disc_loss]).all()
 
 
+def test_non_finite_gradient_under_finite_loss_names_cycle_and_phase(monkeypatch):
+    # the loss stays finite, but one discriminator gradient entry is nan:
+    # RMSProp refuses the step, and the run reports it like a diverged loss
+    g = ring_graph(8)
+    trainer = Trainer(g, TrainConfig(model="adae", dim=3, batch_size=2, adv_batch_size=2, seed=7))
+    disc_loss = embedder.discriminator_loss
+
+    def poisoned(disc, *args):
+        loss = disc_loss(disc, *args)
+        if len(trainer.log) == 2:
+            disc.grads[0] = np.nan
+        return loss
+
+    monkeypatch.setattr(embedder, "discriminator_loss", poisoned)
+    with pytest.raises(TrainingDiverged) as caught:
+        trainer.run()
+    last = trainer.log.records[-1]
+    assert str(caught.value) == (
+        f"discriminator gradient became non-finite in cycle 2; cycle 1 ended with structure "
+        f"loss {last.structure_loss!r}, disc loss {last.disc_loss!r}, gen loss {last.gen_loss!r}"
+    )
+    assert isinstance(caught.value.__cause__, GradientError)
+
+
 def test_generator_on_csr_rows_matches_dense_rows():
     rng = np.random.default_rng(30)
     dense = rng.random((50, 40)) * (rng.random((50, 40)) < 0.1)
@@ -806,7 +860,7 @@ def test_discriminator_drifts_toward_equilibrium_on_karate():
     # held-out judgment: fresh prior draws vs final embeddings, each side
     # normalized by its own batch statistics as in training
     rng = np.random.default_rng(123)
-    z = trainer.prior.sample(rng, 256, cfg.dim)
+    z = PRIORS[cfg.prior](rng, 256, cfg.dim)
     p_real = sigmoid(trainer.disc.forward(z))
     p_fake = sigmoid(trainer.disc.forward(emb.vectors))
     acc = 0.5 * ((p_real > 0.5).mean() + (p_fake <= 0.5).mean())

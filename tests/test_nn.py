@@ -16,6 +16,7 @@ from ane.nn import (
     glorot_uniform,
     gradient_check,
     log_sigmoid,
+    logistic_loss,
     sigmoid,
 )
 
@@ -50,6 +51,32 @@ def test_log_sigmoid_stable_at_extremes():
         vals = log_sigmoid(np.array([-750.0, 750.0]))
     assert vals[0] == pytest.approx(-750.0)
     assert vals[1] == pytest.approx(0.0, abs=1e-300)
+
+
+def test_logistic_loss_hand_values_and_unclamped_tails():
+    x = np.array([-800.0, -40.0, 0.0, 40.0, 800.0], dtype=np.float32)
+    loss_real, grad_real = logistic_loss(x, 1)
+    loss_fake, grad_fake = logistic_loss(x, 0)
+    # -log sigmoid(x) ~ -x far below 0, ln 2 at 0, ~0 far above
+    assert loss_real == pytest.approx(840.0 + np.log(2.0), rel=1e-15)
+    assert loss_fake == pytest.approx(840.0 + np.log(2.0), rel=1e-15)
+    assert grad_real.dtype == np.float64 and grad_fake.dtype == np.float64
+    # a confidently wrong logit keeps the whole gradient of -1 or 1
+    np.testing.assert_array_equal(grad_real, [-1.0, -1.0, -0.5, 0.0, 0.0])
+    np.testing.assert_array_equal(grad_fake, [0.0, sigmoid(-40.0), 0.5, 1.0, 1.0])
+
+
+def test_logistic_loss_gradient_matches_central_differences():
+    x = np.random.default_rng(3).normal(scale=4.0, size=50)
+    h = 1e-6
+    for label in (0, 1):
+        _, grad = logistic_loss(x, label)
+        numeric = [
+            (logistic_loss(x[i:i + 1] + h, label)[0] - logistic_loss(x[i:i + 1] - h, label)[0])
+            / (2 * h)
+            for i in range(x.size)
+        ]
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
 
 def test_glorot_bounds():
