@@ -34,7 +34,7 @@ from scipy import sparse
 from . import nn
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp
 from .proximity import check_memory, ppmi_features
-from .walker import batch_bounds, iter_batches, negative_sampler, positive_pairs, random_walks
+from .walker import PairBatch, negative_sampler, positive_pairs, random_walks, shuffled_batches
 
 # Pairs whose scores are computed at once: the (pairs, k + 1, d) gather of
 # their context and negative rows stays small.
@@ -415,12 +415,20 @@ class SkipGram:
         self.num_items = self.pair_targets.size
 
     def batches(self, rng):
-        """One epoch of shuffled pair batches with their negative draws."""
-        cfg = self.config
-        return iter_batches(
-            self.pair_targets, self.pair_contexts, self.neg_table, cfg.negatives,
-            cfg.batch_size, rng,
-        )
+        """One epoch of shuffled pair batches; each pair's ``negatives`` noise
+        draws are taken as its batch is yielded. Each generator normalizes
+        over the distinct nodes of a batch, so a batch whose pairs share one
+        target or one context is folded into a neighbouring one."""
+        targets, contexts = self.pair_targets, self.pair_contexts
+
+        def one_node(sel):
+            t, c = targets[sel], contexts[sel]
+            return (t == t[0]).all() or (c == c[0]).all()
+
+        for sel in shuffled_batches(targets.size, self.config.batch_size, rng, one_node):
+            shape = (sel.size, self.config.negatives)
+            negs = self.neg_table.sample(rng, np.zeros(shape, dtype=np.int64))
+            yield PairBatch(targets[sel], contexts[sel], negs)
 
     def loss(self, batch, rng):
         """Loss of one batch; leaves gradients on the networks."""
@@ -448,10 +456,11 @@ class Dae:
         self.num_items = graph.num_nodes
 
     def batches(self, rng):
-        """One epoch of shuffled node batches."""
-        order = rng.permutation(self.num_items)
-        for start, stop in batch_bounds(order.size, self.config.batch_size):
-            yield order[start:stop]
+        """One epoch of shuffled node batches; a trailing one-node batch is
+        folded into the one before it."""
+        return shuffled_batches(
+            self.num_items, self.config.batch_size, rng, lambda sel: sel.size < 2
+        )
 
     def loss(self, batch, rng):
         """Loss of one batch, corrupted with ``rng``; leaves gradients on the networks.

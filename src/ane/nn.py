@@ -119,23 +119,27 @@ class LeakyRelu:
     """y = x for x > 0 else slope * x.
 
     Only the boolean mask ``x > 0`` is cached, and ``backward`` drops it.
-    Forward and backward return ``x * slope`` with the masked entries
-    copied over from ``x``, in ``x``'s dtype: the same bits as scaling by
-    ``mask * (1 - slope) + slope``, which is exactly 1 or ``slope`` only
-    when ``(1 - slope) + slope == 1``, so other slopes are rejected.
+    Forward and backward multiply their operand by the scale ``mask * (1 -
+    slope) + slope``, built in the operand's dtype with no branch per
+    element. The result has the bits of the operand where the mask holds
+    and of the operand times ``slope`` elsewhere, because the scale is
+    exactly 1 or ``slope``. That holds only when ``(1 - slope) + slope == 1``
+    in float64 and in float32, so other slopes are rejected.
     """
 
     PARAMS = ()
 
     def __init__(self, slope=0.2):
-        if (1.0 - slope) + slope != 1.0:
+        if any(t(1 - slope) + t(slope) != 1 for t in (np.float64, np.float32)):
             raise ValueError(f"slope {slope!r} does not round to a scale of exactly 1 and slope")
-        self.slope = slope
+        self.slope = float(slope)
         self._mask = None
 
-    def _scaled(self, x):
-        out = x * self.slope
-        np.copyto(out, x, where=self._mask)
+    def _scaled(self, v):
+        out = self._mask.astype(v.dtype)
+        out *= 1 - self.slope
+        out += self.slope
+        out *= v
         return out
 
     def forward(self, x):

@@ -1,10 +1,14 @@
-"""Random-walk corpus generation, context pairs, and weighted negative sampling.
+"""Random-walk corpus generation, context pairs, weighted negative sampling,
+and the shuffled minibatch stream of both structure objectives.
 
 Walks follow neighbor weights through one alias table over the graph's CSR
 rows, so each step is O(1). Positive target-context pairs are all ordered
 pairs of nodes that co-occur in a walk within a window smaller than the
 context size. Negative contexts are drawn from a degree^(3/4) noise
-distribution, a one-row alias table.
+distribution, a one-row alias table. Skip-gram pairs and autoencoder nodes
+alike are batched by :func:`shuffled_batches`, which cuts a shuffled order
+into fixed-size slices and folds any slice that would give a batch-normalized
+network only one distinct row into a neighbouring batch.
 """
 
 from __future__ import annotations
@@ -145,55 +149,28 @@ def negative_sampler(graph):
     return AliasTable(graph.degrees() ** 0.75)
 
 
-def batch_bounds(num_items, batch_size):
-    """``(start, stop)`` of each minibatch over ``num_items`` items in order.
+def shuffled_batches(num_items, batch_size, rng, one_row):
+    """One epoch of shuffled minibatches of ``range(num_items)``, as index arrays.
 
-    Batch norm needs at least two rows, so a trailing batch of one item is
-    folded into the batch before it.
+    The order is ``rng.permutation(num_items)``, drawn as an int32 shuffle
+    (int64 above 2**31 - 1) in half the bytes of its int64 arange, cut into
+    ``batch_size`` slices. Batch norm needs at least two distinct rows, so a
+    slice for which ``one_row(slice)`` holds is folded into the batch before
+    it; if the first batch is such a slice, it takes in the one after it.
+    Every item is in exactly one batch.
     """
-    starts = list(range(0, num_items, batch_size))
-    if len(starts) > 1 and num_items - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [num_items]))
-
-
-def iter_batches(targets, contexts, neg_table, num_negatives, batch_size, rng):
-    """One epoch of minibatches: pairs globally shuffled, each pair carrying
-    ``num_negatives`` independent noise draws.
-
-    Each generator normalizes over the distinct nodes of a batch, so a batch
-    whose pairs share one target or one context is folded into the batch
-    before it (the first batch takes in the one after it). Every pair is
-    still in exactly one batch, and an epoch without such a batch draws the
-    same batches as plain fixed-size slicing.
-    """
-    if num_negatives < 1:
-        raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-
-    def one_node(sel):
-        t, c = targets[sel], contexts[sel]
-        return (t == t[0]).all() or (c == c[0]).all()
-
-    def batch(sel):
-        negs = neg_table.sample(rng, np.zeros((sel.size, num_negatives), dtype=np.int64))
-        return PairBatch(targets[sel], contexts[sel], negs)
-
-    # rng.permutation(n) shuffles an int64 arange; the same shuffle of an
-    # int32 one gives the same order in half the bytes
-    n = targets.shape[0]
-    order = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    dtype = np.int32 if num_items <= np.iinfo(np.int32).max else np.int64
+    order = np.arange(num_items, dtype=dtype)
     rng.shuffle(order)
     held = None  # the next batch out, held while the one after it is checked
-    for start, stop in batch_bounds(order.size, batch_size):
-        sel = order[start:stop]
+    for start in range(0, num_items, batch_size):
+        sel = order[start : start + batch_size]
         if held is None:
             held = sel
-        elif one_node(held) or one_node(sel):
+        elif one_row(held) or one_row(sel):
             held = np.concatenate([held, sel])
         else:
-            yield batch(held)
+            yield held
             held = sel
     if held is not None:
-        yield batch(held)
+        yield held

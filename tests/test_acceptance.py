@@ -31,7 +31,7 @@ from ane.evaluation import SplitSpec, evaluate, load_labels
 from ane.graph import load_edge_list, preprocess
 from ane.nn import gradient_check
 from ane.proximity import accumulate_powers, shifted_ppmi
-from ane.walker import AliasTable, PairBatch, iter_batches, negative_sampler
+from ane.walker import AliasTable, PairBatch, negative_sampler
 
 
 def report(criterion, ok, detail):
@@ -104,14 +104,7 @@ def karate_2d_run(karate):
     probe = Trainer(graph, cfg)
     skipgram = probe.objective
     rng = np.random.default_rng(999)
-    batches = iter_batches(
-        skipgram.pair_targets,
-        skipgram.pair_contexts,
-        skipgram.neg_table,
-        cfg.negatives,
-        cfg.batch_size,
-        rng,
-    )
+    batches = skipgram.batches(rng)
     initial = float(
         np.mean([idw_batch_loss(probe.gen_g, skipgram.gen_f, b, probe.features) for b in batches])
     )

@@ -76,6 +76,8 @@ def test_config_validation():
         TrainConfig(adv_batch_size=1)
     with pytest.raises(ValueError, match="batch_size must be >= 2"):
         TrainConfig(batch_size=1)
+    with pytest.raises(ValueError, match="negatives"):
+        TrainConfig(negatives=0)
     for model in ("idw", "aidw"):
         with pytest.raises(ValueError, match="context_size"):
             TrainConfig(model=model, context_size=1)

@@ -136,8 +136,8 @@ def test_leaky_relu_values_and_grad():
 
 
 def signed_bits(a):
-    """The raw float64 bits, so -0.0 and 0.0 compare unequal."""
-    return np.ascontiguousarray(a).view(np.int64)
+    """The raw bits of a float array, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a).view(f"i{a.itemsize}")
 
 
 # zeros of both signs, a constant column and a 2-row batch
@@ -150,24 +150,43 @@ EDGE_BATCHES = [
 
 @pytest.mark.parametrize("x", EDGE_BATCHES)
 def test_leaky_relu_bit_equal_to_where_scale_and_caches_a_bool_mask(x):
-    act = LeakyRelu(0.2)
-    scale = np.where(x > 0, 1.0, 0.2)
-    out = act.forward(x)
-    assert act._mask.dtype == np.bool_ and act._mask.shape == x.shape
-    np.testing.assert_array_equal(signed_bits(out), signed_bits(x * scale))
-    grad = np.random.default_rng(15).normal(size=x.shape)
-    grad[0] = [-0.0] * x.shape[1]
-    np.testing.assert_array_equal(signed_bits(act.backward(grad)), signed_bits(grad * scale))
+    for dtype in (np.float64, np.float32):
+        v = x.astype(dtype)
+        act = LeakyRelu(0.2)
+        scale = np.where(v > 0, 1.0, 0.2).astype(dtype)
+        out = act.forward(v)
+        assert act._mask.dtype == np.bool_ and act._mask.shape == x.shape
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(signed_bits(out), signed_bits(v * scale))
+        grad = np.random.default_rng(15).normal(size=x.shape).astype(dtype)
+        grad[0] = [-0.0] * x.shape[1]
+        np.testing.assert_array_equal(signed_bits(act.backward(grad)), signed_bits(grad * scale))
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 0.5, 1.0])
 def test_leaky_relu_scale_is_exactly_one_or_slope(slope):
-    act = LeakyRelu(slope)
-    act.forward(np.array([[2.0, -2.0]]))
-    np.testing.assert_array_equal(act.backward(np.ones((1, 2))), [[1.0, slope]])
+    for dtype in (np.float64, np.float32):
+        act = LeakyRelu(slope)
+        act.forward(np.array([[2.0, -2.0]], dtype=dtype))
+        grad = act.backward(np.ones((1, 2), dtype=dtype))
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad, np.array([[1.0, slope]], dtype=dtype))
 
 
-@pytest.mark.parametrize("slope", [1e20, -0.9073248041278822, float("nan")])
+def test_leaky_relu_float32_scale_is_exact_for_random_slopes():
+    # slopes that pass the float64 rule; the float32 networks need their
+    # float32 scale to be exact too, which the constructor also checks
+    slopes = np.random.default_rng(16).uniform(0.0, 1.0, 10_000)
+    assert ((1.0 - slopes) + slopes == 1.0).all()
+    for slope in slopes:
+        act = LeakyRelu(slope)
+        act.forward(np.array([[2.0, -2.0]], dtype=np.float32))
+        np.testing.assert_array_equal(
+            act.backward(np.ones((1, 2), dtype=np.float32)), [[1.0, np.float32(slope)]]
+        )
+
+
+@pytest.mark.parametrize("slope", [1e20, -0.9073248041278822, float("nan"), -3 * 2.0**-26])
 def test_leaky_relu_rejects_a_slope_whose_scale_does_not_round_to_one(slope):
     with pytest.raises(ValueError, match="slope"):
         LeakyRelu(slope)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from ane.embedder import TrainConfig
+from ane.embedder import Dae, SkipGram, TrainConfig
 from ane.graph import parse_edge_lines, preprocess
 from ane.walker import (
     AliasTable,
     PairBatch,
-    iter_batches,
     negative_sampler,
     positive_pairs,
     random_walks,
+    shuffled_batches,
 )
 
 
@@ -291,24 +292,46 @@ def test_negative_sampler_empirical_frequency():
 # batches
 
 
-def test_batch_sizes_partial_tail():
-    targets = np.arange(7, dtype=np.int32)
-    contexts = np.arange(7, dtype=np.int32)
-    table = AliasTable([1, 1, 1])
+def skipgram(targets, contexts, table, negatives, batch_size):
+    """A small skip-gram objective whose pairs and noise table are the given ones."""
+    config = TrainConfig(
+        model="idw", dim=2, negatives=negatives, batch_size=batch_size,
+        walks_per_node=1, walk_length=3, context_size=2,
+    )
     rng = np.random.default_rng(0)
-    sizes = [len(b) for b in iter_batches(targets, contexts, table, 5, 3, rng)]
+    features = sparse.identity(3, dtype=np.float32, format="csr")
+    objective = SkipGram(ring_graph(3), config, features, rng, rng)
+    objective.pair_targets, objective.pair_contexts, objective.neg_table = targets, contexts, table
+    return objective
+
+
+def test_batch_sizes_partial_tail():
+    rng = np.random.default_rng(0)
+    sizes = [b.size for b in shuffled_batches(7, 3, rng, lambda sel: sel.size < 2)]
     assert sizes == [3, 4]  # a 1-item tail is folded into the batch before it
-    sizes = [len(b) for b in iter_batches(targets[:5], contexts[:5], table, 5, 3, rng)]
+    sizes = [b.size for b in shuffled_batches(5, 3, rng, lambda sel: sel.size < 2)]
     assert sizes == [3, 2]
+
+
+def test_one_row_slices_fold_into_the_batch_before_and_the_first_takes_the_next():
+    # items name rows; the first and the third slice of three each hold one row
+    order = np.random.default_rng(3).permutation(12)
+    rows = np.empty(12, dtype=np.int64)
+    rows[order] = [0, 0, 0, 1, 2, 3, 4, 4, 4, 5, 6, 7]
+
+    def one_row(sel):
+        return np.unique(rows[sel]).size < 2
+
+    batches = list(shuffled_batches(12, 3, np.random.default_rng(3), one_row))
+    assert [b.tolist() for b in batches] == [order[:9].tolist(), order[9:].tolist()]
 
 
 def test_batches_have_k_negatives_and_cover_all_pairs():
     targets = np.arange(10, dtype=np.int32)
     contexts = (np.arange(10, dtype=np.int32) + 1) % 10
-    table = AliasTable([1, 2, 3])
-    rng = np.random.default_rng(4)
+    objective = skipgram(targets, contexts, AliasTable([1, 2, 3]), 5, 4)
     seen = []
-    for batch in iter_batches(targets, contexts, table, 5, 4, rng):
+    for batch in objective.batches(np.random.default_rng(4)):
         assert isinstance(batch, PairBatch)
         assert batch.negatives.shape == (len(batch), 5)
         assert (batch.negatives < 3).all()
@@ -319,13 +342,12 @@ def test_batches_have_k_negatives_and_cover_all_pairs():
 def test_batches_deterministic_by_seed():
     targets = np.arange(20, dtype=np.int32)
     contexts = targets[::-1].copy()
-    table = AliasTable([1, 1, 1, 1])
+    objective = skipgram(targets, contexts, AliasTable([1, 1, 1, 1]), 3, 6)
 
     def collect(seed):
-        rng = np.random.default_rng(seed)
         return [
             (b.targets.tolist(), b.contexts.tolist(), b.negatives.tolist())
-            for b in iter_batches(targets, contexts, table, 3, 6, rng)
+            for b in objective.batches(np.random.default_rng(seed))
         ]
 
     assert collect(5) == collect(5)
@@ -334,19 +356,12 @@ def test_batches_deterministic_by_seed():
 
 @pytest.mark.parametrize("n", [10, 4_099, 65_536])
 def test_batch_order_is_rng_permutation_of_the_same_seed(n):
-    # the targets name each pair's index, so the batches spell out the order
-    targets = np.arange(n, dtype=np.int32)
-    table = AliasTable([1, 2, 3])
-    batches = list(iter_batches(targets, targets, table, 2, 1_000, np.random.default_rng(7)))
     rng = np.random.default_rng(7)
-    np.testing.assert_array_equal(
-        np.concatenate([b.targets for b in batches]), rng.permutation(n)
-    )
-    # the stream is left where rng.permutation leaves it, so negatives are unchanged
-    first = batches[0]
-    np.testing.assert_array_equal(
-        first.negatives, table.sample(rng, np.zeros((len(first), 2), dtype=np.int64))
-    )
+    batches = list(shuffled_batches(n, 1_000, rng, lambda sel: False))
+    want = np.random.default_rng(7)
+    np.testing.assert_array_equal(np.concatenate(batches), want.permutation(n))
+    # the stream is left where rng.permutation leaves it, so later draws are unchanged
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 @pytest.mark.parametrize("shared", ["targets", "contexts"])
@@ -355,10 +370,10 @@ def test_batches_sharing_one_node_are_folded(shared):
     many = np.array([0] * 25 + [1, 2, 3, 4, 5], dtype=np.int32)
     ids = np.arange(30, dtype=np.int32)
     targets, contexts = (many, ids) if shared == "targets" else (ids, many)
-    table = AliasTable([1, 1, 1])
+    objective = skipgram(targets, contexts, AliasTable([1, 1, 1]), 2, 3)
     folded = 0
     for seed in range(20):
-        batches = list(iter_batches(targets, contexts, table, 2, 3, np.random.default_rng(seed)))
+        batches = list(objective.batches(np.random.default_rng(seed)))
         for b in batches:
             assert np.unique(b.targets).size >= 2 and np.unique(b.contexts).size >= 2
             assert b.negatives.shape == (len(b), 2)
@@ -368,10 +383,13 @@ def test_batches_sharing_one_node_are_folded(shared):
     assert folded > 0
 
 
-def test_batch_validation():
-    table = AliasTable([1.0])
+@pytest.mark.parametrize("n", [6, 7])
+def test_dae_batches_are_the_permutation_with_a_one_node_tail_folded(n):
+    config = TrainConfig(model="dae", dim=2, batch_size=3)
+    features = sparse.identity(n, dtype=np.float32, format="csr")
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        next(iter_batches(np.zeros(3, np.int32), np.zeros(3, np.int32), table, 0, 2, rng))
-    with pytest.raises(ValueError):
-        next(iter_batches(np.zeros(3, np.int32), np.zeros(3, np.int32), table, 2, 0, rng))
+    dae = Dae(ring_graph(n), config, features, rng, rng)
+    order = np.random.default_rng(5).permutation(n)
+    want = [order[:3], order[3:]]  # 7 nodes: the seventh joins the second batch
+    got = list(dae.batches(np.random.default_rng(5)))
+    assert [b.tolist() for b in got] == [w.tolist() for w in want]
