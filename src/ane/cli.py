@@ -40,7 +40,7 @@ from .evaluation import (
     load_labels,
 )
 from .graph import EdgeListError, GraphError, load_edge_list, preprocess
-from .proximity import load_feature_matrix, ppmi_features
+from .proximity import ppmi_features
 
 MANIFEST_FORMAT = "ane-manifest-v2"
 
@@ -151,7 +151,7 @@ def _add_train_flags(p):
         "--features",
         default=None,
         metavar="PATH",
-        help="precomputed feature matrix to use instead of the PPMI rows",
+        help="node-keyed feature rows (the embedding.txt format) to use instead of the PPMI rows",
     )
 
 
@@ -162,24 +162,40 @@ def _config_from_args(args):
         raise UsageError(str(exc)) from exc
 
 
-def _load_graph(edge_path, weighted):
+def _load_dataset(edge_path, weighted, features_path):
+    """The graph, the rows of its ``--features`` file in ``graph.ids`` order
+    (None: train on PPMI features) and the manifest's record of both."""
     with _stage("graph-core"):
         graph = preprocess(load_edge_list(edge_path, weighted=weighted))
-    return graph
+    features = _load_features(_require_file(features_path), graph) if features_path else None
+    record = {
+        "edge_list": str(Path(edge_path).resolve()),
+        "weighted": bool(weighted),
+        "features": str(Path(features_path).resolve()) if features_path else None,
+    }
+    return graph, features, record
 
 
 def _load_features(path, graph):
+    """Read a node-keyed matrix in the ``embedding.txt`` format and put its
+    rows in ``graph.ids`` order. A graph node without a row and a row whose
+    id is not a graph node are input errors naming the first offenders."""
     with _stage("proximity"):
         try:
-            feats = load_feature_matrix(path)
+            feats = load_embeddings(path)
+            row_of = {node_id: i for i, node_id in enumerate(feats.ids)}
+            for offenders, what in (
+                ([v for v in graph.ids if v not in row_of], "graph nodes have no row"),
+                ([v for v in feats.ids if v not in graph.index_of], "row ids are not graph nodes"),
+            ):
+                if offenders:
+                    raise ValueError(
+                        f"{path}: {len(offenders)} {what} "
+                        f"(first offenders: {', '.join(offenders[:5])})"
+                    )
         except ValueError as exc:
             raise UsageError(f"[proximity] {exc}") from exc
-        if feats.shape[0] != len(graph):
-            raise GraphError(
-                f"feature matrix has {feats.shape[0]} rows but the graph has "
-                f"{len(graph)} nodes"
-            )
-    return feats
+    return feats.vectors[[row_of[v] for v in graph.ids]]
 
 
 def _train_and_write(graph, cfg, out_dir, dataset_meta, features=None):
@@ -243,17 +259,9 @@ def cmd_embed(args):
         weighted = args.weighted
         features_path = args.features
 
-    edge_path = _require_file(edge_path)
-    graph = _load_graph(edge_path, weighted)
-    features = None
-    if features_path:
-        features = _load_features(_require_file(features_path), graph)
-
-    dataset_meta = {
-        "edge_list": str(Path(edge_path).resolve()),
-        "weighted": bool(weighted),
-        "features": str(Path(features_path).resolve()) if features_path else None,
-    }
+    graph, features, dataset_meta = _load_dataset(
+        _require_file(edge_path), weighted, features_path
+    )
     embedding, _ = _train_and_write(graph, cfg, args.out, dataset_meta, features=features)
     print(
         f"wrote {embedding.num_nodes} x {embedding.dim} {cfg.model} embedding "
@@ -339,8 +347,7 @@ def cmd_sweep(args):
         except ValueError as exc:
             raise UsageError(f"sweep point ({label}): {exc}") from exc
 
-    graph = _load_graph(edge_path, args.weighted)
-    features = _load_features(_require_file(args.features), graph) if args.features else None
+    graph, features, dataset_meta = _load_dataset(edge_path, args.weighted, args.features)
     with _stage("evalkit"):
         try:
             label_set = load_labels(labels_path, {nid: i for i, nid in enumerate(graph.ids)})
@@ -354,11 +361,6 @@ def cmd_sweep(args):
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_meta = {
-        "edge_list": str(Path(edge_path).resolve()),
-        "weighted": bool(args.weighted),
-        "features": str(Path(args.features).resolve()) if args.features else None,
-    }
 
     header = [*names, *ACCURACY_COLUMNS, "status"]
     rows = []

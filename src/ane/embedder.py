@@ -681,13 +681,14 @@ def export_embeddings(embedding, path):
 
 
 def load_embeddings(path):
-    """Reload a file written by :func:`export_embeddings`; a malformed row, a
-    non-finite coordinate, a repeated node id or a row beyond the header's N
-    raises ``ValueError``."""
+    """Reload a file written by :func:`export_embeddings`, or any node-keyed
+    matrix in its format; a header that is not two integers, a malformed
+    row, a non-finite coordinate, a repeated node id or a row beyond the
+    header's N raises ``ValueError`` naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected 'N d' header, got {header!r}")
+        if len(header) != 2 or not all(tok.isdecimal() for tok in header):
+            raise ValueError(f"{path}: line 1: expected 'N d' header, got {header!r}")
         n, d = int(header[0]), int(header[1])
         line_of = {}  # node id -> its line
         vectors = np.empty((n, d), dtype=np.float64)
@@ -701,9 +702,13 @@ def load_embeddings(path):
                     f"of line {line_of[parts[0]]}"
                 )
             line_of[parts[0]] = i + 2
-            vectors[i] = [float(tok) for tok in parts[1:]]
+            try:
+                vectors[i] = [float(tok) for tok in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {i + 2}: {exc}") from exc
             if not np.isfinite(vectors[i]).all():
                 raise ValueError(f"{path}: line {i + 2} holds a non-finite coordinate")
-        if any(line.strip() for line in fh):
-            raise ValueError(f"{path}: more than the {n} rows the header gives")
+        for k, line in enumerate(fh, start=n + 2):
+            if line.strip():
+                raise ValueError(f"{path}: line {k}: more than the {n} rows the header gives")
     return EmbeddingMatrix(vectors=vectors, ids=list(line_of))

@@ -147,29 +147,3 @@ def ppmi_features(graph, steps=4, beta=None):
     m = accumulate_powers(row_normalize(graph), steps)
     return shifted_ppmi(m, beta)
 
-
-def load_feature_matrix(path):
-    """Load node features from text: an ``N D`` header, then N rows of D values.
-
-    The features may have any dimension D. A malformed header or row, a
-    missing or extra row or a non-finite value raises ``ValueError``.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected 'N D' header, got {header}")
-        n, d = int(header[0]), int(header[1])
-        mat = np.empty((n, d), dtype=np.float64)
-        for i in range(n):
-            try:
-                row = np.array(fh.readline().split(), dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i}: {exc}") from exc
-            if row.shape[0] != d:
-                raise ValueError(f"{path}: row {i} has {row.shape[0]} values, expected {d}")
-            if not np.isfinite(row).all():
-                raise ValueError(f"{path}: row {i} holds a non-finite value")
-            mat[i] = row
-        if any(line.strip() for line in fh):
-            raise ValueError(f"{path}: more than the {n} rows the header gives")
-    return mat

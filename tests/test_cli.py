@@ -219,7 +219,7 @@ def test_embed_trains_on_csr_features(ring, tmp_path, monkeypatch, source):
     flags = []
     if source == "features-file":
         features = tmp_path / "features.txt"
-        features.write_text("12 3\n" + "".join(f"{i} 0 0.5\n" for i in range(12)))
+        features.write_text("12 3\n" + "".join(f"v{i} {i} 0 0.5\n" for i in range(12)))
         flags = ["--features", features]
     assert run_cli("embed", edges, "--out", tmp_path / "o", *flags, *FAST) == 0
     (held,) = seen
@@ -240,17 +240,45 @@ def test_embed_folds_a_batch_whose_pairs_share_one_target(karate, tmp_path):
     assert len(rows) == 1 and math.isfinite(float(rows[0].split()[1]))
 
 
+KARATE_IDS = [str(i) for i in range(34)]
+
+
+def keyed_rows(ids, values="1 2"):
+    return "".join(f"{node_id} {values}\n" for node_id in ids)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("34 2\n" + "1 2\n" * 20, "row 20 has 0 values"),  # truncated: 20 of 34 rows
-        ("34 2\n" + "1 2\n" * 20 + "1 x\n" + "1 2\n" * 13, "row 20"),
-        ("34 2\n" + "1 2\n" * 20 + "1 nan\n" + "1 2\n" * 13, "row 20 holds a non-finite value"),
-        ("34 2\n" + "1 2\n" * 40, "more than the 34 rows"),
+        # truncated: 20 of 34 rows
+        ("34 2\n" + keyed_rows(KARATE_IDS[:20]), "line 22 has 0 fields, expected 3"),
+        (
+            "34 2\n" + keyed_rows(KARATE_IDS[:20]) + "20 1 x\n" + keyed_rows(KARATE_IDS[21:]),
+            "line 22: could not convert string to float: 'x'",
+        ),
+        (
+            "34 2\n" + keyed_rows(KARATE_IDS[:20]) + "20 1 nan\n" + keyed_rows(KARATE_IDS[21:]),
+            "line 22 holds a non-finite coordinate",
+        ),
+        ("34 2\n" + keyed_rows(KARATE_IDS) + keyed_rows(["34"]), "line 36: more than the 34 rows"),
         # the old PPMI cache header; such a file loads once its header reads '34 34'
-        ("34 4 0.03\n" + ("0 " * 34 + "\n") * 34, "expected 'N D' header"),
+        ("34 4 0.03\n" + keyed_rows(KARATE_IDS, "0 " * 34), "line 1: expected 'N d' header"),
+        # the old id-less format
+        ("34 2\n" + "1 2\n" * 34, "line 2 has 2 fields, expected 3"),
+        ("33 2\n" + keyed_rows(KARATE_IDS[:33]), "1 graph nodes have no row (first offenders: 33)"),
+        (
+            "35 2\n" + keyed_rows(KARATE_IDS + ["stranger"]),
+            "1 row ids are not graph nodes (first offenders: stranger)",
+        ),
+        (
+            "34 2\n" + keyed_rows(KARATE_IDS[:33] + ["7"]),
+            "line 35 repeats the node id '7' of line 9",
+        ),
     ],
-    ids=["truncated", "non-numeric", "nan", "extra-rows", "n-t-beta-header"],
+    ids=[
+        "truncated", "non-numeric", "nan", "extra-rows", "n-t-beta-header",
+        "id-less-row", "missing-node", "unknown-id", "repeated-id",
+    ],
 )
 def test_embed_bad_features_file_exit_2(karate, tmp_path, capsys, text, message):
     edges, _ = karate
@@ -259,8 +287,44 @@ def test_embed_bad_features_file_exit_2(karate, tmp_path, capsys, text, message)
     code = run_cli("embed", edges, "--out", tmp_path / "o", "--features", features, *FAST)
     assert code == 2
     err = capsys.readouterr().err
-    assert "[proximity]" in err and message in err
-    assert not (tmp_path / "o" / "training_log.txt").exists()
+    assert "[proximity]" in err and f"{features}: " in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def write_ring_features(path, order):
+    """Random 3-wide rows keyed by the ring's node ids, written in ``order``."""
+    rows = np.random.default_rng(0).random((12, 3))
+    path.write_text(
+        "12 3\n" + "".join(f"v{i} " + " ".join(map(str, rows[i])) + "\n" for i in order)
+    )
+    return path
+
+
+def test_features_matched_by_id_whatever_the_row_order(ring, tmp_path):
+    edges, _ = ring
+    for name, order in [
+        ("ordered", range(12)),
+        ("shuffled", np.random.default_rng(1).permutation(12)),
+    ]:
+        features = write_ring_features(tmp_path / f"{name}.txt", order)
+        assert run_cli("embed", edges, "--features", features, "--out", tmp_path / name, *FAST) == 0
+    for artifact in ("embedding.txt", "training_log.txt"):
+        assert (tmp_path / "ordered" / artifact).read_bytes() == (
+            tmp_path / "shuffled" / artifact
+        ).read_bytes()
+
+
+def test_embedding_of_one_run_is_the_features_of_the_next(ring, tmp_path):
+    edges, _ = ring
+    first, second, replay = tmp_path / "first", tmp_path / "second", tmp_path / "replay"
+    assert run_cli("embed", edges, "--out", first, *FAST) == 0
+    features = first / "embedding.txt"
+    assert run_cli("embed", edges, "--features", features, "--out", second, *FAST) == 0
+    manifest = json.loads((second / "manifest.json").read_text())
+    assert manifest["dataset"]["features"] == str(features.resolve())
+    assert run_cli("embed", "--from-manifest", second / "manifest.json", "--out", replay) == 0
+    for artifact in ("embedding.txt", "training_log.txt"):
+        assert (second / artifact).read_bytes() == (replay / artifact).read_bytes()
 
 
 def test_idw_equals_aidw_with_adversary_disabled(ring, tmp_path):
@@ -424,22 +488,33 @@ def test_eval_unknown_label_ids_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rows, message",
+    "lines, message",
     [
-        (["n0 nan 1", "n1 1 0", "n2 0 1", "n3 1 1"], "line 2 holds a non-finite coordinate"),
-        (["n0 1 0", "n1 inf 0", "n2 0 1", "n3 1 1"], "line 3 holds a non-finite coordinate"),
-        (["n0 1 0", "n1 1 0", "n2 0 1", "n3 0 1", "n4 1 1"], "more than the 4 rows"),
-        (["n0 1 0", "n0 0 1", "n2 0 1", "n3 1 1"], "line 3 repeats the node id 'n0' of line 2"),
+        (["4 2", "n0 nan 1", "n1 1 0", "n2 0 1", "n3 1 1"], "line 2 holds a non-finite coordinate"),
+        (["4 2", "n0 1 0", "n1 inf 0", "n2 0 1", "n3 1 1"], "line 3 holds a non-finite coordinate"),
+        (["4 2", "n0 1 0", "n1 1 0", "n2 0 1", "n3 0 1", "n4 1 1"], "line 6: more than the 4 rows"),
+        (
+            ["4 2", "n0 1 0", "n0 0 1", "n2 0 1", "n3 1 1"],
+            "line 3 repeats the node id 'n0' of line 2",
+        ),
+        (
+            ["4 2", "n0 1 0", "n1 1 x", "n2 0 1", "n3 1 1"],
+            "line 3: could not convert string to float: 'x'",
+        ),
+        (
+            ["two 2", "n0 1 0", "n1 1 0", "n2 0 1", "n3 1 1"],
+            "line 1: expected 'N d' header, got ['two', '2']",
+        ),
     ],
-    ids=["nan", "inf", "extra-row", "repeated-id"],
+    ids=["nan", "inf", "extra-row", "repeated-id", "non-numeric", "bad-header"],
 )
-def test_eval_bad_embedding_file_exit_2(tmp_path, capsys, rows, message):
+def test_eval_bad_embedding_file_exit_2(tmp_path, capsys, lines, message):
     emb = tmp_path / "e.txt"
-    emb.write_text("4 2\n" + "".join(row + "\n" for row in rows))
+    emb.write_text("".join(line + "\n" for line in lines))
     labels = tmp_path / "l.txt"
     labels.write_text("n0 a\nn1 a\nn2 b\nn3 b\n")
     assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1") == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {emb}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("l2", ["nan", "inf", "0", "-1"])
@@ -610,9 +685,7 @@ def test_sweep_one_class_labels_exit_2_before_training(ring, tmp_path, capsys):
 
 def test_sweep_trains_every_point_on_the_features_file(ring, tmp_path):
     edges, labels = ring
-    features = tmp_path / "features.txt"
-    rows = np.random.default_rng(0).random((12, 3))
-    features.write_text("12 3\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    features = write_ring_features(tmp_path / "features.txt", range(12))
     out = tmp_path / "sweep"
     code = run_cli(
         "sweep", edges, labels, "--grid-dim", "2,3", "--features", features,

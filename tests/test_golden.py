@@ -8,96 +8,8 @@ BLAS build, or the same OpenBLAS on a CPU where it picks another kernel, may
 round differently, so the cases skip there. The digests were the same with
 one and with two OpenBLAS threads.
 
-The idw and aidw digests were recorded again, with scipy 1.17.1, when the
-skip-gram gradients moved to sparse incidence products: those sum each row's
-pair terms in pair order, which rounds differently from the sorted segment
-sums they replaced. The sparse products are scipy's own loops, not BLAS.
-
-They were recorded once more when walks and negatives moved to one alias
-table built for all CSR rows at once: its build pairs small and large
-entries in another order, and negatives are now drawn with two uniform
-floats instead of a uniform integer and a float. Unit-weight rows never
-alias, so walks on unweighted graphs are unchanged, but the negatives
-change on every graph.
-
-All sixteen were recorded again when the PPMI features moved to the sparse
-transition matrix: each power is now ``A @ A^k`` with a CSR ``A`` (scipy's
-loop, adding each row's terms in entry order) instead of the dense BLAS
-product ``A^k @ A``. The proximity matrix moved by at most 2.2e-16 and the
-PPMI features by 8.9e-16 on a 2 708-node planted graph, but training is
-chaotic, so every digest changes. In the same change ``Graph.degrees``
-became one segmented sum in entry order, which rounds differently from
-``ndarray.sum`` on rows of 8 or more entries, so the transition matrix and
-the negative-sampling weights can move by one rounding as well.
-
-All sixteen were recorded again when the generators started taking their
-feature rows as a scipy CSR array: the first layer's ``x @ W.T`` and
-``grad.T @ x`` became scipy's sparse-times-dense loops, which add only the
-non-zero terms, in entry order, where BLAS added every term. The PPMI
-values themselves are bit-equal to the dense transform. In the same change
-the skip-gram negative scores moved from ``np.einsum`` to a batched
-``np.matmul``, which rounds differently. dae and adae change through the
-adversarial phase and the exported embedding; their corrupted training
-batches are still dense.
-
-The eight dae and adae digests were recorded again when the autoencoder
-batches stayed CSR: the corruption draws each row's kill count from a
-hypergeometric law and picks the killed stored entries by sorted random
-keys, which consumes the noise stream differently, and the encoder's
-products become scipy's sparse sums. The four aidw digests moved in the
-same change only because ``DenseLayer`` now stores its weights as
-``(in_dim, out_dim)``: ``clip_global_norm`` then sums each transposed
-weight gradient in another order (with ``grad_clip=inf`` a karate aidw run
-is bit-identical). The idw digests did not move.
-
-All sixteen were recorded again when batch norm lost its running averages:
-the export now passes all N feature rows through the generator as one
-batch and normalizes by their exact statistics, where it used to
-normalize by a moving average of the training batches'. Training never
-read the running averages, so every ``training_log.txt`` stayed
-byte-identical; only ``embedding.txt`` moved.
-
-The eight idw and aidw digests were recorded again when the skip-gram step
-stopped building arrays with a row per pair. Each pair's positive score is
-now the first column of the same batched ``np.matmul`` as its negative
-scores, where it used to be an elementwise product summed along the row.
-Both row gradients now come from one coupling matrix (unique context rows x
-unique target rows) that sums each pair's score gradients per entry, so
-``C.T @ v_rows`` gives the target rows. The old code took ``W.T @ v_rows``
-per pair and then summed the pairs of each target. The eight dae and adae
-digests did not move. Neither did any digest when batch norm and leaky ReLU
-started allocating less, or when the epoch's pair order moved to int32.
-
-All sixteen were recorded again when training moved to float32: the
-trainer builds every network in float32 and trains on float32 feature
-rows, so every product, activation, gradient and RMSProp update rounds to
-float32 (the dense products become OpenBLAS sgemm and scipy's float32
-loops). Batch norm still sums its statistics in float64, the losses are
-reduced in float64, and ``embedding.txt`` is a float64 pass of the float32
-parameters over the float64 features. The new digests were again the same
-with one and with two OpenBLAS threads.
-
-The eight aidw and adae digests were recorded again when each network's
-parameters and gradients moved into one contiguous vector:
-``clip_global_norm`` now takes the norm as one float32 dot product over the
-whole gradient vector (OpenBLAS ``sdot``, the same with one and two
-threads) where it added one float32 sum of squares per layer array, so the
-clipped gradients round differently whenever clipping binds. With the
-per-array summation put back, all sixteen old digests matched. The eight
-idw and dae digests did not move.
-
-The eight aidw and adae digests were recorded again when the discriminator
-and generator losses moved to the one logistic loss that the skip-gram
-uses. The old loss clamped each probability to [1e-12, 1 - 1e-12] before
-the log and zeroed the gradient where the clamp bound; the new one is the
-exact ``-log_sigmoid`` and keeps the gradient ``sigmoid - label`` at any
-logit. Every ``training_log.txt`` moved in its disc and gen columns,
-because ``log(sigmoid)`` and ``log_sigmoid`` round differently. The clamp
-bound on 10 of the 12 480 discriminator logits of these eight cases (at
-|logit| of 27.6 or more); six ``embedding.txt`` files moved through those
-gradients, and with the gradient zeroed again where the clamp bound, all
-eight old ``embedding.txt`` files came back byte for byte. The eight idw
-and dae digests did not move.
+Why each digest moved when it was recorded again, with the old and new
+digests, is in CHANGES.md.
 """
 
 import ctypes

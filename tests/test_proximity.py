@@ -11,7 +11,6 @@ from ane.embedder import TrainConfig
 from ane.graph import Graph, GraphError, parse_edge_lines, preprocess, row_normalize
 from ane.proximity import (
     accumulate_powers,
-    load_feature_matrix,
     ppmi_features,
     shifted_ppmi,
 )
@@ -193,20 +192,6 @@ def test_config_validation():
     for beta in (-0.1, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="ppmi_beta"):
             TrainConfig(ppmi_beta=beta)
-
-
-def test_load_feature_matrix_generic_header(tmp_path):
-    path = tmp_path / "feats.txt"
-    path.write_text("2 3\n1 2 3\n4 5 6\n")
-    mat = load_feature_matrix(path)
-    np.testing.assert_array_equal(mat, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-
-
-def test_load_feature_matrix_bad_rows(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 3\n1 2 3\n4 5\n")
-    with pytest.raises(ValueError, match="row 1"):
-        load_feature_matrix(path)
 
 
 def test_row_normalize_feeds_accumulate():
