@@ -24,6 +24,7 @@ from .graph import (
     EdgeListError,
     Graph,
     GraphError,
+    InputError,
     load_edge_list,
     parse_edge_lines,
     preprocess,
@@ -39,6 +40,7 @@ __all__ = [
     "EmbeddingMatrix",
     "Graph",
     "GraphError",
+    "InputError",
     "LabelSet",
     "SplitSpec",
     "TrainConfig",

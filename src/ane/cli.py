@@ -39,7 +39,7 @@ from .evaluation import (
     format_accuracy_table,
     load_labels,
 )
-from .graph import EdgeListError, GraphError, load_edge_list, preprocess
+from .graph import InputError, load_edge_list, preprocess
 from .proximity import ppmi_features
 
 MANIFEST_FORMAT = "ane-manifest-v2"
@@ -60,11 +60,12 @@ class StageError(Exception):
 
 @contextmanager
 def _stage(name):
+    """Tag a failure with its stage; an InputError or a missing file exits 2."""
     try:
         yield
     except (UsageError, StageError):
         raise
-    except (EdgeListError, GraphError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         raise UsageError(f"[{name}] {exc}") from exc
     except Exception as exc:
         raise StageError(name, exc) from exc
@@ -90,6 +91,18 @@ def _write_json(path, payload):
         path,
         lambda p: Path(p).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n"),
     )
+
+
+def _manifest(command, **fields):
+    """The header every manifest starts with, then ``fields``; a
+    ``created_utc`` among them (embed's start time) replaces the time now."""
+    return {
+        "format": MANIFEST_FORMAT,
+        "package_version": __version__,
+        "command": command,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        **fields,
+    }
 
 
 def _parse_list(caster):
@@ -156,10 +169,8 @@ def _add_train_flags(p):
 
 
 def _config_from_args(args):
-    try:
+    with _stage("embedder"):
         return TrainConfig(**{name: getattr(args, name) for name in TRAIN_FLAGS})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _load_dataset(edge_path, weighted, features_path):
@@ -181,20 +192,17 @@ def _load_features(path, graph):
     rows in ``graph.ids`` order. A graph node without a row and a row whose
     id is not a graph node are input errors naming the first offenders."""
     with _stage("proximity"):
-        try:
-            feats = load_embeddings(path)
-            row_of = {node_id: i for i, node_id in enumerate(feats.ids)}
-            for offenders, what in (
-                ([v for v in graph.ids if v not in row_of], "graph nodes have no row"),
-                ([v for v in feats.ids if v not in graph.index_of], "row ids are not graph nodes"),
-            ):
-                if offenders:
-                    raise ValueError(
-                        f"{path}: {len(offenders)} {what} "
-                        f"(first offenders: {', '.join(offenders[:5])})"
-                    )
-        except ValueError as exc:
-            raise UsageError(f"[proximity] {exc}") from exc
+        feats = load_embeddings(path)
+        row_of = {node_id: i for i, node_id in enumerate(feats.ids)}
+        for offenders, what in (
+            ([v for v in graph.ids if v not in row_of], "graph nodes have no row"),
+            ([v for v in feats.ids if v not in graph.index_of], "row ids are not graph nodes"),
+        ):
+            if offenders:
+                raise InputError(
+                    f"{path}: {len(offenders)} {what} "
+                    f"(first offenders: {', '.join(offenders[:5])})"
+                )
     return feats.vectors[[row_of[v] for v in graph.ids]]
 
 
@@ -213,23 +221,18 @@ def _train_and_write(graph, cfg, out_dir, dataset_meta, features=None):
     with _stage("io"):
         _atomic_write(out_dir / "embedding.txt", lambda p: export_embeddings(embedding, p))
         _atomic_write(out_dir / "training_log.txt", lambda p: log.save(p))
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "package_version": __version__,
-            "command": "embed",
-            "created_utc": started,
-            "dataset": dataset_meta,
-            "config": asdict(cfg),
-            "config_digest": cfg.digest(),
-            "graph": {"nodes": len(graph), "edges": graph.num_edges()},
+        manifest = _manifest(
+            "embed",
+            created_utc=started,
+            dataset=dataset_meta,
+            config=asdict(cfg),
+            config_digest=cfg.digest(),
+            graph={"nodes": len(graph), "edges": graph.num_edges()},
             # informational: a replay reads only the config and the dataset
-            "arithmetic": dict(ARITHMETIC),
-            "artifacts": {
-                "embedding": "embedding.txt",
-                "training_log": "training_log.txt",
-            },
-            "timing": {"wall_seconds": round(elapsed, 3)},
-        }
+            arithmetic=dict(ARITHMETIC),
+            artifacts={"embedding": "embedding.txt", "training_log": "training_log.txt"},
+            timing={"wall_seconds": round(elapsed, 3)},
+        )
         _write_json(out_dir / "manifest.json", manifest)
     return embedding, log
 
@@ -270,24 +273,29 @@ def cmd_embed(args):
     return 0
 
 
+def _eval_protocol(args, labels_path, index_of):
+    """The labels aligned by ``index_of``, the split spec and the manifest's
+    protocol record of ``eval`` and ``sweep`` (which always normalizes)."""
+    label_set = load_labels(labels_path, index_of)
+    spec = SplitSpec(ratios=args.ratios, repetitions=args.reps, seed=args.seed)
+    protocol = {
+        "ratios": list(args.ratios),
+        "repetitions": args.reps,
+        "seed": args.seed,
+        "l2": args.l2,
+        "normalize": not getattr(args, "no_normalize", False),
+    }
+    return label_set, spec, protocol
+
+
 def cmd_eval(args):
     emb_path = _require_file(args.embedding)
     labels_path = _require_file(args.labels)
     with _stage("evalkit"):
-        try:
-            emb = load_embeddings(emb_path)
-            index_of = {node_id: i for i, node_id in enumerate(emb.ids)}
-            label_set = load_labels(labels_path, index_of)
-            spec = SplitSpec(ratios=args.ratios, repetitions=args.reps, seed=args.seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        results = evaluate(
-            emb.vectors,
-            label_set,
-            spec,
-            l2=args.l2,
-            normalize=not args.no_normalize,
-        )
+        emb = load_embeddings(emb_path)
+        index_of = {node_id: i for i, node_id in enumerate(emb.ids)}
+        label_set, spec, protocol = _eval_protocol(args, labels_path, index_of)
+        results = evaluate(emb.vectors, label_set, spec, l2=args.l2, normalize=protocol["normalize"])
     table = format_accuracy_table(results)
     sys.stdout.write(table)
     if args.out:
@@ -297,24 +305,15 @@ def cmd_eval(args):
             _atomic_write(out_dir / "accuracy.tsv", lambda p: Path(p).write_text(table))
             _write_json(
                 out_dir / "manifest.json",
-                {
-                    "format": MANIFEST_FORMAT,
-                    "package_version": __version__,
-                    "command": "eval",
-                    "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                    "inputs": {
+                _manifest(
+                    "eval",
+                    inputs={
                         "embedding": str(emb_path.resolve()),
                         "labels": str(labels_path.resolve()),
                     },
-                    "protocol": {
-                        "ratios": list(args.ratios),
-                        "repetitions": args.reps,
-                        "seed": args.seed,
-                        "l2": args.l2,
-                        "normalize": not args.no_normalize,
-                    },
-                    "artifacts": {"accuracy": "accuracy.tsv"},
-                },
+                    protocol=protocol,
+                    artifacts={"accuracy": "accuracy.tsv"},
+                ),
             )
     return 0
 
@@ -344,16 +343,12 @@ def cmd_sweep(args):
         label = ", ".join(f"{k}={v}" for k, v in overrides.items())
         try:
             points.append((overrides, label, replace(base_cfg, **overrides)))
-        except ValueError as exc:
+        except InputError as exc:
             raise UsageError(f"sweep point ({label}): {exc}") from exc
 
     graph, features, dataset_meta = _load_dataset(edge_path, args.weighted, args.features)
     with _stage("evalkit"):
-        try:
-            label_set = load_labels(labels_path, {nid: i for i, nid in enumerate(graph.ids)})
-            spec = SplitSpec(ratios=args.ratios, repetitions=args.reps, seed=args.seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        label_set, spec, protocol = _eval_protocol(args, labels_path, graph.index_of)
     if features is None:
         # no sweep axis changes the PPMI features, so every point trains on one build
         with _stage("proximity"):
@@ -385,24 +380,16 @@ def cmd_sweep(args):
         _atomic_write(out_dir / "sweep_results.tsv", lambda p: Path(p).write_text(table))
         _write_json(
             out_dir / "manifest.json",
-            {
-                "format": MANIFEST_FORMAT,
-                "package_version": __version__,
-                "command": "sweep",
-                "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                "dataset": dataset_meta,
-                "labels": str(labels_path.resolve()),
-                "base_config": asdict(base_cfg),
-                "grid": {n: list(axes[n]) for n in names},
-                "protocol": {
-                    "ratios": list(args.ratios),
-                    "repetitions": args.reps,
-                    "seed": args.seed,
-                    "l2": args.l2,
-                },
-                "artifacts": {"results": "sweep_results.tsv"},
-                "failures": failures,
-            },
+            _manifest(
+                "sweep",
+                dataset=dataset_meta,
+                labels=str(labels_path.resolve()),
+                base_config=asdict(base_cfg),
+                grid={n: list(axes[n]) for n in names},
+                protocol=protocol,
+                artifacts={"results": "sweep_results.tsv"},
+                failures=failures,
+            ),
         )
     all_failed = bool(failures) and not any(row[-1] == "ok" for row in rows)
     return 1 if all_failed else 0

@@ -26,12 +26,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy import sparse
 
 from . import nn
+from .graph import InputError
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp
 from .proximity import check_memory, ppmi_features
 from .walker import PairBatch, negative_sampler, positive_pairs, random_walks, shuffled_batches
@@ -60,6 +62,10 @@ ARITHMETIC = {
 }
 
 
+# width of the discriminator's two hidden layers
+DISC_HIDDEN = 512
+
+
 class TrainingDiverged(RuntimeError):
     """A loss or a gradient became non-finite; the run is unusable. The
     message names the cycle, the phase and the losses of the last cycle that
@@ -71,7 +77,7 @@ class TrainConfig:
     """Everything a training run depends on besides the graph itself.
 
     Construction checks every bound, so a config that exists can train:
-    the CLI turns a ``ValueError`` here into exit code 2 before any work.
+    a bound it breaks raises :class:`InputError` (exit code 2 in the CLI).
     ``lr`` is the RMSProp step of every phase; ``grad_clip`` bounds the
     global gradient norm of the adversarial steps (``inf``: no clipping).
     """
@@ -98,45 +104,45 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
-            raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
+            raise InputError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+            raise InputError(f"dim must be >= 1, got {self.dim}")
         if self.negatives < 1:
-            raise ValueError(f"negatives must be >= 1, got {self.negatives}")
+            raise InputError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise InputError(f"epochs must be >= 1, got {self.epochs}")
         # batch norm needs two rows
         if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+            raise InputError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.adv_batch_size < 2:
-            raise ValueError(f"adv_batch_size must be >= 2, got {self.adv_batch_size}")
+            raise InputError(f"adv_batch_size must be >= 2, got {self.adv_batch_size}")
         if min(self.structure_steps, self.disc_steps, self.gen_steps) < 0:
-            raise ValueError("step counts must be >= 0")
+            raise InputError("step counts must be >= 0")
         if not 0.0 <= self.dae_corruption < 1.0:
-            raise ValueError(f"dae_corruption must be in [0, 1), got {self.dae_corruption}")
+            raise InputError(f"dae_corruption must be in [0, 1), got {self.dae_corruption}")
         # a negative step or clip norm would reverse the updates
         if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
+            raise InputError(f"lr must be a finite number > 0, got {self.lr}")
         if not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be > 0 (inf: no clipping), got {self.grad_clip}")
+            raise InputError(f"grad_clip must be > 0 (inf: no clipping), got {self.grad_clip}")
         if self.prior not in PRIOR_KINDS:
-            raise ValueError(f"prior must be one of {PRIOR_KINDS}, got {self.prior!r}")
+            raise InputError(f"prior must be one of {PRIOR_KINDS}, got {self.prior!r}")
         if self.ppmi_steps < 1:
-            raise ValueError(f"ppmi_steps must be >= 1, got {self.ppmi_steps}")
+            raise InputError(f"ppmi_steps must be >= 1, got {self.ppmi_steps}")
         if self.ppmi_beta is not None and not (
             math.isfinite(self.ppmi_beta) and self.ppmi_beta > 0
         ):
-            raise ValueError(f"ppmi_beta must be a finite number > 0, got {self.ppmi_beta}")
+            raise InputError(f"ppmi_beta must be a finite number > 0, got {self.ppmi_beta}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if OBJECTIVES[self.model] is SkipGram:
             if self.walks_per_node < 1:
-                raise ValueError(f"walks_per_node must be >= 1, got {self.walks_per_node}")
+                raise InputError(f"walks_per_node must be >= 1, got {self.walks_per_node}")
             if self.walk_length < 2:
-                raise ValueError(f"walk_length must be >= 2, got {self.walk_length}")
+                raise InputError(f"walk_length must be >= 2, got {self.walk_length}")
             # a window of 1 holds no pair
             if not 2 <= self.context_size < self.walk_length:
-                raise ValueError(
+                raise InputError(
                     f"context_size must be in [2, walk_length), got {self.context_size}"
                 )
 
@@ -204,7 +210,7 @@ def build_generator(in_dim, out_dim, rng, dtype=np.float64):
     )
 
 
-def build_discriminator(in_dim, rng, hidden=512, dtype=np.float64):
+def build_discriminator(in_dim, rng, hidden=DISC_HIDDEN, dtype=np.float64):
     """Hidden structure 512-512-1; sigmoid is applied by the loss functions."""
     return Mlp(
         [
@@ -479,6 +485,30 @@ OBJECTIVES = {"idw": SkipGram, "aidw": SkipGram, "dae": Dae, "adae": Dae}
 MODEL_KINDS = tuple(OBJECTIVES)
 
 
+def check_networks_fit(config, in_dim):
+    """Raise ``GraphError`` when the networks ``config`` builds on
+    ``in_dim``-wide feature rows cannot fit in physical memory: the float64
+    Glorot draw of the widest layer, and the parameters, gradients and
+    RMSProp accumulators of every network, in ``TRAIN_DTYPE``."""
+    d, h = config.dim, DISC_HIDDEN
+    gen = (in_dim + 3) * d  # DenseLayer(in_dim, d) and BatchNorm(d)
+    # F, a second generator, or the decoder DenseLayer(d, in_dim)
+    second = gen if OBJECTIVES[config.model] is SkipGram else (d + 1) * in_dim
+    values, widest = 3 * (gen + second), in_dim * d
+    if config.adversarial:
+        # the discriminator's three DenseLayers and two BatchNorms, and G's
+        # second accumulator, for the generator step
+        values += 3 * ((d + h + 7) * h + 1) + gen
+        widest = max(widest, d * h, h * h)
+    dtype = np.dtype(TRAIN_DTYPE)
+    check_memory(
+        dtype.itemsize * values + 8 * widest,
+        f"The {config.model} networks of --dim {d} on {in_dim}-wide feature rows",
+        f"{values} {dtype.name} values and a float64 draw of {widest}",
+        "lower --dim",
+    )
+
+
 def _mean(losses):
     """Mean of a phase's step losses; nan for a phase that took no step."""
     return float(np.mean(losses)) if losses else float("nan")
@@ -523,6 +553,7 @@ class Trainer:
             raise ValueError(
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
             )
+        check_networks_fit(config, features.shape[1])
         # the export reads the float64 rows; every training step reads their
         # float32 values, which share the index arrays
         self.features = features
@@ -683,21 +714,37 @@ def export_embeddings(embedding, path):
 def load_embeddings(path):
     """Reload a file written by :func:`export_embeddings`, or any node-keyed
     matrix in its format; a header that is not two integers, a malformed
-    row, a non-finite coordinate, a repeated node id or a row beyond the
-    header's N raises ``ValueError`` naming the file and the line."""
+    row, a non-finite coordinate, a repeated node id, a row beyond the
+    header's N or a file that ends before them raises :class:`InputError`
+    naming the file and the line.
+
+    The matrix holds no more rows than the file's bytes can: a row of
+    ``d + 1`` tokens, each followed by a space or a line end, takes at least
+    ``2 (d + 1)`` bytes. Its float64 size is checked against physical
+    memory before it is allocated.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(tok.isdecimal() for tok in header):
-            raise ValueError(f"{path}: line 1: expected 'N d' header, got {header!r}")
+            raise InputError(f"{path}: line 1: expected 'N d' header, got {header!r}")
         n, d = int(header[0]), int(header[1])
+        # the header and each row that parses take 2 (d + 1) bytes or more per row
+        rows = min(n, os.fstat(fh.fileno()).st_size // (2 * (d + 1)))
+        check_memory(
+            8 * rows * d, f"{path}: {rows} rows of {d} coordinates", "float64", "use a smaller file"
+        )
         line_of = {}  # node id -> its line
-        vectors = np.empty((n, d), dtype=np.float64)
+        vectors = np.empty((rows, d), dtype=np.float64)
         for i in range(n):
-            parts = fh.readline().split()
+            line = fh.readline()
+            parts = line.split()
             if len(parts) != d + 1:
-                raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, expected {d + 1}")
+                ends = "" if line else f"; the file ends after {i} of the {n} rows line 1 gives"
+                raise InputError(
+                    f"{path}: line {i + 2} has {len(parts)} fields, expected {d + 1}{ends}"
+                )
             if parts[0] in line_of:
-                raise ValueError(
+                raise InputError(
                     f"{path}: line {i + 2} repeats the node id {parts[0]!r} "
                     f"of line {line_of[parts[0]]}"
                 )
@@ -705,10 +752,10 @@ def load_embeddings(path):
             try:
                 vectors[i] = [float(tok) for tok in parts[1:]]
             except ValueError as exc:
-                raise ValueError(f"{path}: line {i + 2}: {exc}") from exc
+                raise InputError(f"{path}: line {i + 2}: {exc}") from exc
             if not np.isfinite(vectors[i]).all():
-                raise ValueError(f"{path}: line {i + 2} holds a non-finite coordinate")
+                raise InputError(f"{path}: line {i + 2} holds a non-finite coordinate")
         for k, line in enumerate(fh, start=n + 2):
             if line.strip():
-                raise ValueError(f"{path}: line {k}: more than the {n} rows the header gives")
+                raise InputError(f"{path}: line {k}: more than the {n} rows the header gives")
     return EmbeddingMatrix(vectors=vectors, ids=list(line_of))

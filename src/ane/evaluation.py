@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import InputError
 from .nn import sigmoid
 
 DEFAULT_RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -44,8 +45,8 @@ def load_labels(path, index_of):
 
     ``index_of`` maps external ids to dense indices (from a Graph or an
     embedding file). Unknown ids (the first offenders listed), a node listed
-    twice and a file with fewer than two classes are errors; class indices
-    are assigned by sorted label string for reproducibility.
+    twice and a file with fewer than two classes raise :class:`InputError`;
+    class indices are assigned by sorted label string for reproducibility.
     """
     pairs = []
     unknown = []
@@ -57,26 +58,26 @@ def load_labels(path, index_of):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'node_id label', got {line!r}")
+                raise InputError(f"{path}:{lineno}: expected 'node_id label', got {line!r}")
             node_id, label = parts
             if node_id not in index_of:
                 unknown.append(node_id)
             elif node_id in seen:
-                raise ValueError(f"{path}:{lineno}: node {node_id!r} is labeled twice")
+                raise InputError(f"{path}:{lineno}: node {node_id!r} is labeled twice")
             else:
                 seen.add(node_id)
                 pairs.append((index_of[node_id], label))
     if unknown:
         shown = ", ".join(unknown[:5])
-        raise ValueError(
+        raise InputError(
             f"{path}: {len(unknown)} labeled ids not present in the graph/embedding "
             f"(first offenders: {shown})"
         )
     if not pairs:
-        raise ValueError(f"{path}: no labels found")
+        raise InputError(f"{path}: no labels found")
     names = tuple(sorted({label for _, label in pairs}))
     if len(names) < 2:
-        raise ValueError(f"{path}: need at least 2 classes, every node is labeled {names[0]!r}")
+        raise InputError(f"{path}: need at least 2 classes, every node is labeled {names[0]!r}")
     name_idx = {name: k for k, name in enumerate(names)}
     pairs.sort()
     return LabelSet(
@@ -88,7 +89,7 @@ def load_labels(path, index_of):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Evaluation protocol: train ratios, repetitions per ratio, seed."""
+    """Evaluation protocol: train ratios, repetitions per ratio, seed (InputError if bad)."""
 
     ratios: tuple = DEFAULT_RATIOS
     repetitions: int = 10
@@ -97,11 +98,11 @@ class SplitSpec:
     def __post_init__(self):
         for r in self.ratios:
             if not 0.0 < r < 1.0:
-                raise ValueError(f"train ratio must be in (0, 1), got {r}")
+                raise InputError(f"train ratio must be in (0, 1), got {r}")
         if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+            raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def split(label_set, ratio, rep, seed, max_redraws=20):

@@ -12,11 +12,15 @@ import numpy as np
 from scipy import sparse
 
 
-class EdgeListError(ValueError):
+class InputError(ValueError):
+    """A file, setting or memory need refused before work starts (CLI exit 2)."""
+
+
+class EdgeListError(InputError):
     """Malformed or invalid edge-list input."""
 
 
-class GraphError(ValueError):
+class GraphError(InputError):
     """Structurally unusable graph (e.g. empty after preprocessing)."""
 
 

@@ -184,10 +184,11 @@ def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monk
 def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
     # 24 walks of 8 steps from 12 nodes: 1 536 corpus bytes and 336 pairs of
     # 12 bytes fit in 50 kB. A batch of 64 pairs with 5 negatives needs about
-    # 35 kB with the pairs; --batch 100000 takes all 336 pairs, about 139 kB
+    # 35 kB with the pairs; --batch 100000 takes all 336 pairs, about 139 kB.
+    # idw: its two generators need 2 kB, the networks of aidw 5.3 MB
     monkeypatch.setattr(proximity, "memory_budget", lambda: 50_000)
     edges, _ = ring
-    assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST) == 0
+    assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
     capsys.readouterr()
 
     def no_walks(*args, **kwargs):
@@ -195,13 +196,40 @@ def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys,
 
     monkeypatch.setattr(embedder, "random_walks", no_walks)
     out = tmp_path / "o"
-    assert run_cli("embed", edges, "--out", out, *FAST, "--batch", "100000") == 2
+    assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw", "--batch", "100000") == 2
     err = capsys.readouterr().err
     assert (
         "Skip-gram batches of 12 nodes need about 0.0 GB "
         "(336 pairs, a batch of 336 pairs with 5 negatives each)" in err
     )
     assert "lower --batch or --negatives" in err
+    assert not out.exists()
+
+
+def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
+    # dae on the ring's 12-wide PPMI rows at --dim 64: G holds (12 + 3) 64 =
+    # 960 parameters and the decoder (64 + 1) 12 = 780, each with a gradient
+    # and an RMSProp accumulator, 5 220 float32 values, and the widest Glorot
+    # draw is 12 x 64 float64: 27 024 bytes. The PPMI steps need under 6 kB
+    edges, _ = ring
+    flags = [*FAST, "--model", "dae", "--dim", "64"]
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 27_024)
+    assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
+    capsys.readouterr()
+
+    def no_networks(*args, **kwargs):
+        raise AssertionError("a network was built past the memory check")
+
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 27_023)
+    monkeypatch.setattr(embedder, "build_generator", no_networks)
+    out = tmp_path / "o"
+    assert run_cli("embed", edges, "--out", out, *flags) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: [embedder] The dae networks of --dim 64 on 12-wide feature rows need about "
+        "0.0 GB (5220 float32 values and a float64 draw of 768), more than the 0.0 GB of "
+        "physical memory; lower --dim\n"
+    )
     assert not out.exists()
 
 
@@ -274,10 +302,16 @@ def keyed_rows(ids, values="1 2"):
             "34 2\n" + keyed_rows(KARATE_IDS[:33] + ["7"]),
             "line 35 repeats the node id '7' of line 9",
         ),
+        # a header alone: no matrix of its N rows is allocated
+        (
+            "100000000000000 100\n",
+            "line 2 has 0 fields, expected 101; "
+            "the file ends after 0 of the 100000000000000 rows line 1 gives",
+        ),
     ],
     ids=[
         "truncated", "non-numeric", "nan", "extra-rows", "n-t-beta-header",
-        "id-less-row", "missing-node", "unknown-id", "repeated-id",
+        "id-less-row", "missing-node", "unknown-id", "repeated-id", "header-only",
     ],
 )
 def test_embed_bad_features_file_exit_2(karate, tmp_path, capsys, text, message):
@@ -492,7 +526,10 @@ def test_eval_unknown_label_ids_exit_2(tmp_path, capsys):
     [
         (["4 2", "n0 nan 1", "n1 1 0", "n2 0 1", "n3 1 1"], "line 2 holds a non-finite coordinate"),
         (["4 2", "n0 1 0", "n1 inf 0", "n2 0 1", "n3 1 1"], "line 3 holds a non-finite coordinate"),
-        (["4 2", "n0 1 0", "n1 1 0", "n2 0 1", "n3 0 1", "n4 1 1"], "line 6: more than the 4 rows"),
+        (
+            ["4 2", "n0 1 0", "n1 1 0", "n2 0 1", "n3 0 1", "n4 1 1"],
+            "line 6: more than the 4 rows the header gives",
+        ),
         (
             ["4 2", "n0 1 0", "n0 0 1", "n2 0 1", "n3 1 1"],
             "line 3 repeats the node id 'n0' of line 2",
@@ -505,16 +542,55 @@ def test_eval_unknown_label_ids_exit_2(tmp_path, capsys):
             ["two 2", "n0 1 0", "n1 1 0", "n2 0 1", "n3 1 1"],
             "line 1: expected 'N d' header, got ['two', '2']",
         ),
+        # a header alone: no matrix of its N rows is allocated
+        (
+            ["100000000000000 100"],
+            "line 2 has 0 fields, expected 101; "
+            "the file ends after 0 of the 100000000000000 rows line 1 gives",
+        ),
     ],
-    ids=["nan", "inf", "extra-row", "repeated-id", "non-numeric", "bad-header"],
+    ids=["nan", "inf", "extra-row", "repeated-id", "non-numeric", "bad-header", "header-only"],
 )
 def test_eval_bad_embedding_file_exit_2(tmp_path, capsys, lines, message):
     emb = tmp_path / "e.txt"
     emb.write_text("".join(line + "\n" for line in lines))
     labels = tmp_path / "l.txt"
     labels.write_text("n0 a\nn1 a\nn2 b\nn3 b\n")
+    out = tmp_path / "ev"
+    assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: [evalkit] {emb}: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_embedding_over_memory_exit_2(tmp_path, capsys, monkeypatch):
+    emb = tmp_path / "e.txt"
+    classes = [0, 1, 0, 1]
+    ids = write_one_hot_embedding(emb, classes)
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"{i} c{c}\n" for i, c in zip(ids, classes)))
+    # 4 rows of 2 float64 coordinates: 64 bytes
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 63)
     assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1") == 2
-    assert f"error: {emb}: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: [evalkit] {emb}: 4 rows of 2 coordinates need about 0.0 GB (float64), "
+        "more than the 0.0 GB of physical memory; use a smaller file\n"
+    )
+
+
+def test_eval_runtime_value_error_exit_1(tmp_path, capsys, monkeypatch):
+    # only an InputError is an input error: a plain ValueError raised while a
+    # stage runs is a runtime failure
+    def failing_fit(*args, **kwargs):
+        raise ValueError("the fit failed")
+
+    monkeypatch.setattr(cli, "evaluate", failing_fit)
+    emb = tmp_path / "e.txt"
+    classes = [0, 1, 0, 1]
+    ids = write_one_hot_embedding(emb, classes)
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"{i} c{c}\n" for i, c in zip(ids, classes)))
+    assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1") == 1
+    assert capsys.readouterr().err == "error [evalkit] the fit failed\n"
 
 
 @pytest.mark.parametrize("l2", ["nan", "inf", "0", "-1"])
@@ -583,6 +659,9 @@ def test_sweep_grid_dim(ring, tmp_path, capsys):
         assert (out / f"point_{idx:03d}" / "embedding.txt").is_file()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["grid"] == {"dim": [2, 3, 4]}
+    assert manifest["protocol"] == {
+        "ratios": [0.5], "repetitions": 2, "seed": 0, "l2": 1.0, "normalize": True,
+    }
     assert manifest["failures"] == []
 
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 from scipy import sparse
 
-from ane import embedder
+from ane import embedder, proximity
 from ane.datasets import load_dataset
 from ane.embedder import (
     MODEL_KINDS,
@@ -26,8 +26,8 @@ from ane.embedder import (
     load_embeddings,
     train,
 )
-from ane.graph import parse_edge_lines, preprocess
-from ane.nn import GradientError, gradient_check, logistic_loss, sigmoid
+from ane.graph import GraphError, parse_edge_lines, preprocess
+from ane.nn import DenseLayer, GradientError, gradient_check, logistic_loss, sigmoid
 from ane.walker import PairBatch
 
 
@@ -849,6 +849,33 @@ def test_features_row_count_checked():
     g = ring_graph(6)
     with pytest.raises(ValueError, match="feature rows"):
         Trainer(g, TrainConfig(model="dae", dim=3, seed=0), features=np.ones((4, 6)))
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_network_memory_check_counts_what_the_trainer_builds(model, monkeypatch):
+    # 1 000-wide rows: the networks need more than the skip-gram checks
+    g = ring_graph(12)
+    features = np.random.default_rng(0).random((12, 1000))
+    cfg = TrainConfig(
+        model=model, dim=4, walks_per_node=2, walk_length=8, context_size=2, batch_size=64
+    )
+    trainer = Trainer(g, cfg, features=features)
+    opts = [trainer.structure_opt]
+    if cfg.adversarial:
+        opts += [trainer.disc_opt, trainer.gen_adv_opt]
+    nets = list({id(net): net for opt in opts for net in opt.nets}.values())
+    # float32 parameters and gradients, one accumulator per optimizer and
+    # network, and the float64 Glorot draw of the widest layer
+    values = sum(2 * net.params.size for net in nets) + sum(a.size for o in opts for a in o.acc)
+    widest = max(
+        layer.weights.size for net in nets for layer in net.layers if isinstance(layer, DenseLayer)
+    )
+    need = 4 * values + 8 * widest
+    monkeypatch.setattr(proximity, "memory_budget", lambda: need)
+    Trainer(g, cfg, features=features)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: need - 1)
+    with pytest.raises(GraphError, match=f"The {model} networks of --dim 4 on 1000-wide"):
+        Trainer(g, cfg, features=features)
 
 
 def test_discriminator_drifts_toward_equilibrium_on_karate():

@@ -3,10 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ane.embedder import TrainConfig, load_embeddings
+from ane.evaluation import SplitSpec, load_labels
 from ane.graph import (
     EdgeListError,
     Graph,
     GraphError,
+    InputError,
     load_edge_list,
     parse_edge_lines,
     preprocess,
@@ -194,3 +197,19 @@ def test_load_edge_list_roundtrip(tmp_path):
     assert g.num_edges() == 2
     unweighted = load_edge_list(path, weighted=False)
     assert unweighted.weights.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_every_input_refusal_is_an_input_error(tmp_path):
+    # the one type the CLI turns into exit 2; still a ValueError to callers
+    assert issubclass(InputError, ValueError)
+    assert issubclass(EdgeListError, InputError) and issubclass(GraphError, InputError)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("x\n")
+    for refuse in (
+        lambda: TrainConfig(dim=0),
+        lambda: SplitSpec(repetitions=0),
+        lambda: load_labels(bad, {}),
+        lambda: load_embeddings(bad),
+    ):
+        with pytest.raises(InputError):
+            refuse()
