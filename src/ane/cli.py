@@ -27,6 +27,7 @@ from .embedder import (
     PRIOR_KINDS,
     TrainConfig,
     Trainer,
+    check_memory_plan,
     export_embeddings,
     load_embeddings,
 )
@@ -335,20 +336,23 @@ def cmd_sweep(args):
     axes = {name: getattr(args, flag) for name, flag in SWEEP_AXES.items() if getattr(args, flag)}
     if not axes:
         raise UsageError("no sweep points")
+    graph, features, dataset_meta = _load_dataset(edge_path, args.weighted, args.features)
+    with _stage("evalkit"):
+        label_set, spec, protocol = _eval_protocol(args, labels_path, graph.index_of)
+    # every point's config and memory plan first, so a grid value that cannot
+    # train or fit exits 2 before the PPMI build and before any point trains
     names = list(axes)
-    # every point's config first, so an invalid grid value exits 2 before any point trains
     points = []
     for values in itertools.product(*(axes[n] for n in names)):
         overrides = dict(zip(names, values))
         label = ", ".join(f"{k}={v}" for k, v in overrides.items())
         try:
-            points.append((overrides, label, replace(base_cfg, **overrides)))
+            cfg = replace(base_cfg, **overrides)
+            check_memory_plan(graph, cfg, features)
         except InputError as exc:
             raise UsageError(f"sweep point ({label}): {exc}") from exc
+        points.append((overrides, label, cfg))
 
-    graph, features, dataset_meta = _load_dataset(edge_path, args.weighted, args.features)
-    with _stage("evalkit"):
-        label_set, spec, protocol = _eval_protocol(args, labels_path, graph.index_of)
     if features is None:
         # no sweep axis changes the PPMI features, so every point trains on one build
         with _stage("proximity"):

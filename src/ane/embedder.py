@@ -53,6 +53,11 @@ PRIOR_KINDS = tuple(PRIORS)
 # dtype of the trained networks and of the rows they read in training; the
 # losses, the batch-norm statistics and the export are float64
 TRAIN_DTYPE = np.float32
+VALUE_BYTES = np.dtype(TRAIN_DTYPE).itemsize  # of one network value
+# the stages of a run that hold different arrays at once: the structure
+# networks are built, the walks sampled and paired, the discriminator built,
+# and the networks trained
+STAGES = ("build", "walks", "discriminator", "training")
 # the arithmetic above, as run manifests record it
 ARITHMETIC = {
     "networks": TRAIN_DTYPE.__name__,
@@ -380,33 +385,32 @@ class SkipGram:
     """
 
     @staticmethod
-    def check_fits(graph, config):
-        """Raise ``GraphError`` when the walk corpus and its pairs, or the
-        pairs and the largest batch's step, cannot fit in physical memory;
-        needs only the node count and the config."""
-        n = graph.num_nodes
+    def memory(graph, config, in_dim):
+        """:func:`memory_plan` items: the walk corpus, its pairs and each
+        epoch's order, the largest batch's step, and the two generators."""
+        n, d, k, length = graph.num_nodes, config.dim, config.negatives, config.walk_length
         walks = n * config.walks_per_node
-        pairs = 2 * walks * sum(config.walk_length - off for off in range(1, config.context_size))
-        # the int64 corpus, then two int32 arrays of pairs and each epoch's int32 order
-        check_memory(
-            8 * walks * config.walk_length + 12 * pairs,
-            f"Walk pairs of {n} nodes",
-            f"{walks} walks of {config.walk_length} steps, {pairs} pairs",
-            "lower --walks, --walk-length or --context",
-        )
+        pairs = 2 * walks * sum(length - off for off in range(1, config.context_size))
         # a step holds about 64 bytes per score slot (a pair's context and
         # negatives) and 64 bytes per dimension of each distinct row of either
         # generator, the size of eight d-wide float64 arrays: an upper bound
         # for the float32 networks, kept until a measurement sets a smaller one
         batch = min(config.batch_size, pairs)
-        slots = batch * (config.negatives + 1)
+        slots = batch * (k + 1)
         rows = min(n, batch) + min(n, slots)
-        check_memory(
-            12 * pairs + 64 * slots + 64 * config.dim * rows,
-            f"Skip-gram batches of {n} nodes",
-            f"{pairs} pairs, a batch of {batch} pairs with {config.negatives} negatives each",
-            "lower --batch or --negatives",
-        )
+        # G and F, DenseLayer(in_dim, d) and BatchNorm(d), with gradients and accumulators
+        values = 3 * 2 * (in_dim + 3) * d
+        # the int64 corpus lives until its two int32 arrays of pairs are
+        # filled; each epoch's int32 order exists only in training
+        walk = "lower --walks, --walk-length or --context"
+        step = f"a batch of {batch} pairs with {k} negatives each"
+        return [
+            (8 * walks * length, f"{walks} walks of {length} steps", walk, ("walks",)),
+            (8 * pairs, f"{pairs} pairs", walk, ("walks", "discriminator", "training")),
+            (4 * pairs, f"an epoch's order of {pairs} pairs", walk, ("training",)),
+            (64 * slots + 64 * d * rows, step, "lower --batch, --negatives or --dim", ("training",)),
+            (VALUE_BYTES * values, f"generators G and F, {values} values", "lower --dim", STAGES),
+        ]
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
         self.config = config
@@ -450,8 +454,17 @@ class Dae:
     """
 
     @staticmethod
-    def check_fits(graph, config):
-        """Nothing to check: the batches are rows of the features."""
+    def memory(graph, config, in_dim):
+        """:func:`memory_plan` items: the encoder and decoder, and the
+        largest batch's dense reconstruction and its square."""
+        # the encoder is a generator, the decoder DenseLayer(d, in_dim)
+        values = 3 * ((in_dim + 3) * config.dim + (config.dim + 1) * in_dim)
+        rows = min(config.batch_size, graph.num_nodes)
+        step = f"a batch's {rows} x {in_dim} reconstruction and its square"
+        return [
+            (VALUE_BYTES * values, f"encoder and decoder, {values} values", "lower --dim", STAGES),
+            (2 * VALUE_BYTES * rows * in_dim, step, "lower --batch", ("training",)),
+        ]
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
         self.config = config
@@ -485,27 +498,39 @@ OBJECTIVES = {"idw": SkipGram, "aidw": SkipGram, "dae": Dae, "adae": Dae}
 MODEL_KINDS = tuple(OBJECTIVES)
 
 
-def check_networks_fit(config, in_dim):
-    """Raise ``GraphError`` when the networks ``config`` builds on
-    ``in_dim``-wide feature rows cannot fit in physical memory: the float64
-    Glorot draw of the widest layer, and the parameters, gradients and
-    RMSProp accumulators of every network, in ``TRAIN_DTYPE``."""
+def memory_plan(graph, config, in_dim):
+    """What training on ``in_dim``-wide feature rows allocates, as ``(bytes,
+    what, remedy, stages)`` items, each alive in the :data:`STAGES` it names:
+    the objective's ``memory``, the discriminator with G's second RMSProp
+    accumulator (adversarial models), and the float64 Glorot draw of the
+    widest layer being built."""
+    items = OBJECTIVES[config.model].memory(graph, config, in_dim)
     d, h = config.dim, DISC_HIDDEN
-    gen = (in_dim + 3) * d  # DenseLayer(in_dim, d) and BatchNorm(d)
-    # F, a second generator, or the decoder DenseLayer(d, in_dim)
-    second = gen if OBJECTIVES[config.model] is SkipGram else (d + 1) * in_dim
-    values, widest = 3 * (gen + second), in_dim * d
+    items.append((8 * in_dim * d, f"a float64 draw of {in_dim * d}", "lower --dim", ("build",)))
     if config.adversarial:
         # the discriminator's three DenseLayers and two BatchNorms, and G's
         # second accumulator, for the generator step
-        values += 3 * ((d + h + 7) * h + 1) + gen
-        widest = max(widest, d * h, h * h)
-    dtype = np.dtype(TRAIN_DTYPE)
+        values = 3 * ((d + h + 7) * h + 1) + (in_dim + 3) * d
+        what = f"discriminator and G's second accumulator, {values} values"
+        items.append((VALUE_BYTES * values, what, "lower --dim", ("discriminator", "training")))
+        widest = max(d * h, h * h)
+        items.append((8 * widest, f"a float64 draw of {widest}", "lower --dim", ("discriminator",)))
+    return items
+
+
+def check_memory_plan(graph, config, features=None):
+    """Raise ``GraphError`` when the stage of :func:`memory_plan` that holds
+    the most at once exceeds physical memory, listing that stage's items and
+    the remedy of the largest. ``features`` is None for the PPMI rows."""
+    in_dim = graph.num_nodes if features is None else features.shape[1]
+    plan = memory_plan(graph, config, in_dim)
+    held = [[item for item in plan if stage in item[3]] for stage in STAGES]
+    stage, items = max(zip(STAGES, held), key=lambda s: sum(item[0] for item in s[1]))
     check_memory(
-        dtype.itemsize * values + 8 * widest,
-        f"The {config.model} networks of --dim {d} on {in_dim}-wide feature rows",
-        f"{values} {dtype.name} values and a float64 draw of {widest}",
-        "lower --dim",
+        sum(item[0] for item in items),
+        f"Training arrays of {config.model} on {graph.num_nodes} x {in_dim} features",
+        f"{stage} stage: " + "; ".join(f"{what}: {need / 1e9:.1f} GB" for need, what, *_ in items),
+        max(items, key=lambda item: item[0])[2],
     )
 
 
@@ -542,18 +567,16 @@ class Trainer:
             self.rng_adv_rows,
         ) = (np.random.default_rng(s) for s in streams)
 
-        # the objective's memory check first: it is cheap, the feature build is not
-        objective = OBJECTIVES[config.model]
-        objective.check_fits(graph, config)
+        if features is not None and features.shape[0] != graph.num_nodes:
+            raise InputError(
+                f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
+            )
+        # the memory check first: it is cheap, the feature build is not
+        check_memory_plan(graph, config, features)
         if features is None:
             features = ppmi_features(graph, config.ppmi_steps, config.ppmi_beta)
         # CSR whatever the source: PPMI, a features file, or a shared matrix
         features = sparse.csr_array(features, dtype=np.float64)
-        if features.shape[0] != graph.num_nodes:
-            raise ValueError(
-                f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
-            )
-        check_networks_fit(config, features.shape[1])
         # the export reads the float64 rows; every training step reads their
         # float32 values, which share the index arrays
         self.features = features
@@ -561,7 +584,7 @@ class Trainer:
             (features.data.astype(TRAIN_DTYPE), features.indices, features.indptr),
             shape=features.shape,
         )
-        self.objective = objective(
+        self.objective = OBJECTIVES[config.model](
             graph, config, self.train_features, self.rng_init, self.rng_walks
         )
         self.gen_g = self.objective.gen_g

@@ -11,7 +11,9 @@ from scipy import sparse
 from ane import cli, embedder, proximity
 from ane.cli import main
 from ane.datasets import dataset_paths
+from ane.graph import load_edge_list, preprocess, row_normalize
 from ane.proximity import ppmi_features
+from ane.walker import random_walks
 
 FAST = [
     "--dim", "4",
@@ -140,32 +142,53 @@ def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
     assert message in capsys.readouterr().err
 
 
+def peak_bytes(plan):
+    """The most a memory plan holds in any one stage of a run."""
+    return max(sum(item[0] for item in plan if stage in item[3]) for stage in embedder.STAGES)
+
+
+def dae_plan_bytes(graph, *flags):
+    """The memory plan peak of ``ane embed --model dae`` with ``FAST`` and
+    ``flags`` on the graph's PPMI rows."""
+    args = cli.build_parser().parse_args(["embed", "x", "--model", "dae", *FAST, *flags])
+    return peak_bytes(embedder.memory_plan(graph, cli._config_from_args(args), graph.num_nodes))
+
+
 @pytest.mark.parametrize("command", ["embed", "sweep"])
 def test_ppmi_features_over_memory_exit_2_before_training(
     ring, tmp_path, capsys, monkeypatch, command
 ):
-    # a machine with 1 byte of memory: the first power product cannot fit.
-    # embed trains dae, which samples no walks: an aidw Trainer checks its
-    # walk pairs first, and they cannot fit either
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 1)
+    # a budget that holds every dae point's memory plan peak, but not the first
+    # power product: it holds the sum (A, allocated twice over), the product
+    # bound twice, A's pattern and two row pointers, 16 bytes an entry
     edges, labels = ring
+    graph = preprocess(load_edge_list(edges))
+    budget = max(dae_plan_bytes(graph, "--dim", dim) for dim in ("2", "3", "4"))
+    a = row_normalize(graph)
+    bound = int(np.minimum(abs(a).sign() @ np.diff(a.indptr), graph.num_nodes).sum())
+    first_product = proximity.ENTRY_BYTES * (3 * a.nnz + 2 * bound + 2 * (graph.num_nodes + 1))
+    assert budget < first_product
+    monkeypatch.setattr(proximity, "memory_budget", lambda: budget)
     out = tmp_path / "o"
     if command == "embed":
-        argv = ["embed", edges, "--model", "dae"]
+        argv = ["embed", edges]
     else:
         argv = ["sweep", edges, labels, "--grid-dim", "2,3"]
-    assert run_cli(*argv, "--out", out, *FAST) == 2
+    assert run_cli(*argv, "--out", out, *FAST, "--model", "dae") == 2
     err = capsys.readouterr().err
     assert "PPMI features of 12 nodes need about 0.0 GB" in err
     assert not (out / "embedding.txt").exists() and not (out / "point_000").exists()
 
 
-def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
-    # 40 walks of 8 steps from 12 nodes: 30 720 corpus bytes and 6 720 pairs
-    # of 12 bytes; the PPMI steps of the ring need under 6 kB
-    def no_walks(*args, **kwargs):
-        raise AssertionError("walks sampled past the memory check")
+def no_walks(*args, **kwargs):
+    raise AssertionError("walks sampled past the memory check")
 
+
+def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
+    # 40 walks of 8 steps from 12 nodes: 30 720 corpus bytes and 6 720 pairs,
+    # 53 760 bytes, then 26 880 for an epoch's order: the pairs are the largest
+    # item of idw's training stage, the peak. The PPMI steps of the ring need
+    # under 6 kB
     def no_features(*args, **kwargs):
         raise AssertionError("PPMI features built before the walk memory check")
 
@@ -174,43 +197,96 @@ def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monk
     monkeypatch.setattr(embedder, "ppmi_features", no_features)
     edges, _ = ring
     out = tmp_path / "o"
-    assert run_cli("embed", edges, "--out", out, *FAST, "--walks", "40") == 2
+    assert run_cli("embed", edges, "--out", out, *FAST, "--walks", "40", "--model", "idw") == 2
     err = capsys.readouterr().err
-    assert "Walk pairs of 12 nodes need about 0.0 GB (480 walks of 8 steps, 6720 pairs)" in err
-    assert "lower --walks, --walk-length or --context" in err
+    assert "Training arrays of idw on 12 x 12 features need about 0.0 GB" in err
+    assert "(training stage: 6720 pairs: 0.0 GB; an epoch's order of 6720 pairs: 0.0 GB; " in err
+    assert err.endswith("; lower --walks, --walk-length or --context\n")
     assert not out.exists()
 
 
 def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
-    # 24 walks of 8 steps from 12 nodes: 1 536 corpus bytes and 336 pairs of
-    # 12 bytes fit in 50 kB. A batch of 64 pairs with 5 negatives needs about
-    # 35 kB with the pairs; --batch 100000 takes all 336 pairs, about 139 kB.
-    # idw: its two generators need 2 kB, the networks of aidw 5.3 MB
+    # 24 walks of 8 steps from 12 nodes: 1 536 corpus bytes and 336 pairs,
+    # 2 688 bytes, with 1 344 for an epoch's order. A batch of 64 pairs with 5
+    # negatives needs 30 720 bytes and idw's two generators 1 440: the training
+    # stage holds 36 192, under 50 kB. --batch 100000 takes all 336 pairs,
+    # 135 168 bytes. The networks of aidw would need 5.3 MB
     monkeypatch.setattr(proximity, "memory_budget", lambda: 50_000)
     edges, _ = ring
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
     capsys.readouterr()
 
-    def no_walks(*args, **kwargs):
-        raise AssertionError("walks sampled past the memory check")
-
     monkeypatch.setattr(embedder, "random_walks", no_walks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw", "--batch", "100000") == 2
     err = capsys.readouterr().err
-    assert (
-        "Skip-gram batches of 12 nodes need about 0.0 GB "
-        "(336 pairs, a batch of 336 pairs with 5 negatives each)" in err
+    assert "; a batch of 336 pairs with 5 negatives each: 0.0 GB; " in err
+    assert err.endswith("; lower --batch, --negatives or --dim\n")
+    assert not out.exists()
+
+
+def test_memory_plan_sums_what_a_stage_holds(ring, tmp_path, capsys, monkeypatch):
+    # idw on the ring with FAST: a 1 536-byte corpus, 336 pairs of 8 bytes
+    # and an epoch's order of 4, a batch's step of 30 720, the generators
+    # 1 440 and their Glorot draw 384. Checked one by one as before (the
+    # corpus with pairs and order, the pairs and order with the step, the
+    # networks with their draw) every estimate fits in 36 kB; the training
+    # stage, pairs, order, step and generators at once, does not
+    corpus, pairs, step, networks, draw = 1_536, 12 * 336, 30_720, 1_440, 384
+    budget = 36_000
+    assert max(corpus + pairs, pairs + step, networks + draw) <= budget
+    assert pairs + step + networks > budget
+    monkeypatch.setattr(proximity, "memory_budget", lambda: budget)
+    monkeypatch.setattr(embedder, "random_walks", no_walks)
+    edges, _ = ring
+    out = tmp_path / "o"
+    assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw") == 2
+    err = capsys.readouterr().err
+    assert "Training arrays of idw on 12 x 12 features need about 0.0 GB" in err
+    assert err.endswith("; lower --batch, --negatives or --dim\n")
+    assert not out.exists()
+
+
+def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
+    # 500-wide feature rows (a 48 000-byte file load) at --dim 2: the encoder
+    # and decoder hold 7 518 values, 30 072 bytes, and their Glorot draw is
+    # 8 000 while they are built. A step's reconstruction and its square take
+    # 8 bytes per entry: 8 000 for a batch of 2 rows, 48 000 for all 12, and
+    # the training stage then holds 78 072
+    edges, _ = ring
+    rows = np.random.default_rng(0).random((12, 500))
+    features = tmp_path / "wide.txt"
+    features.write_text(
+        "12 500\n" + "".join(f"v{i} " + " ".join(map(str, rows[i])) + "\n" for i in range(12))
     )
-    assert "lower --batch or --negatives" in err
+    flags = [*FAST, "--model", "dae", "--dim", "2", "--features", features]
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 60_000)
+    assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags, "--batch", "2") == 0
+    capsys.readouterr()
+
+    def no_networks(*args, **kwargs):
+        raise AssertionError("a network was built past the memory check")
+
+    monkeypatch.setattr(embedder, "build_generator", no_networks)
+    out = tmp_path / "o"
+    assert run_cli("embed", edges, "--out", out, *flags, "--batch", "100000") == 2
+    assert capsys.readouterr().err == (
+        "error: [embedder] Training arrays of dae on 12 x 500 features need about 0.0 GB "
+        "(training stage: encoder and decoder, 7518 values: 0.0 GB; a batch's 12 x 500 "
+        "reconstruction and its square: 0.0 GB), more than the 0.0 GB of physical memory; "
+        "lower --batch\n"
+    )
     assert not out.exists()
 
 
 def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
     # dae on the ring's 12-wide PPMI rows at --dim 64: G holds (12 + 3) 64 =
     # 960 parameters and the decoder (64 + 1) 12 = 780, each with a gradient
-    # and an RMSProp accumulator, 5 220 float32 values, and the widest Glorot
-    # draw is 12 x 64 float64: 27 024 bytes. The PPMI steps need under 6 kB
+    # and an RMSProp accumulator, 5 220 float32 values (20 880 bytes), and
+    # while they are built the widest Glorot draw is 12 x 64 float64 (6 144
+    # bytes): 27 024 bytes, more than the training stage's 22 032 with a
+    # step's 12 x 12 reconstruction and its square. The PPMI steps need under
+    # 6 kB
     edges, _ = ring
     flags = [*FAST, "--model", "dae", "--dim", "64"]
     monkeypatch.setattr(proximity, "memory_budget", lambda: 27_024)
@@ -226,9 +302,9 @@ def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     assert run_cli("embed", edges, "--out", out, *flags) == 2
     err = capsys.readouterr().err
     assert err == (
-        "error: [embedder] The dae networks of --dim 64 on 12-wide feature rows need about "
-        "0.0 GB (5220 float32 values and a float64 draw of 768), more than the 0.0 GB of "
-        "physical memory; lower --dim\n"
+        "error: [embedder] Training arrays of dae on 12 x 12 features need about 0.0 GB "
+        "(build stage: encoder and decoder, 5220 values: 0.0 GB; a float64 draw of 768: "
+        "0.0 GB), more than the 0.0 GB of physical memory; lower --dim\n"
     )
     assert not out.exists()
 
@@ -684,22 +760,34 @@ def test_sweep_empty_grid_exit_2(ring, tmp_path, capsys):
     assert "no sweep points" in capsys.readouterr().err
 
 
-def test_sweep_records_failures_and_continues(ring, tmp_path, capsys):
+def failing_walks(walk_length):
+    """``random_walks`` that fails at run time for walks of ``walk_length``."""
+
+    def walks(graph, walks_per_node, length, rng):
+        if length == walk_length:
+            raise RuntimeError("the walk sampler failed")
+        return random_walks(graph, walks_per_node, length, rng)
+
+    return walks
+
+
+def test_sweep_records_failures_and_continues(ring, tmp_path, capsys, monkeypatch):
     edges, labels = ring
     out = tmp_path / "sweep"
-    # the first point's walk corpus cannot fit in memory: it fails when it trains
+    # the first point fails when it trains, before its directory is made
+    monkeypatch.setattr(embedder, "random_walks", failing_walks(12))
     code = run_cli(
-        "sweep", edges, labels, "--grid-walk-length", "1000000000000,10",
+        "sweep", edges, labels, "--grid-walk-length", "12,10",
         "--ratios", "0.5", "--reps", "2", "--out", out, *FAST,
     )
     assert code == 0
-    assert "sweep point failed" in capsys.readouterr().err
+    assert "sweep point failed (walk_length=12)" in capsys.readouterr().err
     lines = (out / "sweep_results.tsv").read_text().strip().splitlines()
     statuses = [ln.split("\t")[-1] for ln in lines[1:]]
     assert statuses == ["failed", "ok"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["failures"]) == 1
-    assert manifest["failures"][0]["point"] == {"walk_length": 1000000000000}
+    assert manifest["failures"][0]["point"] == {"walk_length": 12}
     assert not (out / "point_000").exists()
     assert (out / "point_001" / "embedding.txt").is_file()
 
@@ -717,6 +805,23 @@ def test_sweep_invalid_grid_value_exit_2_before_training(ring, tmp_path, capsys,
     code = run_cli("sweep", edges, labels, *grid, "--out", out, *FAST)
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not list(out.glob("point_*"))
+
+
+def test_sweep_point_over_memory_exit_2_before_training(ring, tmp_path, capsys, monkeypatch):
+    def no_ppmi(*args, **kwargs):
+        raise AssertionError("PPMI features built before every point's memory plan")
+
+    monkeypatch.setattr(cli, "ppmi_features", no_ppmi)
+    edges, labels = ring
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", edges, labels, "--grid-dim", "4,1000000000000", "--out", out, *FAST)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: sweep point (dim=1000000000000): Training arrays of aidw on 12 x 12 features"
+    )
+    assert err.endswith("; lower --dim\n")
     assert not list(out.glob("point_*"))
 
 
@@ -823,10 +928,11 @@ def test_sweep_builds_ppmi_features_once(ring, tmp_path, monkeypatch):
         ).read_bytes()
 
 
-def test_sweep_all_points_failed_exit_1(ring, tmp_path, capsys):
+def test_sweep_all_points_failed_exit_1(ring, tmp_path, capsys, monkeypatch):
     edges, labels = ring
+    monkeypatch.setattr(embedder, "random_walks", failing_walks(12))
     code = run_cli(
-        "sweep", edges, labels, "--grid-walk-length", "1000000000000",
+        "sweep", edges, labels, "--grid-walk-length", "12",
         "--ratios", "0.5", "--reps", "2", "--out", tmp_path / "s", *FAST,
     )
     assert code == 1

@@ -853,7 +853,7 @@ def test_features_row_count_checked():
 
 @pytest.mark.parametrize("model", MODEL_KINDS)
 def test_network_memory_check_counts_what_the_trainer_builds(model, monkeypatch):
-    # 1 000-wide rows: the networks need more than the skip-gram checks
+    # 1 000-wide rows: the networks are most of the memory plan
     g = ring_graph(12)
     features = np.random.default_rng(0).random((12, 1000))
     cfg = TrainConfig(
@@ -870,11 +870,17 @@ def test_network_memory_check_counts_what_the_trainer_builds(model, monkeypatch)
     widest = max(
         layer.weights.size for net in nets for layer in net.layers if isinstance(layer, DenseLayer)
     )
-    need = 4 * values + 8 * widest
+    plan = embedder.memory_plan(g, cfg, 1000)
+    # the plan's network items are those naming only --dim: the networks
+    # live through training, each Glorot draw only while its layers are built
+    dims = [(need, stages) for need, _, remedy, stages in plan if remedy == "lower --dim"]
+    assert sum(need for need, stages in dims if "training" in stages) == 4 * values
+    assert max(need for need, stages in dims if "training" not in stages) == 8 * widest
+    need = max(sum(item[0] for item in plan if stage in item[3]) for stage in embedder.STAGES)
     monkeypatch.setattr(proximity, "memory_budget", lambda: need)
     Trainer(g, cfg, features=features)
     monkeypatch.setattr(proximity, "memory_budget", lambda: need - 1)
-    with pytest.raises(GraphError, match=f"The {model} networks of --dim 4 on 1000-wide"):
+    with pytest.raises(GraphError, match=f"Training arrays of {model} on 12 x 1000 features"):
         Trainer(g, cfg, features=features)
 
 

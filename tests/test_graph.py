@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ane.embedder import TrainConfig, load_embeddings
+from ane.embedder import TrainConfig, Trainer, load_embeddings
 from ane.evaluation import SplitSpec, load_labels
 from ane.graph import (
     EdgeListError,
@@ -205,8 +205,10 @@ def test_every_input_refusal_is_an_input_error(tmp_path):
     assert issubclass(EdgeListError, InputError) and issubclass(GraphError, InputError)
     bad = tmp_path / "bad.txt"
     bad.write_text("x\n")
+    three = preprocess(parse_edge_lines(["a b", "b c"]))
     for refuse in (
         lambda: TrainConfig(dim=0),
+        lambda: Trainer(three, TrainConfig(model="dae"), features=np.ones((2, 3))),
         lambda: SplitSpec(repetitions=0),
         lambda: load_labels(bad, {}),
         lambda: load_embeddings(bad),
