@@ -54,10 +54,6 @@ PRIOR_KINDS = tuple(PRIORS)
 # losses, the batch-norm statistics and the export are float64
 TRAIN_DTYPE = np.float32
 VALUE_BYTES = np.dtype(TRAIN_DTYPE).itemsize  # of one network value
-# the stages of a run that hold different arrays at once: the structure
-# networks are built, the walks sampled and paired, the discriminator built,
-# and the networks trained
-STAGES = ("build", "walks", "discriminator", "training")
 # the arithmetic above, as run manifests record it
 ARITHMETIC = {
     "networks": TRAIN_DTYPE.__name__,
@@ -123,6 +119,8 @@ class TrainConfig:
             raise InputError(f"adv_batch_size must be >= 2, got {self.adv_batch_size}")
         if min(self.structure_steps, self.disc_steps, self.gen_steps) < 0:
             raise InputError("step counts must be >= 0")
+        if self.structure_steps == 0 and not (self.adversarial and self.gen_steps):
+            raise InputError("structure_steps is 0 and no generator step runs: nothing trains G")
         if not 0.0 <= self.dae_corruption < 1.0:
             raise InputError(f"dae_corruption must be in [0, 1), got {self.dae_corruption}")
         # a negative step or clip norm would reverse the updates
@@ -386,8 +384,9 @@ class SkipGram:
 
     @staticmethod
     def memory(graph, config, in_dim):
-        """:func:`memory_plan` items: the walk corpus, its pairs and each
-        epoch's order, the largest batch's step, and the two generators."""
+        """:func:`check_memory_plan` items: the walk corpus or each epoch's
+        order, the pairs, a batch's step and the two generators. A batch that
+        takes in the next slice (all pairs of one share a node) is not counted."""
         n, d, k, length = graph.num_nodes, config.dim, config.negatives, config.walk_length
         walks = n * config.walks_per_node
         pairs = 2 * walks * sum(length - off for off in range(1, config.context_size))
@@ -400,16 +399,15 @@ class SkipGram:
         rows = min(n, batch) + min(n, slots)
         # G and F, DenseLayer(in_dim, d) and BatchNorm(d), with gradients and accumulators
         values = 3 * 2 * (in_dim + 3) * d
-        # the int64 corpus lives until its two int32 arrays of pairs are
-        # filled; each epoch's int32 order exists only in training
+        # the int64 corpus is freed once its two int32 arrays of pairs are
+        # filled, before the first epoch's int32 order exists: one item holds both
         walk = "lower --walks, --walk-length or --context"
         step = f"a batch of {batch} pairs with {k} negatives each"
         return [
-            (8 * walks * length, f"{walks} walks of {length} steps", walk, ("walks",)),
-            (8 * pairs, f"{pairs} pairs", walk, ("walks", "discriminator", "training")),
-            (4 * pairs, f"an epoch's order of {pairs} pairs", walk, ("training",)),
-            (64 * slots + 64 * d * rows, step, "lower --batch, --negatives or --dim", ("training",)),
-            (VALUE_BYTES * values, f"generators G and F, {values} values", "lower --dim", STAGES),
+            (max(8 * walks * length, 4 * pairs), f"{walks} walks or an epoch's order", walk),
+            (8 * pairs, f"{pairs} pairs", walk),
+            (64 * slots + 64 * d * rows, step, "lower --batch, --negatives or --dim"),
+            (VALUE_BYTES * values, f"generators G and F, {values} values", "lower --dim"),
         ]
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
@@ -455,15 +453,15 @@ class Dae:
 
     @staticmethod
     def memory(graph, config, in_dim):
-        """:func:`memory_plan` items: the encoder and decoder, and the
-        largest batch's dense reconstruction and its square."""
+        """:func:`check_memory_plan` items: the encoder and decoder, and the
+        largest batch's dense reconstruction and its square (a one-node tail in)."""
         # the encoder is a generator, the decoder DenseLayer(d, in_dim)
         values = 3 * ((in_dim + 3) * config.dim + (config.dim + 1) * in_dim)
-        rows = min(config.batch_size, graph.num_nodes)
+        rows = min(config.batch_size + 1, graph.num_nodes)
         step = f"a batch's {rows} x {in_dim} reconstruction and its square"
         return [
-            (VALUE_BYTES * values, f"encoder and decoder, {values} values", "lower --dim", STAGES),
-            (2 * VALUE_BYTES * rows * in_dim, step, "lower --batch", ("training",)),
+            (VALUE_BYTES * values, f"encoder and decoder, {values} values", "lower --dim"),
+            (2 * VALUE_BYTES * rows * in_dim, step, "lower --batch"),
         ]
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
@@ -498,40 +496,41 @@ OBJECTIVES = {"idw": SkipGram, "aidw": SkipGram, "dae": Dae, "adae": Dae}
 MODEL_KINDS = tuple(OBJECTIVES)
 
 
-def memory_plan(graph, config, in_dim):
-    """What training on ``in_dim``-wide feature rows allocates, as ``(bytes,
-    what, remedy, stages)`` items, each alive in the :data:`STAGES` it names:
-    the objective's ``memory``, the discriminator with G's second RMSProp
-    accumulator (adversarial models), and the float64 Glorot draw of the
-    widest layer being built."""
+def check_memory_plan(graph, config, features=None):
+    """What training on ``features`` holds, as ``(bytes, what, remedy)`` items
+    all alive in training: the objective's ``memory``, the discriminator with
+    G's second RMSProp accumulator (adversarial models), and given rows (dense,
+    CSR or CSC) with the float64 CSR :class:`Trainer` makes of them, unless
+    they are one, and its float32 values. ``features`` None stands for PPMI
+    rows, which come after this check and are covered by the PPMI build's own
+    checks. Returns the items; raises ``GraphError`` when their sum exceeds
+    physical memory, listing them and naming the remedy of the largest."""
+    in_dim = graph.num_nodes if features is None else features.shape[1]
     items = OBJECTIVES[config.model].memory(graph, config, in_dim)
     d, h = config.dim, DISC_HIDDEN
-    items.append((8 * in_dim * d, f"a float64 draw of {in_dim * d}", "lower --dim", ("build",)))
     if config.adversarial:
         # the discriminator's three DenseLayers and two BatchNorms, and G's
         # second accumulator, for the generator step
         values = 3 * ((d + h + 7) * h + 1) + (in_dim + 3) * d
         what = f"discriminator and G's second accumulator, {values} values"
-        items.append((VALUE_BYTES * values, what, "lower --dim", ("discriminator", "training")))
-        widest = max(d * h, h * h)
-        items.append((8 * widest, f"a float64 draw of {widest}", "lower --dim", ("discriminator",)))
-    return items
-
-
-def check_memory_plan(graph, config, features=None):
-    """Raise ``GraphError`` when the stage of :func:`memory_plan` that holds
-    the most at once exceeds physical memory, listing that stage's items and
-    the remedy of the largest. ``features`` is None for the PPMI rows."""
-    in_dim = graph.num_nodes if features is None else features.shape[1]
-    plan = memory_plan(graph, config, in_dim)
-    held = [[item for item in plan if stage in item[3]] for stage in STAGES]
-    stage, items = max(zip(STAGES, held), key=lambda s: sum(item[0] for item in s[1]))
+        items.append((VALUE_BYTES * values, what, "lower --dim"))
+    if features is not None:
+        if sparse.issparse(features):
+            held = features.data.nbytes + features.indices.nbytes + features.indptr.nbytes
+            nnz, index = features.nnz, features.indices.itemsize
+            copied = features.format != "csr" or features.dtype != np.float64
+        else:
+            held, nnz, copied = features.nbytes, int(np.count_nonzero(features)), True
+            index = np.dtype(sparse.get_index_dtype(maxval=max(nnz, *features.shape))).itemsize
+        held += copied * (8 * nnz + index * (nnz + graph.num_nodes + 1)) + VALUE_BYTES * nnz
+        items.append((held, "feature rows and their copies", "use a narrower --features file"))
     check_memory(
-        sum(item[0] for item in items),
+        sum(need for need, _, _ in items),
         f"Training arrays of {config.model} on {graph.num_nodes} x {in_dim} features",
-        f"{stage} stage: " + "; ".join(f"{what}: {need / 1e9:.1f} GB" for need, what, *_ in items),
+        "; ".join(f"{what}: {need / 1e9:.1f} GB" for need, what, _ in items),
         max(items, key=lambda item: item[0])[2],
     )
+    return items
 
 
 def _mean(losses):

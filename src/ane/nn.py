@@ -65,11 +65,6 @@ def logistic_loss(logits, label):
     return loss, grad
 
 
-def glorot_uniform(rng, out_dim, in_dim):
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-
 class DenseLayer:
     """Affine map x -> x W + b with C-contiguous weights of shape (in_dim, out_dim).
 
@@ -77,16 +72,22 @@ class DenseLayer:
     the weight gradient ``x.T @ grad`` and the input gradient
     ``grad @ W.T``, each C-contiguous; scipy's sparse products read ``W``
     and a C-contiguous ``grad`` in place, but take no ``out=``, so a sparse
-    input's weight gradient is copied in. The Glorot draw is the
-    ``(out_dim, in_dim)`` one of :func:`glorot_uniform`, stored transposed
-    and rounded to ``dtype``. ``backward`` drops the cached input, so a
+    input's weight gradient is copied in. The weights are the Glorot draw
+    ``rng.uniform(-limit, limit, (out_dim, in_dim)).T``, ``limit = sqrt(6 /
+    (in_dim + out_dim))``, taken ``max(1, STEP_SLICE // in_dim)`` rows at a
+    time straight into ``dtype``. ``backward`` drops the cached input, so a
     batch's feature rows do not outlive its step.
     """
 
     PARAMS = ("weights", "bias")
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
-        self.weights = np.ascontiguousarray(glorot_uniform(rng, out_dim, in_dim).T, dtype=dtype)
+        limit = np.sqrt(6.0 / (in_dim + out_dim))
+        self.weights = np.empty((in_dim, out_dim), dtype=dtype)
+        rows = max(1, STEP_SLICE // max(in_dim, 1))
+        for start in range(0, out_dim, rows):
+            cols = self.weights[:, start : start + rows]
+            cols[...] = rng.uniform(-limit, limit, size=cols.shape[::-1]).T
         self.bias = np.zeros(out_dim, dtype=dtype)
         # np.zeros, unlike zeros_like, leaves the pages untouched until first written
         self.grad_weights = np.zeros(self.weights.shape, dtype)
@@ -291,8 +292,8 @@ class Mlp:
         return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
 
 
-# Elements of a parameter vector updated at once, so a step's temporaries
-# stay in the L2 cache; each element's arithmetic does not depend on the slicing.
+# Elements worked on at once, so the temporaries stay in the L2 cache: an
+# RMSProp step's slice, about a Glorot draw's block; no value depends on it.
 STEP_SLICE = 32_768
 
 

@@ -128,6 +128,12 @@ def test_embed_adv_batch_below_two_exit_2(karate, tmp_path, capsys):
         (["--grad-clip", "0"], "grad_clip must be > 0"),
         (["--grad-clip", "nan"], "grad_clip must be > 0"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        # no step would move G
+        (["--model", "idw", "--structure-steps", "0"], "no generator step runs: nothing trains G"),
+        (
+            ["--model", "aidw", "--structure-steps", "0", "--disc-steps", "0", "--gen-steps", "0"],
+            "no generator step runs: nothing trains G",
+        ),
     ],
 )
 def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
@@ -142,28 +148,24 @@ def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
     assert message in capsys.readouterr().err
 
 
-def peak_bytes(plan):
-    """The most a memory plan holds in any one stage of a run."""
-    return max(sum(item[0] for item in plan if stage in item[3]) for stage in embedder.STAGES)
-
-
-def dae_plan_bytes(graph, *flags):
-    """The memory plan peak of ``ane embed --model dae`` with ``FAST`` and
-    ``flags`` on the graph's PPMI rows."""
-    args = cli.build_parser().parse_args(["embed", "x", "--model", "dae", *FAST, *flags])
-    return peak_bytes(embedder.memory_plan(graph, cli._config_from_args(args), graph.num_nodes))
+def plan_bytes(graph, *flags, features=None):
+    """The memory plan sum of ``ane embed`` with ``FAST`` and ``flags`` on
+    ``features`` (None: the graph's PPMI rows)."""
+    args = cli.build_parser().parse_args(["embed", "x", *FAST, *flags])
+    plan = embedder.check_memory_plan(graph, cli._config_from_args(args), features)
+    return sum(need for need, _, _ in plan)
 
 
 @pytest.mark.parametrize("command", ["embed", "sweep"])
 def test_ppmi_features_over_memory_exit_2_before_training(
     ring, tmp_path, capsys, monkeypatch, command
 ):
-    # a budget that holds every dae point's memory plan peak, but not the first
+    # a budget that holds every dae point's memory plan sum, but not the first
     # power product: it holds the sum (A, allocated twice over), the product
     # bound twice, A's pattern and two row pointers, 16 bytes an entry
     edges, labels = ring
     graph = preprocess(load_edge_list(edges))
-    budget = max(dae_plan_bytes(graph, "--dim", dim) for dim in ("2", "3", "4"))
+    budget = max(plan_bytes(graph, "--model", "dae", "--dim", dim) for dim in ("2", "3", "4"))
     a = row_normalize(graph)
     bound = int(np.minimum(abs(a).sign() @ np.diff(a.indptr), graph.num_nodes).sum())
     first_product = proximity.ENTRY_BYTES * (3 * a.nnz + 2 * bound + 2 * (graph.num_nodes + 1))
@@ -185,10 +187,9 @@ def no_walks(*args, **kwargs):
 
 
 def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
-    # 40 walks of 8 steps from 12 nodes: 30 720 corpus bytes and 6 720 pairs,
-    # 53 760 bytes, then 26 880 for an epoch's order: the pairs are the largest
-    # item of idw's training stage, the peak. The PPMI steps of the ring need
-    # under 6 kB
+    # 40 walks of 8 steps from 12 nodes: 30 720 corpus bytes, more than the
+    # 26 880 of an epoch's order, and 6 720 pairs, 53 760 bytes: the pairs are
+    # the largest item of idw's plan. The PPMI steps of the ring need under 6 kB
     def no_features(*args, **kwargs):
         raise AssertionError("PPMI features built before the walk memory check")
 
@@ -200,16 +201,16 @@ def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monk
     assert run_cli("embed", edges, "--out", out, *FAST, "--walks", "40", "--model", "idw") == 2
     err = capsys.readouterr().err
     assert "Training arrays of idw on 12 x 12 features need about 0.0 GB" in err
-    assert "(training stage: 6720 pairs: 0.0 GB; an epoch's order of 6720 pairs: 0.0 GB; " in err
+    assert "(480 walks or an epoch's order: 0.0 GB; 6720 pairs: 0.0 GB; " in err
     assert err.endswith("; lower --walks, --walk-length or --context\n")
     assert not out.exists()
 
 
 def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
-    # 24 walks of 8 steps from 12 nodes: 1 536 corpus bytes and 336 pairs,
-    # 2 688 bytes, with 1 344 for an epoch's order. A batch of 64 pairs with 5
-    # negatives needs 30 720 bytes and idw's two generators 1 440: the training
-    # stage holds 36 192, under 50 kB. --batch 100000 takes all 336 pairs,
+    # 24 walks of 8 steps from 12 nodes: 1 536 corpus bytes, more than the
+    # 1 344 of an epoch's order, and 336 pairs, 2 688 bytes. A batch of 64 pairs
+    # with 5 negatives needs 30 720 bytes and idw's two generators 1 440: the
+    # plan sums to 36 384, under 50 kB. --batch 100000 takes all 336 pairs,
     # 135 168 bytes. The networks of aidw would need 5.3 MB
     monkeypatch.setattr(proximity, "memory_budget", lambda: 50_000)
     edges, _ = ring
@@ -225,20 +226,26 @@ def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_memory_plan_sums_what_a_stage_holds(ring, tmp_path, capsys, monkeypatch):
-    # idw on the ring with FAST: a 1 536-byte corpus, 336 pairs of 8 bytes
-    # and an epoch's order of 4, a batch's step of 30 720, the generators
-    # 1 440 and their Glorot draw 384. Checked one by one as before (the
-    # corpus with pairs and order, the pairs and order with the step, the
-    # networks with their draw) every estimate fits in 36 kB; the training
-    # stage, pairs, order, step and generators at once, does not
-    corpus, pairs, step, networks, draw = 1_536, 12 * 336, 30_720, 1_440, 384
-    budget = 36_000
-    assert max(corpus + pairs, pairs + step, networks + draw) <= budget
-    assert pairs + step + networks > budget
-    monkeypatch.setattr(proximity, "memory_budget", lambda: budget)
-    monkeypatch.setattr(embedder, "random_walks", no_walks)
+def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
+    # idw on the ring with FAST: the corpus or an epoch's order, whichever is
+    # larger, 336 pairs of 8 bytes, a batch's step of 30 720 and the
+    # generators 1 440, all alive in training. At --context 2 the one item of
+    # corpus and order is the 1 536-byte corpus; at --context 3 it is the
+    # order of 624 pairs, 2 496 bytes
     edges, _ = ring
+    graph = preprocess(load_edge_list(edges))
+    args = cli.build_parser().parse_args(["embed", "x", *FAST, "--model", "idw"])
+    plan = embedder.check_memory_plan(graph, cli._config_from_args(args))
+    assert [need for need, _, _ in plan] == [1_536, 8 * 336, 30_720, 1_440]
+    assert plan_bytes(graph, "--model", "idw", "--context", "3") == (
+        4 * 624 + 8 * 624 + 30_720 + 1_440
+    )
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 36_384)
+    assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
+    capsys.readouterr()
+
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 36_383)
+    monkeypatch.setattr(embedder, "random_walks", no_walks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw") == 2
     err = capsys.readouterr().err
@@ -247,64 +254,88 @@ def test_memory_plan_sums_what_a_stage_holds(ring, tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
-    # 500-wide feature rows (a 48 000-byte file load) at --dim 2: the encoder
-    # and decoder hold 7 518 values, 30 072 bytes, and their Glorot draw is
-    # 8 000 while they are built. A step's reconstruction and its square take
-    # 8 bytes per entry: 8 000 for a batch of 2 rows, 48 000 for all 12, and
-    # the training stage then holds 78 072
-    edges, _ = ring
+def wide_features(tmp_path):
+    """A 12 x 500 ``--features`` file of the ring's nodes, and its rows."""
     rows = np.random.default_rng(0).random((12, 500))
     features = tmp_path / "wide.txt"
     features.write_text(
         "12 500\n" + "".join(f"v{i} " + " ".join(map(str, rows[i])) + "\n" for i in range(12))
     )
+    return features, rows
+
+
+def no_networks(*args, **kwargs):
+    raise AssertionError("a network was built past the memory check")
+
+
+def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
+    # 500-wide feature rows at --dim 2: the encoder and decoder hold 7 518
+    # values, 30 072 bytes, and the rows 144 052 (the float64 matrix, its
+    # float64 CSR of 6 000 entries with int32 indices and their float32
+    # values). A step's reconstruction and its square take 8 bytes per entry:
+    # 12 000 for a batch of 2 rows with a one-row tail, 48 000 for all 12, so
+    # the plan sums to 186 124 or 222 124
+    edges, _ = ring
+    features, _ = wide_features(tmp_path)
     flags = [*FAST, "--model", "dae", "--dim", "2", "--features", features]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 60_000)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 200_000)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags, "--batch", "2") == 0
     capsys.readouterr()
-
-    def no_networks(*args, **kwargs):
-        raise AssertionError("a network was built past the memory check")
 
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags, "--batch", "100000") == 2
     assert capsys.readouterr().err == (
         "error: [embedder] Training arrays of dae on 12 x 500 features need about 0.0 GB "
-        "(training stage: encoder and decoder, 7518 values: 0.0 GB; a batch's 12 x 500 "
-        "reconstruction and its square: 0.0 GB), more than the 0.0 GB of physical memory; "
-        "lower --batch\n"
+        "(encoder and decoder, 7518 values: 0.0 GB; a batch's 12 x 500 reconstruction and its "
+        "square: 0.0 GB; feature rows and their copies: 0.0 GB), more than "
+        "the 0.0 GB of physical memory; use a narrower --features file\n"
     )
+    assert not out.exists()
+
+
+def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
+    # dae at --dim 2 --batch 2 on 12 x 500 rows: the networks and the step
+    # need 42 072 bytes, the rows and Trainer's copies of them 144 052 more
+    edges, _ = ring
+    graph = preprocess(load_edge_list(edges))
+    features, rows = wide_features(tmp_path)
+    flags = ["--model", "dae", "--dim", "2", "--batch", "2"]
+    cfg = cli._config_from_args(cli.build_parser().parse_args(["embed", "x", *FAST, *flags]))
+    *training, (held, what, _) = embedder.check_memory_plan(graph, cfg, rows)
+    assert what == "feature rows and their copies"
+    assert sum(need for need, _, _ in training) == 42_072 <= 100_000 < 42_072 + held
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 100_000)
+    monkeypatch.setattr(embedder, "build_generator", no_networks)
+    out = tmp_path / "o"
+    assert run_cli("embed", edges, "--out", out, *FAST, *flags, "--features", features) == 2
+    err = capsys.readouterr().err
+    assert "; feature rows and their copies: 0.0 GB)" in err
+    assert err.endswith("; use a narrower --features file\n")
     assert not out.exists()
 
 
 def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
     # dae on the ring's 12-wide PPMI rows at --dim 64: G holds (12 + 3) 64 =
     # 960 parameters and the decoder (64 + 1) 12 = 780, each with a gradient
-    # and an RMSProp accumulator, 5 220 float32 values (20 880 bytes), and
-    # while they are built the widest Glorot draw is 12 x 64 float64 (6 144
-    # bytes): 27 024 bytes, more than the training stage's 22 032 with a
-    # step's 12 x 12 reconstruction and its square. The PPMI steps need under
-    # 6 kB
+    # and an RMSProp accumulator, 5 220 float32 values (20 880 bytes), and a
+    # step's 12 x 12 reconstruction and its square 1 152: 22 032 bytes. The
+    # PPMI steps need under 6 kB
     edges, _ = ring
     flags = [*FAST, "--model", "dae", "--dim", "64"]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 27_024)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 22_032)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    def no_networks(*args, **kwargs):
-        raise AssertionError("a network was built past the memory check")
-
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 27_023)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 22_031)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
     err = capsys.readouterr().err
     assert err == (
         "error: [embedder] Training arrays of dae on 12 x 12 features need about 0.0 GB "
-        "(build stage: encoder and decoder, 5220 values: 0.0 GB; a float64 draw of 768: "
-        "0.0 GB), more than the 0.0 GB of physical memory; lower --dim\n"
+        "(encoder and decoder, 5220 values: 0.0 GB; a batch's 12 x 12 reconstruction and its "
+        "square: 0.0 GB), more than the 0.0 GB of physical memory; lower --dim\n"
     )
     assert not out.exists()
 

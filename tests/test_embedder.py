@@ -864,24 +864,35 @@ def test_network_memory_check_counts_what_the_trainer_builds(model, monkeypatch)
     if cfg.adversarial:
         opts += [trainer.disc_opt, trainer.gen_adv_opt]
     nets = list({id(net): net for opt in opts for net in opt.nets}.values())
-    # float32 parameters and gradients, one accumulator per optimizer and
-    # network, and the float64 Glorot draw of the widest layer
+    # float32 parameters and gradients, and one accumulator per optimizer and network
     values = sum(2 * net.params.size for net in nets) + sum(a.size for o in opts for a in o.acc)
-    widest = max(
-        layer.weights.size for net in nets for layer in net.layers if isinstance(layer, DenseLayer)
-    )
-    plan = embedder.memory_plan(g, cfg, 1000)
-    # the plan's network items are those naming only --dim: the networks
-    # live through training, each Glorot draw only while its layers are built
-    dims = [(need, stages) for need, _, remedy, stages in plan if remedy == "lower --dim"]
-    assert sum(need for need, stages in dims if "training" in stages) == 4 * values
-    assert max(need for need, stages in dims if "training" not in stages) == 8 * widest
-    need = max(sum(item[0] for item in plan if stage in item[3]) for stage in embedder.STAGES)
+    plan = embedder.check_memory_plan(g, cfg, features)
+    # the plan's network items are those naming only --dim; no Glorot draw
+    # of a whole layer is held, so none is counted
+    assert sum(need for need, _, remedy in plan if remedy == "lower --dim") == 4 * values
+    assert not any("draw" in what for _, what, _ in plan)
+    # the caller's rows, Trainer's float64 CSR of them and its float32 values
+    csr = trainer.features
+    copies = [features, csr.data, csr.indices, csr.indptr, trainer.train_features.data]
+    assert plan[-1][0] == sum(a.nbytes for a in copies)
+    need = sum(need for need, _, _ in plan)
     monkeypatch.setattr(proximity, "memory_budget", lambda: need)
     Trainer(g, cfg, features=features)
     monkeypatch.setattr(proximity, "memory_budget", lambda: need - 1)
     with pytest.raises(GraphError, match=f"Training arrays of {model} on 12 x 1000 features"):
         Trainer(g, cfg, features=features)
+
+
+def test_dae_memory_counts_a_batch_with_a_folded_tail():
+    # 34 nodes in batches of 11: 11, 11 and 12 rows
+    g = ring_graph(34)
+    cfg = TrainConfig(model="dae", dim=3, batch_size=11)
+    batches = Trainer(g, cfg).objective.batches(np.random.default_rng(0))
+    assert sorted(sel.size for sel in batches) == [11, 11, 12]
+    plan = embedder.check_memory_plan(g, cfg)
+    assert [need for need, _, remedy in plan if remedy == "lower --batch"] == [
+        2 * embedder.VALUE_BYTES * 12 * 34
+    ]
 
 
 def test_discriminator_drifts_toward_equilibrium_on_karate():

@@ -13,7 +13,6 @@ from ane.nn import (
     Mlp,
     RmsProp,
     clip_global_norm,
-    glorot_uniform,
     gradient_check,
     log_sigmoid,
     logistic_loss,
@@ -79,12 +78,24 @@ def test_logistic_loss_gradient_matches_central_differences():
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
 
-def test_glorot_bounds():
-    rng = np.random.default_rng(1)
-    w = glorot_uniform(rng, 30, 50)
-    limit = np.sqrt(6.0 / 80)
-    assert w.shape == (30, 50)
-    assert (np.abs(w) <= limit).all()
+def test_dense_glorot_weights_are_one_draw_taken_in_blocks():
+    # 513 rows of the (out_dim, in_dim) draw, 69 a block: 8 blocks, the last short
+    in_dim, out_dim = 469, 513
+    assert nn.STEP_SLICE // in_dim == 69
+    limit = np.sqrt(6.0 / (in_dim + out_dim))
+    for dtype in (np.float32, np.float64):
+        layer_rng, rng = np.random.default_rng(1), np.random.default_rng(1)
+        weights = DenseLayer(in_dim, out_dim, layer_rng, dtype).weights
+        assert weights.dtype == dtype and weights.flags.c_contiguous
+        assert (np.abs(weights) <= limit).all()
+        whole = rng.uniform(-limit, limit, size=(out_dim, in_dim)).T.astype(dtype)
+        assert weights.tobytes() == np.ascontiguousarray(whole).tobytes()
+        # the layer left its rng in the state of the whole draw
+        assert layer_rng.random() == rng.random()
+    # zero-wide rows (a features file of 0 columns) draw nothing
+    layer_rng = np.random.default_rng(1)
+    assert DenseLayer(0, 3, layer_rng).weights.shape == (0, 3)
+    assert layer_rng.random() == np.random.default_rng(1).random()
 
 
 # dense layer
