@@ -497,33 +497,33 @@ MODEL_KINDS = tuple(OBJECTIVES)
 
 
 def check_memory_plan(graph, config, features=None):
-    """What training on ``features`` holds, as ``(bytes, what, remedy)`` items
-    all alive in training: the objective's ``memory``, the discriminator with
-    G's second RMSProp accumulator (adversarial models), and given rows (dense,
-    CSR or CSC) with the float64 CSR :class:`Trainer` makes of them, unless
-    they are one, and its float32 values. ``features`` None stands for PPMI
-    rows, which come after this check and are covered by the PPMI build's own
-    checks. Returns the items; raises ``GraphError`` when their sum exceeds
-    physical memory, listing them and naming the remedy of the largest."""
+    """What training on ``features``, float64 CSR rows, holds, as ``(bytes,
+    what, remedy)`` items all alive in training: the objective's ``memory``;
+    for adversarial models the discriminator with G's second RMSProp
+    accumulator, and an adversarial batch's steps; and the rows with the
+    float32 values of ``train_features``. ``features`` None stands for PPMI
+    rows not built yet; :class:`Trainer` checks again once it has them.
+    Returns the items; raises ``GraphError`` when their sum exceeds physical
+    memory, listing them and naming the remedy of the largest."""
     in_dim = graph.num_nodes if features is None else features.shape[1]
     items = OBJECTIVES[config.model].memory(graph, config, in_dim)
-    d, h = config.dim, DISC_HIDDEN
+    d, h, b = config.dim, DISC_HIDDEN, config.adv_batch_size
     if config.adversarial:
         # the discriminator's three DenseLayers and two BatchNorms, and G's
         # second accumulator, for the generator step
         values = 3 * ((d + h + 7) * h + 1) + (in_dim + 3) * d
         what = f"discriminator and G's second accumulator, {values} values"
         items.append((VALUE_BYTES * values, what, "lower --dim"))
+        # a discriminator or generator step took about 26 bytes per hidden
+        # unit and 16 per dimension of each sampled row, its gathered feature
+        # rows included (tracemalloc on the planted graph); this counts twice
+        # that: 36 864 bytes a row at dim 128, where 16 922 were measured
+        per_row = VALUE_BYTES * (16 * h + 8 * d)
+        items.append((per_row * b, f"an adversarial batch of {b} rows", "lower --adv-batch"))
     if features is not None:
-        if sparse.issparse(features):
-            held = features.data.nbytes + features.indices.nbytes + features.indptr.nbytes
-            nnz, index = features.nnz, features.indices.itemsize
-            copied = features.format != "csr" or features.dtype != np.float64
-        else:
-            held, nnz, copied = features.nbytes, int(np.count_nonzero(features)), True
-            index = np.dtype(sparse.get_index_dtype(maxval=max(nnz, *features.shape))).itemsize
-        held += copied * (8 * nnz + index * (nnz + graph.num_nodes + 1)) + VALUE_BYTES * nnz
-        items.append((held, "feature rows and their copies", "use a narrower --features file"))
+        held = sum(a.nbytes for a in (features.data, features.indices, features.indptr))
+        what = "feature rows and their float32 values"
+        items.append((held + VALUE_BYTES * features.nnz, what, "use a narrower --features file"))
     check_memory(
         sum(need for need, _, _ in items),
         f"Training arrays of {config.model} on {graph.num_nodes} x {in_dim} features",
@@ -566,16 +566,17 @@ class Trainer:
             self.rng_adv_rows,
         ) = (np.random.default_rng(s) for s in streams)
 
-        if features is not None and features.shape[0] != graph.num_nodes:
+        if features is None:
+            # the memory check first: it is cheap, the PPMI build is not
+            check_memory_plan(graph, config)
+            features = ppmi_features(graph, config.ppmi_steps, config.ppmi_beta)
+        elif features.shape[0] != graph.num_nodes:
             raise InputError(
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
             )
-        # the memory check first: it is cheap, the feature build is not
-        check_memory_plan(graph, config, features)
-        if features is None:
-            features = ppmi_features(graph, config.ppmi_steps, config.ppmi_beta)
-        # CSR whatever the source: PPMI, a features file, or a shared matrix
+        # one form whatever the source; float64 CSR rows are shared, not copied
         features = sparse.csr_array(features, dtype=np.float64)
+        check_memory_plan(graph, config, features)
         # the export reads the float64 rows; every training step reads their
         # float32 values, which share the index arrays
         self.features = features

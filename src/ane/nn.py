@@ -116,30 +116,34 @@ class DenseLayer:
         return grad @ self.weights.T if input_grad else None
 
 
+# LeakyRelu's slope below zero, RmsProp's decay and denominator guard, and
+# BatchNorm's variance guard (see each class)
+LEAKY_SLOPE = 0.2
+RMS_RHO = 0.9
+RMS_EPS = 1e-8
+BN_EPS = 1e-12
+
+
 class LeakyRelu:
-    """y = x for x > 0 else slope * x.
+    """y = x for x > 0 else ``LEAKY_SLOPE`` * x.
 
     Only the boolean mask ``x > 0`` is cached, and ``backward`` drops it.
     Forward and backward multiply their operand by the scale ``mask * (1 -
     slope) + slope``, built in the operand's dtype with no branch per
     element. The result has the bits of the operand where the mask holds
-    and of the operand times ``slope`` elsewhere, because the scale is
-    exactly 1 or ``slope``. That holds only when ``(1 - slope) + slope == 1``
-    in float64 and in float32, so other slopes are rejected.
+    and of the operand times the slope elsewhere, because the scale is
+    exactly 1 or the slope: ``(1 - 0.2) + 0.2 == 1`` in float64 and float32.
     """
 
     PARAMS = ()
 
-    def __init__(self, slope=0.2):
-        if any(t(1 - slope) + t(slope) != 1 for t in (np.float64, np.float32)):
-            raise ValueError(f"slope {slope!r} does not round to a scale of exactly 1 and slope")
-        self.slope = float(slope)
+    def __init__(self):
         self._mask = None
 
     def _scaled(self, v):
         out = self._mask.astype(v.dtype)
-        out *= 1 - self.slope
-        out += self.slope
+        out *= 1 - LEAKY_SLOPE
+        out += LEAKY_SLOPE
         out *= v
         return out
 
@@ -170,7 +174,7 @@ class BatchNorm:
     float32 resolution of the spread, not of the mean. The variance is
     summed in float64 from the centred batch.
 
-    ``eps`` only guards the variance-zero case. It is added to the float64
+    ``BN_EPS`` only guards the variance-zero case. It is added to the float64
     variance, so it is kept tiny in float32 networks too: normalized
     outputs have variance within ~eps/var of 1 (plus the float32 rounding
     of the normalized values, ~1e-7) even for features whose batch variance
@@ -184,10 +188,9 @@ class BatchNorm:
 
     PARAMS = ("gamma", "shift")
 
-    def __init__(self, dim, eps=1e-12, dtype=np.float64):
+    def __init__(self, dim, dtype=np.float64):
         self.gamma = np.ones(dim, dtype=dtype)
         self.shift = np.zeros(dim, dtype=dtype)
-        self.eps = eps
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_shift = np.zeros_like(self.shift)
         self._norm = None
@@ -217,7 +220,7 @@ class BatchNorm:
         out = np.square(norm)
         var = out.sum(axis=0, dtype=np.float64)
         var /= x.shape[0]
-        inv_std = (1.0 / np.sqrt(var + self.eps)).astype(x.dtype)
+        inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
         norm *= inv_std
         self._norm = norm
         self._inv_std = inv_std
@@ -299,14 +302,13 @@ STEP_SLICE = 32_768
 
 class RmsProp:
     """RMSProp over the ``params`` of a fixed list of networks, stepped by
-    their ``grads``; one accumulator per network. Every gradient is checked
-    to be finite before any parameter or accumulator moves."""
+    their ``grads`` with decay ``RMS_RHO`` and guard ``RMS_EPS``; one
+    accumulator per network. Every gradient is checked to be finite before
+    any parameter or accumulator moves."""
 
-    def __init__(self, nets, lr=0.001, rho=0.9, eps=1e-8):
+    def __init__(self, nets, lr=0.001):
         self.nets = list(nets)
         self.lr = lr
-        self.rho = rho
-        self.eps = eps
         self.acc = [np.zeros(net.params.shape, net.params.dtype) for net in self.nets]
 
     def step(self):
@@ -320,9 +322,9 @@ class RmsProp:
             for start in range(0, p.size, STEP_SLICE):
                 cut = slice(start, start + STEP_SLICE)
                 ps, gs, acc = p[cut], g[cut], a[cut]
-                acc *= self.rho
-                acc += (1.0 - self.rho) * gs * gs
-                ps -= self.lr * gs / np.sqrt(acc + self.eps)
+                acc *= RMS_RHO
+                acc += (1.0 - RMS_RHO) * gs * gs
+                ps -= self.lr * gs / np.sqrt(acc + RMS_EPS)
 
 
 def clip_global_norm(grads, max_norm):

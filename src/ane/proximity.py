@@ -107,7 +107,8 @@ def shifted_ppmi(m, beta):
     not positive. Column sums add the stored entries in row order, as a
     dense column sum does. A column of ``m`` summing to zero gives an
     all-zero output column. Returns a scipy CSR array of the positive
-    results with sorted rows; the transform's temporaries and output (at
+    results with sorted rows and the index dtype ``sparse.get_index_dtype``
+    picks for its size; the transform's temporaries and output (at
     most two entries per stored entry of ``m``) are checked with
     :func:`memory_budget` first.
     """
@@ -126,7 +127,11 @@ def shifted_ppmi(m, beta):
     x -= np.log(beta)
     keep = x > 0
     indptr = np.concatenate(([0], np.cumsum(keep)))[m.indptr]
-    out = sparse.csr_array((x[keep], m.indices[keep], indptr), shape=m.shape)
+    # the index dtype scipy gives a dense matrix of this size, int32 where it fits
+    index = sparse.get_index_dtype(maxval=max(indptr[-1], *m.shape))
+    out = sparse.csr_array(
+        (x[keep], m.indices[keep].astype(index), indptr.astype(index)), shape=m.shape
+    )
     # the generators' CSR products add in stored order
     out.sort_indices()
     return out

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -231,35 +232,47 @@ def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
     # larger, 336 pairs of 8 bytes, a batch's step of 30 720 and the
     # generators 1 440, all alive in training. At --context 2 the one item of
     # corpus and order is the 1 536-byte corpus; at --context 3 it is the
-    # order of 624 pairs, 2 496 bytes
+    # order of 624 pairs, 2 496 bytes. The 60 PPMI entries, with int32
+    # indices, take 8 + 4 bytes each, 52 for the row pointers and 4 each for
+    # their float32 values: 1 012 bytes, counted once they are built
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
     args = cli.build_parser().parse_args(["embed", "x", *FAST, "--model", "idw"])
-    plan = embedder.check_memory_plan(graph, cli._config_from_args(args))
-    assert [need for need, _, _ in plan] == [1_536, 8 * 336, 30_720, 1_440]
+    cfg = cli._config_from_args(args)
+    assert [need for need, _, _ in embedder.check_memory_plan(graph, cfg)] == [
+        1_536, 8 * 336, 30_720, 1_440
+    ]
+    rows = ppmi_features(graph)
+    assert rows.nnz == 60
+    plan = embedder.check_memory_plan(graph, cfg, rows)
+    assert [need for need, _, _ in plan] == [1_536, 8 * 336, 30_720, 1_440, 1_012]
     assert plan_bytes(graph, "--model", "idw", "--context", "3") == (
         4 * 624 + 8 * 624 + 30_720 + 1_440
     )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 36_384)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 37_396)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 36_383)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 37_395)
     monkeypatch.setattr(embedder, "random_walks", no_walks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw") == 2
     err = capsys.readouterr().err
     assert "Training arrays of idw on 12 x 12 features need about 0.0 GB" in err
+    assert "; feature rows and their float32 values: 0.0 GB)" in err
     assert err.endswith("; lower --batch, --negatives or --dim\n")
     assert not out.exists()
 
 
-def wide_features(tmp_path):
-    """A 12 x 500 ``--features`` file of the ring's nodes, and its rows."""
-    rows = np.random.default_rng(0).random((12, 500))
+def wide_features(tmp_path, width, stride=1):
+    """A 12 x ``width`` ``--features`` file of the ring's nodes, non-zero
+    only in every ``stride``-th column, and its rows."""
+    rows = np.random.default_rng(0).random((12, width))
+    rows[:, np.arange(width) % stride != 0] = 0.0
     features = tmp_path / "wide.txt"
     features.write_text(
-        "12 500\n" + "".join(f"v{i} " + " ".join(map(str, rows[i])) + "\n" for i in range(12))
+        f"12 {width}\n"
+        + "".join(f"v{i} " + " ".join(map(str, rows[i])) + "\n" for i in range(12))
     )
     return features, rows
 
@@ -269,16 +282,17 @@ def no_networks(*args, **kwargs):
 
 
 def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
-    # 500-wide feature rows at --dim 2: the encoder and decoder hold 7 518
-    # values, 30 072 bytes, and the rows 144 052 (the float64 matrix, its
-    # float64 CSR of 6 000 entries with int32 indices and their float32
-    # values). A step's reconstruction and its square take 8 bytes per entry:
-    # 12 000 for a batch of 2 rows with a one-row tail, 48 000 for all 12, so
-    # the plan sums to 186 124 or 222 124
+    # 500-wide feature rows with 600 non-zero entries at --dim 2: the encoder
+    # and decoder hold 7 518 values, 30 072 bytes, and the rows 9 652 (a
+    # float64 CSR with int32 indices and 52 bytes of row pointers, and its
+    # float32 values). A step's reconstruction and its square take 8 bytes
+    # per entry: 12 000 for a batch of 2 rows with a one-row tail, 48 000 for
+    # all 12, so the plan sums to 51 724 or 87 724. Converting the file's
+    # 48 000-byte matrix takes 32 bytes an entry and 8 KiB more: 75 392
     edges, _ = ring
-    features, _ = wide_features(tmp_path)
+    features, _ = wide_features(tmp_path, 500, stride=10)
     flags = [*FAST, "--model", "dae", "--dim", "2", "--features", features]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 200_000)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 80_000)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags, "--batch", "2") == 0
     capsys.readouterr()
 
@@ -288,46 +302,104 @@ def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     assert capsys.readouterr().err == (
         "error: [embedder] Training arrays of dae on 12 x 500 features need about 0.0 GB "
         "(encoder and decoder, 7518 values: 0.0 GB; a batch's 12 x 500 reconstruction and its "
-        "square: 0.0 GB; feature rows and their copies: 0.0 GB), more than "
-        "the 0.0 GB of physical memory; use a narrower --features file\n"
+        "square: 0.0 GB; feature rows and their float32 values: 0.0 GB), more than "
+        "the 0.0 GB of physical memory; lower --batch\n"
     )
     assert not out.exists()
 
 
 def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
-    # dae at --dim 2 --batch 2 on 12 x 500 rows: the networks and the step
-    # need 42 072 bytes, the rows and Trainer's copies of them 144 052 more
+    # idw with FAST and --walks 40 on 12 x 300 dense rows: 480 walks of 8
+    # steps, 30 720 bytes, 6 720 pairs, 53 760, a batch's step 30 720 and the
+    # generators (300 + 3) 96 = 29 088; the rows' 3 600 entries take 16
+    # bytes each and 52 for the row pointers, 57 652, the largest item. The
+    # plan sums to 201 940, more than the 152 192 that converting the file's
+    # matrix takes (28 800 + 32 x 3 600 + 8 192)
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
-    features, rows = wide_features(tmp_path)
-    flags = ["--model", "dae", "--dim", "2", "--batch", "2"]
-    cfg = cli._config_from_args(cli.build_parser().parse_args(["embed", "x", *FAST, *flags]))
-    *training, (held, what, _) = embedder.check_memory_plan(graph, cfg, rows)
-    assert what == "feature rows and their copies"
-    assert sum(need for need, _, _ in training) == 42_072 <= 100_000 < 42_072 + held
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 100_000)
+    features, _ = wide_features(tmp_path, 300)
+    flags = [*FAST, "--model", "idw", "--walks", "40", "--features", str(features)]
+    cfg = cli._config_from_args(cli.build_parser().parse_args(["embed", "x", *flags]))
+    plan = embedder.check_memory_plan(graph, cfg, cli._load_features(features, graph))
+    assert [need for need, _, _ in plan] == [30_720, 53_760, 30_720, 29_088, 57_652]
+    assert plan[-1][1:] == (
+        "feature rows and their float32 values", "use a narrower --features file"
+    )
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 201_940)
+    assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
+    capsys.readouterr()
+
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 201_939)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
-    assert run_cli("embed", edges, "--out", out, *FAST, *flags, "--features", features) == 2
+    assert run_cli("embed", edges, "--out", out, *flags) == 2
     err = capsys.readouterr().err
-    assert "; feature rows and their copies: 0.0 GB)" in err
+    assert err.startswith("error: [embedder] Training arrays of idw on 12 x 300 features")
     assert err.endswith("; use a narrower --features file\n")
     assert not out.exists()
+
+
+def test_features_conversion_over_memory_exit_2_before_any_network(
+    ring, tmp_path, capsys, monkeypatch
+):
+    # the 12 x 500 matrix, 48 000 bytes, and 32 bytes for each of its 6 000
+    # entries and 8 KiB while scipy converts it: 248 192. The plan of dae at
+    # --dim 2 --batch 2 then sums to 138 124, the rows 96 052 of it
+    edges, _ = ring
+    features, _ = wide_features(tmp_path, 500)
+    flags = [*FAST, "--model", "dae", "--dim", "2", "--batch", "2", "--features", features]
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 248_192)
+    assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
+    capsys.readouterr()
+
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 248_191)
+    monkeypatch.setattr(embedder, "build_generator", no_networks)
+    out = tmp_path / "o"
+    assert run_cli("embed", edges, "--out", out, *flags) == 2
+    assert capsys.readouterr().err == (
+        f"error: [proximity] {features}: CSR rows of 6000 stored entries need about 0.0 GB "
+        "(the dense matrix, 32 bytes an entry and 8 KiB while it is converted), more than the "
+        "0.0 GB of physical memory; use a narrower --features file\n"
+    )
+    assert not out.exists()
+
+
+def test_features_conversion_peak_within_estimate(ring, tmp_path, monkeypatch):
+    # the estimate is the dense matrix, 32 bytes per stored entry and 8 KiB;
+    # the matrix is made before tracing, so the traced peak is everything else
+    edges, _ = ring
+    graph = preprocess(load_edge_list(edges))
+    rows = np.random.default_rng(1).random((12, 3000))
+    rows[rows < 0.5] = 0.0
+    ids = [f"v{i}" for i in reversed(range(12))]
+    loaded = embedder.EmbeddingMatrix(vectors=rows[::-1].copy(), ids=ids)
+    monkeypatch.setattr(cli, "load_embeddings", lambda path: loaded)
+    estimate = rows.nbytes + 32 * np.count_nonzero(rows) + 8192
+    tracemalloc.start()
+    try:
+        csr = cli._load_features("f.txt", graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes + peak <= estimate
+    assert isinstance(csr, sparse.csr_array) and csr.dtype == np.float64
+    np.testing.assert_array_equal(csr.toarray(), rows)
 
 
 def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
     # dae on the ring's 12-wide PPMI rows at --dim 64: G holds (12 + 3) 64 =
     # 960 parameters and the decoder (64 + 1) 12 = 780, each with a gradient
     # and an RMSProp accumulator, 5 220 float32 values (20 880 bytes), and a
-    # step's 12 x 12 reconstruction and its square 1 152: 22 032 bytes. The
-    # PPMI steps need under 6 kB
+    # step's 12 x 12 reconstruction and its square 1 152: 22 032 bytes before
+    # the PPMI build, and 23 044 with its 60 entries (1 012 bytes) once they
+    # are built. The PPMI steps need under 6 kB
     edges, _ = ring
     flags = [*FAST, "--model", "dae", "--dim", "64"]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 22_032)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 23_044)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 22_031)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 23_043)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
@@ -335,8 +407,31 @@ def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     assert err == (
         "error: [embedder] Training arrays of dae on 12 x 12 features need about 0.0 GB "
         "(encoder and decoder, 5220 values: 0.0 GB; a batch's 12 x 12 reconstruction and its "
-        "square: 0.0 GB), more than the 0.0 GB of physical memory; lower --dim\n"
+        "square: 0.0 GB; feature rows and their float32 values: 0.0 GB), more than the 0.0 GB "
+        "of physical memory; lower --dim\n"
     )
+    assert not out.exists()
+
+
+def test_adversarial_batch_over_memory_exit_2_before_any_network(
+    karate, tmp_path, capsys, monkeypatch
+):
+    # a step holds (16 x 512 + 8 x 128) float32 values a row at the default
+    # dim: 36 864 bytes, 36.9 TB for 10^9 rows, against a 16 GB budget; run
+    # for real, it would allocate tens of GB in its first discriminator step
+    def no_ppmi(*args, **kwargs):
+        raise AssertionError("PPMI features built before the adversarial batch check")
+
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 16_000_000_000)
+    monkeypatch.setattr(embedder, "ppmi_features", no_ppmi)
+    monkeypatch.setattr(embedder, "build_generator", no_networks)
+    edges, _ = karate
+    out = tmp_path / "o"
+    flags = ["--model", "adae", "--adv-batch", "1000000000"]
+    assert run_cli("embed", edges, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "; an adversarial batch of 1000000000 rows: 36864.0 GB)" in err
+    assert err.endswith("; lower --adv-batch\n")
     assert not out.exists()
 
 

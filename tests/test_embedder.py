@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 from scipy import sparse
 
-from ane import embedder, proximity
+from ane import embedder, nn, proximity
 from ane.datasets import load_dataset
 from ane.embedder import (
     MODEL_KINDS,
@@ -28,6 +28,7 @@ from ane.embedder import (
 )
 from ane.graph import GraphError, parse_edge_lines, preprocess
 from ane.nn import DenseLayer, GradientError, gradient_check, logistic_loss, sigmoid
+from ane.proximity import ppmi_features
 from ane.walker import PairBatch
 
 
@@ -535,7 +536,7 @@ def test_dae_zero_corruption_perfect_identity_net():
     enc_dense.weights[...] = np.eye(dim)
     enc_dense.bias[...] = 0.0
     bn = encoder.layers[-1]
-    bn.gamma[...] = np.sqrt(x.var(axis=0) + bn.eps)
+    bn.gamma[...] = np.sqrt(x.var(axis=0) + nn.BN_EPS)
     bn.shift[...] = x.mean(axis=0)
     dec_dense = decoder.layers[0]
     dec_dense.weights[...] = np.eye(dim)
@@ -855,7 +856,7 @@ def test_features_row_count_checked():
 def test_network_memory_check_counts_what_the_trainer_builds(model, monkeypatch):
     # 1 000-wide rows: the networks are most of the memory plan
     g = ring_graph(12)
-    features = np.random.default_rng(0).random((12, 1000))
+    features = sparse.csr_array(np.random.default_rng(0).random((12, 1000)))
     cfg = TrainConfig(
         model=model, dim=4, walks_per_node=2, walk_length=8, context_size=2, batch_size=64
     )
@@ -871,16 +872,46 @@ def test_network_memory_check_counts_what_the_trainer_builds(model, monkeypatch)
     # of a whole layer is held, so none is counted
     assert sum(need for need, _, remedy in plan if remedy == "lower --dim") == 4 * values
     assert not any("draw" in what for _, what, _ in plan)
-    # the caller's rows, Trainer's float64 CSR of them and its float32 values
-    csr = trainer.features
-    copies = [features, csr.data, csr.indices, csr.indptr, trainer.train_features.data]
-    assert plan[-1][0] == sum(a.nbytes for a in copies)
+    # float64 CSR rows are shared, not copied, and train_features shares their indices
+    csr, train = trainer.features, trainer.train_features
+    assert all(np.shares_memory(a, b) for a, b in zip(
+        (csr.data, csr.indices, csr.indptr), (features.data, features.indices, features.indptr)
+    ))
+    assert np.shares_memory(train.indices, csr.indices)
+    assert np.shares_memory(train.indptr, csr.indptr)
+    assert plan[-1][0] == sum(a.nbytes for a in (csr.data, csr.indices, csr.indptr, train.data))
     need = sum(need for need, _, _ in plan)
     monkeypatch.setattr(proximity, "memory_budget", lambda: need)
     Trainer(g, cfg, features=features)
     monkeypatch.setattr(proximity, "memory_budget", lambda: need - 1)
     with pytest.raises(GraphError, match=f"Training arrays of {model} on 12 x 1000 features"):
         Trainer(g, cfg, features=features)
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
+    # before the PPMI build the plan holds no rows; once they are built the
+    # Trainer checks the sum a sweep point checks on the same rows. At dim 64
+    # each sum is above the PPMI build's own checks (under 6 kB)
+    g = ring_graph(12)
+    cfg = TrainConfig(
+        model=model, dim=64, walks_per_node=2, walk_length=8, context_size=2, batch_size=64
+    )
+    rows = ppmi_features(g)
+    before = sum(need for need, _, _ in embedder.check_memory_plan(g, cfg))
+    after = sum(need for need, _, _ in embedder.check_memory_plan(g, cfg, rows))
+    # 8 + 4 bytes per entry for the float64 rows, 4 for their float32 values
+    assert after - before == 16 * rows.nnz + 4 * 13
+    needs = []
+    monkeypatch.setattr(embedder, "check_memory", lambda need, *rest: needs.append(need))
+    Trainer(g, cfg)
+    assert needs == [before, after]
+
+    monkeypatch.setattr(embedder, "check_memory", proximity.check_memory)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: after - 1)
+    monkeypatch.setattr(embedder, "build_generator", lambda *args: pytest.fail("network built"))
+    with pytest.raises(GraphError, match="; feature rows and their float32 values: 0.0 GB"):
+        Trainer(g, cfg)
 
 
 def test_dae_memory_counts_a_batch_with_a_folded_tail():
@@ -945,7 +976,7 @@ def test_embeddings_normalize_by_all_feature_rows(model):
     assert np.abs(bn.shift).max() > 1e-4 and np.abs(gamma - 1.0).max() > 1e-4
     np.testing.assert_allclose(emb.vectors.mean(axis=0), bn.shift, rtol=0, atol=1e-14)
     np.testing.assert_allclose(
-        emb.vectors.var(axis=0), gamma**2 * var / (var + bn.eps), rtol=1e-12, atol=0
+        emb.vectors.var(axis=0), gamma**2 * var / (var + nn.BN_EPS), rtol=1e-12, atol=0
     )
     np.testing.assert_array_equal(trainer.embeddings().vectors, emb.vectors)
 

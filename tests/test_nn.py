@@ -139,7 +139,7 @@ def test_dense_gradients_match_finite_differences():
 
 
 def test_leaky_relu_values_and_grad():
-    act = LeakyRelu(0.2)
+    act = LeakyRelu()
     x = np.array([[3.0, -5.0, 0.0]])
     np.testing.assert_array_equal(act.forward(x), [[3.0, -1.0, 0.0]])
     grad = act.backward(np.ones((1, 3)))
@@ -163,7 +163,7 @@ EDGE_BATCHES = [
 def test_leaky_relu_bit_equal_to_where_scale_and_caches_a_bool_mask(x):
     for dtype in (np.float64, np.float32):
         v = x.astype(dtype)
-        act = LeakyRelu(0.2)
+        act = LeakyRelu()
         scale = np.where(v > 0, 1.0, 0.2).astype(dtype)
         out = act.forward(v)
         assert act._mask.dtype == np.bool_ and act._mask.shape == x.shape
@@ -175,32 +175,15 @@ def test_leaky_relu_bit_equal_to_where_scale_and_caches_a_bool_mask(x):
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 0.5, 1.0])
-def test_leaky_relu_scale_is_exactly_one_or_slope(slope):
+def test_leaky_relu_scale_is_exactly_one_or_slope(slope, monkeypatch):
+    # LEAKY_SLOPE is 0.2; the scale is as exact at the other usual slopes
+    monkeypatch.setattr(nn, "LEAKY_SLOPE", slope)
     for dtype in (np.float64, np.float32):
-        act = LeakyRelu(slope)
+        act = LeakyRelu()
         act.forward(np.array([[2.0, -2.0]], dtype=dtype))
         grad = act.backward(np.ones((1, 2), dtype=dtype))
         assert grad.dtype == dtype
         np.testing.assert_array_equal(grad, np.array([[1.0, slope]], dtype=dtype))
-
-
-def test_leaky_relu_float32_scale_is_exact_for_random_slopes():
-    # slopes that pass the float64 rule; the float32 networks need their
-    # float32 scale to be exact too, which the constructor also checks
-    slopes = np.random.default_rng(16).uniform(0.0, 1.0, 10_000)
-    assert ((1.0 - slopes) + slopes == 1.0).all()
-    for slope in slopes:
-        act = LeakyRelu(slope)
-        act.forward(np.array([[2.0, -2.0]], dtype=np.float32))
-        np.testing.assert_array_equal(
-            act.backward(np.ones((1, 2), dtype=np.float32)), [[1.0, np.float32(slope)]]
-        )
-
-
-@pytest.mark.parametrize("slope", [1e20, -0.9073248041278822, float("nan"), -3 * 2.0**-26])
-def test_leaky_relu_rejects_a_slope_whose_scale_does_not_round_to_one(slope):
-    with pytest.raises(ValueError, match="slope"):
-        LeakyRelu(slope)
 
 
 # batch norm
@@ -261,7 +244,7 @@ def test_batchnorm_bit_equal_to_the_whole_expressions(x, param_grads):
     before = x.copy(), grad.copy()
 
     mean, var = x.mean(axis=0), x.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    inv_std = 1.0 / np.sqrt(var + nn.BN_EPS)
     norm = (x - mean) * inv_std
     b = x.shape[0]
     dnorm = grad * bn.gamma
@@ -495,10 +478,11 @@ def test_rmsprop_zero_gradient_keeps_params():
 
 def test_rmsprop_single_step_algebra():
     g = 0.7
-    lr, rho, eps = 0.001, 0.9, 1e-8
+    lr, rho, eps = 0.001, nn.RMS_RHO, nn.RMS_EPS
+    assert (rho, eps) == (0.9, 1e-8)
     net = vector([0.0])
     net.grads[0] = g
-    RmsProp([net], lr=lr, rho=rho, eps=eps).step()
+    RmsProp([net], lr=lr).step()
     expected = -lr * g / np.sqrt((1 - rho) * g * g + eps)
     assert net.params[0] == pytest.approx(expected, rel=1e-12)
 
@@ -531,9 +515,9 @@ def test_rmsprop_slices_bit_equal_to_whole_array_step():
         g = rng.standard_normal(net.params.shape)
         net.grads[...] = g
         opt.step()
-        acc *= opt.rho
-        acc += (1.0 - opt.rho) * g * g
-        want -= opt.lr * g / np.sqrt(acc + opt.eps)
+        acc *= nn.RMS_RHO
+        acc += (1.0 - nn.RMS_RHO) * g * g
+        want -= opt.lr * g / np.sqrt(acc + nn.RMS_EPS)
     np.testing.assert_array_equal(net.params, want)
     np.testing.assert_array_equal(opt.acc[0], acc)
 
