@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -120,17 +119,6 @@ def _parse_list(caster):
         return values
 
     return parse
-
-
-def _positive_float(text):
-    """argparse type of a finite number above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
 
 
 # TrainConfig field -> its flag and argparse options; the default is the field's
@@ -290,18 +278,12 @@ def cmd_embed(args):
 
 
 def _eval_protocol(args, labels_path, index_of):
-    """The labels aligned by ``index_of``, the split spec and the manifest's
-    protocol record of ``eval`` and ``sweep`` (which always normalizes)."""
+    """The labels aligned by ``index_of`` and the protocol of ``eval`` and
+    ``sweep`` (which always normalizes); the manifests record it as
+    ``asdict(spec)``, so ``SplitSpec(**manifest["protocol"])`` rebuilds it."""
     label_set = load_labels(labels_path, index_of)
-    spec = SplitSpec(ratios=args.ratios, repetitions=args.reps, seed=args.seed)
-    protocol = {
-        "ratios": list(args.ratios),
-        "repetitions": args.reps,
-        "seed": args.seed,
-        "l2": args.l2,
-        "normalize": not getattr(args, "no_normalize", False),
-    }
-    return label_set, spec, protocol
+    normalize = not getattr(args, "no_normalize", False)
+    return label_set, SplitSpec(args.ratios, args.reps, args.seed, args.l2, normalize)
 
 
 def cmd_eval(args):
@@ -310,8 +292,8 @@ def cmd_eval(args):
     with _stage("evalkit"):
         emb = load_embeddings(emb_path)
         index_of = {node_id: i for i, node_id in enumerate(emb.ids)}
-        label_set, spec, protocol = _eval_protocol(args, labels_path, index_of)
-        results = evaluate(emb.vectors, label_set, spec, l2=args.l2, normalize=protocol["normalize"])
+        label_set, spec = _eval_protocol(args, labels_path, index_of)
+        results = evaluate(emb.vectors, label_set, spec)
     table = format_accuracy_table(results)
     sys.stdout.write(table)
     if args.out:
@@ -327,20 +309,15 @@ def cmd_eval(args):
                         "embedding": str(emb_path.resolve()),
                         "labels": str(labels_path.resolve()),
                     },
-                    protocol=protocol,
+                    protocol=asdict(spec),
                     artifacts={"accuracy": "accuracy.tsv"},
                 ),
             )
     return 0
 
 
-# TrainConfig field of each sweep axis -> its --grid-* flag
-SWEEP_AXES = {
-    "dim": "grid_dim",
-    "walk_length": "grid_walk_length",
-    "context_size": "grid_context",
-    "prior": "grid_prior",
-}
+# TrainConfig fields a sweep can vary, one --grid-* flag each
+SWEEP_AXES = ("dim", "walk_length", "context_size", "prior")
 
 
 def cmd_sweep(args):
@@ -348,12 +325,12 @@ def cmd_sweep(args):
     labels_path = _require_file(args.labels)
     base_cfg = _config_from_args(args)
 
-    axes = {name: getattr(args, flag) for name, flag in SWEEP_AXES.items() if getattr(args, flag)}
+    axes = {n: getattr(args, f"grid_{n}") for n in SWEEP_AXES if getattr(args, f"grid_{n}")}
     if not axes:
         raise UsageError("no sweep points")
     graph, features, dataset_meta = _load_dataset(edge_path, args.weighted, args.features)
     with _stage("evalkit"):
-        label_set, spec, protocol = _eval_protocol(args, labels_path, graph.index_of)
+        label_set, spec = _eval_protocol(args, labels_path, graph.index_of)
     # every point's config and memory plan first, so a grid value that cannot
     # train or fit exits 2 before the PPMI build and before any point trains
     names = list(axes)
@@ -383,7 +360,7 @@ def cmd_sweep(args):
         point_dir = out_dir / f"point_{idx:03d}"
         try:
             embedding, _ = _train_and_write(graph, cfg, point_dir, dataset_meta, features=features)
-            results = evaluate(embedding.vectors, label_set, spec, l2=args.l2)
+            results = evaluate(embedding.vectors, label_set, spec)
             for r in results:
                 rows.append([str(overrides[n]) for n in names] + accuracy_cells(r) + ["ok"])
         except Exception as exc:
@@ -405,7 +382,7 @@ def cmd_sweep(args):
                 labels=str(labels_path.resolve()),
                 base_config=asdict(base_cfg),
                 grid={n: list(axes[n]) for n in names},
-                protocol=protocol,
+                protocol=asdict(spec),
                 artifacts={"results": "sweep_results.tsv"},
                 failures=failures,
             ),
@@ -440,7 +417,7 @@ def build_parser():
     p_eval.add_argument("--ratios", type=_parse_list(float), default=DEFAULT_RATIOS)
     p_eval.add_argument("--reps", type=int, default=10)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--l2", type=_positive_float, default=1.0)
+    p_eval.add_argument("--l2", type=float, default=1.0)
     p_eval.add_argument("--no-normalize", action="store_true")
     p_eval.add_argument("--out", default=None, help="optional output directory")
     p_eval.set_defaults(func=cmd_eval)
@@ -449,13 +426,15 @@ def build_parser():
     p_sweep.add_argument("edge_list")
     p_sweep.add_argument("labels")
     _add_train_flags(p_sweep)
-    p_sweep.add_argument("--grid-dim", type=_parse_list(int), default=None)
-    p_sweep.add_argument("--grid-walk-length", type=_parse_list(int), default=None)
-    p_sweep.add_argument("--grid-context", type=_parse_list(int), default=None)
-    p_sweep.add_argument("--grid-prior", type=_parse_list(str), default=None)
+    for name in SWEEP_AXES:
+        # named after the training flag: --grid-context GRID_CONTEXT
+        flag, options = TRAIN_FLAGS[name]
+        grid, caster = f"--grid-{flag[2:]}", _parse_list(options.get("type", str))
+        metavar = grid[2:].replace("-", "_").upper()
+        p_sweep.add_argument(grid, dest=f"grid_{name}", type=caster, metavar=metavar)
     p_sweep.add_argument("--ratios", type=_parse_list(float), default=(0.5,))
     p_sweep.add_argument("--reps", type=int, default=10)
-    p_sweep.add_argument("--l2", type=_positive_float, default=1.0)
+    p_sweep.add_argument("--l2", type=float, default=1.0)
     p_sweep.add_argument("--out", default="ane_sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 

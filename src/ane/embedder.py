@@ -383,7 +383,7 @@ class SkipGram:
     """
 
     @staticmethod
-    def memory(graph, config, in_dim):
+    def memory(graph, config, in_dim, widest):
         """:func:`check_memory_plan` items: the walk corpus or each epoch's
         order, the pairs, a batch's step and the two generators. A batch that
         takes in the next slice (all pairs of one share a node) is not counted."""
@@ -397,6 +397,12 @@ class SkipGram:
         batch = min(config.batch_size, pairs)
         slots = batch * (k + 1)
         rows = min(n, batch) + min(n, slots)
+        # It also holds the generators' gathered feature rows, 8 bytes per
+        # stored entry (tracemalloc on 34 x 20 000 rows, 25-100 % dense),
+        # counted as 12, and an in_dim x d weight gradient that each
+        # generator's backward on CSR rows copies in
+        gathered = widest(min(n, batch)) + widest(min(n, slots))
+        step_bytes = 64 * slots + 64 * d * rows + 12 * gathered + VALUE_BYTES * in_dim * d
         # G and F, DenseLayer(in_dim, d) and BatchNorm(d), with gradients and accumulators
         values = 3 * 2 * (in_dim + 3) * d
         # the int64 corpus is freed once its two int32 arrays of pairs are
@@ -406,7 +412,7 @@ class SkipGram:
         return [
             (max(8 * walks * length, 4 * pairs), f"{walks} walks or an epoch's order", walk),
             (8 * pairs, f"{pairs} pairs", walk),
-            (64 * slots + 64 * d * rows, step, "lower --batch, --negatives or --dim"),
+            (step_bytes, step, "lower --batch, --negatives or --dim"),
             (VALUE_BYTES * values, f"generators G and F, {values} values", "lower --dim"),
         ]
 
@@ -452,16 +458,22 @@ class Dae:
     """
 
     @staticmethod
-    def memory(graph, config, in_dim):
+    def memory(graph, config, in_dim, widest):
         """:func:`check_memory_plan` items: the encoder and decoder, and the
-        largest batch's dense reconstruction and its square (a one-node tail in)."""
+        largest batch's step (a one-node tail in): its dense reconstruction
+        and its square, and its gathered feature rows."""
         # the encoder is a generator, the decoder DenseLayer(d, in_dim)
         values = 3 * ((in_dim + 3) * config.dim + (config.dim + 1) * in_dim)
         rows = min(config.batch_size + 1, graph.num_nodes)
         step = f"a batch's {rows} x {in_dim} reconstruction and its square"
+        # the rows' gather and corruption took 44 bytes per stored entry
+        # (tracemalloc on 34 x 20 000 rows, 25-100 % dense), counted as 64,
+        # and the encoder's backward on CSR rows copies in an in_dim x d
+        # weight gradient
+        held = 2 * rows * in_dim + in_dim * config.dim
         return [
             (VALUE_BYTES * values, f"encoder and decoder, {values} values", "lower --dim"),
-            (2 * VALUE_BYTES * rows * in_dim, step, "lower --batch"),
+            (VALUE_BYTES * held + 64 * widest(rows), step, "lower --batch"),
         ]
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
@@ -501,12 +513,20 @@ def check_memory_plan(graph, config, features=None):
     what, remedy)`` items all alive in training: the objective's ``memory``;
     for adversarial models the discriminator with G's second RMSProp
     accumulator, and an adversarial batch's steps; and the rows with the
-    float32 values of ``train_features``. ``features`` None stands for PPMI
-    rows not built yet; :class:`Trainer` checks again once it has them.
-    Returns the items; raises ``GraphError`` when their sum exceeds physical
-    memory, listing them and naming the remedy of the largest."""
+    float32 values of ``train_features``. A step that gathers up to ``r``
+    rows counts the stored entries of the ``r`` widest. ``features`` None
+    stands for PPMI rows not built yet, of which nothing is counted;
+    :class:`Trainer` checks again once it has them. Returns the items;
+    raises ``GraphError`` when their sum exceeds physical memory, listing
+    them and naming the remedy of the largest."""
     in_dim = graph.num_nodes if features is None else features.shape[1]
-    items = OBJECTIVES[config.model].memory(graph, config, in_dim)
+    sizes = np.zeros(0, np.int64) if features is None else np.sort(np.diff(features.indptr))[::-1]
+
+    def widest(r):
+        """Stored entries of the ``r`` widest rows."""
+        return int(sizes[:r].sum())
+
+    items = OBJECTIVES[config.model].memory(graph, config, in_dim, widest)
     d, h, b = config.dim, DISC_HIDDEN, config.adv_batch_size
     if config.adversarial:
         # the discriminator's three DenseLayers and two BatchNorms, and G's
@@ -515,11 +535,16 @@ def check_memory_plan(graph, config, features=None):
         what = f"discriminator and G's second accumulator, {values} values"
         items.append((VALUE_BYTES * values, what, "lower --dim"))
         # a discriminator or generator step took about 26 bytes per hidden
-        # unit and 16 per dimension of each sampled row, its gathered feature
-        # rows included (tracemalloc on the planted graph); this counts twice
-        # that: 36 864 bytes a row at dim 128, where 16 922 were measured
+        # unit and 16 per dimension of each sampled row (tracemalloc on the
+        # planted graph); this counts twice that: 36 864 bytes a row at dim
+        # 128, where 16 922 were measured. Both steps gather the rows, drawn
+        # with replacement: 8 bytes per stored entry (34 x 20 000 rows,
+        # 25-100 % dense), counted as 12 for b draws of the widest; the
+        # generator step's backward on CSR rows copies in an in_dim x d
+        # weight gradient
         per_row = VALUE_BYTES * (16 * h + 8 * d)
-        items.append((per_row * b, f"an adversarial batch of {b} rows", "lower --adv-batch"))
+        need = per_row * b + 12 * b * widest(1) + VALUE_BYTES * in_dim * d
+        items.append((need, f"an adversarial batch of {b} rows", "lower --adv-batch"))
     if features is not None:
         held = sum(a.nbytes for a in (features.data, features.indices, features.indptr))
         what = "feature rows and their float32 values"

@@ -89,11 +89,14 @@ def load_labels(path, index_of):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Evaluation protocol: train ratios, repetitions per ratio, seed (InputError if bad)."""
+    """Evaluation protocol: train ratios, repetitions per ratio, split seed, the
+    classifier's ``l2`` and whether rows are L2-normalized (InputError if bad)."""
 
     ratios: tuple = DEFAULT_RATIOS
     repetitions: int = 10
     seed: int = 0
+    l2: float = 1.0
+    normalize: bool = True
 
     def __post_init__(self):
         for r in self.ratios:
@@ -103,6 +106,8 @@ class SplitSpec:
             raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+        if not (np.isfinite(self.l2) and self.l2 > 0):
+            raise InputError(f"l2 must be a finite number > 0, got {self.l2}")
 
 
 def split(label_set, ratio, rep, seed, max_redraws=20):
@@ -264,15 +269,15 @@ class RatioResult:
     repetitions: int
 
 
-def evaluate(vectors, label_set, spec=SplitSpec(), l2=1.0, normalize=True):
+def evaluate(vectors, label_set, spec=SplitSpec()):
     """Accuracy table (one row per train ratio) for the given embeddings.
 
     ``vectors`` is an (N, d) array aligned with the dense indices referenced
     by ``label_set``. Rows are L2-normalized before classification unless
-    ``normalize`` is disabled.
+    ``spec.normalize`` is false; the classifier is fit with ``spec.l2``.
     """
     feats = np.asarray(vectors, dtype=np.float64)[label_set.node_indices]
-    if normalize:
+    if spec.normalize:
         feats = normalize_rows(feats)
     classes = label_set.classes
 
@@ -281,7 +286,7 @@ def evaluate(vectors, label_set, spec=SplitSpec(), l2=1.0, normalize=True):
         accs = []
         for rep in range(spec.repetitions):
             train, test = split(label_set, ratio, rep, spec.seed)
-            model = fit_linear_ovr(feats[train], classes[train], l2=l2)
+            model = fit_linear_ovr(feats[train], classes[train], l2=spec.l2)
             pred = model.predict(feats[test])
             accs.append(float((pred == classes[test]).mean()))
         mean, std = float(np.mean(accs)), float(np.std(accs))

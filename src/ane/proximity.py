@@ -113,8 +113,8 @@ def shifted_ppmi(m, beta):
     :func:`memory_budget` first.
     """
     m = sparse.csr_array(m, dtype=np.float64)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be a finite number > 0, got {beta}")
     if (m.data < 0).any():
         raise ValueError("proximity matrix must be non-negative")
     _check_ppmi_memory(m.shape[0], 2 * m.nnz)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy import sparse
 from ane import cli, embedder, proximity
 from ane.cli import main
 from ane.datasets import dataset_paths
+from ane.evaluation import SplitSpec, evaluate, format_accuracy_table, load_labels
 from ane.graph import load_edge_list, preprocess, row_normalize
 from ane.proximity import ppmi_features
 from ane.walker import random_walks
@@ -229,31 +231,34 @@ def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys,
 
 def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
     # idw on the ring with FAST: the corpus or an epoch's order, whichever is
-    # larger, 336 pairs of 8 bytes, a batch's step of 30 720 and the
-    # generators 1 440, all alive in training. At --context 2 the one item of
-    # corpus and order is the 1 536-byte corpus; at --context 3 it is the
-    # order of 624 pairs, 2 496 bytes. The 60 PPMI entries, with int32
-    # indices, take 8 + 4 bytes each, 52 for the row pointers and 4 each for
-    # their float32 values: 1 012 bytes, counted once they are built
+    # larger, 336 pairs of 8 bytes, a batch's step of 30 912 (30 720, and a
+    # 12 x 4 float32 weight gradient of 192) and the generators 1 440, all
+    # alive in training. At --context 2 the one item of corpus and order is
+    # the 1 536-byte corpus; at --context 3 it is the order of 624 pairs,
+    # 2 496 bytes. The 60 PPMI entries, with int32 indices, take 8 + 4 bytes
+    # each, 52 for the row pointers and 4 each for their float32 values:
+    # 1 012 bytes, counted once they are built; then the step also counts 12
+    # bytes for each entry of the rows each generator gathers, all 12 rows:
+    # 1 440 bytes
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
     args = cli.build_parser().parse_args(["embed", "x", *FAST, "--model", "idw"])
     cfg = cli._config_from_args(args)
     assert [need for need, _, _ in embedder.check_memory_plan(graph, cfg)] == [
-        1_536, 8 * 336, 30_720, 1_440
+        1_536, 8 * 336, 30_912, 1_440
     ]
     rows = ppmi_features(graph)
     assert rows.nnz == 60
     plan = embedder.check_memory_plan(graph, cfg, rows)
-    assert [need for need, _, _ in plan] == [1_536, 8 * 336, 30_720, 1_440, 1_012]
+    assert [need for need, _, _ in plan] == [1_536, 8 * 336, 30_912 + 1_440, 1_440, 1_012]
     assert plan_bytes(graph, "--model", "idw", "--context", "3") == (
-        4 * 624 + 8 * 624 + 30_720 + 1_440
+        4 * 624 + 8 * 624 + 30_912 + 1_440
     )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 37_396)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 39_028)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 37_395)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 39_027)
     monkeypatch.setattr(embedder, "random_walks", no_walks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw") == 2
@@ -309,27 +314,34 @@ def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
 
 
 def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
-    # idw with FAST and --walks 40 on 12 x 300 dense rows: 480 walks of 8
-    # steps, 30 720 bytes, 6 720 pairs, 53 760, a batch's step 30 720 and the
-    # generators (300 + 3) 96 = 29 088; the rows' 3 600 entries take 16
-    # bytes each and 52 for the row pointers, 57 652, the largest item. The
-    # plan sums to 201 940, more than the 152 192 that converting the file's
-    # matrix takes (28 800 + 32 x 3 600 + 8 192)
+    # idw with FAST, --walks 40, --batch 4 and --negatives 1 on 12 x 300
+    # dense rows: 480 walks of 8 steps, 30 720 bytes, 6 720 pairs, 53 760,
+    # and the generators (300 + 3) 96 = 29 088. A batch's step takes 64
+    # bytes per score slot (8) and per dimension of each of 4 + 8 distinct
+    # rows (3 584), a 300 x 4 float32 weight gradient (4 800) and 12 bytes
+    # for each of the 3 600 entries of those rows (43 200): 51 584. The
+    # rows' 3 600 entries take 16 bytes each and 52 for the row pointers,
+    # 57 652, the largest item. The plan sums to 222 804, more than the
+    # 152 192 that converting the file's matrix takes (28 800 + 32 x 3 600
+    # + 8 192)
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
     features, _ = wide_features(tmp_path, 300)
-    flags = [*FAST, "--model", "idw", "--walks", "40", "--features", str(features)]
+    flags = [
+        *FAST, "--model", "idw", "--walks", "40", "--batch", "4", "--negatives", "1",
+        "--features", str(features),
+    ]
     cfg = cli._config_from_args(cli.build_parser().parse_args(["embed", "x", *flags]))
     plan = embedder.check_memory_plan(graph, cfg, cli._load_features(features, graph))
-    assert [need for need, _, _ in plan] == [30_720, 53_760, 30_720, 29_088, 57_652]
+    assert [need for need, _, _ in plan] == [30_720, 53_760, 51_584, 29_088, 57_652]
     assert plan[-1][1:] == (
         "feature rows and their float32 values", "use a narrower --features file"
     )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 201_940)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 222_804)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 201_939)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 222_803)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
@@ -390,16 +402,17 @@ def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     # dae on the ring's 12-wide PPMI rows at --dim 64: G holds (12 + 3) 64 =
     # 960 parameters and the decoder (64 + 1) 12 = 780, each with a gradient
     # and an RMSProp accumulator, 5 220 float32 values (20 880 bytes), and a
-    # step's 12 x 12 reconstruction and its square 1 152: 22 032 bytes before
-    # the PPMI build, and 23 044 with its 60 entries (1 012 bytes) once they
-    # are built. The PPMI steps need under 6 kB
+    # step's 12 x 12 reconstruction and its square 1 152 and G's 12 x 64
+    # weight gradient 3 072: 25 104 bytes before the PPMI build. Once its 60
+    # entries are built they take 1 012 bytes, and the step gathers them all,
+    # 64 bytes an entry (3 840): 29 956. The PPMI steps need under 6 kB
     edges, _ = ring
     flags = [*FAST, "--model", "dae", "--dim", "64"]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 23_044)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 29_956)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 23_043)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 29_955)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
@@ -585,6 +598,35 @@ def test_from_manifest_replay_byte_identical(ring, tmp_path):
     assert run_cli("embed", "--from-manifest", first / "manifest.json", "--out", second) == 0
     assert (first / "embedding.txt").read_bytes() == (second / "embedding.txt").read_bytes()
     assert (first / "training_log.txt").read_bytes() == (second / "training_log.txt").read_bytes()
+
+
+def test_weighted_embed_trains_on_the_weights_and_replays(tmp_path, capsys):
+    edges = Path(__file__).resolve().parent / "data" / "weighted.edges"
+    flags = [
+        "--model", "aidw", "--dim", "4", "--walks", "2", "--walk-length", "10", "--context", "3",
+        "--epochs", "1",
+    ]
+    runs = {name: tmp_path / name for name in ("weighted", "unweighted", "replay", "api")}
+    assert run_cli("embed", edges, "--weighted", *flags, "--out", runs["weighted"]) == 0
+    assert run_cli("embed", edges, *flags, "--out", runs["unweighted"]) == 0
+    manifest = runs["weighted"] / "manifest.json"
+    assert json.loads(manifest.read_text())["dataset"]["weighted"] is True
+    assert run_cli("embed", "--from-manifest", manifest, "--out", runs["replay"]) == 0
+    capsys.readouterr()
+
+    cfg = embedder.TrainConfig(
+        model="aidw", dim=4, walks_per_node=2, walk_length=10, context_size=3, epochs=1
+    )
+    embedding, log = embedder.train(preprocess(load_edge_list(edges, weighted=True)), cfg)
+    runs["api"].mkdir()
+    embedder.export_embeddings(embedding, runs["api"] / "embedding.txt")
+    log.save(runs["api"] / "training_log.txt")
+
+    def artifacts(name):
+        return [(runs[name] / f).read_bytes() for f in ("embedding.txt", "training_log.txt")]
+
+    assert artifacts("weighted") == artifacts("api") == artifacts("replay")
+    assert artifacts("unweighted")[0] != artifacts("weighted")[0]
 
 
 def test_manifest_records_the_arithmetic_and_replay_ignores_it(ring, tmp_path):
@@ -795,20 +837,46 @@ def test_eval_runtime_value_error_exit_1(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error [evalkit] the fit failed\n"
 
 
-@pytest.mark.parametrize("l2", ["nan", "inf", "0", "-1"])
-def test_eval_bad_l2_exit_2(tmp_path, capsys, l2):
+# each --l2 value and the float that SplitSpec refuses
+BAD_L2 = [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")]
+
+
+@pytest.mark.parametrize("l2, shown", BAD_L2, ids=[flag for flag, _ in BAD_L2])
+def test_eval_bad_l2_exit_2(tmp_path, capsys, l2, shown):
     classes = np.array([0, 1] * 10)
     emb = tmp_path / "e.txt"
     ids = write_one_hot_embedding(emb, classes)
     labels = tmp_path / "l.txt"
     labels.write_text("".join(f"{i} c{c}\n" for i, c in zip(ids, classes)))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1", "--l2", l2)
-    assert exc.value.code == 2
+    out = tmp_path / "ev"
+    code = run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1", "--l2", l2, "--out", out)
+    assert code == 2
     captured = capsys.readouterr()
-    assert "usage:" in captured.err
-    assert f"argument --l2: must be a finite number > 0, got '{l2}'" in captured.err
+    assert captured.err == f"error: [evalkit] l2 must be a finite number > 0, got {shown}\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+def test_eval_manifest_protocol_rebuilds_the_accuracy_table(karate, tmp_path, capsys):
+    # the manifest records the SplitSpec that ran, l2 and normalization included
+    edges, labels_path = karate
+    emb_dir = tmp_path / "emb"
+    assert run_cli("embed", edges, "--out", emb_dir, *FAST) == 0
+    out = tmp_path / "ev"
+    flags = ["--ratios", "0.3,0.7", "--reps", "3", "--no-normalize", "--l2", "1e-6"]
+    assert run_cli("eval", emb_dir / "embedding.txt", labels_path, *flags, "--out", out) == 0
+    capsys.readouterr()
+    protocol = json.loads((out / "manifest.json").read_text())["protocol"]
+    assert protocol == {
+        "ratios": [0.3, 0.7], "repetitions": 3, "seed": 0, "l2": 1e-6, "normalize": False,
+    }
+    emb = embedder.load_embeddings(emb_dir / "embedding.txt")
+    labels = load_labels(labels_path, {node_id: i for i, node_id in enumerate(emb.ids)})
+    spec = SplitSpec(**protocol)
+    table = format_accuracy_table(evaluate(emb.vectors, labels, spec))
+    assert table == (out / "accuracy.tsv").read_text()
+    # the same embedding at the default l2, normalized, scores otherwise
+    assert format_accuracy_table(evaluate(emb.vectors, labels, SplitSpec((0.3, 0.7), 3))) != table
 
 
 def test_eval_negative_seed_exit_2(tmp_path, capsys):
@@ -1016,16 +1084,21 @@ def test_sweep_trains_every_point_on_the_features_file(ring, tmp_path):
     ).read_bytes()
 
 
-@pytest.mark.parametrize("l2", ["nan", "inf", "0", "-1"])
-def test_sweep_bad_l2_exit_2_before_training(ring, tmp_path, capsys, l2):
+@pytest.mark.parametrize("l2, shown", BAD_L2, ids=[flag for flag, _ in BAD_L2])
+def test_sweep_bad_l2_exit_2_before_training(ring, tmp_path, capsys, monkeypatch, l2, shown):
+    def no_ppmi(*args, **kwargs):
+        raise AssertionError("PPMI features built for a refused evaluation protocol")
+
+    monkeypatch.setattr(cli, "ppmi_features", no_ppmi)
+    monkeypatch.setattr(embedder, "ppmi_features", no_ppmi)
     edges, labels = ring
     out = tmp_path / "sweep"
-    with pytest.raises(SystemExit) as exc:
-        run_cli("sweep", edges, labels, "--grid-dim", "2,3", "--out", out, *FAST, "--l2", l2)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err and f"argument --l2: must be a finite number > 0, got '{l2}'" in err
-    assert not out.exists()
+    code = run_cli("sweep", edges, labels, "--grid-dim", "2,3", "--out", out, *FAST, "--l2", l2)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [evalkit] l2 must be a finite number > 0, got {shown}\n"
+    assert captured.out == ""
+    assert not (out / "point_000").exists() and not out.exists()
 
 
 def test_sweep_builds_ppmi_features_once(ring, tmp_path, monkeypatch):

@@ -10,8 +10,10 @@ from ane import embedder, nn, proximity
 from ane.datasets import load_dataset
 from ane.embedder import (
     MODEL_KINDS,
+    OBJECTIVES,
     PRIORS,
     EmbeddingMatrix,
+    SkipGram,
     TrainConfig,
     Trainer,
     TrainingDiverged,
@@ -250,6 +252,18 @@ def test_idw_row_gradients_match_scatter_reference():
     np.testing.assert_allclose(gen_f.grad, grad_v_rows, rtol=1e-12, atol=0)
 
 
+def step_peak(step):
+    """Bytes ``step()`` allocates above what was held before it, after one warm-up call."""
+    step()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        step()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
 def test_idw_step_holds_no_array_with_a_row_per_pair():
     # B = 8192 pairs over 200 nodes: the unique rows are few, so a B x d
     # float64 array (8.4 MB) alone would exceed the whole step's peak
@@ -258,15 +272,8 @@ def test_idw_step_holds_no_array_with_a_row_per_pair():
     feats = sparse.csr_array(rng.random((n, n)) * (rng.random((n, n)) < 0.05))
     gen_g, gen_f = build_generator(n, d, rng), build_generator(n, d, rng)
     batch = tiny_batch(rng, n, b, k)
-    idw_batch_loss(gen_g, gen_f, batch, feats)  # warm up: gradients and caches exist
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        idw_batch_loss(gen_g, gen_f, batch, feats)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < b * d * 8
+    # after the warm-up call, gradients and caches exist
+    assert step_peak(lambda: idw_batch_loss(gen_g, gen_f, batch, feats)) < b * d * 8
 
 
 def test_idw_step_leaves_no_feature_gather_behind():
@@ -900,8 +907,15 @@ def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
     rows = ppmi_features(g)
     before = sum(need for need, _, _ in embedder.check_memory_plan(g, cfg))
     after = sum(need for need, _, _ in embedder.check_memory_plan(g, cfg, rows))
-    # 8 + 4 bytes per entry for the float64 rows, 4 for their float32 values
-    assert after - before == 16 * rows.nnz + 4 * 13
+    # 8 + 4 bytes per entry for the float64 rows, 4 for their float32 values;
+    # a structure step gathers all 12 rows, once per generator at 12 bytes an
+    # entry or once at 64 for the autoencoder, and an adversarial step 128
+    # draws of a 5-entry row at 12
+    assert rows.nnz == 60 and np.diff(rows.indptr).max() == 5
+    gathered = 2 * 12 * rows.nnz if OBJECTIVES[model] is SkipGram else 64 * rows.nnz
+    if cfg.adversarial:
+        gathered += 12 * 128 * 5
+    assert after - before == 16 * rows.nnz + 4 * 13 + gathered
     needs = []
     monkeypatch.setattr(embedder, "check_memory", lambda need, *rest: needs.append(need))
     Trainer(g, cfg)
@@ -914,6 +928,29 @@ def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
         Trainer(g, cfg)
 
 
+def test_step_items_count_the_widest_rows():
+    # row i of the 12 rows stores i + 1 entries. A dae batch of 3 takes in a
+    # one-row tail, so its step counts the 4 widest rows at 64 bytes an
+    # entry; an idw batch of 2 pairs with 1 negative gathers up to 2 target
+    # and 4 context rows at 12; the adversarial steps draw 5 rows, each up
+    # to the widest, at 12
+    g = ring_graph(12)
+    rows = sparse.csr_array(np.tril(np.ones((12, 12))))
+    for cfg, remedy, gathered in [
+        (TrainConfig(model="dae", dim=2, batch_size=3), "lower --batch", 64 * (12 + 11 + 10 + 9)),
+        (
+            TrainConfig(model="idw", dim=2, batch_size=2, negatives=1, walks_per_node=1,
+                        walk_length=4, context_size=2),
+            "lower --batch, --negatives or --dim",
+            12 * ((12 + 11) + (12 + 11 + 10 + 9)),
+        ),
+        (TrainConfig(model="adae", dim=2, adv_batch_size=5), "lower --adv-batch", 12 * 5 * 12),
+    ]:
+        before = {r: need for need, _, r in embedder.check_memory_plan(g, cfg)}
+        after = {r: need for need, _, r in embedder.check_memory_plan(g, cfg, rows)}
+        assert after[remedy] - before[remedy] == gathered, cfg.model
+
+
 def test_dae_memory_counts_a_batch_with_a_folded_tail():
     # 34 nodes in batches of 11: 11, 11 and 12 rows
     g = ring_graph(34)
@@ -921,9 +958,40 @@ def test_dae_memory_counts_a_batch_with_a_folded_tail():
     batches = Trainer(g, cfg).objective.batches(np.random.default_rng(0))
     assert sorted(sel.size for sel in batches) == [11, 11, 12]
     plan = embedder.check_memory_plan(g, cfg)
+    # the reconstruction of 12 rows and its square, and G's 34 x 3 weight gradient
     assert [need for need, _, remedy in plan if remedy == "lower --batch"] == [
-        2 * embedder.VALUE_BYTES * 12 * 34
+        embedder.VALUE_BYTES * (2 * 12 * 34 + 34 * 3)
     ]
+
+
+@pytest.mark.parametrize("density", [1.0, 0.1], ids=["dense", "tenth"])
+def test_step_peaks_within_their_plan_items_on_wide_rows(density):
+    # 34 x 20 000 rows: each step's gathered rows set most of its peak when
+    # they are dense, and the 20 000 x 128 weight gradient scipy makes for a
+    # generator's CSR input when a tenth of their entries are stored
+    graph, _ = load_dataset("karate")
+    rows = np.random.default_rng(0).random((34, 20_000))
+    rows[rows > density] = 0.0
+    # each structure step's item goes by its remedy
+    for model, structure in [
+        ("aidw", "lower --batch, --negatives or --dim"), ("adae", "lower --batch")
+    ]:
+        cfg = TrainConfig(
+            model=model, dim=128, adv_batch_size=128, walks_per_node=2, walk_length=20,
+            context_size=4,
+        )
+        trainer = Trainer(graph, cfg, features=rows)
+        plan = embedder.check_memory_plan(graph, cfg, trainer.features)
+        item = {remedy: need for need, _, remedy in plan}
+        batch = next(trainer.objective.batches(trainer.rng_batches))
+        peaks = {
+            structure: step_peak(lambda: trainer._structure_step(batch)),
+            "discriminator": step_peak(trainer._disc_step),
+            "generator": step_peak(trainer._gen_step),
+        }
+        assert peaks[structure] <= item[structure], (model, peaks)
+        assert peaks["discriminator"] <= item["lower --adv-batch"], (model, peaks)
+        assert peaks["generator"] <= item["lower --adv-batch"], (model, peaks)
 
 
 def test_discriminator_drifts_toward_equilibrium_on_karate():

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from ane import evaluation
+from ane.graph import InputError
 from ane.nn import sigmoid
 from ane.evaluation import (
     LabelSet,
@@ -147,6 +148,9 @@ def test_split_spec_validation():
         SplitSpec(ratios=(0.5, 1.5))
     with pytest.raises(ValueError):
         SplitSpec(repetitions=0)
+    for l2 in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(InputError, match=f"l2 must be a finite number > 0, got {l2}"):
+            SplitSpec(l2=l2)
 
 
 # classifier
@@ -395,6 +399,23 @@ def test_evaluate_uses_requested_repetitions():
     x = np.random.default_rng(5).normal(size=(40, 3))
     results = evaluate(x, make_labels(y), SplitSpec(ratios=(0.5,), repetitions=7, seed=0))
     assert results[0].repetitions == 7
+
+
+def test_evaluate_takes_l2_and_normalize_from_the_spec():
+    # the classes differ only in row length, which normalization removes,
+    # and a huge l2 leaves only the intercepts: each setting moves the accuracy
+    y = np.array([0, 1] * 30)
+    x = np.column_stack([1.0 + 9.0 * y, np.zeros(60)])
+    x += np.random.default_rng(3).normal(0.0, 0.1, x.shape)
+    ls = make_labels(y)
+
+    def accuracy(**settings):
+        spec = SplitSpec(ratios=(0.5,), repetitions=3, **settings)
+        return evaluate(x, ls, spec)[0].mean_accuracy
+
+    assert accuracy(normalize=False, l2=1e-3) == 1.0
+    assert accuracy(normalize=True, l2=1e-3) < 0.8
+    assert accuracy(normalize=False, l2=1e6) < 0.8
 
 
 def test_normalize_rows_behavior():

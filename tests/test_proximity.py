@@ -138,8 +138,12 @@ def test_sparsity_alignment():
 def test_negative_input_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         shifted_ppmi(np.array([[-1.0]]), beta=0.5)
-    with pytest.raises(ValueError, match="beta"):
-        shifted_ppmi(np.eye(2), beta=0.0)
+    for beta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta must be a finite number > 0"):
+            shifted_ppmi(np.eye(2), beta=beta)
+    # an infinite shift clamps every entry: the rows would hold nothing
+    with pytest.raises(ValueError, match="got inf"):
+        ppmi_features(preprocess(parse_edge_lines(["a b", "b c"])), 4, float("inf"))
 
 
 def test_ppmi_features_defaults_beta_to_inverse_n():
