@@ -19,9 +19,6 @@ from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-from scipy import sparse
-
 from . import __version__
 from .embedder import (
     ARITHMETIC,
@@ -30,6 +27,7 @@ from .embedder import (
     TrainConfig,
     Trainer,
     check_memory_plan,
+    csr_rows,
     export_embeddings,
     load_embeddings,
 )
@@ -43,7 +41,7 @@ from .evaluation import (
     load_labels,
 )
 from .graph import InputError, load_edge_list, preprocess
-from .proximity import check_memory, ppmi_features
+from .proximity import ppmi_features
 
 MANIFEST_FORMAT = "ane-manifest-v2"
 
@@ -181,9 +179,9 @@ def _load_dataset(edge_path, weighted, features_path):
 
 def _load_features(path, graph):
     """Read a node-keyed matrix in the ``embedding.txt`` format as float64 CSR
-    rows in ``graph.ids`` order, converted in file order and the dense matrix
-    freed first. A graph node without a row and a row whose id is not a graph
-    node are input errors naming the first offenders."""
+    rows in ``graph.ids`` order, converted in file order (by ``csr_rows``)
+    and the dense matrix freed first. A graph node without a row and a row
+    whose id is not a graph node are input errors naming the first offenders."""
     with _stage("proximity"):
         feats = load_embeddings(path)
         row_of = {node_id: i for i, node_id in enumerate(feats.ids)}
@@ -196,16 +194,7 @@ def _load_features(path, graph):
                     f"{path}: {len(offenders)} {what} "
                     f"(first offenders: {', '.join(offenders[:5])})"
                 )
-        nnz = int(np.count_nonzero(feats.vectors))
-        # scipy converts through COO: 32 bytes an entry at the peak, and
-        # about 4.6 kB whatever the size (tracemalloc), counted as 8 KiB
-        check_memory(
-            feats.vectors.nbytes + 32 * nnz + 8192,
-            f"{path}: CSR rows of {nnz} stored entries",
-            "the dense matrix, 32 bytes an entry and 8 KiB while it is converted",
-            "use a narrower --features file",
-        )
-        rows = sparse.csr_array(feats.vectors)
+        rows = csr_rows(feats.vectors, path)
         del feats
         return rows[[row_of[v] for v in graph.ids]]
 

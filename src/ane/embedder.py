@@ -356,11 +356,11 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng):
         # each entry's row packed above a random key: sorted, each row's
         # entries come in uniform random order, and its first kills[row] die
         shift = 63 - n.bit_length()
-        keys = rng.integers(0, 1 << shift, size=x.nnz, dtype=np.int64)
-        order = np.argsort((row_of << shift) | keys)
-        rank = np.arange(x.nnz) - x.indptr[row_of]
+        order = rng.integers(0, 1 << shift, size=x.nnz, dtype=np.int64)
+        order |= row_of << shift
+        order = np.argsort(order)  # the keys are freed as their order replaces them
         data = x.data.copy()
-        data[order[rank < kills[row_of]]] = 0.0
+        data[order[np.arange(x.nnz) < np.repeat(x.indptr[:-1] + kills, stored)]] = 0.0
         corrupted = sparse.csr_array((data, x.indices, x.indptr), shape=x.shape)
 
     diff = decoder.forward(encoder.forward(corrupted))
@@ -397,12 +397,13 @@ class SkipGram:
         batch = min(config.batch_size, pairs)
         slots = batch * (k + 1)
         rows = min(n, batch) + min(n, slots)
-        # It also holds the generators' gathered feature rows, 8 bytes per
-        # stored entry (tracemalloc on 34 x 20 000 rows, 25-100 % dense),
-        # counted as 12, and an in_dim x d weight gradient that each
-        # generator's backward on CSR rows copies in
+        # It also holds one block's gather of its pairs' context and negative
+        # rows and their target rows, and the generators' gathered feature
+        # rows, 8 bytes per stored entry (tracemalloc on 34 x 20 000 rows,
+        # 25-100 % dense), counted as 12
+        block = VALUE_BYTES * min(batch, NEG_BLOCK) * (k + 2) * d
         gathered = widest(min(n, batch)) + widest(min(n, slots))
-        step_bytes = 64 * slots + 64 * d * rows + 12 * gathered + VALUE_BYTES * in_dim * d
+        step_bytes = 64 * slots + 64 * d * rows + block + 12 * gathered
         # G and F, DenseLayer(in_dim, d) and BatchNorm(d), with gradients and accumulators
         values = 3 * 2 * (in_dim + 3) * d
         # the int64 corpus is freed once its two int32 arrays of pairs are
@@ -466,14 +467,11 @@ class Dae:
         values = 3 * ((in_dim + 3) * config.dim + (config.dim + 1) * in_dim)
         rows = min(config.batch_size + 1, graph.num_nodes)
         step = f"a batch's {rows} x {in_dim} reconstruction and its square"
-        # the rows' gather and corruption took 44 bytes per stored entry
-        # (tracemalloc on 34 x 20 000 rows, 25-100 % dense), counted as 64,
-        # and the encoder's backward on CSR rows copies in an in_dim x d
-        # weight gradient
-        held = 2 * rows * in_dim + in_dim * config.dim
+        # the rows' gather and corruption took 37 bytes per stored entry
+        # (tracemalloc on 34 x 20 000 rows, 10-100 % dense), counted as 56
         return [
             (VALUE_BYTES * values, f"encoder and decoder, {values} values", "lower --dim"),
-            (VALUE_BYTES * held + 64 * widest(rows), step, "lower --batch"),
+            (VALUE_BYTES * 2 * rows * in_dim + 56 * widest(rows), step, "lower --batch"),
         ]
 
     def __init__(self, graph, config, features, rng_init, rng_walks):
@@ -508,6 +506,23 @@ OBJECTIVES = {"idw": SkipGram, "aidw": SkipGram, "dae": Dae, "adae": Dae}
 MODEL_KINDS = tuple(OBJECTIVES)
 
 
+def csr_rows(features, name):
+    """``features`` as float64 CSR rows, shared when they already are; a
+    dense array is checked against physical memory first, in a message that
+    ``name`` starts."""
+    if not sparse.issparse(features):
+        nnz = int(np.count_nonzero(features))
+        # scipy converts through COO: 32 bytes an entry at the peak, and
+        # about 4.6 kB whatever the size (tracemalloc), counted as 8 KiB
+        check_memory(
+            features.nbytes + 32 * nnz + 8192,
+            f"{name}: CSR rows of {nnz} stored entries",
+            "the dense matrix, 32 bytes an entry and 8 KiB while it is converted",
+            "use a narrower --features file",
+        )
+    return sparse.csr_array(features, dtype=np.float64)
+
+
 def check_memory_plan(graph, config, features=None):
     """What training on ``features``, float64 CSR rows, holds, as ``(bytes,
     what, remedy)`` items all alive in training: the objective's ``memory``;
@@ -539,11 +554,9 @@ def check_memory_plan(graph, config, features=None):
         # planted graph); this counts twice that: 36 864 bytes a row at dim
         # 128, where 16 922 were measured. Both steps gather the rows, drawn
         # with replacement: 8 bytes per stored entry (34 x 20 000 rows,
-        # 25-100 % dense), counted as 12 for b draws of the widest; the
-        # generator step's backward on CSR rows copies in an in_dim x d
-        # weight gradient
+        # 25-100 % dense), counted as 12 for b draws of the widest
         per_row = VALUE_BYTES * (16 * h + 8 * d)
-        need = per_row * b + 12 * b * widest(1) + VALUE_BYTES * in_dim * d
+        need = per_row * b + 12 * b * widest(1)
         items.append((need, f"an adversarial batch of {b} rows", "lower --adv-batch"))
     if features is not None:
         held = sum(a.nbytes for a in (features.data, features.indices, features.indptr))
@@ -600,7 +613,7 @@ class Trainer:
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
             )
         # one form whatever the source; float64 CSR rows are shared, not copied
-        features = sparse.csr_array(features, dtype=np.float64)
+        features = csr_rows(features, "features")
         check_memory_plan(graph, config, features)
         # the export reads the float64 rows; every training step reads their
         # float32 values, which share the index arrays

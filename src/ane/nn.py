@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 
 class GradientError(RuntimeError):
@@ -69,10 +70,10 @@ class DenseLayer:
     """Affine map x -> x W + b with C-contiguous weights of shape (in_dim, out_dim).
 
     ``x`` is a dense array or a scipy sparse array. Forward is ``x @ W``,
-    the weight gradient ``x.T @ grad`` and the input gradient
-    ``grad @ W.T``, each C-contiguous; scipy's sparse products read ``W``
-    and a C-contiguous ``grad`` in place, but take no ``out=``, so a sparse
-    input's weight gradient is copied in. The weights are the Glorot draw
+    the weight gradient ``x.T @ grad``, summed straight into ``grad_weights``
+    in its dtype for a sparse ``x`` (float64 operands are rounded first),
+    and the input gradient ``grad @ W.T``; scipy's sparse products read the
+    C-contiguous ``W`` and ``grad`` in place. The weights are the Glorot draw
     ``rng.uniform(-limit, limit, (out_dim, in_dim)).T``, ``limit = sqrt(6 /
     (in_dim + out_dim))``, taken ``max(1, STEP_SLICE // in_dim)`` rows at a
     time straight into ``dtype``. ``backward`` drops the cached input, so a
@@ -108,7 +109,15 @@ class DenseLayer:
         if param_grads:
             x = self._input
             if sparse.issparse(x):
-                self.grad_weights[...] = x.T @ grad
+                # the kernel scipy runs for x.T @ grad (a CSR x is the CSC of
+                # x.T), summed straight into the zeroed gradient; it trusts
+                # the sizes it is given, so they are checked first
+                x, g = x.tocsr(), np.ascontiguousarray(grad, self.grad_weights.dtype)
+                if g.shape != (x.shape[0], self.grad_weights.shape[1]):
+                    raise ValueError(f"gradient shape {g.shape} does not match the layer output")
+                self.grad_weights[...] = 0
+                _sparsetools.csc_matvecs(*x.shape[::-1], g.shape[1], x.indptr, x.indices,
+                                         x.data.astype(g.dtype, copy=False), g, self.grad_weights)
             else:
                 np.matmul(x.T, grad, out=self.grad_weights)
             grad.sum(axis=0, out=self.grad_bias)

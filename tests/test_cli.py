@@ -212,9 +212,10 @@ def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monk
 def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
     # 24 walks of 8 steps from 12 nodes: 1 536 corpus bytes, more than the
     # 1 344 of an epoch's order, and 336 pairs, 2 688 bytes. A batch of 64 pairs
-    # with 5 negatives needs 30 720 bytes and idw's two generators 1 440: the
-    # plan sums to 36 384, under 50 kB. --batch 100000 takes all 336 pairs,
-    # 135 168 bytes. The networks of aidw would need 5.3 MB
+    # with 5 negatives needs 37 888 bytes and idw's two generators 1 440: the
+    # plan sums to 43 552, and to 46 004 with the PPMI rows, under 50 kB.
+    # --batch 100000 takes all 336 pairs, 163 840 bytes. The networks of aidw
+    # would need 5.3 MB
     monkeypatch.setattr(proximity, "memory_budget", lambda: 50_000)
     edges, _ = ring
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
@@ -231,8 +232,9 @@ def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys,
 
 def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
     # idw on the ring with FAST: the corpus or an epoch's order, whichever is
-    # larger, 336 pairs of 8 bytes, a batch's step of 30 912 (30 720, and a
-    # 12 x 4 float32 weight gradient of 192) and the generators 1 440, all
+    # larger, 336 pairs of 8 bytes, a batch's step of 37 888 (30 720, and one
+    # block's gather of 64 pairs' 5 + 2 rows of 4 float32 values, 7 168) and
+    # the generators 1 440, all
     # alive in training. At --context 2 the one item of corpus and order is
     # the 1 536-byte corpus; at --context 3 it is the order of 624 pairs,
     # 2 496 bytes. The 60 PPMI entries, with int32 indices, take 8 + 4 bytes
@@ -245,20 +247,20 @@ def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
     args = cli.build_parser().parse_args(["embed", "x", *FAST, "--model", "idw"])
     cfg = cli._config_from_args(args)
     assert [need for need, _, _ in embedder.check_memory_plan(graph, cfg)] == [
-        1_536, 8 * 336, 30_912, 1_440
+        1_536, 8 * 336, 37_888, 1_440
     ]
     rows = ppmi_features(graph)
     assert rows.nnz == 60
     plan = embedder.check_memory_plan(graph, cfg, rows)
-    assert [need for need, _, _ in plan] == [1_536, 8 * 336, 30_912 + 1_440, 1_440, 1_012]
+    assert [need for need, _, _ in plan] == [1_536, 8 * 336, 37_888 + 1_440, 1_440, 1_012]
     assert plan_bytes(graph, "--model", "idw", "--context", "3") == (
-        4 * 624 + 8 * 624 + 30_912 + 1_440
+        4 * 624 + 8 * 624 + 37_888 + 1_440
     )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 39_028)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 46_004)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 39_027)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 46_003)
     monkeypatch.setattr(embedder, "random_walks", no_walks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw") == 2
@@ -291,9 +293,10 @@ def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     # and decoder hold 7 518 values, 30 072 bytes, and the rows 9 652 (a
     # float64 CSR with int32 indices and 52 bytes of row pointers, and its
     # float32 values). A step's reconstruction and its square take 8 bytes
-    # per entry: 12 000 for a batch of 2 rows with a one-row tail, 48 000 for
-    # all 12, so the plan sums to 51 724 or 87 724. Converting the file's
-    # 48 000-byte matrix takes 32 bytes an entry and 8 KiB more: 75 392
+    # per entry and its rows 56 per stored entry: 20 400 for a batch of 2
+    # rows with a one-row tail, 81 600 for all 12, so the plan sums to 60 124
+    # or 121 324. Converting the file's 48 000-byte matrix takes 32 bytes an
+    # entry and 8 KiB more: 75 392
     edges, _ = ring
     features, _ = wide_features(tmp_path, 500, stride=10)
     flags = [*FAST, "--model", "dae", "--dim", "2", "--features", features]
@@ -318,12 +321,12 @@ def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, caps
     # dense rows: 480 walks of 8 steps, 30 720 bytes, 6 720 pairs, 53 760,
     # and the generators (300 + 3) 96 = 29 088. A batch's step takes 64
     # bytes per score slot (8) and per dimension of each of 4 + 8 distinct
-    # rows (3 584), a 300 x 4 float32 weight gradient (4 800) and 12 bytes
-    # for each of the 3 600 entries of those rows (43 200): 51 584. The
-    # rows' 3 600 entries take 16 bytes each and 52 for the row pointers,
-    # 57 652, the largest item. The plan sums to 222 804, more than the
-    # 152 192 that converting the file's matrix takes (28 800 + 32 x 3 600
-    # + 8 192)
+    # rows (3 584), a block's gather of 4 pairs' 1 + 2 rows of 4 float32
+    # values (192) and 12 bytes for each of the 3 600 entries of those rows
+    # (43 200): 46 976. The rows' 3 600 entries take 16 bytes each and 52 for
+    # the row pointers, 57 652, the largest item. The plan sums to 218 196,
+    # more than the 152 192 that converting the file's matrix takes (28 800
+    # + 32 x 3 600 + 8 192)
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
     features, _ = wide_features(tmp_path, 300)
@@ -333,15 +336,15 @@ def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, caps
     ]
     cfg = cli._config_from_args(cli.build_parser().parse_args(["embed", "x", *flags]))
     plan = embedder.check_memory_plan(graph, cfg, cli._load_features(features, graph))
-    assert [need for need, _, _ in plan] == [30_720, 53_760, 51_584, 29_088, 57_652]
+    assert [need for need, _, _ in plan] == [30_720, 53_760, 46_976, 29_088, 57_652]
     assert plan[-1][1:] == (
         "feature rows and their float32 values", "use a narrower --features file"
     )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 222_804)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 218_196)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 222_803)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 218_195)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
@@ -356,7 +359,7 @@ def test_features_conversion_over_memory_exit_2_before_any_network(
 ):
     # the 12 x 500 matrix, 48 000 bytes, and 32 bytes for each of its 6 000
     # entries and 8 KiB while scipy converts it: 248 192. The plan of dae at
-    # --dim 2 --batch 2 then sums to 138 124, the rows 96 052 of it
+    # --dim 2 --batch 2 then sums to 222 124, the rows 96 052 of it
     edges, _ = ring
     features, _ = wide_features(tmp_path, 500)
     flags = [*FAST, "--model", "dae", "--dim", "2", "--batch", "2", "--features", features]
@@ -402,17 +405,17 @@ def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     # dae on the ring's 12-wide PPMI rows at --dim 64: G holds (12 + 3) 64 =
     # 960 parameters and the decoder (64 + 1) 12 = 780, each with a gradient
     # and an RMSProp accumulator, 5 220 float32 values (20 880 bytes), and a
-    # step's 12 x 12 reconstruction and its square 1 152 and G's 12 x 64
-    # weight gradient 3 072: 25 104 bytes before the PPMI build. Once its 60
-    # entries are built they take 1 012 bytes, and the step gathers them all,
-    # 64 bytes an entry (3 840): 29 956. The PPMI steps need under 6 kB
+    # step's 12 x 12 reconstruction and its square 1 152: 22 032 bytes before
+    # the PPMI build. Once its 60 entries are built they take 1 012 bytes, and
+    # the step gathers them all, 56 bytes an entry (3 360): 26 404. The PPMI
+    # steps need under 6 kB
     edges, _ = ring
     flags = [*FAST, "--model", "dae", "--dim", "64"]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 29_956)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 26_404)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 29_955)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 26_403)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2

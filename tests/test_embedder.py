@@ -28,7 +28,7 @@ from ane.embedder import (
     load_embeddings,
     train,
 )
-from ane.graph import GraphError, parse_edge_lines, preprocess
+from ane.graph import GraphError, InputError, parse_edge_lines, preprocess
 from ane.nn import DenseLayer, GradientError, gradient_check, logistic_loss, sigmoid
 from ane.proximity import ppmi_features
 from ane.walker import PairBatch
@@ -909,10 +909,10 @@ def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
     after = sum(need for need, _, _ in embedder.check_memory_plan(g, cfg, rows))
     # 8 + 4 bytes per entry for the float64 rows, 4 for their float32 values;
     # a structure step gathers all 12 rows, once per generator at 12 bytes an
-    # entry or once at 64 for the autoencoder, and an adversarial step 128
+    # entry or once at 56 for the autoencoder, and an adversarial step 128
     # draws of a 5-entry row at 12
     assert rows.nnz == 60 and np.diff(rows.indptr).max() == 5
-    gathered = 2 * 12 * rows.nnz if OBJECTIVES[model] is SkipGram else 64 * rows.nnz
+    gathered = 2 * 12 * rows.nnz if OBJECTIVES[model] is SkipGram else 56 * rows.nnz
     if cfg.adversarial:
         gathered += 12 * 128 * 5
     assert after - before == 16 * rows.nnz + 4 * 13 + gathered
@@ -930,14 +930,14 @@ def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
 
 def test_step_items_count_the_widest_rows():
     # row i of the 12 rows stores i + 1 entries. A dae batch of 3 takes in a
-    # one-row tail, so its step counts the 4 widest rows at 64 bytes an
+    # one-row tail, so its step counts the 4 widest rows at 56 bytes an
     # entry; an idw batch of 2 pairs with 1 negative gathers up to 2 target
     # and 4 context rows at 12; the adversarial steps draw 5 rows, each up
     # to the widest, at 12
     g = ring_graph(12)
     rows = sparse.csr_array(np.tril(np.ones((12, 12))))
     for cfg, remedy, gathered in [
-        (TrainConfig(model="dae", dim=2, batch_size=3), "lower --batch", 64 * (12 + 11 + 10 + 9)),
+        (TrainConfig(model="dae", dim=2, batch_size=3), "lower --batch", 56 * (12 + 11 + 10 + 9)),
         (
             TrainConfig(model="idw", dim=2, batch_size=2, negatives=1, walks_per_node=1,
                         walk_length=4, context_size=2),
@@ -958,17 +958,17 @@ def test_dae_memory_counts_a_batch_with_a_folded_tail():
     batches = Trainer(g, cfg).objective.batches(np.random.default_rng(0))
     assert sorted(sel.size for sel in batches) == [11, 11, 12]
     plan = embedder.check_memory_plan(g, cfg)
-    # the reconstruction of 12 rows and its square, and G's 34 x 3 weight gradient
+    # the reconstruction of 12 rows and its square
     assert [need for need, _, remedy in plan if remedy == "lower --batch"] == [
-        embedder.VALUE_BYTES * (2 * 12 * 34 + 34 * 3)
+        embedder.VALUE_BYTES * 2 * 12 * 34
     ]
 
 
 @pytest.mark.parametrize("density", [1.0, 0.1], ids=["dense", "tenth"])
 def test_step_peaks_within_their_plan_items_on_wide_rows(density):
     # 34 x 20 000 rows: each step's gathered rows set most of its peak when
-    # they are dense, and the 20 000 x 128 weight gradient scipy makes for a
-    # generator's CSR input when a tenth of their entries are stored
+    # they are dense; when a tenth of their entries are stored, the skip-gram
+    # step's block gather and the steps' d-wide arrays weigh as much
     graph, _ = load_dataset("karate")
     rows = np.random.default_rng(0).random((34, 20_000))
     rows[rows > density] = 0.0
@@ -992,6 +992,40 @@ def test_step_peaks_within_their_plan_items_on_wide_rows(density):
         assert peaks[structure] <= item[structure], (model, peaks)
         assert peaks["discriminator"] <= item["lower --adv-batch"], (model, peaks)
         assert peaks["generator"] <= item["lower --adv-batch"], (model, peaks)
+
+
+@pytest.mark.parametrize(
+    "flags", [{}, {"negatives": 20}, {"dim": 512}], ids=["default", "negatives-20", "dim-512"]
+)
+def test_skip_gram_step_peak_within_its_plan_item_on_karate(flags):
+    # on karate's narrow PPMI rows the step's own arrays set its peak, among
+    # them one block's gather of NEG_BLOCK pairs' k + 1 context and negative
+    # rows and their target rows
+    graph, _ = load_dataset("karate")
+    cfg = TrainConfig(model="idw", walks_per_node=2, walk_length=20, context_size=4, **flags)
+    trainer = Trainer(graph, cfg)
+    plan = embedder.check_memory_plan(graph, cfg, trainer.features)
+    item = {remedy: need for need, _, remedy in plan}["lower --batch, --negatives or --dim"]
+    batch = next(trainer.objective.batches(trainer.rng_batches))
+    assert batch.targets.size == cfg.batch_size >= embedder.NEG_BLOCK
+    assert step_peak(lambda: trainer._structure_step(batch)) <= item
+
+
+def test_trainer_checks_the_conversion_of_dense_features(monkeypatch):
+    # 12 x 500 dense rows, 6 000 entries: converting them takes the 48 000-byte
+    # matrix, 32 bytes an entry and 8 KiB, 248 192 bytes, more than the
+    # 222 124 of dae's plan at dim 2 with batches of 2
+    g = ring_graph(12)
+    rows = np.random.default_rng(0).random((12, 500))
+    cfg = TrainConfig(model="dae", dim=2, batch_size=2)
+    plan = embedder.check_memory_plan(g, cfg, sparse.csr_array(rows))
+    assert sum(need for need, _, _ in plan) == 222_124
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 248_192)
+    Trainer(g, cfg, features=rows)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 248_191)
+    monkeypatch.setattr(embedder, "build_generator", lambda *args: pytest.fail("network built"))
+    with pytest.raises(InputError, match="^features: CSR rows of 6000 stored entries need"):
+        Trainer(g, cfg, features=rows)
 
 
 def test_discriminator_drifts_toward_equilibrium_on_karate():

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -416,6 +417,83 @@ def test_backward_drops_the_dense_input_and_the_leaky_relu_mask():
     assert dense._input is None and act._mask is None
     # batch norm keeps its normalized batch: the drift is read after the step
     assert bn._norm is not None and bn.last_norm_mean_abs < 1e-12
+
+
+# sparse inputs
+
+
+def sparse_rows(rng, shape, dtype, index_dtype, density=0.3):
+    """CSR rows with about ``density`` of their entries stored, in ``dtype``
+    with ``index_dtype`` indices."""
+    x = sparse.csr_array((rng.random(shape) * (rng.random(shape) < density)).astype(dtype))
+    x.indices, x.indptr = x.indices.astype(index_dtype), x.indptr.astype(index_dtype)
+    return x
+
+
+@pytest.mark.parametrize("dtype, index_dtype", [(np.float32, np.int32), (np.float64, np.int64)])
+@pytest.mark.parametrize("in_mlp", [False, True], ids=["bare", "in-mlp"])
+def test_sparse_weight_gradient_has_the_bytes_of_the_scipy_product(dtype, index_dtype, in_mlp):
+    rng = np.random.default_rng(22)
+    layer = DenseLayer(40, 6, rng, dtype)
+    net = Mlp([layer, LeakyRelu()]) if in_mlp else None
+    x = sparse_rows(rng, (9, 40), dtype, index_dtype)
+    assert x.indices.dtype == index_dtype
+    grad = rng.normal(size=(9, 6)).astype(dtype)
+    # a previous step's gradient, which the backward writes over
+    layer.grad_weights[...] = 7.0
+    layer.forward(x)
+    layer.backward(grad, input_grad=False)
+    expected = x.T @ grad
+    assert layer.grad_weights.dtype == expected.dtype == dtype
+    assert layer.grad_weights.tobytes() == expected.tobytes()
+    if in_mlp:
+        # written through the view, into the network's gradient vector
+        assert layer.grad_weights.base is net.grads
+        assert net.grads[: 40 * 6].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("csr", [False, True])
+@pytest.mark.parametrize("shape", [(8, 6), (10, 6), (9, 5), (9, 7)])
+def test_weight_gradient_of_the_wrong_shape_is_refused(csr, shape):
+    rng = np.random.default_rng(25)
+    layer = DenseLayer(40, 6, rng, np.float32)
+    x = sparse_rows(rng, (9, 40), np.float32, np.int32)
+    layer.forward(x if csr else x.toarray())
+    with pytest.raises(ValueError):
+        layer.backward(np.ones(shape, np.float32), input_grad=False)
+
+
+def test_float64_rows_into_a_float32_layer_sum_their_rounded_weight_gradient():
+    # the float64 pass of float64 rows gives a float64 gradient; both are
+    # rounded to float32 and the products summed in float32
+    rng = np.random.default_rng(23)
+    layer = DenseLayer(40, 6, rng, np.float32)
+    x = sparse_rows(rng, (9, 40), np.float64, np.int32)
+    grad = rng.normal(size=(9, 6))
+    layer.forward(x)
+    layer.backward(grad, input_grad=False)
+    rounded = x.astype(np.float32).T @ grad.astype(np.float32)
+    assert layer.grad_weights.tobytes() == rounded.tobytes()
+    np.testing.assert_allclose(layer.grad_weights, x.T @ grad, rtol=0, atol=1e-5)
+
+
+def test_sparse_weight_gradient_allocates_less_than_a_weight_gradient():
+    # 34 x 20 000 rows, all stored, at dim 128: a product made and copied in
+    # would allocate the 10.24 MB gradient
+    rng = np.random.default_rng(24)
+    layer = DenseLayer(20_000, 128, rng, np.float32)
+    x = sparse_rows(rng, (34, 20_000), np.float32, np.int32, density=1.0)
+    grad = rng.normal(size=(34, 128)).astype(np.float32)
+    layer.forward(x)
+    layer.backward(grad, input_grad=False)
+    layer.forward(x)
+    tracemalloc.start()
+    try:
+        layer.backward(grad, input_grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000 * 128 * 4
 
 
 # flat parameter vectors
