@@ -348,7 +348,6 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng):
     x = sparse.csr_array(rows)
     n, d = x.shape
     stored = np.diff(x.indptr)
-    row_of = np.repeat(np.arange(n, dtype=np.int64), stored)
     corrupted = x
     n_mask = int(round(corruption * d))
     if n_mask > 0:
@@ -357,15 +356,17 @@ def dae_batch_loss(encoder, decoder, rows, corruption, rng):
         # entries come in uniform random order, and its first kills[row] die
         shift = 63 - n.bit_length()
         order = rng.integers(0, 1 << shift, size=x.nnz, dtype=np.int64)
-        order |= row_of << shift
+        order |= np.repeat(np.arange(n, dtype=np.int64) << shift, stored)
         order = np.argsort(order)  # the keys are freed as their order replaces them
+        runs = np.column_stack([kills, stored - kills]).ravel()  # per row: killed, kept
         data = x.data.copy()
-        data[order[np.arange(x.nnz) < np.repeat(x.indptr[:-1] + kills, stored)]] = 0.0
+        data[order[np.repeat(np.tile([True, False], n), runs)]] = 0.0
+        del order
         corrupted = sparse.csr_array((data, x.indices, x.indptr), shape=x.shape)
 
     diff = decoder.forward(encoder.forward(corrupted))
     # recon - x: x is zero off its stored entries
-    diff[row_of, x.indices] -= x.data
+    diff[np.repeat(np.arange(n), stored), x.indices] -= x.data
     loss = float((diff * diff).mean(dtype=np.float64))
     # the gradient of the loss in recon, written over diff
     diff *= 2.0
@@ -384,12 +385,12 @@ class SkipGram:
 
     @staticmethod
     def memory(graph, config, in_dim, widest):
-        """:func:`check_memory_plan` items: the walk corpus or each epoch's
-        order, the pairs, a batch's step and the two generators. A batch that
+        """:func:`check_memory_plan` items: each epoch's order of the pairs,
+        the pairs, a batch's step and the two generators. A batch that
         takes in the next slice (all pairs of one share a node) is not counted."""
         n, d, k, length = graph.num_nodes, config.dim, config.negatives, config.walk_length
-        walks = n * config.walks_per_node
-        pairs = 2 * walks * sum(length - off for off in range(1, config.context_size))
+        walks, c = n * config.walks_per_node, config.context_size
+        pairs = walks * (c - 1) * (2 * length - c)
         # a step holds about 64 bytes per score slot (a pair's context and
         # negatives) and 64 bytes per dimension of each distinct row of either
         # generator, the size of eight d-wide float64 arrays: an upper bound
@@ -406,12 +407,11 @@ class SkipGram:
         step_bytes = 64 * slots + 64 * d * rows + block + 12 * gathered
         # G and F, DenseLayer(in_dim, d) and BatchNorm(d), with gradients and accumulators
         values = 3 * 2 * (in_dim + 3) * d
-        # the int64 corpus is freed once its two int32 arrays of pairs are
-        # filled, before the first epoch's int32 order exists: one item holds both
+        # the int32 corpus, walks * length <= pairs entries, is gone before an order exists
         walk = "lower --walks, --walk-length or --context"
         step = f"a batch of {batch} pairs with {k} negatives each"
         return [
-            (max(8 * walks * length, 4 * pairs), f"{walks} walks or an epoch's order", walk),
+            (4 * pairs, f"an epoch's order of {pairs} pairs", walk),
             (8 * pairs, f"{pairs} pairs", walk),
             (step_bytes, step, "lower --batch, --negatives or --dim"),
             (VALUE_BYTES * values, f"generators G and F, {values} values", "lower --dim"),
@@ -467,11 +467,11 @@ class Dae:
         values = 3 * ((in_dim + 3) * config.dim + (config.dim + 1) * in_dim)
         rows = min(config.batch_size + 1, graph.num_nodes)
         step = f"a batch's {rows} x {in_dim} reconstruction and its square"
-        # the rows' gather and corruption took 37 bytes per stored entry
-        # (tracemalloc on 34 x 20 000 rows, 10-100 % dense), counted as 56
+        # the rows' gather, corruption and subtraction took 12.6-20.2 bytes per
+        # stored entry (tracemalloc on 34 x 20 000 rows, 10-100 % dense), counted as 32
         return [
             (VALUE_BYTES * values, f"encoder and decoder, {values} values", "lower --dim"),
-            (VALUE_BYTES * 2 * rows * in_dim + 56 * widest(rows), step, "lower --batch"),
+            (VALUE_BYTES * 2 * rows * in_dim + 32 * widest(rows), step, "lower --batch"),
         ]
 
     def __init__(self, graph, config, features, rng_init, rng_walks):

@@ -101,11 +101,11 @@ def random_walks(graph, walks_per_node, walk_length, rng):
     """Sample the walk corpus: ``walks_per_node`` rounds, each round starting
     one walk from every node in shuffled order.
 
-    Returns an int64 array of shape (N * walks_per_node, walk_length).
+    Returns an int32 array of shape (N * walks_per_node, walk_length).
     """
     table = AliasTable(graph.weights, graph.indptr)
     n = graph.num_nodes
-    corpus = np.empty((n * walks_per_node, walk_length), dtype=np.int64)
+    corpus = np.empty((n * walks_per_node, walk_length), dtype=np.int32)
     for r in range(walks_per_node):
         current = rng.permutation(n)
         block = corpus[r * n : (r + 1) * n]

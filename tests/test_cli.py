@@ -190,9 +190,10 @@ def no_walks(*args, **kwargs):
 
 
 def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
-    # 40 walks of 8 steps from 12 nodes: 30 720 corpus bytes, more than the
-    # 26 880 of an epoch's order, and 6 720 pairs, 53 760 bytes: the pairs are
-    # the largest item of idw's plan. The PPMI steps of the ring need under 6 kB
+    # 40 walks of 8 steps from 12 nodes: 6 720 pairs, 53 760 bytes, and the
+    # 26 880 of an epoch's order, which also covers the 15 360-byte int32
+    # corpus: the pairs are the largest item of idw's plan. The PPMI steps of
+    # the ring need under 6 kB
     def no_features(*args, **kwargs):
         raise AssertionError("PPMI features built before the walk memory check")
 
@@ -204,16 +205,35 @@ def test_walk_pairs_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monk
     assert run_cli("embed", edges, "--out", out, *FAST, "--walks", "40", "--model", "idw") == 2
     err = capsys.readouterr().err
     assert "Training arrays of idw on 12 x 12 features need about 0.0 GB" in err
-    assert "(480 walks or an epoch's order: 0.0 GB; 6720 pairs: 0.0 GB; " in err
+    assert "(an epoch's order of 6720 pairs: 0.0 GB; 6720 pairs: 0.0 GB; " in err
     assert err.endswith("; lower --walks, --walk-length or --context\n")
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_huge_context_exit_2_before_walks(karate, tmp_path, capsys, monkeypatch, command):
+    # the plan counts the pairs in closed form, 340 walks x (c - 1)(2L - c),
+    # where a sum over the 10^11 offsets of the window would run for hours
+    monkeypatch.setattr(embedder, "random_walks", no_walks)
+    edges, labels = karate
+    out = tmp_path / "o"
+    huge = ["--model", "idw", "--walk-length", "1000000000000"]
+    if command == "embed":
+        argv = ["embed", edges, *huge, "--context", "100000000000"]
+    else:
+        argv = ["sweep", edges, labels, *huge, "--grid-context", "100000000000"]
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "(an epoch's order of 64599999999354000000000000 pairs: " in err
+    assert err.endswith("; lower --walks, --walk-length or --context\n")
+    assert not out.exists() if command == "embed" else not list(out.glob("point_*"))
+
+
 def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
-    # 24 walks of 8 steps from 12 nodes: 1 536 corpus bytes, more than the
-    # 1 344 of an epoch's order, and 336 pairs, 2 688 bytes. A batch of 64 pairs
-    # with 5 negatives needs 37 888 bytes and idw's two generators 1 440: the
-    # plan sums to 43 552, and to 46 004 with the PPMI rows, under 50 kB.
+    # 24 walks of 8 steps from 12 nodes: 336 pairs, 2 688 bytes, and the 1 344
+    # of an epoch's order. A batch of 64 pairs with 5 negatives needs 37 888
+    # bytes and idw's two generators 1 440: the plan sums to 43 360, and to
+    # 45 812 with the PPMI rows, under 50 kB.
     # --batch 100000 takes all 336 pairs, 163 840 bytes. The networks of aidw
     # would need 5.3 MB
     monkeypatch.setattr(proximity, "memory_budget", lambda: 50_000)
@@ -231,12 +251,11 @@ def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys,
 
 
 def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
-    # idw on the ring with FAST: the corpus or an epoch's order, whichever is
-    # larger, 336 pairs of 8 bytes, a batch's step of 37 888 (30 720, and one
-    # block's gather of 64 pairs' 5 + 2 rows of 4 float32 values, 7 168) and
-    # the generators 1 440, all
-    # alive in training. At --context 2 the one item of corpus and order is
-    # the 1 536-byte corpus; at --context 3 it is the order of 624 pairs,
+    # idw on the ring with FAST: an epoch's order of 336 pairs of 4 bytes
+    # (the 768-byte int32 corpus is freed before it exists), the pairs of 8
+    # bytes, a batch's step of 37 888 (30 720, and one block's gather of 64
+    # pairs' 5 + 2 rows of 4 float32 values, 7 168) and the generators 1 440,
+    # all alive in training. At --context 3 the order of 624 pairs takes
     # 2 496 bytes. The 60 PPMI entries, with int32 indices, take 8 + 4 bytes
     # each, 52 for the row pointers and 4 each for their float32 values:
     # 1 012 bytes, counted once they are built; then the step also counts 12
@@ -247,20 +266,20 @@ def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
     args = cli.build_parser().parse_args(["embed", "x", *FAST, "--model", "idw"])
     cfg = cli._config_from_args(args)
     assert [need for need, _, _ in embedder.check_memory_plan(graph, cfg)] == [
-        1_536, 8 * 336, 37_888, 1_440
+        4 * 336, 8 * 336, 37_888, 1_440
     ]
     rows = ppmi_features(graph)
     assert rows.nnz == 60
     plan = embedder.check_memory_plan(graph, cfg, rows)
-    assert [need for need, _, _ in plan] == [1_536, 8 * 336, 37_888 + 1_440, 1_440, 1_012]
+    assert [need for need, _, _ in plan] == [4 * 336, 8 * 336, 37_888 + 1_440, 1_440, 1_012]
     assert plan_bytes(graph, "--model", "idw", "--context", "3") == (
         4 * 624 + 8 * 624 + 37_888 + 1_440
     )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 46_004)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 45_812)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 46_003)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 45_811)
     monkeypatch.setattr(embedder, "random_walks", no_walks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw") == 2
@@ -293,9 +312,9 @@ def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     # and decoder hold 7 518 values, 30 072 bytes, and the rows 9 652 (a
     # float64 CSR with int32 indices and 52 bytes of row pointers, and its
     # float32 values). A step's reconstruction and its square take 8 bytes
-    # per entry and its rows 56 per stored entry: 20 400 for a batch of 2
-    # rows with a one-row tail, 81 600 for all 12, so the plan sums to 60 124
-    # or 121 324. Converting the file's 48 000-byte matrix takes 32 bytes an
+    # per entry and its rows 32 per stored entry: 16 800 for a batch of 2
+    # rows with a one-row tail, 67 200 for all 12, so the plan sums to 56 524
+    # or 106 924. Converting the file's 48 000-byte matrix takes 32 bytes an
     # entry and 8 KiB more: 75 392
     edges, _ = ring
     features, _ = wide_features(tmp_path, 500, stride=10)
@@ -318,15 +337,15 @@ def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
 
 def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
     # idw with FAST, --walks 40, --batch 4 and --negatives 1 on 12 x 300
-    # dense rows: 480 walks of 8 steps, 30 720 bytes, 6 720 pairs, 53 760,
-    # and the generators (300 + 3) 96 = 29 088. A batch's step takes 64
-    # bytes per score slot (8) and per dimension of each of 4 + 8 distinct
-    # rows (3 584), a block's gather of 4 pairs' 1 + 2 rows of 4 float32
-    # values (192) and 12 bytes for each of the 3 600 entries of those rows
-    # (43 200): 46 976. The rows' 3 600 entries take 16 bytes each and 52 for
-    # the row pointers, 57 652, the largest item. The plan sums to 218 196,
-    # more than the 152 192 that converting the file's matrix takes (28 800
-    # + 32 x 3 600 + 8 192)
+    # dense rows: 480 walks of 8 steps, 6 720 pairs, their order 26 880
+    # bytes, the pairs 53 760, and the generators (300 + 3) 96 = 29 088.
+    # A batch's step takes 64 bytes per score slot (8) and per dimension of
+    # each of 4 + 8 distinct rows (3 584), a block's gather of 4 pairs' 1 + 2
+    # rows of 4 float32 values (192) and 12 bytes for each of the 3 600
+    # entries of those rows (43 200): 46 976. The rows' 3 600 entries take
+    # 16 bytes each and 52 for the row pointers, 57 652, the largest item.
+    # The plan sums to 214 356, more than the 152 192 that converting the
+    # file's matrix takes (28 800 + 32 x 3 600 + 8 192)
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
     features, _ = wide_features(tmp_path, 300)
@@ -336,15 +355,15 @@ def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, caps
     ]
     cfg = cli._config_from_args(cli.build_parser().parse_args(["embed", "x", *flags]))
     plan = embedder.check_memory_plan(graph, cfg, cli._load_features(features, graph))
-    assert [need for need, _, _ in plan] == [30_720, 53_760, 46_976, 29_088, 57_652]
+    assert [need for need, _, _ in plan] == [26_880, 53_760, 46_976, 29_088, 57_652]
     assert plan[-1][1:] == (
         "feature rows and their float32 values", "use a narrower --features file"
     )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 218_196)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 214_356)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 218_195)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 214_355)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
@@ -359,7 +378,7 @@ def test_features_conversion_over_memory_exit_2_before_any_network(
 ):
     # the 12 x 500 matrix, 48 000 bytes, and 32 bytes for each of its 6 000
     # entries and 8 KiB while scipy converts it: 248 192. The plan of dae at
-    # --dim 2 --batch 2 then sums to 222 124, the rows 96 052 of it
+    # --dim 2 --batch 2 then sums to 186 124, the rows 96 052 of it
     edges, _ = ring
     features, _ = wide_features(tmp_path, 500)
     flags = [*FAST, "--model", "dae", "--dim", "2", "--batch", "2", "--features", features]
@@ -407,15 +426,15 @@ def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     # and an RMSProp accumulator, 5 220 float32 values (20 880 bytes), and a
     # step's 12 x 12 reconstruction and its square 1 152: 22 032 bytes before
     # the PPMI build. Once its 60 entries are built they take 1 012 bytes, and
-    # the step gathers them all, 56 bytes an entry (3 360): 26 404. The PPMI
+    # the step gathers them all, 32 bytes an entry (1 920): 24 964. The PPMI
     # steps need under 6 kB
     edges, _ = ring
     flags = [*FAST, "--model", "dae", "--dim", "64"]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 26_404)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 24_964)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 26_403)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 24_963)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2

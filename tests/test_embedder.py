@@ -31,7 +31,7 @@ from ane.embedder import (
 from ane.graph import GraphError, InputError, parse_edge_lines, preprocess
 from ane.nn import DenseLayer, GradientError, gradient_check, logistic_loss, sigmoid
 from ane.proximity import ppmi_features
-from ane.walker import PairBatch
+from ane.walker import PairBatch, positive_pairs, random_walks
 
 
 def zero_params(net):
@@ -909,10 +909,10 @@ def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
     after = sum(need for need, _, _ in embedder.check_memory_plan(g, cfg, rows))
     # 8 + 4 bytes per entry for the float64 rows, 4 for their float32 values;
     # a structure step gathers all 12 rows, once per generator at 12 bytes an
-    # entry or once at 56 for the autoencoder, and an adversarial step 128
+    # entry or once at 32 for the autoencoder, and an adversarial step 128
     # draws of a 5-entry row at 12
     assert rows.nnz == 60 and np.diff(rows.indptr).max() == 5
-    gathered = 2 * 12 * rows.nnz if OBJECTIVES[model] is SkipGram else 56 * rows.nnz
+    gathered = 2 * 12 * rows.nnz if OBJECTIVES[model] is SkipGram else 32 * rows.nnz
     if cfg.adversarial:
         gathered += 12 * 128 * 5
     assert after - before == 16 * rows.nnz + 4 * 13 + gathered
@@ -930,14 +930,14 @@ def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
 
 def test_step_items_count_the_widest_rows():
     # row i of the 12 rows stores i + 1 entries. A dae batch of 3 takes in a
-    # one-row tail, so its step counts the 4 widest rows at 56 bytes an
+    # one-row tail, so its step counts the 4 widest rows at 32 bytes an
     # entry; an idw batch of 2 pairs with 1 negative gathers up to 2 target
     # and 4 context rows at 12; the adversarial steps draw 5 rows, each up
     # to the widest, at 12
     g = ring_graph(12)
     rows = sparse.csr_array(np.tril(np.ones((12, 12))))
     for cfg, remedy, gathered in [
-        (TrainConfig(model="dae", dim=2, batch_size=3), "lower --batch", 56 * (12 + 11 + 10 + 9)),
+        (TrainConfig(model="dae", dim=2, batch_size=3), "lower --batch", 32 * (12 + 11 + 10 + 9)),
         (
             TrainConfig(model="idw", dim=2, batch_size=2, negatives=1, walks_per_node=1,
                         walk_length=4, context_size=2),
@@ -994,6 +994,69 @@ def test_step_peaks_within_their_plan_items_on_wide_rows(density):
         assert peaks["generator"] <= item["lower --adv-batch"], (model, peaks)
 
 
+@pytest.mark.parametrize("density", [1.0, 0.1], ids=["dense", "tenth"])
+def test_dae_step_allocates_under_20_bytes_per_stored_entry(density):
+    # on 34 x 20 000 rows gathered beforehand, the step's reconstruction and
+    # its square are 5.44 MB; its corruption and the subtraction of the clean
+    # rows take under 20 bytes a stored entry beside them
+    graph, _ = load_dataset("karate")
+    rows = np.random.default_rng(0).random((34, 20_000))
+    rows[rows > density] = 0.0
+    cfg = TrainConfig(model="dae", dim=128)
+    trainer = Trainer(graph, cfg, features=rows)
+    obj = trainer.objective
+    x = trainer.train_features[np.arange(34)]
+    peak = step_peak(
+        lambda: dae_batch_loss(obj.gen_g, obj.decoder, x, cfg.dae_corruption, trainer.rng_noise)
+    )
+    recon = embedder.VALUE_BYTES * 2 * 34 * 20_000
+    assert x.shape == (34, 20_000) and x.nnz > 0.09 * 34 * 20_000
+    assert peak < recon + 20 * x.nnz, (peak - recon) / x.nnz
+
+
+def test_dae_step_keeps_no_entry_index_through_its_networks(monkeypatch):
+    # when the encoder starts, the step holds the corrupted float32 values,
+    # 4 bytes an entry, and no int64 array with one entry per stored entry
+    graph, _ = load_dataset("karate")
+    cfg = TrainConfig(model="dae", dim=128)
+    trainer = Trainer(graph, cfg, features=np.random.default_rng(0).random((34, 20_000)))
+    obj = trainer.objective
+    x = trainer.train_features[np.arange(34)]
+    held, forward = [], obj.gen_g.forward
+
+    def traced_forward(rows):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return forward(rows)
+
+    monkeypatch.setattr(obj.gen_g, "forward", traced_forward)
+    dae_batch_loss(obj.gen_g, obj.decoder, x, cfg.dae_corruption, trainer.rng_noise)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dae_batch_loss(obj.gen_g, obj.decoder, x, cfg.dae_corruption, trainer.rng_noise)
+    finally:
+        tracemalloc.stop()
+    assert 4 * x.nnz <= held[-1] - before < 8 * x.nnz
+
+
+def test_skip_gram_plan_counts_the_pairs_and_corpus_it_builds():
+    # the order item counts an epoch's int32 order of P pairs, the pairs item
+    # their two int32 arrays; the int32 corpus is never larger than the order
+    g = ring_graph(5)
+    for walks in (1, 3):
+        for length in range(3, 10):
+            for c in range(2, length):
+                cfg = TrainConfig(
+                    model="idw", walks_per_node=walks, walk_length=length, context_size=c
+                )
+                order, pairs = embedder.check_memory_plan(g, cfg)[:2]
+                corpus = random_walks(g, walks, length, np.random.default_rng(0))
+                assert corpus.dtype == np.int32
+                size = positive_pairs(corpus, c)[0].size
+                assert (order[0], pairs[0]) == (4 * size, 8 * size), cfg
+                assert corpus.nbytes <= order[0]
+
+
 @pytest.mark.parametrize(
     "flags", [{}, {"negatives": 20}, {"dim": 512}], ids=["default", "negatives-20", "dim-512"]
 )
@@ -1014,12 +1077,12 @@ def test_skip_gram_step_peak_within_its_plan_item_on_karate(flags):
 def test_trainer_checks_the_conversion_of_dense_features(monkeypatch):
     # 12 x 500 dense rows, 6 000 entries: converting them takes the 48 000-byte
     # matrix, 32 bytes an entry and 8 KiB, 248 192 bytes, more than the
-    # 222 124 of dae's plan at dim 2 with batches of 2
+    # 186 124 of dae's plan at dim 2 with batches of 2
     g = ring_graph(12)
     rows = np.random.default_rng(0).random((12, 500))
     cfg = TrainConfig(model="dae", dim=2, batch_size=2)
     plan = embedder.check_memory_plan(g, cfg, sparse.csr_array(rows))
-    assert sum(need for need, _, _ in plan) == 222_124
+    assert sum(need for need, _, _ in plan) == 186_124
     monkeypatch.setattr(proximity, "memory_budget", lambda: 248_192)
     Trainer(g, cfg, features=rows)
     monkeypatch.setattr(proximity, "memory_budget", lambda: 248_191)
