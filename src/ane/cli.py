@@ -178,10 +178,11 @@ def _load_dataset(edge_path, weighted, features_path):
 
 
 def _load_features(path, graph):
-    """Read a node-keyed matrix in the ``embedding.txt`` format as float64 CSR
-    rows in ``graph.ids`` order, converted in file order (by ``csr_rows``)
-    and the dense matrix freed first. A graph node without a row and a row
-    whose id is not a graph node are input errors naming the first offenders."""
+    """Read a node-keyed matrix in the ``embedding.txt`` format as float32 CSR
+    rows in ``graph.ids`` order: parsed into float32, converted in file order
+    (by ``csr_rows``) and the dense matrix freed first. A graph node without
+    a row and a row whose id is not a graph node are input errors naming the
+    first offenders."""
     with _stage("proximity"):
         feats = load_embeddings(path)
         row_of = {node_id: i for i, node_id in enumerate(feats.ids)}
@@ -335,9 +336,12 @@ def cmd_sweep(args):
         points.append((overrides, label, cfg))
 
     if features is None:
-        # no sweep axis changes the PPMI features, so every point trains on one build
+        # no sweep axis changes the PPMI features, so every point trains on
+        # one build, converted once to the rows every Trainer shares
         with _stage("proximity"):
-            features = ppmi_features(graph, base_cfg.ppmi_steps, base_cfg.ppmi_beta)
+            features = csr_rows(
+                ppmi_features(graph, base_cfg.ppmi_steps, base_cfg.ppmi_beta), "PPMI rows"
+            )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

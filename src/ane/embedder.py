@@ -50,8 +50,8 @@ PRIORS = {
 }
 PRIOR_KINDS = tuple(PRIORS)
 
-# dtype of the trained networks and of the rows they read in training; the
-# losses, the batch-norm statistics and the export are float64
+# dtype of the trained networks, of the feature rows they read and of the
+# exported embeddings; the losses and the batch-norm statistics are float64
 TRAIN_DTYPE = np.float32
 VALUE_BYTES = np.dtype(TRAIN_DTYPE).itemsize  # of one network value
 # the arithmetic above, as run manifests record it
@@ -59,7 +59,7 @@ ARITHMETIC = {
     "networks": TRAIN_DTYPE.__name__,
     "batch_norm_statistics": "float64",
     "losses": "float64",
-    "export": "float64",
+    "export": TRAIN_DTYPE.__name__,
 }
 
 
@@ -194,7 +194,7 @@ class TrainingLog:
 class EmbeddingMatrix:
     """Learned node representations, one row per node id."""
 
-    vectors: np.ndarray  # (N, d)
+    vectors: np.ndarray  # (N, d), TRAIN_DTYPE from training and from load_embeddings
     ids: list
 
     @property
@@ -507,29 +507,34 @@ MODEL_KINDS = tuple(OBJECTIVES)
 
 
 def csr_rows(features, name):
-    """``features`` as float64 CSR rows, shared when they already are; a
-    dense array is checked against physical memory first, in a message that
-    ``name`` starts."""
+    """``features`` as ``TRAIN_DTYPE`` CSR rows, shared when they already
+    are; the values of other sparse rows are cast, sharing their index
+    arrays when those are CSR. A dense array is checked against physical
+    memory first, in a message that ``name`` starts, and converted in its
+    own dtype, so a stored entry is one that is non-zero there."""
     if not sparse.issparse(features):
         nnz = int(np.count_nonzero(features))
-        # scipy converts through COO: 32 bytes an entry at the peak, and
-        # about 4.6 kB whatever the size (tracemalloc), counted as 8 KiB
+        # scipy converts through COO: 32 bytes an entry at the peak for a
+        # float64 matrix, 28 for a float32 one, and about 4.6 kB whatever the
+        # size (tracemalloc), counted as 8 KiB; a cast in the same call would
+        # hold 4 bytes an entry more
         check_memory(
             features.nbytes + 32 * nnz + 8192,
             f"{name}: CSR rows of {nnz} stored entries",
             "the dense matrix, 32 bytes an entry and 8 KiB while it is converted",
             "use a narrower --features file",
         )
-    return sparse.csr_array(features, dtype=np.float64)
+        features = sparse.csr_array(features)
+    return sparse.csr_array(features, dtype=TRAIN_DTYPE)
 
 
 def check_memory_plan(graph, config, features=None):
-    """What training on ``features``, float64 CSR rows, holds, as ``(bytes,
-    what, remedy)`` items all alive in training: the objective's ``memory``;
-    for adversarial models the discriminator with G's second RMSProp
-    accumulator, and an adversarial batch's steps; and the rows with the
-    float32 values of ``train_features``. A step that gathers up to ``r``
-    rows counts the stored entries of the ``r`` widest. ``features`` None
+    """What training on ``features``, the CSR rows of :func:`csr_rows`,
+    holds, as ``(bytes, what, remedy)`` items all alive in training: the
+    objective's ``memory``; for adversarial models the discriminator with G's
+    second RMSProp accumulator, and an adversarial batch's steps; the export
+    pass of :meth:`Trainer.embeddings`; and the rows. A step that gathers up
+    to ``r`` rows counts the stored entries of the ``r`` widest. ``features`` None
     stands for PPMI rows not built yet, of which nothing is counted;
     :class:`Trainer` checks again once it has them. Returns the items;
     raises ``GraphError`` when their sum exceeds physical memory, listing
@@ -558,10 +563,17 @@ def check_memory_plan(graph, config, features=None):
         per_row = VALUE_BYTES * (16 * h + 8 * d)
         need = per_row * b + 12 * b * widest(1)
         items.append((need, f"an adversarial batch of {b} rows", "lower --adv-batch"))
+    # the export pass over all n rows: while batch norm runs, its input, its
+    # centred rows and their square (three n x d arrays) beside leaky ReLU's
+    # n x d boolean mask, numpy's float64 buffer for the statistics' cast (n
+    # x d values, at most np.getbufsize()) and its d-wide float64 arrays,
+    # counted as 8; then the embedding's list of n ids
+    n = graph.num_nodes
+    export = (3 * VALUE_BYTES + 1) * n * d + 8 * (min(np.getbufsize(), n * d) + 8 * d + n)
+    items.append((export, f"the export pass over {n} rows", "lower --dim"))
     if features is not None:
         held = sum(a.nbytes for a in (features.data, features.indices, features.indptr))
-        what = "feature rows and their float32 values"
-        items.append((held + VALUE_BYTES * features.nnz, what, "use a narrower --features file"))
+        items.append((held, "feature rows", "use a narrower --features file"))
     check_memory(
         sum(need for need, _, _ in items),
         f"Training arrays of {config.model} on {graph.num_nodes} x {in_dim} features",
@@ -584,9 +596,9 @@ class Trainer:
     model with zero disc/gen steps reproduces its plain counterpart bit for
     bit under the same seed.
 
-    Every network is built in ``TRAIN_DTYPE`` (float32) and every step reads
-    ``train_features``, the float32 values of the float64 CSR ``features``;
-    :meth:`embeddings` reads ``features`` itself.
+    Every network is built in ``TRAIN_DTYPE`` (float32), and every step and
+    :meth:`embeddings` read ``features``, the one ``TRAIN_DTYPE`` CSR copy of
+    the rows.
     """
 
     def __init__(self, graph, config, features=None):
@@ -612,18 +624,12 @@ class Trainer:
             raise InputError(
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
             )
-        # one form whatever the source; float64 CSR rows are shared, not copied
-        features = csr_rows(features, "features")
-        check_memory_plan(graph, config, features)
-        # the export reads the float64 rows; every training step reads their
-        # float32 values, which share the index arrays
-        self.features = features
-        self.train_features = sparse.csr_array(
-            (features.data.astype(TRAIN_DTYPE), features.indices, features.indptr),
-            shape=features.shape,
-        )
+        # one form whatever the source; float32 CSR rows are shared, not copied
+        self.features = csr_rows(features, "features")
+        del features  # float64 PPMI rows built above are freed before the walks
+        check_memory_plan(graph, config, self.features)
         self.objective = OBJECTIVES[config.model](
-            graph, config, self.train_features, self.rng_init, self.rng_walks
+            graph, config, self.features, self.rng_init, self.rng_walks
         )
         self.gen_g = self.objective.gen_g
         self.structure_nets = list(self.objective.nets)
@@ -647,13 +653,13 @@ class Trainer:
         cfg = self.config
         real = PRIORS[cfg.prior](self.rng_prior, cfg.adv_batch_size, cfg.dim).astype(TRAIN_DTYPE)
         rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=cfg.adv_batch_size)
-        fake = self.gen_g.forward(self.train_features[rows])
+        fake = self.gen_g.forward(self.features[rows])
         loss = discriminator_loss(self.disc, real, fake)
         return self._update(loss, "discriminator", self.disc_opt, self.disc.grads)
 
     def _gen_step(self):
         rows = self.rng_adv_rows.integers(self.graph.num_nodes, size=self.config.adv_batch_size)
-        loss = generator_adversarial_loss(self.gen_g, self.disc, self.train_features[rows])
+        loss = generator_adversarial_loss(self.gen_g, self.disc, self.features[rows])
         return self._update(loss, "generator", self.gen_adv_opt, self.gen_g.grads)
 
     def _update(self, loss, phase, opt, clipped=None):
@@ -741,10 +747,11 @@ class Trainer:
         return self.embeddings(), self.log
 
     def embeddings(self):
-        """Current node representations: all N float64 feature rows pass
-        through G as one batch, a float64 pass of its float32 parameters, so
-        batch norm uses the population statistics and each dimension has
-        mean ``shift`` and variance ``gamma**2 var / (var + eps)``."""
+        """Current node representations: all N feature rows pass through G
+        as one batch, the float32 pass a training step runs, so batch norm
+        uses the population statistics, summed in float64, and each
+        dimension has mean ``shift`` and variance ``gamma**2 var / (var +
+        eps)`` to float32 rounding."""
         vectors = self.gen_g.forward(self.features)
         return EmbeddingMatrix(vectors=vectors, ids=list(self.graph.ids))
 
@@ -760,12 +767,16 @@ def train(graph, config, features=None):
 
 def export_embeddings(embedding, path):
     """Write embeddings as text: ``N d`` header, then one node per line with
-    its external id and coordinates at 17 significant digits. Rows become
-    Python floats one at a time, so the text costs no whole-matrix list."""
-    vecs = embedding.vectors
+    its external id and coordinates as ``TRAIN_DTYPE`` values at 9
+    significant digits, the width that round-trips every finite float32, so
+    :func:`load_embeddings` reads back the same bits. Vectors of another
+    dtype are cast first. Rows become Python floats one at a time, so the
+    text costs no whole-matrix list."""
+    with np.errstate(over="ignore"):
+        vecs = np.asarray(embedding.vectors, dtype=TRAIN_DTYPE)
     if not np.isfinite(vecs).all():
-        raise ValueError("embedding matrix contains non-finite values")
-    line = "%s" + " %.17g" * vecs.shape[1] + "\n"
+        raise ValueError(f"embedding matrix contains non-finite {TRAIN_DTYPE.__name__} values")
+    line = "%s" + " %.9g" * vecs.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{vecs.shape[0]} {vecs.shape[1]}\n")
         for node_id, row in zip(embedding.ids, vecs):
@@ -774,17 +785,20 @@ def export_embeddings(embedding, path):
 
 def load_embeddings(path):
     """Reload a file written by :func:`export_embeddings`, or any node-keyed
-    matrix in its format; a header that is not two integers, a malformed
-    row, a non-finite coordinate, a repeated node id, a row beyond the
-    header's N or a file that ends before them raises :class:`InputError`
-    naming the file and the line.
+    matrix in its format, as ``TRAIN_DTYPE`` vectors; a header that is not
+    two integers, a malformed row, a non-finite coordinate or one beyond the
+    float32 range, a repeated node id, a row beyond the header's N or a file
+    that ends before them raises :class:`InputError` naming the file and
+    the line.
 
     The matrix holds no more rows than the file's bytes can: a row of
     ``d + 1`` tokens, each followed by a space or a line end, takes at least
-    ``2 (d + 1)`` bytes. Its float64 size is checked against physical
-    memory before it is allocated.
+    ``2 (d + 1)`` bytes. Its size, ``VALUE_BYTES`` a value, is checked
+    against physical memory before it is allocated.
     """
-    with open(path, encoding="utf-8") as fh:
+    dtype = TRAIN_DTYPE.__name__
+    # a value that overflows dtype is refused below, by its line
+    with open(path, encoding="utf-8") as fh, np.errstate(over="ignore"):
         header = fh.readline().split()
         if len(header) != 2 or not all(tok.isdecimal() for tok in header):
             raise InputError(f"{path}: line 1: expected 'N d' header, got {header!r}")
@@ -792,10 +806,11 @@ def load_embeddings(path):
         # the header and each row that parses take 2 (d + 1) bytes or more per row
         rows = min(n, os.fstat(fh.fileno()).st_size // (2 * (d + 1)))
         check_memory(
-            8 * rows * d, f"{path}: {rows} rows of {d} coordinates", "float64", "use a smaller file"
+            VALUE_BYTES * rows * d, f"{path}: {rows} rows of {d} coordinates", dtype,
+            "use a smaller file",
         )
         line_of = {}  # node id -> its line
-        vectors = np.empty((rows, d), dtype=np.float64)
+        vectors = np.empty((rows, d), dtype=TRAIN_DTYPE)
         for i in range(n):
             line = fh.readline()
             parts = line.split()
@@ -811,11 +826,15 @@ def load_embeddings(path):
                 )
             line_of[parts[0]] = i + 2
             try:
-                vectors[i] = [float(tok) for tok in parts[1:]]
+                values = [float(tok) for tok in parts[1:]]
             except ValueError as exc:
                 raise InputError(f"{path}: line {i + 2}: {exc}") from exc
+            vectors[i] = values
             if not np.isfinite(vectors[i]).all():
-                raise InputError(f"{path}: line {i + 2} holds a non-finite coordinate")
+                what = "non-finite coordinate"
+                if np.isfinite(values).all():
+                    what = f"coordinate beyond the {dtype} range"
+                raise InputError(f"{path}: line {i + 2} holds a {what}")
         for k, line in enumerate(fh, start=n + 2):
             if line.strip():
                 raise InputError(f"{path}: line {k}: more than the {n} rows the header gives")

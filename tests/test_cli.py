@@ -165,10 +165,11 @@ def test_ppmi_features_over_memory_exit_2_before_training(
 ):
     # a budget that holds every dae point's memory plan sum, but not the first
     # power product: it holds the sum (A, allocated twice over), the product
-    # bound twice, A's pattern and two row pointers, 16 bytes an entry
+    # bound twice, A's pattern and two row pointers, 16 bytes an entry. At
+    # --dim 3 the export pass's 1 044 bytes take the plan past it
     edges, labels = ring
     graph = preprocess(load_edge_list(edges))
-    budget = max(plan_bytes(graph, "--model", "dae", "--dim", dim) for dim in ("2", "3", "4"))
+    budget = max(plan_bytes(graph, "--model", "dae", "--dim", dim) for dim in ("1", "2"))
     a = row_normalize(graph)
     bound = int(np.minimum(abs(a).sign() @ np.diff(a.indptr), graph.num_nodes).sum())
     first_product = proximity.ENTRY_BYTES * (3 * a.nnz + 2 * bound + 2 * (graph.num_nodes + 1))
@@ -176,10 +177,10 @@ def test_ppmi_features_over_memory_exit_2_before_training(
     monkeypatch.setattr(proximity, "memory_budget", lambda: budget)
     out = tmp_path / "o"
     if command == "embed":
-        argv = ["embed", edges]
+        argv = ["embed", edges, *FAST, "--dim", "2"]
     else:
-        argv = ["sweep", edges, labels, "--grid-dim", "2,3"]
-    assert run_cli(*argv, "--out", out, *FAST, "--model", "dae") == 2
+        argv = ["sweep", edges, labels, *FAST, "--grid-dim", "1,2"]
+    assert run_cli(*argv, "--out", out, "--model", "dae") == 2
     err = capsys.readouterr().err
     assert "PPMI features of 12 nodes need about 0.0 GB" in err
     assert not (out / "embedding.txt").exists() and not (out / "point_000").exists()
@@ -232,8 +233,8 @@ def test_huge_context_exit_2_before_walks(karate, tmp_path, capsys, monkeypatch,
 def test_skip_gram_batch_over_memory_exit_2_before_walks(ring, tmp_path, capsys, monkeypatch):
     # 24 walks of 8 steps from 12 nodes: 336 pairs, 2 688 bytes, and the 1 344
     # of an epoch's order. A batch of 64 pairs with 5 negatives needs 37 888
-    # bytes and idw's two generators 1 440: the plan sums to 43 360, and to
-    # 45 812 with the PPMI rows, under 50 kB.
+    # bytes, idw's two generators 1 440 and the export pass 1 360: the plan
+    # sums to 44 720, and to 46 692 with the PPMI rows, under 50 kB.
     # --batch 100000 takes all 336 pairs, 163 840 bytes. The networks of aidw
     # would need 5.3 MB
     monkeypatch.setattr(proximity, "memory_budget", lambda: 50_000)
@@ -254,38 +255,42 @@ def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
     # idw on the ring with FAST: an epoch's order of 336 pairs of 4 bytes
     # (the 768-byte int32 corpus is freed before it exists), the pairs of 8
     # bytes, a batch's step of 37 888 (30 720, and one block's gather of 64
-    # pairs' 5 + 2 rows of 4 float32 values, 7 168) and the generators 1 440,
-    # all alive in training. At --context 3 the order of 624 pairs takes
-    # 2 496 bytes. The 60 PPMI entries, with int32 indices, take 8 + 4 bytes
-    # each, 52 for the row pointers and 4 each for their float32 values:
-    # 1 012 bytes, counted once they are built; then the step also counts 12
-    # bytes for each entry of the rows each generator gathers, all 12 rows:
-    # 1 440 bytes
+    # pairs' 5 + 2 rows of 4 float32 values, 7 168), the generators 1 440
+    # and the export pass over the 12 rows 1 360 (three 12 x 4 float32
+    # arrays and a 12 x 4 mask, 624; a float64 buffer of 48 values, 384; 8
+    # d-wide float64 arrays, 256; and 12 ids, 96), all counted alive in
+    # training. At --context 3 the order of 624 pairs takes 2 496 bytes. The
+    # 60 float32 PPMI entries, with int32 indices, take 4 + 4 bytes each and
+    # 52 for the row pointers: 532 bytes, counted once they are built; then
+    # the step also counts 12 bytes for each entry of the rows each
+    # generator gathers, all 12 rows: 1 440 bytes
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
     args = cli.build_parser().parse_args(["embed", "x", *FAST, "--model", "idw"])
     cfg = cli._config_from_args(args)
     assert [need for need, _, _ in embedder.check_memory_plan(graph, cfg)] == [
-        4 * 336, 8 * 336, 37_888, 1_440
+        4 * 336, 8 * 336, 37_888, 1_440, 1_360
     ]
-    rows = ppmi_features(graph)
+    rows = embedder.csr_rows(ppmi_features(graph), "rows")
     assert rows.nnz == 60
     plan = embedder.check_memory_plan(graph, cfg, rows)
-    assert [need for need, _, _ in plan] == [4 * 336, 8 * 336, 37_888 + 1_440, 1_440, 1_012]
+    assert [need for need, _, _ in plan] == [
+        4 * 336, 8 * 336, 37_888 + 1_440, 1_440, 1_360, 532
+    ]
     assert plan_bytes(graph, "--model", "idw", "--context", "3") == (
-        4 * 624 + 8 * 624 + 37_888 + 1_440
+        4 * 624 + 8 * 624 + 37_888 + 1_440 + 1_360
     )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 45_812)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 46_692)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *FAST, "--model", "idw") == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 45_811)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 46_691)
     monkeypatch.setattr(embedder, "random_walks", no_walks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *FAST, "--model", "idw") == 2
     err = capsys.readouterr().err
     assert "Training arrays of idw on 12 x 12 features need about 0.0 GB" in err
-    assert "; feature rows and their float32 values: 0.0 GB)" in err
+    assert "; the export pass over 12 rows: 0.0 GB; feature rows: 0.0 GB)" in err
     assert err.endswith("; lower --batch, --negatives or --dim\n")
     assert not out.exists()
 
@@ -309,13 +314,13 @@ def no_networks(*args, **kwargs):
 
 def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
     # 500-wide feature rows with 600 non-zero entries at --dim 2: the encoder
-    # and decoder hold 7 518 values, 30 072 bytes, and the rows 9 652 (a
-    # float64 CSR with int32 indices and 52 bytes of row pointers, and its
-    # float32 values). A step's reconstruction and its square take 8 bytes
-    # per entry and its rows 32 per stored entry: 16 800 for a batch of 2
-    # rows with a one-row tail, 67 200 for all 12, so the plan sums to 56 524
-    # or 106 924. Converting the file's 48 000-byte matrix takes 32 bytes an
-    # entry and 8 KiB more: 75 392
+    # and decoder hold 7 518 values, 30 072 bytes, the export pass 728 and
+    # the rows 4 852 (a float32 CSR with int32 indices and 52 bytes of row
+    # pointers). A step's reconstruction and its square take 8 bytes per
+    # entry and its rows 32 per stored entry: 16 800 for a batch of 2 rows
+    # with a one-row tail, 67 200 for all 12, so the plan sums to 52 452 or
+    # 102 852. Converting the file's 24 000-byte float32 matrix takes 32
+    # bytes an entry and 8 KiB more: 51 392
     edges, _ = ring
     features, _ = wide_features(tmp_path, 500, stride=10)
     flags = [*FAST, "--model", "dae", "--dim", "2", "--features", features]
@@ -329,8 +334,8 @@ def test_dae_step_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     assert capsys.readouterr().err == (
         "error: [embedder] Training arrays of dae on 12 x 500 features need about 0.0 GB "
         "(encoder and decoder, 7518 values: 0.0 GB; a batch's 12 x 500 reconstruction and its "
-        "square: 0.0 GB; feature rows and their float32 values: 0.0 GB), more than "
-        "the 0.0 GB of physical memory; lower --batch\n"
+        "square: 0.0 GB; the export pass over 12 rows: 0.0 GB; feature rows: 0.0 GB), more "
+        "than the 0.0 GB of physical memory; lower --batch\n"
     )
     assert not out.exists()
 
@@ -342,10 +347,12 @@ def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, caps
     # A batch's step takes 64 bytes per score slot (8) and per dimension of
     # each of 4 + 8 distinct rows (3 584), a block's gather of 4 pairs' 1 + 2
     # rows of 4 float32 values (192) and 12 bytes for each of the 3 600
-    # entries of those rows (43 200): 46 976. The rows' 3 600 entries take
-    # 16 bytes each and 52 for the row pointers, 57 652, the largest item.
-    # The plan sums to 214 356, more than the 152 192 that converting the
-    # file's matrix takes (28 800 + 32 x 3 600 + 8 192)
+    # entries of those rows (43 200): 46 976. The export pass takes 1 360.
+    # The rows' 3 600 float32 entries take 8 bytes each with their int32
+    # indices, and 52 for the row pointers: 28 852. The plan sums to
+    # 186 916, more than the 137 792 that converting the file's float32
+    # matrix takes (14 400 + 32 x 3 600 + 8 192). The float32 rows, 8 bytes
+    # an entry, weigh less than the pairs, so the pairs' remedy is named
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
     features, _ = wide_features(tmp_path, 300)
@@ -355,38 +362,37 @@ def test_feature_rows_over_memory_exit_2_before_any_network(ring, tmp_path, caps
     ]
     cfg = cli._config_from_args(cli.build_parser().parse_args(["embed", "x", *flags]))
     plan = embedder.check_memory_plan(graph, cfg, cli._load_features(features, graph))
-    assert [need for need, _, _ in plan] == [26_880, 53_760, 46_976, 29_088, 57_652]
-    assert plan[-1][1:] == (
-        "feature rows and their float32 values", "use a narrower --features file"
-    )
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 214_356)
+    assert [need for need, _, _ in plan] == [26_880, 53_760, 46_976, 29_088, 1_360, 28_852]
+    assert plan[-1][1:] == ("feature rows", "use a narrower --features file")
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 186_916)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 214_355)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 186_915)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [embedder] Training arrays of idw on 12 x 300 features")
-    assert err.endswith("; use a narrower --features file\n")
+    assert err.endswith("; feature rows: 0.0 GB), more than the 0.0 GB of physical memory; "
+                        "lower --walks, --walk-length or --context\n")
     assert not out.exists()
 
 
 def test_features_conversion_over_memory_exit_2_before_any_network(
     ring, tmp_path, capsys, monkeypatch
 ):
-    # the 12 x 500 matrix, 48 000 bytes, and 32 bytes for each of its 6 000
-    # entries and 8 KiB while scipy converts it: 248 192. The plan of dae at
-    # --dim 2 --batch 2 then sums to 186 124, the rows 96 052 of it
+    # the 12 x 500 float32 matrix, 24 000 bytes, and 32 bytes for each of its
+    # 6 000 entries and 8 KiB while scipy converts it: 224 192. The plan of
+    # dae at --dim 2 --batch 2 then sums to 138 852, the rows 48 052 of it
     edges, _ = ring
     features, _ = wide_features(tmp_path, 500)
     flags = [*FAST, "--model", "dae", "--dim", "2", "--batch", "2", "--features", features]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 248_192)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 224_192)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 248_191)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 224_191)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
@@ -400,41 +406,50 @@ def test_features_conversion_over_memory_exit_2_before_any_network(
 
 def test_features_conversion_peak_within_estimate(ring, tmp_path, monkeypatch):
     # the estimate is the dense matrix, 32 bytes per stored entry and 8 KiB;
-    # the matrix is made before tracing, so the traced peak is everything else
+    # the matrix is made before tracing, so the traced peak is everything
+    # else. The file's rows are float32, as load_embeddings reads them; a
+    # float64 matrix, as the Python API may pass, fits the same estimate
     edges, _ = ring
     graph = preprocess(load_edge_list(edges))
-    rows = np.random.default_rng(1).random((12, 3000))
+    rows = np.random.default_rng(1).random((12, 3000)).astype(np.float32)
     rows[rows < 0.5] = 0.0
     ids = [f"v{i}" for i in reversed(range(12))]
     loaded = embedder.EmbeddingMatrix(vectors=rows[::-1].copy(), ids=ids)
     monkeypatch.setattr(cli, "load_embeddings", lambda path: loaded)
-    estimate = rows.nbytes + 32 * np.count_nonzero(rows) + 8192
-    tracemalloc.start()
-    try:
-        csr = cli._load_features("f.txt", graph)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rows.nbytes + peak <= estimate
-    assert isinstance(csr, sparse.csr_array) and csr.dtype == np.float64
-    np.testing.assert_array_equal(csr.toarray(), rows)
+    wide = rows.astype(np.float64)
+    for convert, matrix in [
+        (lambda: cli._load_features("f.txt", graph), rows),
+        (lambda: embedder.csr_rows(wide, "rows"), wide),
+    ]:
+        estimate = matrix.nbytes + 32 * np.count_nonzero(matrix) + 8192
+        tracemalloc.start()
+        try:
+            csr = convert()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.nbytes + peak <= estimate
+        assert isinstance(csr, sparse.csr_array) and csr.dtype == np.float32
+        np.testing.assert_array_equal(csr.toarray(), rows)
 
 
 def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, monkeypatch):
     # dae on the ring's 12-wide PPMI rows at --dim 64: G holds (12 + 3) 64 =
     # 960 parameters and the decoder (64 + 1) 12 = 780, each with a gradient
     # and an RMSProp accumulator, 5 220 float32 values (20 880 bytes), and a
-    # step's 12 x 12 reconstruction and its square 1 152: 22 032 bytes before
-    # the PPMI build. Once its 60 entries are built they take 1 012 bytes, and
-    # the step gathers them all, 32 bytes an entry (1 920): 24 964. The PPMI
-    # steps need under 6 kB
+    # step's 12 x 12 reconstruction and its square 1 152, and the export pass
+    # 20 320 (three 12 x 64 float32 arrays and a mask, 9 984; a float64
+    # buffer of 768 values and 8 d-wide float64 arrays, 10 240; 12 ids, 96):
+    # 42 352 bytes before the PPMI build. Once its 60 float32 entries are
+    # built they take 532 bytes, and the step gathers them all, 32 bytes an
+    # entry (1 920): 44 804. The PPMI steps need under 6 kB
     edges, _ = ring
     flags = [*FAST, "--model", "dae", "--dim", "64"]
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 24_964)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 44_804)
     assert run_cli("embed", edges, "--out", tmp_path / "fits", *flags) == 0
     capsys.readouterr()
 
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 24_963)
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 44_803)
     monkeypatch.setattr(embedder, "build_generator", no_networks)
     out = tmp_path / "o"
     assert run_cli("embed", edges, "--out", out, *flags) == 2
@@ -442,8 +457,8 @@ def test_networks_over_memory_exit_2_before_any_network(ring, tmp_path, capsys, 
     assert err == (
         "error: [embedder] Training arrays of dae on 12 x 12 features need about 0.0 GB "
         "(encoder and decoder, 5220 values: 0.0 GB; a batch's 12 x 12 reconstruction and its "
-        "square: 0.0 GB; feature rows and their float32 values: 0.0 GB), more than the 0.0 GB "
-        "of physical memory; lower --dim\n"
+        "square: 0.0 GB; the export pass over 12 rows: 0.0 GB; feature rows: 0.0 GB), more "
+        "than the 0.0 GB of physical memory; lower --dim\n"
     )
     assert not out.exists()
 
@@ -465,7 +480,7 @@ def test_adversarial_batch_over_memory_exit_2_before_any_network(
     flags = ["--model", "adae", "--adv-batch", "1000000000"]
     assert run_cli("embed", edges, *flags, "--out", out) == 2
     err = capsys.readouterr().err
-    assert "; an adversarial batch of 1000000000 rows: 36864.0 GB)" in err
+    assert "; an adversarial batch of 1000000000 rows: 36864.0 GB; " in err
     assert err.endswith("; lower --adv-batch\n")
     assert not out.exists()
 
@@ -659,7 +674,7 @@ def test_manifest_records_the_arithmetic_and_replay_ignores_it(ring, tmp_path):
     manifest = json.loads(path.read_text())
     assert manifest["arithmetic"] == {
         "networks": "float32", "batch_norm_statistics": "float64",
-        "losses": "float64", "export": "float64",
+        "losses": "float64", "export": "float32",
     }
     manifest["arithmetic"] = {"networks": "float64"}
     path.write_text(json.dumps(manifest))
@@ -792,6 +807,11 @@ def test_eval_unknown_label_ids_exit_2(tmp_path, capsys):
     [
         (["4 2", "n0 nan 1", "n1 1 0", "n2 0 1", "n3 1 1"], "line 2 holds a non-finite coordinate"),
         (["4 2", "n0 1 0", "n1 inf 0", "n2 0 1", "n3 1 1"], "line 3 holds a non-finite coordinate"),
+        # finite in the text, but not as the float32 value it is read into
+        (
+            ["4 2", "n0 1 0", "n1 0 1", "n2 1e39 1", "n3 1 1"],
+            "line 4 holds a coordinate beyond the float32 range",
+        ),
         (
             ["4 2", "n0 1 0", "n1 1 0", "n2 0 1", "n3 0 1", "n4 1 1"],
             "line 6: more than the 4 rows the header gives",
@@ -815,7 +835,10 @@ def test_eval_unknown_label_ids_exit_2(tmp_path, capsys):
             "the file ends after 0 of the 100000000000000 rows line 1 gives",
         ),
     ],
-    ids=["nan", "inf", "extra-row", "repeated-id", "non-numeric", "bad-header", "header-only"],
+    ids=[
+        "nan", "inf", "float32-overflow", "extra-row", "repeated-id", "non-numeric",
+        "bad-header", "header-only",
+    ],
 )
 def test_eval_bad_embedding_file_exit_2(tmp_path, capsys, lines, message):
     emb = tmp_path / "e.txt"
@@ -834,11 +857,11 @@ def test_eval_embedding_over_memory_exit_2(tmp_path, capsys, monkeypatch):
     ids = write_one_hot_embedding(emb, classes)
     labels = tmp_path / "l.txt"
     labels.write_text("".join(f"{i} c{c}\n" for i, c in zip(ids, classes)))
-    # 4 rows of 2 float64 coordinates: 64 bytes
-    monkeypatch.setattr(proximity, "memory_budget", lambda: 63)
+    # 4 rows of 2 float32 coordinates: 32 bytes
+    monkeypatch.setattr(proximity, "memory_budget", lambda: 31)
     assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1") == 2
     assert capsys.readouterr().err == (
-        f"error: [evalkit] {emb}: 4 rows of 2 coordinates need about 0.0 GB (float64), "
+        f"error: [evalkit] {emb}: 4 rows of 2 coordinates need about 0.0 GB (float32), "
         "more than the 0.0 GB of physical memory; use a smaller file\n"
     )
 
@@ -955,6 +978,25 @@ def test_sweep_grid_dim(ring, tmp_path, capsys):
         "ratios": [0.5], "repetitions": 2, "seed": 0, "l2": 1.0, "normalize": True,
     }
     assert manifest["failures"] == []
+
+
+def test_sweep_cells_equal_eval_of_the_point_embedding_file(karate, tmp_path, capsys):
+    # a sweep scores each point's in-memory float32 vectors; its embedding.txt
+    # reloads them bit for bit, so ane eval with the sweep's protocol prints
+    # the same accuracy cells
+    edges, labels = karate
+    out = tmp_path / "sweep"
+    flags = ["--walks", "2", "--walk-length", "20", "--context", "4", "--epochs", "1"]
+    protocol = ["--ratios", "0.5", "--reps", "2"]
+    assert run_cli("sweep", edges, labels, "--grid-dim", "2,4", *flags, *protocol,
+                   "--out", out) == 0
+    ev = tmp_path / "ev"
+    assert run_cli("eval", out / "point_001" / "embedding.txt", labels, *protocol,
+                   "--out", ev) == 0
+    capsys.readouterr()
+    point = (out / "sweep_results.tsv").read_text().splitlines()[2].split("\t")
+    assert point[0] == "4" and point[-1] == "ok"
+    assert (ev / "accuracy.tsv").read_text().splitlines()[1].split("\t") == point[1:-1]
 
 
 def test_sweep_grid_prior(ring, tmp_path):

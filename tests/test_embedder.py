@@ -337,6 +337,8 @@ def test_a_training_step_is_float32_throughout(model):
     if cfg.adversarial:
         trainer._disc_step()
         trainer._gen_step()
+    # the export pass reads the same rows through the same layers
+    assert trainer.embeddings().vectors.dtype == np.float32
     # a generator's dense layer returns no input gradient; its weight
     # gradients are checked below with every other parameter gradient
     names = {name for name, _ in seen}
@@ -350,8 +352,7 @@ def test_a_training_step_is_float32_throughout(model):
         assert {net.params.dtype, net.grads.dtype} == {np.dtype(np.float32)}
     for opt in opts:
         assert {a.dtype for a in opt.acc} == {np.dtype(np.float32)}
-    assert trainer.train_features.dtype == np.float32
-    assert trainer.embeddings().vectors.dtype == np.float64
+    assert trainer.features.dtype == np.float32
 
 
 def float_twins(build, seed, *args, **kwargs):
@@ -863,7 +864,7 @@ def test_features_row_count_checked():
 def test_network_memory_check_counts_what_the_trainer_builds(model, monkeypatch):
     # 1 000-wide rows: the networks are most of the memory plan
     g = ring_graph(12)
-    features = sparse.csr_array(np.random.default_rng(0).random((12, 1000)))
+    features = sparse.csr_array(np.random.default_rng(0).random((12, 1000)), dtype=np.float32)
     cfg = TrainConfig(
         model=model, dim=4, walks_per_node=2, walk_length=8, context_size=2, batch_size=64
     )
@@ -875,18 +876,20 @@ def test_network_memory_check_counts_what_the_trainer_builds(model, monkeypatch)
     # float32 parameters and gradients, and one accumulator per optimizer and network
     values = sum(2 * net.params.size for net in nets) + sum(a.size for o in opts for a in o.acc)
     plan = embedder.check_memory_plan(g, cfg, features)
-    # the plan's network items are those naming only --dim; no Glorot draw
-    # of a whole layer is held, so none is counted
-    assert sum(need for need, _, remedy in plan if remedy == "lower --dim") == 4 * values
+    # the plan's network items are those counting values; no Glorot draw of
+    # a whole layer is held, so none is counted
+    assert sum(need for need, what, _ in plan if what.endswith(" values")) == 4 * values
     assert not any("draw" in what for _, what, _ in plan)
-    # float64 CSR rows are shared, not copied, and train_features shares their indices
-    csr, train = trainer.features, trainer.train_features
+    # float32 CSR rows are shared, not copied: the plan's last item is all they hold
+    csr = trainer.features
     assert all(np.shares_memory(a, b) for a, b in zip(
         (csr.data, csr.indices, csr.indptr), (features.data, features.indices, features.indptr)
     ))
-    assert np.shares_memory(train.indices, csr.indices)
-    assert np.shares_memory(train.indptr, csr.indptr)
-    assert plan[-1][0] == sum(a.nbytes for a in (csr.data, csr.indices, csr.indptr, train.data))
+    assert plan[-1][0] == sum(a.nbytes for a in (features.data, features.indices, features.indptr))
+    # float64 CSR rows get float32 values beside their own index arrays
+    wide = sparse.csr_array((features.data.astype(np.float64), features.indices, features.indptr))
+    csr = Trainer(g, cfg, features=wide).features
+    assert csr.dtype == np.float32 and np.shares_memory(csr.indices, wide.indices)
     need = sum(need for need, _, _ in plan)
     monkeypatch.setattr(proximity, "memory_budget", lambda: need)
     Trainer(g, cfg, features=features)
@@ -904,18 +907,19 @@ def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
     cfg = TrainConfig(
         model=model, dim=64, walks_per_node=2, walk_length=8, context_size=2, batch_size=64
     )
-    rows = ppmi_features(g)
+    rows = embedder.csr_rows(ppmi_features(g), "rows")
     before = sum(need for need, _, _ in embedder.check_memory_plan(g, cfg))
     after = sum(need for need, _, _ in embedder.check_memory_plan(g, cfg, rows))
-    # 8 + 4 bytes per entry for the float64 rows, 4 for their float32 values;
-    # a structure step gathers all 12 rows, once per generator at 12 bytes an
+    # 4 + 4 bytes per entry for the float32 rows and their int32 indices; a
+    # structure step gathers all 12 rows, once per generator at 12 bytes an
     # entry or once at 32 for the autoencoder, and an adversarial step 128
     # draws of a 5-entry row at 12
     assert rows.nnz == 60 and np.diff(rows.indptr).max() == 5
+    assert (rows.dtype, rows.indices.dtype) == (np.float32, np.int32)
     gathered = 2 * 12 * rows.nnz if OBJECTIVES[model] is SkipGram else 32 * rows.nnz
     if cfg.adversarial:
         gathered += 12 * 128 * 5
-    assert after - before == 16 * rows.nnz + 4 * 13 + gathered
+    assert after - before == 8 * rows.nnz + 4 * 13 + gathered
     needs = []
     monkeypatch.setattr(embedder, "check_memory", lambda need, *rest: needs.append(need))
     Trainer(g, cfg)
@@ -924,7 +928,7 @@ def test_trainer_checks_the_ppmi_rows_it_builds(model, monkeypatch):
     monkeypatch.setattr(embedder, "check_memory", proximity.check_memory)
     monkeypatch.setattr(proximity, "memory_budget", lambda: after - 1)
     monkeypatch.setattr(embedder, "build_generator", lambda *args: pytest.fail("network built"))
-    with pytest.raises(GraphError, match="; feature rows and their float32 values: 0.0 GB"):
+    with pytest.raises(GraphError, match="; feature rows: 0.0 GB"):
         Trainer(g, cfg)
 
 
@@ -1005,7 +1009,7 @@ def test_dae_step_allocates_under_20_bytes_per_stored_entry(density):
     cfg = TrainConfig(model="dae", dim=128)
     trainer = Trainer(graph, cfg, features=rows)
     obj = trainer.objective
-    x = trainer.train_features[np.arange(34)]
+    x = trainer.features[np.arange(34)]
     peak = step_peak(
         lambda: dae_batch_loss(obj.gen_g, obj.decoder, x, cfg.dae_corruption, trainer.rng_noise)
     )
@@ -1021,7 +1025,7 @@ def test_dae_step_keeps_no_entry_index_through_its_networks(monkeypatch):
     cfg = TrainConfig(model="dae", dim=128)
     trainer = Trainer(graph, cfg, features=np.random.default_rng(0).random((34, 20_000)))
     obj = trainer.objective
-    x = trainer.train_features[np.arange(34)]
+    x = trainer.features[np.arange(34)]
     held, forward = [], obj.gen_g.forward
 
     def traced_forward(rows):
@@ -1074,15 +1078,29 @@ def test_skip_gram_step_peak_within_its_plan_item_on_karate(flags):
     assert step_peak(lambda: trainer._structure_step(batch)) <= item
 
 
+@pytest.mark.parametrize("nodes", [34, 3000], ids=["karate", "ring-3000"])
+def test_export_pass_peak_within_its_plan_item_on_narrow_rows(nodes):
+    # on narrow PPMI rows the pass's own arrays set its peak: at batch norm
+    # three N x d float32 arrays and leaky ReLU's boolean mask, beside
+    # numpy's float64 buffer for the statistics' cast
+    graph = load_dataset("karate")[0] if nodes == 34 else ring_graph(nodes)
+    cfg = TrainConfig(model="dae", dim=128)
+    trainer = Trainer(graph, cfg)
+    assert np.diff(trainer.features.indptr).max() <= 34
+    plan = embedder.check_memory_plan(graph, cfg, trainer.features)
+    (item,) = [need for need, what, _ in plan if what == f"the export pass over {nodes} rows"]
+    assert step_peak(trainer.embeddings) <= item
+
+
 def test_trainer_checks_the_conversion_of_dense_features(monkeypatch):
     # 12 x 500 dense rows, 6 000 entries: converting them takes the 48 000-byte
     # matrix, 32 bytes an entry and 8 KiB, 248 192 bytes, more than the
-    # 186 124 of dae's plan at dim 2 with batches of 2
+    # 138 852 of dae's plan at dim 2 with batches of 2
     g = ring_graph(12)
     rows = np.random.default_rng(0).random((12, 500))
     cfg = TrainConfig(model="dae", dim=2, batch_size=2)
-    plan = embedder.check_memory_plan(g, cfg, sparse.csr_array(rows))
-    assert sum(need for need, _, _ in plan) == 186_124
+    plan = embedder.check_memory_plan(g, cfg, embedder.csr_rows(rows, "rows"))
+    assert sum(need for need, _, _ in plan) == 138_852
     monkeypatch.setattr(proximity, "memory_budget", lambda: 248_192)
     Trainer(g, cfg, features=rows)
     monkeypatch.setattr(proximity, "memory_budget", lambda: 248_191)
@@ -1134,16 +1152,22 @@ def test_embeddings_normalize_by_all_feature_rows(model):
     trainer = Trainer(g, cfg)
     emb, _ = trainer.run()
     dense, act, bn = trainer.gen_g.layers
-    # the batch-norm input over all N float64 rows: the export's population
-    var = act.forward(dense.forward(trainer.features)).var(axis=0)
-    # the float32 scale, squared in float64 as the export's float64 pass does
-    gamma = bn.gamma.astype(np.float64)
-    assert np.abs(bn.shift).max() > 1e-4 and np.abs(gamma - 1.0).max() > 1e-4
-    np.testing.assert_allclose(emb.vectors.mean(axis=0), bn.shift, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(
-        emb.vectors.var(axis=0), gamma**2 * var / (var + nn.BN_EPS), rtol=1e-12, atol=0
-    )
+    assert np.abs(bn.shift).max() > 1e-4 and np.abs(bn.gamma - 1.0).max() > 1e-4
+    # one float32 forward over all N rows, the pass a training step runs
+    rows = trainer.features
+    assert rows.dtype == np.float32 and rows.shape[0] == g.num_nodes
+    h = act.forward(dense.forward(rows))
+    want = bn.forward(h)
+    assert want.dtype == np.float32
+    np.testing.assert_array_equal(emb.vectors, want)
     np.testing.assert_array_equal(trainer.embeddings().vectors, emb.vectors)
+    # batch norm used the population statistics, not those of a minibatch
+    assert not np.array_equal(trainer.gen_g.forward(rows[:4]), emb.vectors[:4])
+    var = h.var(axis=0, dtype=np.float64)
+    gamma = bn.gamma.astype(np.float64)
+    np.testing.assert_allclose(
+        emb.vectors.var(axis=0, dtype=np.float64), gamma**2 * var / (var + nn.BN_EPS), rtol=1e-5
+    )
 
 
 # training log and embedding files
@@ -1166,34 +1190,73 @@ def test_training_log_file_format(tmp_path):
 
 
 def test_export_roundtrip_and_idempotence(tmp_path):
-    vectors = np.array([[1.0, -2.5], [3.25, 1e-17]])
-    emb = EmbeddingMatrix(vectors=vectors, ids=["n0", "n1"])
+    # 9 significant digits round-trip every finite float32, denormals and
+    # the sign of zero included
+    bits = np.random.default_rng(3).integers(0, 2**32, size=(2000, 8), dtype=np.uint64)
+    bits[0, :4] = [0, 2**31, 1, 0x7F7FFFFF]  # 0, -0, the smallest denormal, the largest finite
+    bits[bits & 0x7F800000 == 0x7F800000] = 0x3F800000  # inf and nan become 1
+    vectors = bits.astype(np.uint32).view(np.float32)
+    ids = [f"v{i}" for i in range(len(vectors))]
     p1 = tmp_path / "a.emb"
-    export_embeddings(emb, p1)
-    assert len(p1.read_text().splitlines()) == 3
+    export_embeddings(EmbeddingMatrix(vectors=vectors, ids=ids), p1)
+    assert len(p1.read_text().splitlines()) == 2001
     back = load_embeddings(p1)
-    np.testing.assert_array_equal(back.vectors, vectors)
-    assert back.ids == ["n0", "n1"]
+    assert back.vectors.dtype == np.float32
+    np.testing.assert_array_equal(back.vectors.view(np.uint32), vectors.view(np.uint32))
+    assert back.ids == ids
     p2 = tmp_path / "b.emb"
     export_embeddings(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_trained_embedding_reloads_bit_for_bit(model, tmp_path):
+    g = ring_graph(10)
+    cfg = TrainConfig(
+        model=model, dim=5, epochs=1, batch_size=8, adv_batch_size=4,
+        walks_per_node=2, walk_length=6, context_size=2, seed=6,
+    )
+    emb, _ = train(g, cfg)
+    assert emb.vectors.dtype == np.float32
+    export_embeddings(emb, tmp_path / "a.emb")
+    back = load_embeddings(tmp_path / "a.emb")
+    np.testing.assert_array_equal(back.vectors.view(np.uint32), emb.vectors.view(np.uint32))
+    assert back.ids == emb.ids
+    export_embeddings(back, tmp_path / "b.emb")
+    assert (tmp_path / "a.emb").read_bytes() == (tmp_path / "b.emb").read_bytes()
+
+
 def test_export_bytes_equal_whole_matrix_formatting(tmp_path):
-    vectors = np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308], [0.1, -0.1, 1.0 / 3.0]])
+    tiny, big = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
+    vectors = np.array(
+        [[0.0, -0.0, tiny], [-tiny, big, -big], [0.1, -0.1, 1.0 / 3.0]], dtype=np.float32
+    )
     emb = EmbeddingMatrix(vectors=vectors, ids=["a", "b", "c"])
     path = tmp_path / "e.emb"
     export_embeddings(emb, path)
-    line = "%s" + " %.17g" * 3 + "\n"
+    line = "%s" + " %.9g" * 3 + "\n"
     want = "3 3\n" + "".join(line % (i, *row) for i, row in zip(emb.ids, vectors.tolist()))
     assert path.read_bytes() == want.encode()
-    assert path.read_text().splitlines()[1] == "a 0 -0 4.9406564584124654e-324"
+    assert path.read_text().splitlines()[1:] == [
+        "a 0 -0 1.40129846e-45",
+        "b -1.40129846e-45 3.40282347e+38 -3.40282347e+38",
+        "c 0.100000001 -0.100000001 0.333333343",
+    ]
+
+
+def test_export_casts_other_dtypes_to_float32(tmp_path):
+    # float64 vectors are written as the float32 values they round to
+    vectors = np.array([[0.1, 1.0 / 3.0]])
+    export_embeddings(EmbeddingMatrix(vectors=vectors, ids=["a"]), tmp_path / "e.emb")
+    assert (tmp_path / "e.emb").read_text() == "1 2\na 0.100000001 0.333333343\n"
 
 
 def test_export_rejects_nonfinite(tmp_path):
-    emb = EmbeddingMatrix(vectors=np.array([[np.nan, 0.0]]), ids=["x"])
-    with pytest.raises(ValueError, match="non-finite"):
-        export_embeddings(emb, tmp_path / "bad.emb")
+    # a float64 value beyond the float32 range is refused like a nan
+    for value in (np.nan, 1e40):
+        emb = EmbeddingMatrix(vectors=np.array([[value, 0.0]]), ids=["x"])
+        with pytest.raises(ValueError, match="non-finite float32 values"):
+            export_embeddings(emb, tmp_path / "bad.emb")
 
 
 def test_export_karate_d2_line_count(tmp_path):
