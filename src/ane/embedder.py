@@ -751,8 +751,11 @@ class Trainer:
         as one batch, the float32 pass a training step runs, so batch norm
         uses the population statistics, summed in float64, and each
         dimension has mean ``shift`` and variance ``gamma**2 var / (var +
-        eps)`` to float32 rounding."""
+        eps)`` to float32 rounding. G's cached mask and normalized rows
+        (N x d each) are dropped when the pass returns, so the export and the
+        evaluation after it hold only the vectors."""
         vectors = self.gen_g.forward(self.features)
+        self.gen_g.release()
         return EmbeddingMatrix(vectors=vectors, ids=list(self.graph.ids))
 
 

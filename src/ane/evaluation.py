@@ -201,7 +201,11 @@ def fit_linear_ovr(features, classes, l2=1.0):
     does not rise, to gradient norm < ``TOL``; warns if ``MAX_NEWTON_STEPS`` fall short.
 
     The Hessian is built as ``S @ S.T`` (see ``_hessian``) and the first step
-    is shared by all classes (see ``_first_steps``).
+    is shared by all classes (see ``_first_steps``). The steps read one
+    float64 copy of the rows, the transposed design ``[x, 1].T``; the fit
+    drops its references to ``features`` once that copy is made, so a
+    temporary passed in, such as the split rows :func:`evaluate` gathers, is
+    freed before the first step.
     """
     if not (np.isfinite(l2) and l2 > 0):
         raise ValueError(f"l2 must be a finite number > 0, got {l2}")
@@ -217,6 +221,7 @@ def fit_linear_ovr(features, classes, l2=1.0):
     # [x, 1] transposed and C-contiguous; xa is its (n, dim + 1) view
     xt = np.ones((dim + 1, n))
     xt[:-1] = x.T
+    del features, x
     xa, buf = xt.T, np.empty_like(xt)
     penalty = np.append(np.full(dim, l2 / n), 0.0)
     targets = (classes[:, None] == np.arange(model.weights.shape[0])).astype(np.float64)
@@ -256,9 +261,11 @@ def fit_linear_ovr(features, classes, l2=1.0):
 
 
 def normalize_rows(vectors):
-    """L2-normalize rows; all-zero rows stay zero."""
+    """L2-normalize the rows of a float array in place and return it; all-zero
+    rows stay zero."""
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    return vectors / np.where(norms > 0, norms, 1.0)
+    vectors /= np.where(norms > 0, norms, 1.0)
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -276,9 +283,10 @@ def evaluate(vectors, label_set, spec=SplitSpec()):
     by ``label_set``. Rows are L2-normalized before classification unless
     ``spec.normalize`` is false; the classifier is fit with ``spec.l2``.
     """
-    feats = np.asarray(vectors, dtype=np.float64)[label_set.node_indices]
+    # gathered before the cast, so only the labeled rows are ever float64
+    feats = np.asarray(vectors)[label_set.node_indices].astype(np.float64)
     if spec.normalize:
-        feats = normalize_rows(feats)
+        normalize_rows(feats)
     classes = label_set.classes
 
     results = []

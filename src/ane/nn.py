@@ -81,6 +81,7 @@ class DenseLayer:
     """
 
     PARAMS = ("weights", "bias")
+    CACHE = ("_input",)
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -145,6 +146,7 @@ class LeakyRelu:
     """
 
     PARAMS = ()
+    CACHE = ("_mask",)
 
     def __init__(self):
         self._mask = None
@@ -196,6 +198,7 @@ class BatchNorm:
     """
 
     PARAMS = ("gamma", "shift")
+    CACHE = ("_norm", "_inv_std")
 
     def __init__(self, dim, dtype=np.float64):
         self.gamma = np.ones(dim, dtype=dtype)
@@ -270,6 +273,7 @@ class Mlp:
     The layers' parameters are copied, in layer and ``PARAMS`` order, into
     one contiguous vector ``params`` (empty without parameters), and each
     parameter and its ``grad_<name>`` become views of ``params`` and ``grads``.
+    Each layer names in ``CACHE`` what a forward keeps for its backward.
     """
 
     def __init__(self, layers):
@@ -299,6 +303,13 @@ class Mlp:
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad, param_grads=param_grads)
         return self.layers[0].backward(grad, input_grad=input_grad, param_grads=param_grads)
+
+    def release(self):
+        """Drop every layer's ``CACHE``, as after a forward that no backward
+        follows; batch norm's drift then reads 0 until the next forward."""
+        for layer in self.layers:
+            for name in layer.CACHE:
+                setattr(layer, name, None)
 
     def bn_layers(self):
         return [layer for layer in self.layers if isinstance(layer, BatchNorm)]

@@ -163,23 +163,25 @@ def plan_bytes(graph, *flags, features=None):
 def test_ppmi_features_over_memory_exit_2_before_training(
     ring, tmp_path, capsys, monkeypatch, command
 ):
-    # a budget that holds every dae point's memory plan sum, but not the first
-    # power product: it holds the sum (A, allocated twice over), the product
-    # bound twice, A's pattern and two row pointers, 16 bytes an entry. At
-    # --dim 3 the export pass's 1 044 bytes take the plan past it
+    # a budget that holds dae's memory plan sum at --dim 1, 2 032 bytes, but
+    # not the first power product: it holds the sum (A, allocated twice over),
+    # the product bound twice, A's pattern and two row pointers, 12 bytes an
+    # entry (a float64 value and an int32 index), 2 328 bytes. At --dim 2 the
+    # plan, 2 672 bytes, passes it, so the sweep's two points differ in prior
     edges, labels = ring
     graph = preprocess(load_edge_list(edges))
-    budget = max(plan_bytes(graph, "--model", "dae", "--dim", dim) for dim in ("1", "2"))
+    budget = plan_bytes(graph, "--model", "dae", "--dim", "1")
     a = row_normalize(graph)
     bound = int(np.minimum(abs(a).sign() @ np.diff(a.indptr), graph.num_nodes).sum())
-    first_product = proximity.ENTRY_BYTES * (3 * a.nnz + 2 * bound + 2 * (graph.num_nodes + 1))
-    assert budget < first_product
+    entry = proximity.entry_bytes(np.int32)
+    first_product = entry * (3 * a.nnz + 2 * bound + 2 * (graph.num_nodes + 1))
+    assert budget < first_product < plan_bytes(graph, "--model", "dae", "--dim", "2")
     monkeypatch.setattr(proximity, "memory_budget", lambda: budget)
     out = tmp_path / "o"
     if command == "embed":
-        argv = ["embed", edges, *FAST, "--dim", "2"]
+        argv = ["embed", edges, *FAST, "--dim", "1"]
     else:
-        argv = ["sweep", edges, labels, *FAST, "--grid-dim", "1,2"]
+        argv = ["sweep", edges, labels, *FAST, "--dim", "1", "--grid-prior", "uniform,gaussian"]
     assert run_cli(*argv, "--out", out, "--model", "dae") == 2
     err = capsys.readouterr().err
     assert "PPMI features of 12 nodes need about 0.0 GB" in err

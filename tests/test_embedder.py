@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1090,6 +1091,24 @@ def test_export_pass_peak_within_its_plan_item_on_narrow_rows(nodes):
     plan = embedder.check_memory_plan(graph, cfg, trainer.features)
     (item,) = [need for need, what, _ in plan if what == f"the export pass over {nodes} rows"]
     assert step_peak(trainer.embeddings) <= item
+
+
+def test_export_pass_leaves_only_the_vectors_held():
+    # G's leaky ReLU mask and batch norm's normalized rows (5 N d bytes) must
+    # not live on through the export and the evaluation; what stays is the
+    # vectors, the list of N ids and the small objects around them
+    trainer = Trainer(ring_graph(3000), TrainConfig(model="dae", dim=128))
+    trainer.embeddings()  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        embedding = trainer.embeddings()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    ids = sys.getsizeof(embedding.ids)
+    assert embedding.vectors.nbytes == 3000 * 128 * 4
+    assert held <= embedding.vectors.nbytes + ids + 4096
 
 
 def test_trainer_checks_the_conversion_of_dense_features(monkeypatch):

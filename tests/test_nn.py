@@ -417,6 +417,11 @@ def test_backward_drops_the_dense_input_and_the_leaky_relu_mask():
     assert dense._input is None and act._mask is None
     # batch norm keeps its normalized batch: the drift is read after the step
     assert bn._norm is not None and bn.last_norm_mean_abs < 1e-12
+    # a forward that no backward follows drops every layer's cache on release
+    net.forward(x)
+    net.release()
+    assert dense._input is None and act._mask is None
+    assert bn._norm is None and bn._inv_std is None and bn.last_norm_mean_abs == 0.0
 
 
 # sparse inputs

@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 from ane import proximity
+from ane.datasets import load_dataset
 from ane.embedder import TrainConfig
 from ane.graph import Graph, GraphError, parse_edge_lines, preprocess, row_normalize
 from ane.proximity import (
@@ -163,9 +164,10 @@ def test_ppmi_features_size_guard(monkeypatch):
     #   step 2: 4 + 4 + 2 * 6 + 4 + 8 = 32 (bound: rows (2, 2, 2))
     #   step 3: (4 + 5) + 9 + 2 * 5 + 4 + 8 = 40 (A^2 has 5 entries; rows (1, 3, 1))
     #   step 4: (9 + 4) + 9 + 2 * 6 + 4 + 8 = 46 (A^3 has 4 entries)
-    # and the transform checks 2 * 9 entries, so the largest need is 46 entries.
+    # and the transform checks 2 * 9 entries, so the largest need is 46 entries
+    # of 12 bytes: a float64 value and an int32 index.
     g = preprocess(parse_edge_lines(["a b", "b c"]))
-    need = 46 * proximity.ENTRY_BYTES
+    need = 46 * 12
     monkeypatch.setattr(proximity, "memory_budget", lambda: need)
     assert ppmi_features(g).shape == (3, 3)
 
@@ -239,12 +241,15 @@ def test_sparse_chain_matches_dense_chain_on_random_weighted_graphs():
 
 def test_sparse_chain_bit_equal_to_sparse_times_dense_chain():
     # the sparse-times-dense chain adds each entry's terms in A's row order,
-    # and so must the sparse-times-sparse one; 300 nodes reach a dense sum
+    # and so must the sparse-times-sparse one; 300 nodes reach a dense sum.
+    # A comes with int64 indices and the chain runs in int32, which does not
+    # enter the arithmetic
     rng = np.random.default_rng(8)
-    graphs = [ring_with_chords(rng, 300)]
+    graphs = [load_dataset("karate")[0], ring_with_chords(rng, 300)]
     graphs += [random_weighted_graph(rng, int(rng.integers(5, 60))) for _ in range(10)]
     for g in graphs:
         a = row_normalize(g)
+        assert a.indices.dtype == a.indptr.dtype == np.int64
         power = a.toarray()
         want = power.copy()
         for t in range(1, 6):
@@ -252,6 +257,7 @@ def test_sparse_chain_bit_equal_to_sparse_times_dense_chain():
                 power = a @ power
                 want += power
             got = accumulate_powers(a, t)
+            assert got.indices.dtype == got.indptr.dtype == np.int32
             np.testing.assert_array_equal(got.toarray(), want)
             assert (got.data > 0).all()  # no stored zeros
             # column sums add in row order, like the dense sum over axis 0
@@ -286,8 +292,15 @@ def test_csr_ppmi_bit_equal_to_dense_transform():
         stored_zeros = sparse.csr_array(m)
         stored_zeros.data[::7] = 0.0
         stored_zeros.data[stored_zeros.indices == 1] = 0.0  # a column of stored zeros
+        only_zeros = sparse.csr_array(m)
+        only_zeros.data[:] = 0.0
+        gaps = m.copy()
+        gaps[[0, n // 2, n - 1]] = 0.0  # empty first, middle and last rows
+        empty = sparse.csr_array((n, n))  # nnz 0
+        sources = (m, sparse.csr_array(m), shuffled, stored_zeros, only_zeros, gaps,
+                   sparse.csr_array(gaps), np.zeros((n, n)), empty)
         for beta in (1.0 / n, 0.3):
-            for source in (m, sparse.csr_array(m), shuffled, stored_zeros):
+            for source in sources:
                 dense = source.toarray() if sparse.issparse(source) else source
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -312,8 +325,8 @@ def traced_peak(fn, *args):
 def test_ppmi_features_peak_within_estimate(monkeypatch, steps):
     checked = []
 
-    def record(n, entries):
-        checked.append(entries * proximity.ENTRY_BYTES)
+    def record(n, entries, index):
+        checked.append(entries * proximity.entry_bytes(index))
 
     monkeypatch.setattr(proximity, "_check_ppmi_memory", record)
     # 1 000 nodes, so the arrays outweigh the interpreter's own few kB
@@ -323,6 +336,19 @@ def test_ppmi_features_peak_within_estimate(monkeypatch, steps):
     assert len(checked) == steps - 1 and chain_peak <= max(checked)
     _, transform_peak = traced_peak(shifted_ppmi, m, 1 / g.num_nodes)
     assert len(checked) == steps and transform_peak <= checked[-1]
+
+
+def test_ppmi_transform_allocates_under_16_bytes_per_stored_entry():
+    # t = 4 on 1 000 nodes, 43 % of M's entries kept: beside M the transform
+    # holds a float64 value and a keep flag per entry, a running count in
+    # int32, and the kept values and int32 indices; measured 14.19 bytes an
+    # entry (25.05 with int64 indices and the nnz-sized row-count arrays),
+    # bounded about an eighth above
+    g = ring_with_chords(np.random.default_rng(10), 1000)
+    m = accumulate_powers(row_normalize(g), 4)
+    assert m.indices.dtype == np.int32 and m.nnz == 209_772
+    _, peak = traced_peak(shifted_ppmi, m, 1 / g.num_nodes)
+    assert peak <= 16 * m.nnz
 
 
 def test_ppmi_features_allocate_no_dense_n_by_n_array():
