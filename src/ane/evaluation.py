@@ -196,32 +196,31 @@ def _first_steps(xt, targets, penalty, buf):
     return grads, np.linalg.solve(_hessian(xt, np.full(n, 0.25 / n), penalty, buf), grads)
 
 
-def fit_linear_ovr(features, classes, l2=1.0):
+def fit_linear_ovr(features, classes, l2=1.0, *, rows=None):
     """Fit each class by Newton steps from zero, halving a step until the objective
     does not rise, to gradient norm < ``TOL``; warns if ``MAX_NEWTON_STEPS`` fall short.
 
     The Hessian is built as ``S @ S.T`` (see ``_hessian``) and the first step
-    is shared by all classes (see ``_first_steps``). The steps read one
-    float64 copy of the rows, the transposed design ``[x, 1].T``; the fit
-    drops its references to ``features`` once that copy is made, so a
-    temporary passed in, such as the split rows :func:`evaluate` gathers, is
-    freed before the first step.
+    is shared by all classes (see ``_first_steps``). With ``rows``, the fit
+    uses only those rows of ``features`` and ``classes``, gathered straight
+    into the one float64 copy the steps read, the transposed design
+    ``[x, 1].T``, so a split of a larger array is never held twice.
     """
     if not (np.isfinite(l2) and l2 > 0):
         raise ValueError(f"l2 must be a finite number > 0, got {l2}")
-    x = np.asarray(features, dtype=np.float64)
-    classes = np.asarray(classes)
+    x, classes = np.asarray(features, dtype=np.float64), np.asarray(classes)
+    if rows is not None:
+        classes = classes[rows]
     if np.unique(classes).size < 2:
         raise ValueError("need at least 2 classes present in the training data")
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
 
-    n, dim = x.shape
+    n, dim = classes.size, x.shape[1]
     model = LinearOvrClassifier(int(classes.max()) + 1, dim)
     # [x, 1] transposed and C-contiguous; xa is its (n, dim + 1) view
     xt = np.ones((dim + 1, n))
-    xt[:-1] = x.T
-    del features, x
+    xt[:-1] = (x if rows is None else x[rows]).T
+    if not np.isfinite(xt).all():
+        raise ValueError("features must be finite")
     xa, buf = xt.T, np.empty_like(xt)
     penalty = np.append(np.full(dim, l2 / n), 0.0)
     targets = (classes[:, None] == np.arange(model.weights.shape[0])).astype(np.float64)
@@ -261,11 +260,9 @@ def fit_linear_ovr(features, classes, l2=1.0):
 
 
 def normalize_rows(vectors):
-    """L2-normalize the rows of a float array in place and return it; all-zero
-    rows stay zero."""
+    """L2-normalize rows; all-zero rows stay zero."""
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    vectors /= np.where(norms > 0, norms, 1.0)
-    return vectors
+    return vectors / np.where(norms > 0, norms, 1.0)
 
 
 @dataclass(frozen=True)
@@ -284,9 +281,9 @@ def evaluate(vectors, label_set, spec=SplitSpec()):
     ``spec.normalize`` is false; the classifier is fit with ``spec.l2``.
     """
     # gathered before the cast, so only the labeled rows are ever float64
-    feats = np.asarray(vectors)[label_set.node_indices].astype(np.float64)
+    feats = np.asarray(vectors)[label_set.node_indices].astype(np.float64, copy=False)
     if spec.normalize:
-        normalize_rows(feats)
+        feats = normalize_rows(feats)
     classes = label_set.classes
 
     results = []
@@ -294,7 +291,7 @@ def evaluate(vectors, label_set, spec=SplitSpec()):
         accs = []
         for rep in range(spec.repetitions):
             train, test = split(label_set, ratio, rep, spec.seed)
-            model = fit_linear_ovr(feats[train], classes[train], l2=spec.l2)
+            model = fit_linear_ovr(feats, classes, l2=spec.l2, rows=train)
             pred = model.predict(feats[test])
             accs.append(float((pred == classes[test]).mean()))
         mean, std = float(np.mean(accs)), float(np.std(accs))

@@ -153,7 +153,7 @@ def test_ppmi_features_defaults_beta_to_inverse_n():
     want = shifted_ppmi(accumulate_powers(row_normalize(g), 4), 1 / 3)
     assert isinstance(feats, sparse.csr_array) and feats.shape == (3, 3)
     np.testing.assert_array_equal(feats.toarray(), want.toarray())
-    # the powers' int64 indices become the int32 of a dense matrix's CSR
+    # the chain and the transform's output both hold int32 indices, as a dense matrix's CSR does
     assert feats.indices.dtype == feats.indptr.dtype == np.int32
     assert sparse.csr_array(feats.toarray()).indices.dtype == np.int32
 
