@@ -36,6 +36,7 @@ from .evaluation import (
     DEFAULT_RATIOS,
     SplitSpec,
     accuracy_cells,
+    check_ratios,
     evaluate,
     format_accuracy_table,
     load_labels,
@@ -269,11 +270,14 @@ def cmd_embed(args):
 
 def _eval_protocol(args, labels_path, index_of):
     """The labels aligned by ``index_of`` and the protocol of ``eval`` and
-    ``sweep`` (which always normalizes); the manifests record it as
-    ``asdict(spec)``, so ``SplitSpec(**manifest["protocol"])`` rebuilds it."""
+    ``sweep`` (which always normalizes), with every ratio checked against the
+    labels; the manifests record it as ``asdict(spec)``, so
+    ``SplitSpec(**manifest["protocol"])`` rebuilds it."""
     label_set = load_labels(labels_path, index_of)
     normalize = not getattr(args, "no_normalize", False)
-    return label_set, SplitSpec(args.ratios, args.reps, args.seed, args.l2, normalize)
+    spec = SplitSpec(args.ratios, args.reps, args.seed, args.l2, normalize)
+    check_ratios(label_set, spec)
+    return label_set, spec
 
 
 def cmd_eval(args):

@@ -23,7 +23,6 @@ phase and the adversarial phase update the same network.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -117,10 +116,10 @@ class TrainConfig:
             raise InputError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.adv_batch_size < 2:
             raise InputError(f"adv_batch_size must be >= 2, got {self.adv_batch_size}")
-        if min(self.structure_steps, self.disc_steps, self.gen_steps) < 0:
-            raise InputError("step counts must be >= 0")
-        if self.structure_steps == 0 and not (self.adversarial and self.gen_steps):
-            raise InputError("structure_steps is 0 and no generator step runs: nothing trains G")
+        if self.structure_steps < 1:
+            raise InputError(f"structure_steps must be >= 1, got {self.structure_steps}")
+        if min(self.disc_steps, self.gen_steps) < 0:
+            raise InputError("disc_steps and gen_steps must be >= 0")
         if not 0.0 <= self.dae_corruption < 1.0:
             raise InputError(f"dae_corruption must be in [0, 1), got {self.dae_corruption}")
         # a negative step or clip norm would reverse the updates
@@ -427,7 +426,6 @@ class SkipGram:
         corpus = random_walks(graph, config.walks_per_node, config.walk_length, rng_walks)
         self.pair_targets, self.pair_contexts = positive_pairs(corpus, config.context_size)
         self.neg_table = negative_sampler(graph)
-        self.num_items = self.pair_targets.size
 
     def batches(self, rng):
         """One epoch of shuffled pair batches; each pair's ``negatives`` noise
@@ -480,13 +478,12 @@ class Dae:
         self.gen_g = build_generator(features.shape[1], config.dim, rng_init, TRAIN_DTYPE)
         self.decoder = build_decoder(config.dim, features.shape[1], rng_init, TRAIN_DTYPE)
         self.nets = (self.gen_g, self.decoder)
-        self.num_items = graph.num_nodes
 
     def batches(self, rng):
         """One epoch of shuffled node batches; a trailing one-node batch is
         folded into the one before it."""
         return shuffled_batches(
-            self.num_items, self.config.batch_size, rng, lambda sel: sel.size < 2
+            self.features.shape[0], self.config.batch_size, rng, lambda sel: sel.size < 2
         )
 
     def loss(self, batch, rng):
@@ -624,6 +621,8 @@ class Trainer:
             raise InputError(
                 f"feature rows ({features.shape[0]}) != graph nodes ({graph.num_nodes})"
             )
+        elif features.shape[1] < 1:
+            raise InputError("feature rows have no column")
         # one form whatever the source; float32 CSR rows are shared, not copied
         self.features = csr_rows(features, "features")
         del features  # float64 PPMI rows built above are freed before the walks
@@ -698,25 +697,22 @@ class Trainer:
         layers = [layer for net in nets for layer in net.bn_layers()]
         return [(layer.last_norm_mean_abs, layer.last_norm_var_err) for layer in layers]
 
-    def run(self):
-        """Train to completion and return (embeddings, training log).
+    def cycles(self):
+        """Train, yielding each cycle's :class:`CycleRecord` once the log
+        holds it; a caller that stops early keeps the networks as that cycle
+        left them.
 
         An epoch is one pass over the objective's batch stream (positive
         pairs, or feature rows for the autoencoder models): each cycle takes
-        the next ``structure_steps`` batches, and the epoch ends when the
-        stream runs dry. When ``structure_steps`` is 0 and only the
-        adversarial phase runs, an epoch is ``ceil(items / batch_size)``
-        cycles.
+        the next ``structure_steps`` batches, then runs the adversarial
+        phase, and the epoch ends when the stream runs dry.
         """
         cfg = self.config
-        adversarial_cycles = -(-self.objective.num_items // cfg.batch_size)
         disc_steps, gen_steps = (cfg.disc_steps, cfg.gen_steps) if cfg.adversarial else (0, 0)
 
-        cycle = 0
         for _ in range(cfg.epochs):
-            # a generator: with no structure steps it is never iterated and draws nothing
             batches = self.objective.batches(self.rng_batches)
-            for _ in itertools.count() if cfg.structure_steps else range(adversarial_cycles):
+            while True:
                 structure_losses = []
                 drift = [(0.0, 0.0)]
                 for _ in range(cfg.structure_steps):
@@ -725,7 +721,7 @@ class Trainer:
                         break
                     structure_losses.append(self._structure_step(batch))
                     drift += self._bn_drift(self.structure_nets)
-                if cfg.structure_steps and not structure_losses:
+                if not structure_losses:
                     break  # the epoch's batches are used up
 
                 disc_losses = [self._disc_step() for _ in range(disc_steps)]
@@ -735,7 +731,7 @@ class Trainer:
 
                 self.log.append(
                     CycleRecord(
-                        cycle=cycle,
+                        cycle=len(self.log),
                         structure_loss=_mean(structure_losses),
                         disc_loss=_mean(disc_losses),
                         gen_loss=_mean(gen_losses),
@@ -743,7 +739,12 @@ class Trainer:
                         bn_var_err=max(var_err for _, var_err in drift),
                     )
                 )
-                cycle += 1
+                yield self.log.records[-1]
+
+    def run(self):
+        """Train to completion (drain :meth:`cycles`); return (embeddings, training log)."""
+        for _ in self.cycles():
+            pass
         return self.embeddings(), self.log
 
     def embeddings(self):
@@ -789,7 +790,7 @@ def export_embeddings(embedding, path):
 def load_embeddings(path):
     """Reload a file written by :func:`export_embeddings`, or any node-keyed
     matrix in its format, as ``TRAIN_DTYPE`` vectors; a header that is not
-    two integers, a malformed row, a non-finite coordinate or one beyond the
+    two integers or gives no coordinate, a malformed row, a non-finite coordinate or one beyond the
     float32 range, a repeated node id, a row beyond the header's N or a file
     that ends before them raises :class:`InputError` naming the file and
     the line.
@@ -806,6 +807,10 @@ def load_embeddings(path):
         if len(header) != 2 or not all(tok.isdecimal() for tok in header):
             raise InputError(f"{path}: line 1: expected 'N d' header, got {header!r}")
         n, d = int(header[0]), int(header[1])
+        if d < 1:
+            raise InputError(
+                f"{path}: line 1: header gives d = {d}; a row needs at least 1 coordinate"
+            )
         # the header and each row that parses take 2 (d + 1) bytes or more per row
         rows = min(n, os.fstat(fh.fileno()).st_size // (2 * (d + 1)))
         check_memory(

@@ -110,6 +110,24 @@ class SplitSpec:
             raise InputError(f"l2 must be a finite number > 0, got {self.l2}")
 
 
+def train_size(ratio, n):
+    """Nodes on the training side of a split of ``n`` at ``ratio``: at least
+    one, and at least one left to test."""
+    return min(max(int(round(ratio * n)), 1), n - 1)
+
+
+def check_ratios(label_set, spec):
+    """Raise :class:`InputError` for a ratio of ``spec`` whose training side
+    holds fewer than two of the labeled nodes, too few for two classes."""
+    n = len(label_set)
+    for ratio in spec.ratios:
+        if train_size(ratio, n) < 2:
+            raise InputError(
+                f"train ratio {ratio} leaves {train_size(ratio, n)} of the {n} labeled nodes "
+                "for training; a fit needs at least 2, of two classes"
+            )
+
+
 def split(label_set, ratio, rep, seed, max_redraws=20):
     """Disjoint train/test cover of the labeled nodes, deterministic per
     (seed, rep). Positions returned index into ``label_set`` arrays.
@@ -120,8 +138,7 @@ def split(label_set, ratio, rep, seed, max_redraws=20):
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"train ratio must be in (0, 1), got {ratio}")
     n = len(label_set)
-    n_train = int(round(ratio * n))
-    n_train = min(max(n_train, 1), n - 1)
+    n_train = train_size(ratio, n)
     rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
     all_classes = np.unique(label_set.classes)
     for attempt in range(max_redraws + 1):
@@ -185,6 +202,18 @@ def _hessian(xt, d, penalty, buf):
     return hessian
 
 
+def _solve(hessian, grads, which):
+    """Newton directions ``hessian^-1 grads``; a singular ``hessian`` raises
+    :class:`InputError` naming it as ``which``."""
+    try:
+        return np.linalg.solve(hessian, grads)
+    except np.linalg.LinAlgError as exc:
+        raise InputError(
+            f"{which} is singular: l2 is too small to regularize linearly dependent "
+            "feature columns"
+        ) from exc
+
+
 def _first_steps(xt, targets, penalty, buf):
     """Gradients and Newton directions of every class at ``w = 0``, one per column.
 
@@ -193,7 +222,8 @@ def _first_steps(xt, targets, penalty, buf):
     """
     n = xt.shape[1]
     grads = xt @ ((0.5 - targets) / n)
-    return grads, np.linalg.solve(_hessian(xt, np.full(n, 0.25 / n), penalty, buf), grads)
+    hessian = _hessian(xt, np.full(n, 0.25 / n), penalty, buf)
+    return grads, _solve(hessian, grads, "the Newton system every class shares at step 0")
 
 
 def fit_linear_ovr(features, classes, l2=1.0, *, rows=None):
@@ -204,7 +234,9 @@ def fit_linear_ovr(features, classes, l2=1.0, *, rows=None):
     is shared by all classes (see ``_first_steps``). With ``rows``, the fit
     uses only those rows of ``features`` and ``classes``, gathered straight
     into the one float64 copy the steps read, the transposed design
-    ``[x, 1].T``, so a split of a larger array is never held twice.
+    ``[x, 1].T``, so a split of a larger array is never held twice. Rows of
+    one class, or linearly dependent columns that ``l2`` is too small to
+    regularize (a singular Newton system), raise :class:`InputError`.
     """
     if not (np.isfinite(l2) and l2 > 0):
         raise ValueError(f"l2 must be a finite number > 0, got {l2}")
@@ -212,7 +244,7 @@ def fit_linear_ovr(features, classes, l2=1.0, *, rows=None):
     if rows is not None:
         classes = classes[rows]
     if np.unique(classes).size < 2:
-        raise ValueError("need at least 2 classes present in the training data")
+        raise InputError("need at least 2 classes present in the training data")
 
     n, dim = classes.size, x.shape[1]
     model = LinearOvrClassifier(int(classes.max()) + 1, dim)
@@ -239,7 +271,8 @@ def fit_linear_ovr(features, classes, l2=1.0, *, rows=None):
             if grad_norm < TOL or step == MAX_NEWTON_STEPS:
                 break
             if step:
-                direction = np.linalg.solve(_hessian(xt, p * (1.0 - p) / n, penalty, buf), grad)
+                hessian = _hessian(xt, p * (1.0 - p) / n, penalty, buf)
+                direction = _solve(hessian, grad, f"the Newton system of class {k} at step {step}")
             # halving ends: a small enough step rounds to w itself, which keeps f
             scale, w_new = 1.0, w - direction
             while not (f_new := _objective(z_new := xa @ w_new, target, w_new[:-1], l2)) <= f:
@@ -278,8 +311,10 @@ def evaluate(vectors, label_set, spec=SplitSpec()):
 
     ``vectors`` is an (N, d) array aligned with the dense indices referenced
     by ``label_set``. Rows are L2-normalized before classification unless
-    ``spec.normalize`` is false; the classifier is fit with ``spec.l2``.
+    ``spec.normalize`` is false; the classifier is fit with ``spec.l2``. A
+    ratio that :func:`check_ratios` refuses raises before any fit.
     """
+    check_ratios(label_set, spec)
     # gathered before the cast, so only the labeled rows are ever float64
     feats = np.asarray(vectors)[label_set.node_indices].astype(np.float64, copy=False)
     if spec.normalize:

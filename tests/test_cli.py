@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from ane import cli, embedder, proximity
+from ane import cli, embedder, evaluation, proximity
 from ane.cli import main
 from ane.datasets import dataset_paths
 from ane.evaluation import SplitSpec, evaluate, format_accuracy_table, load_labels
@@ -131,11 +131,11 @@ def test_embed_adv_batch_below_two_exit_2(karate, tmp_path, capsys):
         (["--grad-clip", "0"], "grad_clip must be > 0"),
         (["--grad-clip", "nan"], "grad_clip must be > 0"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
-        # no step would move G
-        (["--model", "idw", "--structure-steps", "0"], "no generator step runs: nothing trains G"),
+        # every cycle starts with a structure step
+        (["--model", "idw", "--structure-steps", "0"], "structure_steps must be >= 1, got 0"),
         (
             ["--model", "aidw", "--structure-steps", "0", "--disc-steps", "0", "--gen-steps", "0"],
-            "no generator step runs: nothing trains G",
+            "structure_steps must be >= 1, got 0",
         ),
     ],
 )
@@ -149,6 +149,24 @@ def test_embed_settings_that_cannot_train_exit_2_before_ppmi(
     edges, _ = karate
     assert run_cli("embed", edges, "--out", tmp_path / "o", *flags) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+@pytest.mark.parametrize("model", embedder.MODEL_KINDS)
+def test_structure_steps_zero_exit_2_before_ppmi_for_every_model(
+    karate, tmp_path, capsys, monkeypatch, command, model
+):
+    def no_ppmi(*args, **kwargs):
+        raise AssertionError("PPMI features computed for a rejected configuration")
+
+    monkeypatch.setattr(embedder, "ppmi_features", no_ppmi)
+    monkeypatch.setattr(cli, "ppmi_features", no_ppmi)
+    edges, labels = karate
+    out = tmp_path / "o"
+    argv = ["embed", edges] if command == "embed" else ["sweep", edges, labels, "--grid-dim", "2,3"]
+    assert run_cli(*argv, "--model", model, "--structure-steps", "0", "--out", out) == 2
+    assert capsys.readouterr().err == "error: [embedder] structure_steps must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def plan_bytes(graph, *flags, features=None):
@@ -562,10 +580,15 @@ def keyed_rows(ids, values="1 2"):
             "line 2 has 0 fields, expected 101; "
             "the file ends after 0 of the 100000000000000 rows line 1 gives",
         ),
+        (
+            "34 0\n" + "".join(f"{node_id}\n" for node_id in KARATE_IDS),
+            "line 1: header gives d = 0; a row needs at least 1 coordinate",
+        ),
     ],
     ids=[
         "truncated", "non-numeric", "nan", "extra-rows", "n-t-beta-header",
         "id-less-row", "missing-node", "unknown-id", "repeated-id", "header-only",
+        "zero-width",
     ],
 )
 def test_embed_bad_features_file_exit_2(karate, tmp_path, capsys, text, message):
@@ -836,10 +859,14 @@ def test_eval_unknown_label_ids_exit_2(tmp_path, capsys):
             "line 2 has 0 fields, expected 101; "
             "the file ends after 0 of the 100000000000000 rows line 1 gives",
         ),
+        (
+            ["4 0", "n0", "n1", "n2", "n3"],
+            "line 1: header gives d = 0; a row needs at least 1 coordinate",
+        ),
     ],
     ids=[
         "nan", "inf", "float32-overflow", "extra-row", "repeated-id", "non-numeric",
-        "bad-header", "header-only",
+        "bad-header", "header-only", "zero-width",
     ],
 )
 def test_eval_bad_embedding_file_exit_2(tmp_path, capsys, lines, message):
@@ -924,6 +951,105 @@ def test_eval_manifest_protocol_rebuilds_the_accuracy_table(karate, tmp_path, ca
     assert table == (out / "accuracy.tsv").read_text()
     # the same embedding at the default l2, normalized, scores otherwise
     assert format_accuracy_table(evaluate(emb.vectors, labels, SplitSpec((0.3, 0.7), 3))) != table
+
+
+def write_dependent_embedding(path, ids):
+    """Columns v, v and 2v: linearly dependent."""
+    v = np.random.default_rng(0).standard_normal(len(ids)).tolist()
+    path.write_text(
+        f"{len(ids)} 3\n" + "".join(f"{i} {x!r} {x!r} {2 * x!r}\n" for i, x in zip(ids, v))
+    )
+    return path
+
+
+def test_eval_singular_newton_system_exit_2_naming_l2(karate, tmp_path, capsys):
+    _, labels = karate
+    emb = write_dependent_embedding(tmp_path / "e.txt", KARATE_IDS)
+    out = tmp_path / "ev"
+    flags = ["--ratios", "0.5", "--reps", "2", "--out", out]
+    assert run_cli("eval", emb, labels, *flags, "--l2", "1e-20") == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: [evalkit] the Newton system every class shares at step 0 is singular: "
+        "l2 is too small to regularize linearly dependent feature columns\n"
+    )
+    assert captured.out == "" and not out.exists()
+    assert run_cli("eval", emb, labels, *flags, "--l2", "1e-12") == 0
+
+
+def test_sweep_records_a_singular_newton_system_as_a_failed_point(
+    ring, tmp_path, capsys, monkeypatch
+):
+    # every Hessian is zero, so every point's fit is singular
+    monkeypatch.setattr(evaluation, "_hessian", lambda xt, *args: np.zeros((len(xt),) * 2))
+    edges, labels = ring
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", edges, labels, "--grid-dim", "2,3", "--reps", "1", "--out", out, *FAST)
+    assert code == 1
+    message = (
+        "the Newton system every class shares at step 0 is singular: "
+        "l2 is too small to regularize linearly dependent feature columns"
+    )
+    assert f"sweep point failed (dim=2): {message}\n" in capsys.readouterr().err
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [{"point": {"dim": d}, "error": message} for d in (2, 3)]
+
+
+# labels, a ratio and the nodes its training side holds
+TOO_FEW_TRAINING_NODES = [
+    (["a", "b"], 0.5, 1),
+    (["rare"] + ["common"] * 5, 0.2, 1),
+]
+
+
+@pytest.mark.parametrize("names, ratio, size", TOO_FEW_TRAINING_NODES)
+def test_eval_ratio_leaving_under_two_training_nodes_exit_2(tmp_path, capsys, names, ratio, size):
+    emb = tmp_path / "e.txt"
+    ids = write_one_hot_embedding(emb, [0, 1] * 3)
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"{i} {name}\n" for i, name in zip(ids, names)))
+    out = tmp_path / "ev"
+    assert run_cli("eval", emb, labels, "--ratios", f"0.5,{ratio}", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: [evalkit] train ratio {ratio} leaves {size} of the {len(names)} labeled nodes "
+        "for training; a fit needs at least 2, of two classes\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("names, ratio, size", TOO_FEW_TRAINING_NODES)
+def test_sweep_ratio_leaving_under_two_training_nodes_exit_2_before_training(
+    ring, tmp_path, capsys, monkeypatch, names, ratio, size
+):
+    def no_ppmi(*args, **kwargs):
+        raise AssertionError("PPMI features built for a refused evaluation protocol")
+
+    monkeypatch.setattr(cli, "ppmi_features", no_ppmi)
+    edges, _ = ring
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"v{i} {name}\n" for i, name in enumerate(names)))
+    out = tmp_path / "sweep"
+    code = run_cli(
+        "sweep", edges, labels, "--grid-dim", "2,3", "--ratios", str(ratio), "--out", out, *FAST
+    )
+    assert code == 2
+    assert f"train ratio {ratio} leaves {size} of the {len(names)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_split_missing_a_class_after_every_redraw_exit_2(tmp_path, capsys):
+    # two of 41 training nodes at ratio 0.05 miss the one node of class 1 on
+    # every redraw of some split
+    emb = tmp_path / "e.txt"
+    ids = write_one_hot_embedding(emb, [0] * 40 + [1])
+    labels = tmp_path / "l.txt"
+    labels.write_text("".join(f"{i} {'b' if k == 40 else 'a'}\n" for k, i in enumerate(ids)))
+    with pytest.warns(UserWarning, match="missing some class"):
+        assert run_cli("eval", emb, labels, "--ratios", "0.05") == 2
+    assert capsys.readouterr().err == (
+        "error: [evalkit] need at least 2 classes present in the training data\n"
+    )
 
 
 def test_eval_negative_seed_exit_2(tmp_path, capsys):

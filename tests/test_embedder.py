@@ -1,6 +1,8 @@
+import itertools
 import math
 import sys
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -679,26 +681,49 @@ def test_cycle_count_and_log_shape():
     assert math.isnan(rec.disc_loss) and math.isnan(rec.gen_loss)
 
 
-def test_structure_steps_zero_logs_nan_structure():
-    g = ring_graph(6)
-    cfg = TrainConfig(
-        model="aidw", dim=3, epochs=1, batch_size=512, structure_steps=0,
-        adv_batch_size=8, walks_per_node=2, walk_length=6, context_size=2, seed=1,
-    )
-    _, log = train(g, cfg)
-    assert len(log) >= 1
-    assert all(math.isnan(r.structure_loss) for r in log.records)
-    assert all(np.isfinite(r.disc_loss) for r in log.records)
+def test_structure_steps_zero_refused():
+    # every cycle starts with a structure step, whatever the adversarial steps
+    for model in MODEL_KINDS:
+        for steps in ({}, {"disc_steps": 0, "gen_steps": 0}, {"gen_steps": 3}):
+            with pytest.raises(InputError, match=r"^structure_steps must be >= 1, got 0$"):
+                TrainConfig(model=model, structure_steps=0, **steps)
 
 
-def test_one_item_tail_folded_but_adversarial_only_cycle_count_kept():
+def test_one_item_tail_folded_into_the_cycle_before_it():
     # 9 nodes in batches of 4: the 1-node tail joins the second batch
     g = ring_graph(9)
     base = dict(model="adae", dim=3, epochs=1, batch_size=4, adv_batch_size=4, seed=2)
     _, log = train(g, TrainConfig(**base))
     assert len(log) == 2
-    _, log = train(g, TrainConfig(structure_steps=0, **base))
-    assert len(log) == 3
+    with pytest.raises(InputError, match="structure_steps must be >= 1"):
+        TrainConfig(structure_steps=0, **base)
+
+
+def record_bits(records):
+    """Every field of each record as float64 bits, so nan equals nan."""
+    return np.array([astuple(r) for r in records], dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+@pytest.mark.parametrize("k", [1, 4])
+def test_cycles_stream_matches_run_and_stops_anywhere(model, k):
+    # 2 epochs of 3 cycles: 340 pairs in batches of 128, or 10 nodes in
+    # batches of 4; k = 4 stops inside the second epoch
+    g = ring_graph(10)
+    cfg = TrainConfig(
+        model=model, dim=3, epochs=2, batch_size=128 if model in ("idw", "aidw") else 4,
+        adv_batch_size=4, walks_per_node=1, walk_length=10, context_size=3, seed=9,
+    )
+    _, log = Trainer(g, cfg).run()
+    assert len(log) == 6
+    trainer = Trainer(g, cfg)
+    streamed = list(itertools.islice(trainer.cycles(), k))
+    # every field, batch-norm drift included, bit for bit
+    np.testing.assert_array_equal(record_bits(streamed), record_bits(log.records[:k]))
+    assert trainer.log.records == streamed
+    embedding = trainer.embeddings()
+    assert embedding.vectors.shape == (10, 3)
+    assert np.isfinite(embedding.vectors).all()
 
 
 def test_reduction_identity_aidw_to_idw():
@@ -859,6 +884,14 @@ def test_features_row_count_checked():
     g = ring_graph(6)
     with pytest.raises(ValueError, match="feature rows"):
         Trainer(g, TrainConfig(model="dae", dim=3, seed=0), features=np.ones((4, 6)))
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_feature_rows_without_a_column_refused(model):
+    g = ring_graph(6)
+    for rows in (np.ones((6, 0)), sparse.csr_array((6, 0))):
+        with pytest.raises(InputError, match="^feature rows have no column$"):
+            Trainer(g, TrainConfig(model=model, dim=3, seed=0), features=rows)
 
 
 @pytest.mark.parametrize("model", MODEL_KINDS)

@@ -13,6 +13,7 @@ from ane.nn import sigmoid
 from ane.evaluation import (
     LabelSet,
     SplitSpec,
+    check_ratios,
     evaluate,
     fit_linear_ovr,
     format_accuracy_table,
@@ -144,6 +145,38 @@ def test_split_ratio_validation():
         split(ls, 1.0, rep=0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "classes, ratio, size",
+    [([0, 1], 0.5, 1), ([1] + [0] * 5, 0.2, 1), ([0, 1] * 10, 0.01, 1)],
+)
+def test_ratios_leaving_under_two_training_nodes_refused_before_any_fit(
+    classes, ratio, size, monkeypatch
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran for a refused ratio")
+
+    monkeypatch.setattr(evaluation, "fit_linear_ovr", no_fit)
+    ls = make_labels(classes)
+    spec = SplitSpec(ratios=(0.5, ratio))
+    message = (
+        f"^train ratio {ratio} leaves {size} of the {len(classes)} labeled nodes for training; "
+    )
+    with pytest.raises(InputError, match=message):
+        check_ratios(ls, spec)
+    with pytest.raises(InputError, match=message):
+        evaluate(np.ones((len(classes), 2)), ls, spec)
+
+
+def test_split_missing_a_class_after_every_redraw_is_an_input_error():
+    # two of 41 training nodes at ratio 0.05: most splits miss the one node
+    # of class 1 on every redraw, and the fit refuses the split
+    ls = make_labels([0] * 40 + [1])
+    check_ratios(ls, SplitSpec(ratios=(0.05,)))
+    with pytest.warns(UserWarning, match="missing some class"):
+        with pytest.raises(InputError, match="need at least 2 classes present"):
+            evaluate(np.eye(41), ls, SplitSpec(ratios=(0.05,), repetitions=10))
+
+
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(ratios=(0.5, 1.5))
@@ -168,8 +201,37 @@ def test_separable_blobs_train_accuracy_one():
 
 
 def test_single_class_rejected():
-    with pytest.raises(ValueError, match="2 classes"):
+    with pytest.raises(InputError, match="2 classes"):
         fit_linear_ovr(np.ones((5, 2)), np.zeros(5, dtype=int))
+
+
+def test_singular_newton_system_is_an_input_error_naming_l2():
+    # columns v, v, 2v: at l2 1e-20 the shared first system is singular, at 1e-12 it is not
+    v = np.random.default_rng(4).normal(size=30)
+    x, y = np.column_stack([v, v, 2 * v]), np.arange(30) % 3
+    with pytest.raises(InputError, match=(
+        r"^the Newton system every class shares at step 0 is singular: l2 is too small to "
+        "regularize linearly dependent feature columns$"
+    )) as caught:
+        fit_linear_ovr(x, y, l2=1e-20)
+    assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+    fit_linear_ovr(x, y, l2=1e-12)
+
+
+def test_singular_newton_system_in_a_later_step_names_the_class(monkeypatch):
+    # a later Hessian that is all zeros: the first class's second step
+    hessian = evaluation._hessian
+    calls = []
+
+    def zero_after_first(*args):
+        calls.append(1)
+        h = hessian(*args)
+        return h if len(calls) == 1 else np.zeros_like(h)
+
+    monkeypatch.setattr(evaluation, "_hessian", zero_after_first)
+    x = np.random.default_rng(6).normal(size=(40, 3))
+    with pytest.raises(InputError, match="^the Newton system of class 0 at step 1 is singular: "):
+        fit_linear_ovr(x, np.arange(40) % 2, l2=1e-3)
 
 
 def test_fit_on_rows_equals_fit_on_gathered_rows():
