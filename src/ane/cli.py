@@ -9,6 +9,7 @@ via ``embed --from-manifest``.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import os
@@ -18,6 +19,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .embedder import (
@@ -95,14 +98,48 @@ def _write_json(path, payload):
     )
 
 
+def _blas_threads():
+    """Threads the loaded OpenBLAS runs on, or None if no OpenBLAS can be asked."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            get = getattr(handle, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return int(get())
+    return None
+
+
+def _environment():
+    """What the bytes of a run may depend on beyond its config: the numpy
+    version, its BLAS library and the BLAS thread count (None if unknown)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        library = None
+    return {"numpy": np.__version__, "blas": library, "blas_threads": _blas_threads()}
+
+
 def _manifest(command, **fields):
     """The header every manifest starts with, then ``fields``; a
-    ``created_utc`` among them (embed's start time) replaces the time now."""
+    ``created_utc`` among them (embed's start time) replaces the time now.
+    The header's ``environment`` is informational: a replay does not read it."""
     return {
         "format": MANIFEST_FORMAT,
         "package_version": __version__,
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "environment": _environment(),
         **fields,
     }
 

@@ -232,6 +232,15 @@ def build_decoder(in_dim, out_dim, rng, dtype=np.float64):
     return Mlp([DenseLayer(in_dim, out_dim, rng, dtype)])
 
 
+def _unique_nodes(nodes, num_nodes):
+    """``np.unique(nodes, return_inverse=True)`` for indices below ``num_nodes``,
+    by a presence bitmap: the sorted distinct nodes, and each entry's position
+    among them, shaped like ``nodes``. No sort runs."""
+    present = np.zeros(num_nodes, dtype=bool)
+    present[nodes] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[nodes]
+
+
 def idw_batch_loss(gen_g, gen_f, batch, features):
     """Structure loss for one pair batch; leaves gradients on both generators.
 
@@ -248,12 +257,11 @@ def idw_batch_loss(gen_g, gen_f, batch, features):
     the loss is summed in float64.
     """
     b, k = batch.negatives.shape
-    tgt_nodes, tgt_pos = np.unique(batch.targets, return_inverse=True)
+    tgt_nodes, tgt_pos = _unique_nodes(batch.targets, features.shape[0])
     # column 0: the pair's context, then its negatives
-    ctx_nodes, ctx_pos = np.unique(
-        np.column_stack([batch.contexts, batch.negatives]), return_inverse=True
+    ctx_nodes, ctx_pos = _unique_nodes(
+        np.column_stack([batch.contexts, batch.negatives]), features.shape[0]
     )
-    ctx_pos = ctx_pos.reshape(b, k + 1)
 
     u_rows = gen_g.forward(features[tgt_nodes])
     v_rows = gen_f.forward(features[ctx_nodes])

@@ -3,17 +3,21 @@
 The protocol: repeatedly draw a uniform random train/test split of the
 labeled nodes at each train ratio, fit a one-vs-rest L2-regularized logistic
 regression on the training embeddings, and report mean and standard
-deviation of test accuracy over the repetitions. Each class is solved to a
-gradient-norm tolerance by damped Newton (Lin, Weng and Keerthi, JMLR 2008).
-A step's Hessian is a matrix times its own transpose, which numpy hands to a
-symmetric rank-k update, and the first step is solved once for all classes.
-Only numpy is used: importing ``scipy.linalg`` for a Cholesky solve would
-cost more resident memory than the solve saves time.
+deviation of test accuracy over the repetitions. The classes are solved
+together, to a per-class gradient-norm tolerance, by damped inexact Newton
+(Lin, Weng and Keerthi, JMLR 2008): each direction comes from conjugate
+gradients on Hessian-vector products, two matrix products for all classes,
+preconditioned by the Hessian every class shares at step 0 with its data
+term scaled, by a power of two, toward the class's current curvature. Only
+a class whose CG stalls has its own Hessian formed and inverted. Only numpy is used: importing
+``scipy.linalg`` would cost more resident memory than its factorizations
+save time.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,10 +159,11 @@ def split(label_set, ratio, rep, seed, max_redraws=20):
 
 MAX_NEWTON_STEPS = 50
 TOL = 1e-5  # per-class gradient norm at which a fit stops
+CG_CAP = 10  # CG iterations after which a class is preconditioned by its own Hessian
 
 
 class LinearOvrClassifier:
-    """One-vs-rest logistic regression fit by damped Newton's method.
+    """One-vs-rest logistic regression, fit by :func:`fit_linear_ovr`.
 
     Class k minimizes ``_objective``: mean binary cross-entropy of
     ``x @ w_k + b_k`` against ``classes == k`` plus ``l2 / (2 n) |w_k|^2``
@@ -180,33 +185,40 @@ class LinearOvrClassifier:
         return self.decision_values(x).argmax(axis=1)
 
     def loss(self, x, classes, l2=1.0):
-        z, classes = self.decision_values(x), np.asarray(classes)
-        return sum(_objective(z[:, k], classes == k, w, l2) for k, w in enumerate(self.weights))
+        z = self.decision_values(x)
+        targets = np.asarray(classes)[:, None] == np.arange(z.shape[1])
+        return float(_objective(z, targets, self.weights.T, l2).sum())
 
 
 def _objective(z, target, w, l2):
+    """Mean cross-entropy of the scores ``z`` against ``target`` plus
+    ``l2 / (2 n) |w|^2``: one value for each column of ``z`` and ``w``."""
     ce = np.logaddexp(0.0, z) - target * z
-    return float(ce.sum() / z.size + (l2 / (2.0 * z.size)) * (w @ w))
+    n = z.shape[0]
+    return ce.sum(axis=0) / n + (l2 / (2.0 * n)) * (w * w).sum(axis=0)
 
 
-def _hessian(xt, d, penalty, buf):
-    """``xt diag(d) xt.T + diag(penalty)`` as ``S @ S.T`` with ``S = xt sqrt(d)``.
-
-    numpy computes a matrix times its own transpose by a symmetric rank-k
-    update, half the work of a general product. ``buf``, shaped like ``xt``,
-    holds ``S``.
-    """
-    np.multiply(xt, np.sqrt(d), out=buf)
-    hessian = buf @ buf.T
+def _hessian(xt, d, penalty):
+    """``xt diag(d) xt.T + diag(penalty)`` as ``S @ S.T`` with ``S = xt sqrt(d)``,
+    which numpy computes by a symmetric rank-k update, half the work of a
+    general product. A scalar ``d`` scales ``xt @ xt.T`` instead, with no
+    ``S`` the size of ``xt``."""
+    if np.ndim(d):
+        s = xt * np.sqrt(d)
+        hessian = s @ s.T
+    else:
+        hessian = xt @ xt.T
+        hessian *= d
     hessian.flat[:: hessian.shape[0] + 1] += penalty
     return hessian
 
 
-def _solve(hessian, grads, which):
-    """Newton directions ``hessian^-1 grads``; a singular ``hessian`` raises
-    :class:`InputError` naming it as ``which``."""
+@contextmanager
+def _naming_singular(which):
+    """Turn a ``LinAlgError`` from a singular Hessian into an :class:`InputError`
+    that names the system as ``which``."""
     try:
-        return np.linalg.solve(hessian, grads)
+        yield
     except np.linalg.LinAlgError as exc:
         raise InputError(
             f"{which} is singular: l2 is too small to regularize linearly dependent "
@@ -214,29 +226,72 @@ def _solve(hessian, grads, which):
         ) from exc
 
 
-def _first_steps(xt, targets, penalty, buf):
-    """Gradients and Newton directions of every class at ``w = 0``, one per column.
+def _newton_cg(xt, d, grads, penalty, inverses):
+    """Newton directions ``H_k^-1 g_k`` for the gradient columns ``g_k`` by
+    preconditioned conjugate gradients, with ``H_k v = xt (d_k * xt.T v) + penalty v``.
 
-    At zero every score is 0 and every probability 1/2, so all classes share
-    one Hessian, solved once for all their gradients.
+    All columns iterate together, so a Hessian-vector product is two matrix
+    products for every class. Column ``k`` is preconditioned by the matrix
+    ``inverses[k]``, in one product with the columns that share it, and
+    stops once its residual is at most ``min(0.1, sqrt(|g_k|)) |g_k|``.
+    Returns the directions and a mask of the columns that ``CG_CAP``
+    iterations left above that; a zero curvature turns its column to nan,
+    which never meets it.
     """
-    n = xt.shape[1]
-    grads = xt @ ((0.5 - targets) / n)
-    hessian = _hessian(xt, np.full(n, 0.25 / n), penalty, buf)
-    return grads, _solve(hessian, grads, "the Newton system every class shares at step 0")
+
+    def precondition(r, cols):
+        out = np.empty_like(r)
+        for inverse in {id(inverses[c]): inverses[c] for c in cols}.values():
+            same = [i for i, c in enumerate(cols) if inverses[c] is inverse]
+            out[:, same] = inverse @ r[:, same]
+        return out
+
+    norms = np.linalg.norm(grads, axis=0)
+    limit = np.minimum(0.1, np.sqrt(norms)) * norms
+    running = np.ones(grads.shape[1], dtype=bool)
+    v, r = np.zeros_like(grads), grads.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = precondition(r, np.arange(grads.shape[1]))
+        rz = np.einsum("ij,ij->j", r, p)
+        for _ in range(CG_CAP):
+            j = np.flatnonzero(running)
+            hp = xt @ (d[:, j] * (xt.T @ p[:, j])) + penalty[:, None] * p[:, j]
+            alpha = rz[j] / np.einsum("ij,ij->j", p[:, j], hp)
+            v[:, j] += alpha * p[:, j]
+            r[:, j] -= alpha * hp
+            running[j] = ~(np.linalg.norm(r[:, j], axis=0) <= limit[j])
+            if not running.any():
+                break
+            j = np.flatnonzero(running)
+            z = precondition(r[:, j], j)
+            rz_new = np.einsum("ij,ij->j", r[:, j], z)
+            p[:, j] = z + (rz_new / rz[j]) * p[:, j]
+            rz[j] = rz_new
+    return v, running
 
 
 def fit_linear_ovr(features, classes, l2=1.0, *, rows=None):
-    """Fit each class by Newton steps from zero, halving a step until the objective
-    does not rise, to gradient norm < ``TOL``; warns if ``MAX_NEWTON_STEPS`` fall short.
+    """Fit every class by Newton steps from zero, halving a class's step until
+    its objective does not rise, to gradient norm < ``TOL``; warns if
+    ``MAX_NEWTON_STEPS`` fall short.
 
-    The Hessian is built as ``S @ S.T`` (see ``_hessian``) and the first step
-    is shared by all classes (see ``_first_steps``). With ``rows``, the fit
-    uses only those rows of ``features`` and ``classes``, gathered straight
-    into the one float64 copy the steps read, the transposed design
-    ``[x, 1].T``, so a split of a larger array is never held twice. Rows of
-    one class, or linearly dependent columns that ``l2`` is too small to
-    regularize (a singular Newton system), raise :class:`InputError`.
+    All classes still above ``TOL`` step together, their weights, scores and
+    gradients held as one column each. At ``w = 0`` every probability is
+    1/2, so every class has the step-0 Hessian ``gram + diag(penalty)``,
+    ``gram = xt xt.T / (4 n)``, and its inverse gives the first directions.
+    Each later direction is ``_newton_cg``'s, preconditioned by the inverse
+    of ``2^e gram + diag(penalty)``, where ``2^e`` is the class's mean
+    ``p (1 - p)`` over step 0's 1/4, rounded down to a power of two. Classes
+    of one power share an inverse, and where a class's ``p`` is the same in
+    every row its preconditioned Hessian has eigenvalues in [1, 2). A class
+    still short of the CG tolerance after ``CG_CAP`` iterations has its own
+    Hessian formed by ``_hessian``: it takes the exact Newton step, and the
+    inverse preconditions it from then on. With ``rows``, the fit uses only
+    those rows of ``features`` and ``classes``: the steps read one float64
+    copy of them, the transposed design ``[x, 1].T``, and the caller need
+    not gather a split of a larger array first. Rows of one class, or
+    linearly dependent columns that ``l2`` is too small to regularize (a
+    singular Hessian), raise :class:`InputError`.
     """
     if not (np.isfinite(l2) and l2 > 0):
         raise ValueError(f"l2 must be a finite number > 0, got {l2}")
@@ -246,43 +301,77 @@ def fit_linear_ovr(features, classes, l2=1.0, *, rows=None):
     if np.unique(classes).size < 2:
         raise InputError("need at least 2 classes present in the training data")
 
-    n, dim = classes.size, x.shape[1]
-    model = LinearOvrClassifier(int(classes.max()) + 1, dim)
-    # [x, 1] transposed and C-contiguous; xa is its (n, dim + 1) view
+    n, dim, c = classes.size, x.shape[1], int(classes.max()) + 1
+    # [x, 1] transposed and C-contiguous
     xt = np.ones((dim + 1, n))
     xt[:-1] = (x if rows is None else x[rows]).T
     if not np.isfinite(xt).all():
         raise ValueError("features must be finite")
-    xa, buf = xt.T, np.empty_like(xt)
     penalty = np.append(np.full(dim, l2 / n), 0.0)
-    targets = (classes[:, None] == np.arange(model.weights.shape[0])).astype(np.float64)
-    first_grads, first_directions = _first_steps(xt, targets, penalty, buf)
-    steps, norms = [], []
-    for k in range(model.weights.shape[0]):
-        target = targets[:, k]
-        w, z = np.zeros(dim + 1), np.zeros(n)
-        f = _objective(z, target, w[:-1], l2)
-        grad, direction = first_grads[:, k], first_directions[:, k]
-        for step in range(MAX_NEWTON_STEPS + 1):
-            if step:
-                p = sigmoid(z)
-                grad = xt @ ((p - target) / n) + penalty * w
-            grad_norm = float(np.linalg.norm(grad))
-            if grad_norm < TOL or step == MAX_NEWTON_STEPS:
-                break
-            if step:
-                hessian = _hessian(xt, p * (1.0 - p) / n, penalty, buf)
-                direction = _solve(hessian, grad, f"the Newton system of class {k} at step {step}")
-            # halving ends: a small enough step rounds to w itself, which keeps f
-            scale, w_new = 1.0, w - direction
-            while not (f_new := _objective(z_new := xa @ w_new, target, w_new[:-1], l2)) <= f:
-                scale *= 0.5
-                w_new = w - scale * direction
-            w, z, f = w_new, z_new, f_new
-        model.weights[k], model.intercepts[k] = w[:-1], w[-1]
-        steps.append(step)
-        norms.append(grad_norm)
-    model.iterations_run, model.final_grad_norm = max(steps), max(norms)
+    targets = (classes[:, None] == np.arange(c)).astype(np.float64)
+    # at w = 0 every probability is 1/2, so every class has the step-0 Hessian
+    # gram + diag(penalty)
+    gram = _hessian(xt, 0.25 / n, 0.0)
+    scaled = {}  # power e of two -> inverse of 2^e gram + diag(penalty)
+
+    def scaled_inverse(e, which):
+        if e not in scaled:
+            with _naming_singular(which):
+                scaled[e] = np.linalg.inv(np.ldexp(gram, e) + np.diag(penalty))
+        return scaled[e]
+
+    scaled_inverse(0, "the Newton system every class shares at step 0")
+    own = {}  # class -> inverse of its own Hessian, from the step its CG stalled
+    weights, scores = np.zeros((dim + 1, c)), np.zeros((n, c))
+    f = _objective(scores, targets, weights[:-1], l2)
+    steps, norms = np.zeros(c, dtype=int), np.zeros(c)
+    active = np.arange(c)
+    for step in range(MAX_NEWTON_STEPS + 1):
+        w, t, p = weights[:, active], targets[:, active], sigmoid(scores[:, active])
+        grads = xt @ ((p - t) / n) + penalty[:, None] * w
+        norms[active], steps[active] = np.linalg.norm(grads, axis=0), step
+        if step == MAX_NEWTON_STEPS:
+            break
+        going = ~(norms[active] < TOL)
+        if not going.any():
+            break
+        active = active[going]
+        w, t, p, grads = (a[:, going] for a in (w, t, p, grads))
+        if step == 0:
+            directions = scaled[0] @ grads
+        else:
+            d = p * (1.0 - p) / n
+            # each class's mean d over step 0's, rounded down to a power of two
+            powers = np.frexp(4.0 * d.sum(axis=0))[1] - 1
+            inverses = [
+                own[k] if k in own
+                else scaled_inverse(e, f"the Newton system of class {k} at step {step}")
+                for k, e in zip(active, powers)
+            ]
+            for e in set(scaled) - set(powers):
+                del scaled[e]
+            directions, stalled = _newton_cg(xt, d, grads, penalty, inverses)
+            for i in np.flatnonzero(stalled):
+                k = active[i]
+                with _naming_singular(f"the Newton system of class {k} at step {step}"):
+                    own[k] = np.linalg.inv(_hessian(xt, d[:, i], penalty))
+                directions[:, i] = own[k] @ grads[:, i]
+        # halving ends for a class once its step no longer moves w
+        scale, w_new = np.ones(active.size), w - directions
+        z_new, f_new = np.empty((n, active.size)), np.empty(active.size)
+        halving = np.arange(active.size)
+        while halving.size:
+            z_new[:, halving] = xt.T @ w_new[:, halving]
+            f_new[halving] = _objective(z_new[:, halving], t[:, halving], w_new[:-1, halving], l2)
+            rose = ~(f_new[halving] <= f[active[halving]])
+            halving = halving[rose & (w_new[:, halving] != w[:, halving]).any(axis=0)]
+            scale[halving] *= 0.5
+            w_new[:, halving] = w[:, halving] - scale[halving] * directions[:, halving]
+        weights[:, active], scores[:, active], f[active] = w_new, z_new, f_new
+
+    model = LinearOvrClassifier(c, dim)
+    model.weights, model.intercepts = weights[:-1].T.copy(), weights[-1].copy()
+    model.iterations_run, model.final_grad_norm = int(steps.max()), float(norms.max())
     if model.final_grad_norm >= TOL:
         warnings.warn(
             f"logistic fit stopped after {model.iterations_run} Newton steps with gradient "

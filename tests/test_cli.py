@@ -709,6 +709,31 @@ def test_manifest_records_the_arithmetic_and_replay_ignores_it(ring, tmp_path):
     assert replayed["arithmetic"]["networks"] == "float32"
 
 
+def test_manifests_record_the_environment_and_replay_ignores_it(ring, tmp_path):
+    edges, labels = ring
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("embed", edges, "--out", first, "--seed", "3", *FAST) == 0
+    assert run_cli("eval", first / "embedding.txt", labels, "--ratios", "0.5", "--reps", "1",
+                   "--out", tmp_path / "ev") == 0
+    assert run_cli("sweep", edges, labels, "--grid-dim", "2", "--ratios", "0.5", "--reps", "1",
+                   "--out", tmp_path / "sw", *FAST) == 0
+    for path in (first, tmp_path / "ev", tmp_path / "sw", tmp_path / "sw" / "point_000"):
+        environment = json.loads((path / "manifest.json").read_text())["environment"]
+        assert set(environment) == {"numpy", "blas", "blas_threads"}
+        assert environment["numpy"] == np.__version__
+        assert environment["blas"] is None or isinstance(environment["blas"], str)
+        assert environment["blas_threads"] is None or environment["blas_threads"] >= 1
+    path = first / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["environment"] = {"numpy": "0.0", "blas": "none", "blas_threads": 64}
+    path.write_text(json.dumps(manifest))
+    assert run_cli("embed", "--from-manifest", path, "--out", second) == 0
+    assert (first / "embedding.txt").read_bytes() == (second / "embedding.txt").read_bytes()
+    replayed = json.loads((second / "manifest.json").read_text())
+    assert replayed["config_digest"] == manifest["config_digest"]
+    assert replayed["environment"] == cli._environment()
+
+
 def test_from_manifest_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "manifest.json"
     bad.write_text(
@@ -993,6 +1018,48 @@ def test_sweep_records_a_singular_newton_system_as_a_failed_point(
     assert f"sweep point failed (dim=2): {message}\n" in capsys.readouterr().err
     failures = json.loads((out / "manifest.json").read_text())["failures"]
     assert failures == [{"point": {"dim": d}, "error": message} for d in (2, 3)]
+
+
+def zero_refreshed_hessians(monkeypatch):
+    # no CG iterations allowed: every class takes its own Hessian at step 1,
+    # and every Hessian built after the first one is all zeros
+    hessian, calls = evaluation._hessian, []
+
+    def zero_after_first(*args):
+        calls.append(1)
+        return hessian(*args) if len(calls) == 1 else np.zeros((len(args[0]),) * 2)
+
+    monkeypatch.setattr(evaluation, "CG_CAP", 0)
+    monkeypatch.setattr(evaluation, "_hessian", zero_after_first)
+    return "the Newton system of class 0 at step 1 is singular: " \
+        "l2 is too small to regularize linearly dependent feature columns"
+
+
+def test_eval_singular_refreshed_newton_system_exit_2_naming_the_class(
+    tmp_path, capsys, monkeypatch
+):
+    classes = [0, 1] * 10
+    emb, labels, out = tmp_path / "e.txt", tmp_path / "l.txt", tmp_path / "ev"
+    ids = write_one_hot_embedding(emb, classes)
+    labels.write_text("".join(f"{i} c{c}\n" for i, c in zip(ids, classes)))
+    message = zero_refreshed_hessians(monkeypatch)
+    assert run_cli("eval", emb, labels, "--ratios", "0.5", "--reps", "1", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [evalkit] {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_sweep_records_a_singular_refreshed_newton_system_as_a_failed_point(
+    ring, tmp_path, capsys, monkeypatch
+):
+    edges, labels = ring
+    out = tmp_path / "sweep"
+    message = zero_refreshed_hessians(monkeypatch)
+    code = run_cli("sweep", edges, labels, "--grid-dim", "2", "--reps", "1", "--out", out, *FAST)
+    assert code == 1
+    assert f"sweep point failed (dim=2): {message}\n" in capsys.readouterr().err
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [{"point": {"dim": 2}, "error": message}]
 
 
 # labels, a ratio and the nodes its training side holds

@@ -148,6 +148,15 @@ def test_sgns_gradient_signs():
     assert (grad_neg > 0).all()  # raising a negative score raises the loss
 
 
+@pytest.mark.parametrize("shape", [(1,), (50,), (8192, 6)])
+def test_unique_nodes_equals_np_unique(shape):
+    nodes = np.random.default_rng(4).integers(2708, size=shape).astype(np.int32)
+    want_nodes, want_pos = np.unique(nodes, return_inverse=True)
+    got_nodes, got_pos = embedder._unique_nodes(nodes, 2708)
+    np.testing.assert_array_equal(got_nodes, want_nodes)
+    np.testing.assert_array_equal(got_pos, want_pos.reshape(shape))
+
+
 def test_idw_loss_zero_networks_hand_value():
     rng = np.random.default_rng(1)
     gen_g = build_generator(6, 3, rng)

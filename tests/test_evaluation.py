@@ -219,7 +219,9 @@ def test_singular_newton_system_is_an_input_error_naming_l2():
 
 
 def test_singular_newton_system_in_a_later_step_names_the_class(monkeypatch):
-    # a later Hessian that is all zeros: the first class's second step
+    # with no CG iterations allowed, every class takes its own Hessian from
+    # step 1 on; the first one built after step 0's is all zeros
+    monkeypatch.setattr(evaluation, "CG_CAP", 0)
     hessian = evaluation._hessian
     calls = []
 
@@ -363,6 +365,66 @@ def newton_oracle(x, classes, l2):
     return np.array(weights), max(steps)
 
 
+def newton_cg_oracle(x, classes, l2):
+    """The fit's rule transcribed one class at a time on the general products
+    of ``xa``: Newton from zero, the first direction solved with the step-0
+    Hessian ``xa.T xa / (4 n) + diag(penalty)``, each later one by conjugate
+    gradients until the residual is at most ``min(0.1, sqrt(|g|)) |g|``,
+    preconditioned with the inverse of the Hessian whose ``d`` is step 0's
+    times the step's mean ``d`` over step 0's, rounded down to a power of
+    two. A class that ``CG_CAP`` iterations leave short of that takes the
+    exact step of its own Hessian, whose inverse preconditions it from then
+    on. Returns weights as ``newton_oracle`` does."""
+    n, dim = x.shape
+    xa = np.hstack([x, np.ones((n, 1))])
+    penalty = np.append(np.full(dim, l2 / n), 0.0)
+    weights, steps = [], []
+    for k in range(int(classes.max()) + 1):
+        target = (classes == k).astype(np.float64)
+        w, z, own = np.zeros(dim + 1), np.zeros(n), None
+        f = evaluation._objective(z, target, w[:-1], l2)
+        for step in range(evaluation.MAX_NEWTON_STEPS + 1):
+            p = sigmoid(z)
+            grad = xa.T @ ((p - target) / n) + penalty * w
+            grad_norm = np.linalg.norm(grad)
+            if grad_norm < evaluation.TOL or step == evaluation.MAX_NEWTON_STEPS:
+                break
+            d = p * (1 - p) / n
+            hessian = (xa.T * d) @ xa + np.diag(penalty)
+            inverse = own
+            if inverse is None:
+                scale = np.ldexp(0.25 / n, np.frexp(4.0 * d.sum())[1] - 1) if step else 0.25 / n
+                inverse = np.linalg.inv(scale * (xa.T @ xa) + np.diag(penalty))
+            direction = inverse @ grad
+            if step:
+                direction, r = np.zeros(dim + 1), grad.copy()
+                s = inverse @ r
+                rz = r @ s
+                for _ in range(evaluation.CG_CAP):
+                    hs = hessian @ s
+                    alpha = rz / (s @ hs)
+                    direction, r = direction + alpha * s, r - alpha * hs
+                    if np.linalg.norm(r) <= min(0.1, np.sqrt(grad_norm)) * grad_norm:
+                        break
+                    u = inverse @ r
+                    s, rz = u + (r @ u) / rz * s, r @ u
+                else:
+                    own = np.linalg.inv(hessian)
+                    direction = own @ grad
+            scale, w_new = 1.0, w - direction
+            while not (f_new := evaluation._objective(xa @ w_new, target, w_new[:-1], l2)) <= f:
+                scale *= 0.5
+                w_new = w - scale * direction
+            w, z, f = w_new, xa @ w_new, f_new
+        weights.append(w)
+        steps.append(step)
+    return np.array(weights), max(steps)
+
+
+def oracle_predictions(weights, x):
+    return (np.hstack([x, np.ones((x.shape[0], 1))]) @ weights.T).argmax(axis=1)
+
+
 def seven_class_data(seed, n=300, dim=16):
     rng = np.random.default_rng(seed)
     classes = rng.integers(7, size=n)
@@ -372,37 +434,51 @@ def seven_class_data(seed, n=300, dim=16):
 
 @pytest.mark.parametrize("missing", [None, 3])
 def test_fit_matches_lu_newton_oracle(missing):
-    # missing: class 3 has no training rows, so its target column is all
-    # zero; its intercept runs down until the mean probability is under TOL
+    # the fit follows its per-class transcription to 1e-8, step for step, and
+    # predicts like exact per-class Newton solved by LU. missing: class 3 has
+    # no training rows, so its target column is all zero; its intercept runs
+    # down until the mean probability is under TOL
     x, classes = seven_class_data(6)
     if missing is not None:
         keep = classes != missing
         x, classes = x[keep], classes[keep]
     for l2 in (1.0, 1e-3):
         model = fit_linear_ovr(x, classes, l2=l2)
-        want, steps = newton_oracle(x, classes, l2)
+        want, steps = newton_cg_oracle(x, classes, l2)
         assert model.weights.shape[0] == 7
         np.testing.assert_allclose(model.weights, want[:, :-1], rtol=0, atol=1e-8)
         np.testing.assert_allclose(model.intercepts, want[:, -1], rtol=0, atol=1e-8)
         assert model.iterations_run == steps
         assert model.final_grad_norm < evaluation.TOL
+        exact, _ = newton_oracle(x, classes, l2)
+        np.testing.assert_array_equal(model.predict(x), oracle_predictions(exact, x))
 
 
-def test_shared_first_direction_equals_per_class_solve():
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_at_the_defaults_predicts_like_exact_newton(seed):
+    x, classes = seven_class_data(seed)
+    train = np.arange(0, 300, 3)
+    model = fit_linear_ovr(x, classes, rows=train)
+    exact, _ = newton_oracle(x[train], classes[train], 1.0)
+    np.testing.assert_array_equal(model.predict(x), oracle_predictions(exact, x))
+
+
+def test_shared_first_direction_equals_per_class_solve(monkeypatch):
+    # one Newton step: at w = 0 every class's Hessian is xa.T xa / (4 n) +
+    # diag(penalty), and the full step along its solve lowers the objective
+    monkeypatch.setattr(evaluation, "MAX_NEWTON_STEPS", 1)
     x, classes = seven_class_data(7)
     n, dim = x.shape
     l2 = 1.0
+    with pytest.warns(UserWarning, match="stopped after 1 Newton steps"):
+        model = fit_linear_ovr(x, classes, l2=l2)
     xa = np.hstack([x, np.ones((n, 1))])
     penalty = np.append(np.full(dim, l2 / n), 0.0)
-    targets = np.eye(7)[classes]
-    xt = np.ascontiguousarray(xa.T)
-    grads, directions = evaluation._first_steps(xt, targets, penalty, np.empty_like(xt))
-    # p = 1/2 at w = 0: every class's Hessian is xa.T xa / (4 n) + diag(penalty)
     hessian = (xa.T * (0.25 / n)) @ xa + np.diag(penalty)
     for k in range(7):
-        grad = xa.T @ ((0.5 - targets[:, k]) / n)
-        np.testing.assert_allclose(grads[:, k], grad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(directions[:, k], np.linalg.solve(hessian, grad), rtol=0, atol=1e-12)
+        want = -np.linalg.solve(hessian, xa.T @ ((0.5 - (classes == k)) / n))
+        np.testing.assert_allclose(model.weights[k], want[:-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.intercepts[k], want[-1], rtol=0, atol=1e-12)
 
 
 def test_train_and_evaluate_leave_scipy_linalg_unimported():
