@@ -9,7 +9,6 @@ via ``embed --from-manifest``.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import itertools
 import json
 import os
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, nn
 from .embedder import (
     ARITHMETIC,
     MODEL_KINDS,
@@ -98,36 +97,25 @@ def _write_json(path, payload):
     )
 
 
-def _blas_threads():
-    """Threads the loaded OpenBLAS runs on, or None if no OpenBLAS can be asked."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            get = getattr(handle, symbol, None)
-            if get is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                return int(get())
-    return None
-
-
 def _environment():
     """What the bytes of a run may depend on beyond its config: the numpy
-    version, its BLAS library and the BLAS thread count (None if unknown)."""
+    version, its BLAS library, and the loaded OpenBLAS's thread count and
+    CPU kernel (None if unknown). ``training_blas_pinned`` says whether
+    training could pin OpenBLAS to one thread (:func:`nn.one_blas_thread`);
+    where it could not, the bytes may depend on ``blas_threads`` too."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         library = f"{blas['name']} {blas['version']}"
     except (KeyError, TypeError):
         library = None
-    return {"numpy": np.__version__, "blas": library, "blas_threads": _blas_threads()}
+    threads, core = nn._openblas("get_num_threads"), nn._openblas("get_corename")
+    return {
+        "numpy": np.__version__,
+        "blas": library,
+        "blas_threads": threads() if threads else None,
+        "blas_core": core().decode() if core else None,
+        "training_blas_pinned": threads is not None and nn._openblas("set_num_threads") is not None,
+    }
 
 
 def _manifest(command, **fields):

@@ -714,6 +714,11 @@ class Trainer:
         pairs, or feature rows for the autoencoder models): each cycle takes
         the next ``structure_steps`` batches, then runs the adversarial
         phase, and the epoch ends when the stream runs dry.
+
+        Each cycle's steps run on one OpenBLAS thread (:func:`nn.one_blas_thread`),
+        so the bytes do not depend on the caller's thread count; the caller's
+        count is back in force at each yield, on a :class:`TrainingDiverged`
+        and on return.
         """
         cfg = self.config
         disc_steps, gen_steps = (cfg.disc_steps, cfg.gen_steps) if cfg.adversarial else (0, 0)
@@ -721,32 +726,33 @@ class Trainer:
         for _ in range(cfg.epochs):
             batches = self.objective.batches(self.rng_batches)
             while True:
-                structure_losses = []
-                drift = [(0.0, 0.0)]
-                for _ in range(cfg.structure_steps):
-                    batch = next(batches, None)
-                    if batch is None:
-                        break
-                    structure_losses.append(self._structure_step(batch))
-                    drift += self._bn_drift(self.structure_nets)
-                if not structure_losses:
-                    break  # the epoch's batches are used up
+                with nn.one_blas_thread():
+                    structure_losses = []
+                    drift = [(0.0, 0.0)]
+                    for _ in range(cfg.structure_steps):
+                        batch = next(batches, None)
+                        if batch is None:
+                            break
+                        structure_losses.append(self._structure_step(batch))
+                        drift += self._bn_drift(self.structure_nets)
+                    if not structure_losses:
+                        break  # the epoch's batches are used up
 
-                disc_losses = [self._disc_step() for _ in range(disc_steps)]
-                gen_losses = [self._gen_step() for _ in range(gen_steps)]
-                if disc_losses or gen_losses:
-                    drift += self._bn_drift([self.disc, self.gen_g])
+                    disc_losses = [self._disc_step() for _ in range(disc_steps)]
+                    gen_losses = [self._gen_step() for _ in range(gen_steps)]
+                    if disc_losses or gen_losses:
+                        drift += self._bn_drift([self.disc, self.gen_g])
 
-                self.log.append(
-                    CycleRecord(
-                        cycle=len(self.log),
-                        structure_loss=_mean(structure_losses),
-                        disc_loss=_mean(disc_losses),
-                        gen_loss=_mean(gen_losses),
-                        bn_mean_abs=max(mean_abs for mean_abs, _ in drift),
-                        bn_var_err=max(var_err for _, var_err in drift),
+                    self.log.append(
+                        CycleRecord(
+                            cycle=len(self.log),
+                            structure_loss=_mean(structure_losses),
+                            disc_loss=_mean(disc_losses),
+                            gen_loss=_mean(gen_losses),
+                            bn_mean_abs=max(mean_abs for mean_abs, _ in drift),
+                            bn_var_err=max(var_err for _, var_err in drift),
+                        )
                     )
-                )
                 yield self.log.records[-1]
 
     def run(self):
@@ -762,9 +768,11 @@ class Trainer:
         dimension has mean ``shift`` and variance ``gamma**2 var / (var +
         eps)`` to float32 rounding. G's cached mask and normalized rows
         (N x d each) are dropped when the pass returns, so the export and the
-        evaluation after it hold only the vectors."""
-        vectors = self.gen_g.forward(self.features)
-        self.gen_g.release()
+        evaluation after it hold only the vectors. The pass runs on one
+        OpenBLAS thread, as the cycles do."""
+        with nn.one_blas_thread():
+            vectors = self.gen_g.forward(self.features)
+            self.gen_g.release()
         return EmbeddingMatrix(vectors=vectors, ids=list(self.graph.ids))
 
 

@@ -21,9 +21,16 @@ first ``DenseLayer`` takes it through scipy's sparse-times-dense products,
 which read its C-contiguous ``(in_dim, out_dim)`` weights without a copy.
 Optimizer state lives outside the networks so several objectives can update
 the same parameters independently.
+:func:`one_blas_thread` runs a block on one thread of the OpenBLAS that
+numpy loaded: a threaded OpenBLAS kernel may round a product differently
+from its one-thread kernel, so training pins the count to keep its bytes.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
 
 import numpy as np
 from scipy import sparse
@@ -35,14 +42,11 @@ class GradientError(RuntimeError):
 
 
 def sigmoid(x):
-    """Logistic function, overflow-safe for arguments of any magnitude."""
+    """Logistic function, overflow-safe for arguments of any magnitude:
+    ``1 / (1 + e)`` for x >= 0 and ``e / (1 + e)`` below, ``e = exp(-|x|)``."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(x):
@@ -345,6 +349,57 @@ class RmsProp:
                 acc *= RMS_RHO
                 acc += (1.0 - RMS_RHO) * gs * gs
                 ps -= self.lr * gs / np.sqrt(acc + RMS_EPS)
+
+
+# argument and result types of the OpenBLAS functions :func:`_openblas` finds
+OPENBLAS_SIGNATURES = {
+    "get_num_threads": ([], ctypes.c_int),
+    "set_num_threads": ([ctypes.c_int], None),
+    "get_corename": ([], ctypes.c_char_p),
+}
+
+
+@functools.cache
+def _openblas(name):
+    """The OpenBLAS function ``name`` (a key of ``OPENBLAS_SIGNATURES``) of
+    the first OpenBLAS mapped into this process that exports it, under
+    numpy's ``scipy_openblas_<name>64_`` or a plain build's
+    ``openblas_<name>64_`` or ``openblas_<name>``; None where none does.
+    Each name is looked up once per process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = OPENBLAS_SIGNATURES[name]
+                return fn
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, and restore the caller's count
+    when it ends, by an exception too. The count is process-wide, so another
+    Python thread calling BLAS meanwhile runs on one thread as well. Without
+    an OpenBLAS setter the block runs on whatever count is set."""
+    get, set_threads = _openblas("get_num_threads"), _openblas("set_num_threads")
+    if get is None or set_threads is None:
+        yield
+        return
+    threads = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def clip_global_norm(grads, max_norm):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from ane import cli, embedder, evaluation, proximity
+from ane import cli, embedder, evaluation, nn, proximity
 from ane.cli import main
 from ane.datasets import dataset_paths
 from ane.evaluation import SplitSpec, evaluate, format_accuracy_table, load_labels
@@ -719,19 +719,40 @@ def test_manifests_record_the_environment_and_replay_ignores_it(ring, tmp_path):
                    "--out", tmp_path / "sw", *FAST) == 0
     for path in (first, tmp_path / "ev", tmp_path / "sw", tmp_path / "sw" / "point_000"):
         environment = json.loads((path / "manifest.json").read_text())["environment"]
-        assert set(environment) == {"numpy", "blas", "blas_threads"}
+        assert set(environment) == {
+            "numpy", "blas", "blas_threads", "blas_core", "training_blas_pinned",
+        }
         assert environment["numpy"] == np.__version__
         assert environment["blas"] is None or isinstance(environment["blas"], str)
         assert environment["blas_threads"] is None or environment["blas_threads"] >= 1
+        assert environment["blas_core"] is None or isinstance(environment["blas_core"], str)
+        assert isinstance(environment["training_blas_pinned"], bool)
     path = first / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["environment"] = {"numpy": "0.0", "blas": "none", "blas_threads": 64}
+    manifest["environment"] = {
+        "numpy": "0.0", "blas": "none", "blas_threads": 64, "blas_core": "none",
+        "training_blas_pinned": False,
+    }
     path.write_text(json.dumps(manifest))
     assert run_cli("embed", "--from-manifest", path, "--out", second) == 0
     assert (first / "embedding.txt").read_bytes() == (second / "embedding.txt").read_bytes()
     replayed = json.loads((second / "manifest.json").read_text())
     assert replayed["config_digest"] == manifest["config_digest"]
     assert replayed["environment"] == cli._environment()
+
+
+def test_a_run_with_no_openblas_setter_trains_unpinned_and_records_it(ring, tmp_path,
+                                                                     monkeypatch):
+    edges, _ = ring
+    assert run_cli("embed", edges, "--out", tmp_path / "pinned", "--seed", "3", *FAST) == 0
+    monkeypatch.setattr(nn, "_openblas", lambda name: None)
+    assert run_cli("embed", edges, "--out", tmp_path / "unpinned", "--seed", "3", *FAST) == 0
+    environment = json.loads((tmp_path / "unpinned" / "manifest.json").read_text())["environment"]
+    assert environment["training_blas_pinned"] is False
+    assert environment["blas_threads"] is None and environment["blas_core"] is None
+    # the ring is too narrow for OpenBLAS to thread, so the bytes are the same
+    assert ((tmp_path / "pinned" / "embedding.txt").read_bytes()
+            == (tmp_path / "unpinned" / "embedding.txt").read_bytes())
 
 
 def test_from_manifest_rejects_garbage(tmp_path, capsys):

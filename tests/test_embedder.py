@@ -1,8 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -816,6 +819,68 @@ def test_generator_shared_between_phases():
     assert trainer.structure_nets[0] is trainer.gen_g
     assert trainer.gen_adv_opt.nets == [trainer.gen_g]
     assert trainer.structure_opt.nets[0] is trainer.gen_g
+
+
+# trains dae and adae for three cycles on a 2 000-node ring, whose decoder
+# product is wide enough for OpenBLAS to thread, and prints the sha256 of each
+# model's float32 vectors
+RING_DIGESTS = """
+import hashlib, itertools
+from ane.embedder import TrainConfig, Trainer
+from ane.graph import parse_edge_lines, preprocess
+n = 2000
+graph = preprocess(parse_edge_lines([f"{i} {(i + 1) % n}" for i in range(n)]))
+for model in ("dae", "adae"):
+    config = TrainConfig(model=model, dim=128, batch_size=256, adv_batch_size=128, seed=1)
+    trainer = Trainer(graph, config)
+    for _ in itertools.islice(trainer.cycles(), 3):
+        pass
+    print(model, hashlib.sha256(trainer.embeddings().vectors.tobytes()).hexdigest())
+"""
+
+
+def test_autoencoder_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(embedder.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-c", RING_DIGESTS], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["dae", "adae"]
+    assert outputs[0] == outputs[1]
+
+
+def test_training_runs_on_one_blas_thread_and_restores_the_callers_count(monkeypatch):
+    get, set_threads = nn._openblas("get_num_threads"), nn._openblas("set_num_threads")
+    if get is None or set_threads is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    before = get()
+    set_threads(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS does not run two threads here")
+        inside = []
+        for name in ("dae_batch_loss", "discriminator_loss"):
+            loss = getattr(embedder, name)
+            monkeypatch.setattr(
+                embedder, name, lambda *args, loss=loss: (inside.append(get()), loss(*args))[1]
+            )
+        g = ring_graph(8)
+        trainer = Trainer(g, TrainConfig(model="adae", dim=3, batch_size=4, adv_batch_size=2))
+        for _ in trainer.cycles():
+            assert get() == 2
+        trainer.run()
+        assert get() == 2
+        with pytest.raises(TrainingDiverged):
+            train(g, TrainConfig(model="dae", dim=3, batch_size=4), features=np.full((8, 8), np.nan))
+        assert get() == 2
+        assert len(inside) > 2 and set(inside) == {1}
+    finally:
+        set_threads(before)
 
 
 def test_divergence_aborts(monkeypatch):

@@ -6,20 +6,20 @@ a small fixed config and compares the sha256 of ``embedding.txt`` and that of
 below. Refactors that are meant to be exact must keep every digest; a change
 of the export alone moves only the embedding digests. Another numpy or
 BLAS build, or the same OpenBLAS on a CPU where it picks another kernel, may
-round differently, so the cases skip there. The digests were the same with
-one and with two OpenBLAS threads.
+round differently, so the cases skip there; the versions and the kernel are
+read as a run's manifest records them. Training pins OpenBLAS to one thread,
+so the digests do not depend on the thread count the tests run on.
 
 Why each digest moved when it was recorded again, with the old and new
 digests, is in CHANGES.md.
 """
 
-import ctypes
 import hashlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from ane.cli import _environment
 from ane.embedder import TrainConfig, Trainer, export_embeddings
 from ane.graph import load_edge_list, preprocess
 
@@ -103,30 +103,11 @@ DIGESTS = {
 }
 
 
-def _blas():
-    """numpy's BLAS build and, for OpenBLAS, the CPU kernel it chose at run time."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return "unknown"
-    return f"{blas.get('name')} {blas.get('version')} {_openblas_core()}"
-
-
-def _openblas_core():
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
-    except OSError:
-        return "unknown"
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                       "openblas_get_corename"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return "unknown"
+def _platform():
+    """The numpy version, and numpy's BLAS build with the OpenBLAS CPU
+    kernel, as a manifest records them."""
+    env = _environment()
+    return env["numpy"], f"{env['blas']} {env['blas_core']}"
 
 
 def _digest(graph_name, weighted, model, out):
@@ -142,10 +123,11 @@ def _digest(graph_name, weighted, model, out):
 
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_golden_digest(case, tmp_path):
-    if (np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS):
+    numpy_version, blas = _platform()
+    if (numpy_version, blas) != (RECORDED_NUMPY, RECORDED_BLAS):
         pytest.skip(
             f"digests recorded with numpy {RECORDED_NUMPY} and {RECORDED_BLAS}; "
-            f"this is numpy {np.__version__} with {_blas()}"
+            f"this is numpy {numpy_version} with {blas}"
         )
     graph_name, weighting, model = case.split("-")
     assert _digest(graph_name, weighting == "weighted", model, tmp_path) == DIGESTS[case]

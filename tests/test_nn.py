@@ -41,6 +41,30 @@ def test_sigmoid_symmetry():
     np.testing.assert_allclose(sigmoid(-x), 1.0 - sigmoid(x), atol=1e-12)
 
 
+def _two_branch_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_has_the_bits_of_the_two_branch_formula(dtype):
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        rng.standard_normal(1000) * scale for scale in (1.0, 10.0, 100.0, 1000.0)
+    ] + [[0.0, -0.0, np.inf, -np.inf]]).astype(dtype)
+    with np.errstate(over="raise", invalid="raise"):
+        got = sigmoid(x)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _two_branch_sigmoid(x).tobytes()
+    # only the sign bit of a nan may differ
+    assert np.isnan(sigmoid(np.array([np.nan], dtype=dtype))).all()
+
+
 def test_log_sigmoid_matches_naive_in_safe_range():
     x = np.linspace(-20, 20, 101)
     np.testing.assert_allclose(log_sigmoid(x), np.log(sigmoid(x)), atol=1e-12)
