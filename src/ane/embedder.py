@@ -35,7 +35,15 @@ from . import nn
 from .graph import InputError
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp
 from .proximity import check_memory, ppmi_features
-from .walker import PairBatch, negative_sampler, positive_pairs, random_walks, shuffled_batches
+from .walker import (
+    PairBatch,
+    negative_sampler,
+    order_dtype,
+    pair_count,
+    positive_pairs,
+    random_walks,
+    shuffled_batches,
+)
 
 # Pairs whose scores are computed at once: the (pairs, k + 1, d) gather of
 # their context and negative rows stays small.
@@ -395,9 +403,8 @@ class SkipGram:
         """:func:`check_memory_plan` items: each epoch's order of the pairs,
         the pairs, a batch's step and the two generators. A batch that
         takes in the next slice (all pairs of one share a node) is not counted."""
-        n, d, k, length = graph.num_nodes, config.dim, config.negatives, config.walk_length
-        walks, c = n * config.walks_per_node, config.context_size
-        pairs = walks * (c - 1) * (2 * length - c)
+        n, d, k = graph.num_nodes, config.dim, config.negatives
+        pairs = pair_count(n * config.walks_per_node, config.walk_length, config.context_size)
         # a step holds about 64 bytes per score slot (a pair's context and
         # negatives) and 64 bytes per dimension of each distinct row of either
         # generator, the size of eight d-wide float64 arrays: an upper bound
@@ -417,8 +424,9 @@ class SkipGram:
         # the int32 corpus, walks * length <= pairs entries, is gone before an order exists
         walk = "lower --walks, --walk-length or --context"
         step = f"a batch of {batch} pairs with {k} negatives each"
+        order = np.dtype(order_dtype(pairs)).itemsize * pairs
         return [
-            (4 * pairs, f"an epoch's order of {pairs} pairs", walk),
+            (order, f"an epoch's order of {pairs} pairs", walk),
             (8 * pairs, f"{pairs} pairs", walk),
             (step_bytes, step, "lower --batch, --negatives or --dim"),
             (VALUE_BYTES * values, f"generators G and F, {values} values", "lower --dim"),

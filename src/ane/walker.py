@@ -116,6 +116,15 @@ def random_walks(graph, walks_per_node, walk_length, rng):
     return corpus
 
 
+def pair_count(walks, walk_length, context_size):
+    """The number of pairs :func:`positive_pairs` makes of ``walks`` walks of
+    ``walk_length`` nodes: ``2 (L - o)`` per walk for each offset ``o < s``,
+    ``walks (s - 1) (2 L - s)`` in all. A window of ``s <= 1`` holds no
+    pair, and one wider than the walk every pair of it, as ``s = L`` does."""
+    c = max(1, min(context_size, walk_length))
+    return walks * (c - 1) * (2 * walk_length - c)
+
+
 def positive_pairs(corpus, context_size):
     """All ordered target-context pairs within the window, self-pairs excluded.
 
@@ -126,7 +135,7 @@ def positive_pairs(corpus, context_size):
     if corpus.size == 0:
         raise ValueError("empty walk corpus")
     offsets = range(1, context_size)
-    size = 2 * sum(corpus[:, off:].size for off in offsets)
+    size = pair_count(*corpus.shape, context_size)
     targets = np.empty(size, dtype=np.int32)
     contexts = np.empty(size, dtype=np.int32)
     pos = 0
@@ -149,18 +158,23 @@ def negative_sampler(graph):
     return AliasTable(graph.degrees() ** 0.75)
 
 
+def order_dtype(num_items):
+    """The integer type of an order of ``num_items`` items: int32, or int64
+    above 2**31 - 1."""
+    return np.int32 if num_items <= np.iinfo(np.int32).max else np.int64
+
+
 def shuffled_batches(num_items, batch_size, rng, one_row):
     """One epoch of shuffled minibatches of ``range(num_items)``, as index arrays.
 
-    The order is ``rng.permutation(num_items)``, drawn as an int32 shuffle
-    (int64 above 2**31 - 1) in half the bytes of its int64 arange, cut into
-    ``batch_size`` slices. Batch norm needs at least two distinct rows, so a
-    slice for which ``one_row(slice)`` holds is folded into the batch before
-    it; if the first batch is such a slice, it takes in the one after it.
-    Every item is in exactly one batch.
+    The order is ``rng.permutation(num_items)``, drawn as a shuffle of
+    :func:`order_dtype` (int32 up to 2**31 - 1 items, in half the bytes of
+    the int64 arange), cut into ``batch_size`` slices. Batch norm needs at
+    least two distinct rows, so a slice for which ``one_row(slice)`` holds
+    is folded into the batch before it; if the first batch is such a slice,
+    it takes in the one after it. Every item is in exactly one batch.
     """
-    dtype = np.int32 if num_items <= np.iinfo(np.int32).max else np.int64
-    order = np.arange(num_items, dtype=dtype)
+    order = np.arange(num_items, dtype=order_dtype(num_items))
     rng.shuffle(order)
     held = None  # the next batch out, held while the one after it is checked
     for start in range(0, num_items, batch_size):

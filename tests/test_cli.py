@@ -95,20 +95,6 @@ def test_embed_bad_flag_value_exit_2(karate, tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        # 34 nodes in batches of 33: a 1-node tail
-        ["--model", "dae", "--batch", "33"],
-        # 136 pairs in batches of 135: a 1-pair tail
-        ["--model", "idw", "--walks", "1", "--walk-length", "3", "--context", "2", "--batch", "135"],
-    ],
-)
-def test_embed_one_item_tail_batch_runs(karate, tmp_path, flags):
-    edges, _ = karate
-    assert run_cli("embed", edges, "--out", tmp_path / "o", "--dim", "4", "--epochs", "1", *flags) == 0
-
-
 def test_embed_adv_batch_below_two_exit_2(karate, tmp_path, capsys):
     edges, _ = karate
     code = run_cli("embed", edges, "--out", tmp_path / "o", "--adv-batch", "1")
@@ -315,15 +301,16 @@ def test_memory_plan_sums_every_item(ring, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def wide_features(tmp_path, width, stride=1):
-    """A 12 x ``width`` ``--features`` file of the ring's nodes, non-zero
-    only in every ``stride``-th column, and its rows."""
-    rows = np.random.default_rng(0).random((12, width))
+def wide_features(tmp_path, width, stride=1, ids=tuple(f"v{i}" for i in range(12))):
+    """A ``--features`` file of ``width`` columns for the nodes ``ids`` (by
+    default the ring's), non-zero only in every ``stride``-th column, and its
+    rows."""
+    rows = np.random.default_rng(0).random((len(ids), width))
     rows[:, np.arange(width) % stride != 0] = 0.0
     features = tmp_path / "wide.txt"
     features.write_text(
-        f"12 {width}\n"
-        + "".join(f"v{i} " + " ".join(map(str, rows[i])) + "\n" for i in range(12))
+        f"{len(ids)} {width}\n"
+        + "".join(f"{i} " + " ".join(map(str, row)) + "\n" for i, row in zip(ids, rows))
     )
     return features, rows
 
@@ -526,18 +513,44 @@ def test_embed_trains_on_csr_features(ring, tmp_path, monkeypatch, source):
     assert isinstance(held, sparse.csr_array) and held.shape == (12, 12 if source == "ppmi" else 3)
 
 
-def test_embed_folds_a_batch_whose_pairs_share_one_target(karate, tmp_path):
-    # 204 pairs in batches of 202 leave 2 pairs with one target, a one-row
-    # batch-norm batch for the target generator unless folded
+def assert_replays(run, replay):
+    """``embed --from-manifest`` of the run in ``run`` writes its bytes to ``replay``."""
+    assert run_cli("embed", "--from-manifest", run / "manifest.json", "--out", replay) == 0
+    for artifact in ("embedding.txt", "training_log.txt"):
+        assert (run / artifact).read_bytes() == (replay / artifact).read_bytes()
+
+
+IDW_SHORT_WALKS = ["--model", "idw", "--walks", "1", "--walk-length", "3", "--context", "2"]
+
+
+@pytest.mark.parametrize(
+    "flags, cycles",
+    [
+        # 34 nodes in batches of 33 or 11: a 1-node tail
+        (["--model", "dae", "--batch", "33"], 1),
+        (["--model", "dae", "--batch", "11"], 3),
+        # 136 pairs in batches of 135: a 1-pair tail
+        ([*IDW_SHORT_WALKS, "--batch", "135"], 1),
+        # two-pair batches often share one target or one context
+        ([*IDW_SHORT_WALKS, "--batch", "2"], None),
+        # 204 pairs in batches of 202 leave 2 pairs with one target, a one-row
+        # batch-norm batch for the target generator unless folded
+        (
+            ["--model", "idw", "--dim", "2", "--walks", "1", "--walk-length", "4",
+             "--context", "2", "--batch", "202", "--seed", "27"],
+            1,
+        ),
+    ],
+    ids=["dae-batch-33", "dae-batch-11", "idw-batch-135", "idw-batch-2", "idw-batch-202"],
+)
+def test_embed_folds_one_row_batches_and_replays(karate, tmp_path, flags, cycles):
     edges, _ = karate
-    out = tmp_path / "o"
-    code = run_cli(
-        "embed", edges, "--model", "idw", "--dim", "2", "--walks", "1", "--walk-length", "4",
-        "--context", "2", "--epochs", "1", "--batch", "202", "--seed", "27", "--out", out,
-    )
-    assert code == 0
-    rows = (out / "training_log.txt").read_text().splitlines()[1:]
-    assert len(rows) == 1 and math.isfinite(float(rows[0].split()[1]))
+    run = tmp_path / "run"
+    assert run_cli("embed", edges, "--dim", "4", "--epochs", "1", *flags, "--out", run) == 0
+    rows = (run / "training_log.txt").read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(row.split()[1])) for row in rows)
+    assert cycles is None or len(rows) == cycles
+    assert_replays(run, tmp_path / "replay")
 
 
 KARATE_IDS = [str(i) for i in range(34)]
@@ -633,9 +646,19 @@ def test_embedding_of_one_run_is_the_features_of_the_next(ring, tmp_path):
     assert run_cli("embed", edges, "--features", features, "--out", second, *FAST) == 0
     manifest = json.loads((second / "manifest.json").read_text())
     assert manifest["dataset"]["features"] == str(features.resolve())
-    assert run_cli("embed", "--from-manifest", second / "manifest.json", "--out", replay) == 0
-    for artifact in ("embedding.txt", "training_log.txt"):
-        assert (second / artifact).read_bytes() == (replay / artifact).read_bytes()
+    assert_replays(second, replay)
+
+
+@pytest.mark.parametrize("model", ["aidw", "adae"])
+def test_wide_dense_features_replay(karate, tmp_path, model):
+    # each generator's weight gradient on CSR rows is summed by scipy's
+    # private sparse kernel, at any width; 1 000 dense columns keep it short
+    edges, _ = karate
+    features, _ = wide_features(tmp_path, 1000, ids=KARATE_IDS)
+    run = tmp_path / "run"
+    flags = ["--model", model, "--dim", "8", "--epochs", "1", "--walks", "2", "--walk-length", "20"]
+    assert run_cli("embed", edges, "--features", features, *flags, "--context", "4", "--out", run) == 0
+    assert_replays(run, tmp_path / "replay")
 
 
 def test_idw_equals_aidw_with_adversary_disabled(ring, tmp_path):
@@ -657,9 +680,7 @@ def test_from_manifest_replay_byte_identical(ring, tmp_path):
     edges, _ = ring
     first, second = tmp_path / "first", tmp_path / "second"
     assert run_cli("embed", edges, "--out", first, "--seed", "3", *FAST) == 0
-    assert run_cli("embed", "--from-manifest", first / "manifest.json", "--out", second) == 0
-    assert (first / "embedding.txt").read_bytes() == (second / "embedding.txt").read_bytes()
-    assert (first / "training_log.txt").read_bytes() == (second / "training_log.txt").read_bytes()
+    assert_replays(first, second)
 
 
 def test_weighted_embed_trains_on_the_weights_and_replays(tmp_path, capsys):

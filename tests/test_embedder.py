@@ -821,21 +821,26 @@ def test_generator_shared_between_phases():
     assert trainer.structure_opt.nets[0] is trainer.gen_g
 
 
-# trains dae and adae for three cycles on a 2 000-node ring, whose decoder
-# product is wide enough for OpenBLAS to thread, and prints the sha256 of each
+# trains karate aidw (its 128-wide embedding and the 512-wide discriminator)
+# and dae and adae on a 2 000-node ring, whose decoder product is wide enough
+# for OpenBLAS to thread, for three cycles each, and prints the sha256 of each
 # model's float32 vectors
-RING_DIGESTS = """
+BLAS_DIGESTS = """
 import hashlib, itertools
+from ane.datasets import load_dataset
 from ane.embedder import TrainConfig, Trainer
 from ane.graph import parse_edge_lines, preprocess
 n = 2000
-graph = preprocess(parse_edge_lines([f"{i} {(i + 1) % n}" for i in range(n)]))
-for model in ("dae", "adae"):
-    config = TrainConfig(model=model, dim=128, batch_size=256, adv_batch_size=128, seed=1)
-    trainer = Trainer(graph, config)
+ring = preprocess(parse_edge_lines([f"{i} {(i + 1) % n}" for i in range(n)]))
+runs = [(load_dataset("karate")[0], dict(model="aidw", walks_per_node=2, walk_length=20,
+                                         context_size=4))]
+runs += [(ring, dict(model=model, dim=128, batch_size=256, adv_batch_size=128))
+         for model in ("dae", "adae")]
+for graph, settings in runs:
+    trainer = Trainer(graph, TrainConfig(seed=1, **settings))
     for _ in itertools.islice(trainer.cycles(), 3):
         pass
-    print(model, hashlib.sha256(trainer.embeddings().vectors.tobytes()).hexdigest())
+    print(settings["model"], hashlib.sha256(trainer.embeddings().vectors.tobytes()).hexdigest())
 """
 
 
@@ -846,11 +851,11 @@ def test_autoencoder_bytes_do_not_depend_on_the_blas_thread_count():
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
         result = subprocess.run(
-            [sys.executable, "-c", RING_DIGESTS], env=env, capture_output=True, text=True
+            [sys.executable, "-c", BLAS_DIGESTS], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
-    assert [line.split()[0] for line in outputs[0].splitlines()] == ["dae", "adae"]
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["aidw", "dae", "adae"]
     assert outputs[0] == outputs[1]
 
 
@@ -1152,8 +1157,9 @@ def test_dae_step_keeps_no_entry_index_through_its_networks(monkeypatch):
 
 
 def test_skip_gram_plan_counts_the_pairs_and_corpus_it_builds():
-    # the order item counts an epoch's int32 order of P pairs, the pairs item
-    # their two int32 arrays; the int32 corpus is never larger than the order
+    # the order item counts an epoch's int32 order of P pairs (int64 above
+    # 2**31 - 1), the pairs item their two int32 arrays; the int32 corpus is
+    # never larger than the order
     g = ring_graph(5)
     for walks in (1, 3):
         for length in range(3, 10):
@@ -1167,6 +1173,19 @@ def test_skip_gram_plan_counts_the_pairs_and_corpus_it_builds():
                 size = positive_pairs(corpus, c)[0].size
                 assert (order[0], pairs[0]) == (4 * size, 8 * size), cfg
                 assert corpus.nbytes <= order[0]
+
+
+def test_skip_gram_plan_counts_an_int64_order_above_2_31_pairs():
+    # shuffled_batches orders up to 2**31 - 1 items in int32 and more in
+    # int64: karate at --walks 10 --context 10 has 611 969 400 pairs at
+    # --walk-length 100000 and 6 119 969 400 at 1000000. Nothing is allocated
+    graph, _ = load_dataset("karate")
+    walk = "lower --walks, --walk-length or --context"
+    for length, pairs, width in [(100_000, 611_969_400, 4), (1_000_000, 6_119_969_400, 8)]:
+        cfg = TrainConfig(model="idw", walks_per_node=10, walk_length=length, context_size=10)
+        order, listed = SkipGram.memory(graph, cfg, graph.num_nodes, lambda r: 0)[:2]
+        assert order == (width * pairs, f"an epoch's order of {pairs} pairs", walk)
+        assert listed == (8 * pairs, f"{pairs} pairs", walk)
 
 
 @pytest.mark.parametrize(

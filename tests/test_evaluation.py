@@ -8,6 +8,8 @@ import pytest
 from scipy.optimize import minimize
 
 from ane import evaluation
+from ane.datasets import load_dataset
+from ane.embedder import TrainConfig, train
 from ane.graph import InputError
 from ane.nn import sigmoid
 from ane.evaluation import (
@@ -335,6 +337,34 @@ def test_fit_stopped_at_step_cap_warns(monkeypatch):
     with pytest.warns(UserWarning, match="stopped after 1 Newton steps"):
         model = fit_linear_ovr(x, y)
     assert model.iterations_run == 1 and model.final_grad_norm >= 1e-5
+
+
+@pytest.fixture(scope="module")
+def karate_embedding():
+    graph, labels = load_dataset("karate")
+    config = TrainConfig(dim=4, walks_per_node=2, walk_length=20, context_size=4, epochs=1)
+    embedding, _ = train(graph, config)
+    rows = {node_id: i for i, node_id in enumerate(embedding.ids)}
+    return embedding.vectors, load_labels(labels, rows)
+
+
+@pytest.mark.filterwarnings("error:logistic fit stopped:UserWarning")
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {},
+        {"ratios": (0.5,), "repetitions": 2},
+        {"ratios": (0.5,), "repetitions": 2, "normalize": False, "l2": 1e-6},
+    ],
+    ids=["defaults", "half-twice", "half-twice-unnormalized-l2-1e-6"],
+)
+def test_karate_fits_stop_before_the_step_cap(karate_embedding, settings):
+    # a fit that reaches MAX_NEWTON_STEPS warns, here an error; the other
+    # warnings, such as a split's redraws, stay warnings
+    vectors, labels = karate_embedding
+    spec = SplitSpec(**settings)
+    results = evaluate(vectors, labels, spec)
+    assert [r.repetitions for r in results] == [spec.repetitions] * len(spec.ratios)
 
 
 def newton_oracle(x, classes, l2):

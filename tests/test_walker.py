@@ -8,6 +8,7 @@ from ane.walker import (
     AliasTable,
     PairBatch,
     negative_sampler,
+    pair_count,
     positive_pairs,
     random_walks,
     shuffled_batches,
@@ -209,8 +210,9 @@ def test_window_pairs_three_walk():
 
 
 def test_window_one_gives_no_pairs():
-    t, c = positive_pairs(np.array([[0, 1, 2, 3]]), context_size=1)
-    assert t.size == 0 and c.size == 0
+    for s in (0, 1):
+        t, c = positive_pairs(np.array([[0, 1, 2, 3]]), context_size=s)
+        assert t.size == 0 and c.size == 0
 
 
 def test_window_pairs_match_enumeration_oracle():
@@ -224,11 +226,13 @@ def test_window_pairs_match_enumeration_oracle():
 def test_window_pairs_oracle_random_corpus():
     rng = np.random.default_rng(8)
     corpus = rng.integers(0, 6, size=(5, 9))
-    for s in (2, 4, 8):
+    # a window of 12 is wider than the 9-node walks: it holds every pair of them
+    for s in (2, 4, 8, 12):
         t, c = positive_pairs(corpus, context_size=s)
         got = sorted(zip(t.tolist(), c.tolist()))
         want = sorted(p for walk in corpus for p in brute_force_pairs(walk.tolist(), s))
         assert got == want
+        assert t.size == pair_count(5, 9, s)
 
 
 def test_pair_symmetry():
@@ -358,6 +362,7 @@ def test_batches_deterministic_by_seed():
 def test_batch_order_is_rng_permutation_of_the_same_seed(n):
     rng = np.random.default_rng(7)
     batches = list(shuffled_batches(n, 1_000, rng, lambda sel: False))
+    assert {b.dtype for b in batches} == {np.dtype(np.int32)}
     want = np.random.default_rng(7)
     np.testing.assert_array_equal(np.concatenate(batches), want.permutation(n))
     # the stream is left where rng.permutation leaves it, so later draws are unchanged
