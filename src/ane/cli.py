@@ -35,7 +35,6 @@ from .embedder import (
 )
 from .evaluation import (
     ACCURACY_COLUMNS,
-    DEFAULT_RATIOS,
     SplitSpec,
     accuracy_cells,
     check_ratios,
@@ -433,13 +432,14 @@ def build_parser():
     )
     p_embed.set_defaults(func=cmd_embed)
 
+    spec = SplitSpec()
     p_eval = sub.add_parser("eval", help="node-classification accuracy for an embedding")
     p_eval.add_argument("embedding", help="embedding file from the embed command")
     p_eval.add_argument("labels", help="label file with 'node_id label' lines")
-    p_eval.add_argument("--ratios", type=_parse_list(float), default=DEFAULT_RATIOS)
-    p_eval.add_argument("--reps", type=int, default=10)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--l2", type=float, default=1.0)
+    p_eval.add_argument("--ratios", type=_parse_list(float), default=spec.ratios)
+    p_eval.add_argument("--reps", type=int, default=spec.repetitions)
+    p_eval.add_argument("--seed", type=int, default=spec.seed)
+    p_eval.add_argument("--l2", type=float, default=spec.l2)
     p_eval.add_argument("--no-normalize", action="store_true")
     p_eval.add_argument("--out", default=None, help="optional output directory")
     p_eval.set_defaults(func=cmd_eval)
@@ -455,8 +455,8 @@ def build_parser():
         metavar = grid[2:].replace("-", "_").upper()
         p_sweep.add_argument(grid, dest=f"grid_{name}", type=caster, metavar=metavar)
     p_sweep.add_argument("--ratios", type=_parse_list(float), default=(0.5,))
-    p_sweep.add_argument("--reps", type=int, default=10)
-    p_sweep.add_argument("--l2", type=float, default=1.0)
+    p_sweep.add_argument("--reps", type=int, default=spec.repetitions)
+    p_sweep.add_argument("--l2", type=float, default=spec.l2)
     p_sweep.add_argument("--out", default="ane_sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -306,24 +306,20 @@ def _bce(logits, real):
 def discriminator_loss(disc, real_z, fake_u):
     """Discriminator objective on one real and one fake batch.
 
-    Real and fake samples go through the network as separate batches, so
-    batch-norm statistics are computed per side. Fake embeddings are treated
-    as constants: no gradient reaches the generator here. Gradients for the
-    discriminator parameters accumulate over both passes.
+    Real and fake samples go through the network as one ``(2, b, d)`` stack,
+    so batch norm takes its statistics per side (the batch is axis ``-2``),
+    and one backward sums the discriminator's parameter gradients over the
+    2b rows. Fake embeddings are treated as constants: no gradient reaches
+    the generator here.
     """
     if real_z.shape[0] != fake_u.shape[0]:
         raise ValueError(
             f"real and fake batches must match: {real_z.shape[0]} vs {fake_u.shape[0]}"
         )
-    loss_real, grad_real = _bce(disc.forward(real_z), real=True)
-    disc.backward(grad_real, input_grad=False)
-    # backward writes over the gradient vector, so keep the real pass's
-    real = disc.grads.copy()
-
-    loss_fake, grad_fake = _bce(disc.forward(fake_u), real=False)
-    disc.backward(grad_fake, input_grad=False)
-    disc.grads += real
-
+    logits = disc.forward(np.stack([real_z, fake_u]))
+    loss_real, grad_real = _bce(logits[0], real=True)
+    loss_fake, grad_fake = _bce(logits[1], real=False)
+    disc.backward(np.stack([grad_real, grad_fake]), input_grad=False)
     return loss_real + loss_fake
 
 
@@ -567,12 +563,12 @@ def check_memory_plan(graph, config, features=None):
         values = 3 * ((d + h + 7) * h + 1) + (in_dim + 3) * d
         what = f"discriminator and G's second accumulator, {values} values"
         items.append((VALUE_BYTES * values, what, "lower --dim"))
-        # a discriminator or generator step took about 26 bytes per hidden
-        # unit and 16 per dimension of each sampled row (tracemalloc on the
-        # planted graph); this counts twice that: 36 864 bytes a row at dim
-        # 128, where 16 922 were measured. Both steps gather the rows, drawn
-        # with replacement: 8 bytes per stored entry (34 x 20 000 rows,
-        # 25-100 % dense), counted as 12 for b draws of the widest
+        # 36 864 bytes a sampled row at dim 128, where tracemalloc measured
+        # 29 860 for the discriminator step (real and fake stacked) and
+        # 14 935 for the generator step (karate, adv batch 128). Both steps
+        # gather the rows, drawn with replacement: 8 bytes per stored entry
+        # (34 x 20 000 rows, 25-100 % dense), counted as 12 for b draws of
+        # the widest
         per_row = VALUE_BYTES * (16 * h + 8 * d)
         need = per_row * b + 12 * b * widest(1)
         items.append((need, f"an adversarial batch of {b} rows", "lower --adv-batch"))

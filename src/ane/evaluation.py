@@ -25,8 +25,6 @@ import numpy as np
 from .graph import InputError
 from .nn import sigmoid
 
-DEFAULT_RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
 
 @dataclass(frozen=True)
 class LabelSet:
@@ -96,7 +94,7 @@ class SplitSpec:
     """Evaluation protocol: train ratios, repetitions per ratio, split seed, the
     classifier's ``l2`` and whether rows are L2-normalized (InputError if bad)."""
 
-    ratios: tuple = DEFAULT_RATIOS
+    ratios: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     repetitions: int = 10
     seed: int = 0
     l2: float = 1.0

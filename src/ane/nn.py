@@ -5,6 +5,8 @@ and computes in its input's dtype: a float32 network fed float32 rows
 computes its products, activations and gradients in float32. Only batch
 norm's statistics are summed in float64 whatever the dtype.
 
+The batch is axis ``-2``: a dense ``(k, b, d)`` stack runs as ``k`` batches,
+each batch-normalized by its own statistics, with one sum of their gradients.
 Layers follow one protocol: ``forward(x)`` caches whatever the matching
 ``backward(grad, input_grad, param_grads)`` needs, and ``backward`` writes
 the gradient of each parameter named in ``PARAMS`` into its ``grad_<name>``
@@ -101,9 +103,9 @@ class DenseLayer:
         self._input = None
 
     def forward(self, x):
-        if x.shape[1] != self.weights.shape[0]:
+        if x.shape[-1] != self.weights.shape[0]:
             raise ValueError(
-                f"input dim {x.shape[1]} does not match layer in_dim {self.weights.shape[0]}"
+                f"input dim {x.shape[-1]} does not match layer in_dim {self.weights.shape[0]}"
             )
         self._input = x
         out = x @ self.weights
@@ -113,19 +115,20 @@ class DenseLayer:
     def backward(self, grad, input_grad=True, param_grads=True):
         if param_grads:
             x = self._input
+            grad_rows = grad.reshape(-1, grad.shape[-1])
             if sparse.issparse(x):
                 # the kernel scipy runs for x.T @ grad (a CSR x is the CSC of
                 # x.T), summed straight into the zeroed gradient; it trusts
                 # the sizes it is given, so they are checked first
-                x, g = x.tocsr(), np.ascontiguousarray(grad, self.grad_weights.dtype)
+                x, g = x.tocsr(), np.ascontiguousarray(grad_rows, self.grad_weights.dtype)
                 if g.shape != (x.shape[0], self.grad_weights.shape[1]):
                     raise ValueError(f"gradient shape {g.shape} does not match the layer output")
                 self.grad_weights[...] = 0
                 _sparsetools.csc_matvecs(*x.shape[::-1], g.shape[1], x.indptr, x.indices,
                                          x.data.astype(g.dtype, copy=False), g, self.grad_weights)
             else:
-                np.matmul(x.T, grad, out=self.grad_weights)
-            grad.sum(axis=0, out=self.grad_bias)
+                np.matmul(x.reshape(-1, x.shape[-1]).T, grad_rows, out=self.grad_weights)
+            grad_rows.sum(axis=0, out=self.grad_bias)
         self._input = None
         return grad @ self.weights.T if input_grad else None
 
@@ -176,7 +179,8 @@ class BatchNorm:
     """Per-feature batch normalization with learned scale and shift.
 
     Every forward normalizes by the statistics of the batch it is given
-    (biased variance), in training and at export alike; the export passes
+    (biased variance, over axis ``-2``, so each ``(b, d)`` slice of a stack
+    is its own batch), in training and at export alike; the export passes
     all N feature rows as one batch, so it normalizes by the exact
     population statistics. The backward pass differentiates through the
     batch statistics, not around them.
@@ -196,9 +200,10 @@ class BatchNorm:
     drops to 1e-8.
 
     ``last_norm_mean_abs`` and ``last_norm_var_err`` are the worst feature's
-    |mean| and |var - 1| of the last forward's normalized output (0 before
-    the first), summed in float64. They are computed from the cached batch
-    when read, so a forward pays for none of it.
+    |mean| and |var - 1| of the last forward's normalized output, over every
+    batch of a stack (0 before the first forward), summed in float64. They
+    are computed from the cached batch when read, so a forward pays for none
+    of it.
     """
 
     PARAMS = ("gamma", "shift")
@@ -216,26 +221,26 @@ class BatchNorm:
     def last_norm_mean_abs(self):
         if self._norm is None:
             return 0.0
-        return float(np.abs(self._norm.mean(axis=0, dtype=np.float64)).max())
+        return float(np.abs(self._norm.mean(axis=-2, dtype=np.float64)).max())
 
     @property
     def last_norm_var_err(self):
         if self._norm is None:
             return 0.0
-        return float(np.abs(self._norm.var(axis=0, dtype=np.float64) - 1.0).max())
+        return float(np.abs(self._norm.var(axis=-2, dtype=np.float64) - 1.0).max())
 
     def forward(self, x):
-        if x.shape[0] < 2:
+        if x.shape[-2] < 2:
             raise ValueError("batch norm needs batch size >= 2")
         # for a float64 batch the arithmetic of x.var (the remainder is 0),
         # with the centred batch kept for the output
-        mean = x.mean(axis=0, dtype=np.float64)
+        mean = x.mean(axis=-2, dtype=np.float64, keepdims=True)
         rounded = mean.astype(x.dtype)
         norm = x - rounded
         norm -= (mean - rounded).astype(x.dtype)
         out = np.square(norm)
-        var = out.sum(axis=0, dtype=np.float64)
-        var /= x.shape[0]
+        var = out.sum(axis=-2, dtype=np.float64, keepdims=True)
+        var /= x.shape[-2]
         inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
         norm *= inv_std
         self._norm = norm
@@ -246,20 +251,20 @@ class BatchNorm:
 
     def backward(self, grad, input_grad=True, param_grads=True):
         norm, inv_std = self._norm, self._inv_std
-        b = grad.shape[0]
+        b, d = grad.shape[-2:]
         tmp = None
         if param_grads:
             tmp = grad * norm
-            tmp.sum(axis=0, out=self.grad_gamma)
-            grad.sum(axis=0, out=self.grad_shift)
+            tmp.reshape(-1, d).sum(axis=0, out=self.grad_gamma)
+            grad.reshape(-1, d).sum(axis=0, out=self.grad_shift)
         if not input_grad:
             return None
-        # (inv_std / b) * (b * dnorm - dnorm.sum(0) - norm * (dnorm * norm).sum(0)),
+        # (inv_std / b) * (b * dnorm - dnorm.sum(-2) - norm * (dnorm * norm).sum(-2)),
         # term by term in two temporaries
         dnorm = grad * self.gamma
-        dnorm_sum = dnorm.sum(axis=0)
+        dnorm_sum = dnorm.sum(axis=-2, keepdims=True)
         tmp = np.multiply(dnorm, norm, out=tmp)
-        np.multiply(norm, tmp.sum(axis=0), out=tmp)
+        np.multiply(norm, tmp.sum(axis=-2, keepdims=True), out=tmp)
         dnorm *= b
         dnorm -= dnorm_sum
         dnorm -= tmp

@@ -58,6 +58,16 @@ def test_train_flags_cover_every_config_field():
         assert cli._config_from_args(parser.parse_args(argv)) == embedder.TrainConfig()
 
 
+def test_evaluation_flags_default_to_split_spec():
+    parser = cli.build_parser()
+    args = parser.parse_args(["eval", "e", "l"])
+    spec = SplitSpec(args.ratios, args.reps, args.seed, args.l2, not args.no_normalize)
+    assert spec == SplitSpec()
+    # sweep evaluates at one ratio, with the split seed of training
+    args = parser.parse_args(["sweep", "x", "y"])
+    assert (args.ratios, args.reps, args.l2) == ((0.5,), SplitSpec().repetitions, SplitSpec().l2)
+
+
 def test_embed_writes_artifacts(karate, tmp_path, capsys):
     edges, _ = karate
     out = tmp_path / "run"

@@ -37,12 +37,12 @@ RECORDED_BLAS = "scipy-openblas 0.3.31.188.0 SkylakeX"
 # sha256 of each case's (embedding.txt, training_log.txt)
 DIGESTS = {
     "karate-unweighted-adae": (
-        "80e61cafe16ba26ff965b801c419f5b49c79962985d1914d3bde2a3b677b326f",
-        "db0eff21475df59eb80e3f3a6f57709d5825567b00b12a5a242cba5219dd70a3",
+        "24363b8a0bf14e1a34d41d8430d96203ebe54b05d6751977ad20117ef7e2eefd",
+        "8e8131cbbffb57d183f3a60225db609bb936f10f07217a4d923ff9b6431b8838",
     ),
     "karate-unweighted-aidw": (
-        "5db1a80da57046c140fd99730c758373d457c95469ce144f1e146245d4bf5113",
-        "61b2a98509a5c3fec790c4f2308564415720f0ea082712fd1f2cb7a3f515c3f6",
+        "bcd51b05c3c5294d736879cb9cd9df0f9ca32f21f6edca369efe1e1305651ea4",
+        "8734d418ff0d86ab122fb6b5da88c94d09e5a4dfaef14815bc12a982405537d1",
     ),
     "karate-unweighted-dae": (
         "10d9e043fcfda728fd07b5a5f4d80f0eeccc18f3aae2fc0a8a09dc4f82784433",
@@ -53,12 +53,12 @@ DIGESTS = {
         "0c85c320ba4401d210c8d334ea4d21fa7c3b1c958055bfdfc213644c083337de",
     ),
     "karate-weighted-adae": (
-        "80e61cafe16ba26ff965b801c419f5b49c79962985d1914d3bde2a3b677b326f",
-        "db0eff21475df59eb80e3f3a6f57709d5825567b00b12a5a242cba5219dd70a3",
+        "24363b8a0bf14e1a34d41d8430d96203ebe54b05d6751977ad20117ef7e2eefd",
+        "8e8131cbbffb57d183f3a60225db609bb936f10f07217a4d923ff9b6431b8838",
     ),
     "karate-weighted-aidw": (
-        "5db1a80da57046c140fd99730c758373d457c95469ce144f1e146245d4bf5113",
-        "61b2a98509a5c3fec790c4f2308564415720f0ea082712fd1f2cb7a3f515c3f6",
+        "bcd51b05c3c5294d736879cb9cd9df0f9ca32f21f6edca369efe1e1305651ea4",
+        "8734d418ff0d86ab122fb6b5da88c94d09e5a4dfaef14815bc12a982405537d1",
     ),
     "karate-weighted-dae": (
         "10d9e043fcfda728fd07b5a5f4d80f0eeccc18f3aae2fc0a8a09dc4f82784433",
@@ -69,12 +69,12 @@ DIGESTS = {
         "0c85c320ba4401d210c8d334ea4d21fa7c3b1c958055bfdfc213644c083337de",
     ),
     "weighted-unweighted-adae": (
-        "f85f6c998840a6901995c293a4b1e984e726ecfaddae14305c485936a01f3aa5",
-        "bfc8fd5684341b2ab18be550f6650a5a5d642e019cfeed76c1e1a030f8e42779",
+        "69a67c8e7a70d6f4971890db00f6b52b7614badeb755788512877789386d0e8f",
+        "d4e975893f16c0120edefab39d30c6bfe2daacbfb4c5f0923112c2569665c019",
     ),
     "weighted-unweighted-aidw": (
-        "88be0f067b19621c16b39e099358bfbaf0b7ef2584aef7fb16a16782f64673c3",
-        "20adff031a2232dc5abc8bb23f9cf36f355a18f3cffaff286a276f2a485561c1",
+        "a9290ec6a717bb1ae87cd77a3462a85ed296d73266396ee50146e2f97f389f02",
+        "e0f7f394da004f2607d3c13eb2f6cdde1cbccc422746b265544bc50b2e50c4e8",
     ),
     "weighted-unweighted-dae": (
         "8ca29bbbe3d63a893b9f1dc18ff14277bf98569db569822887f802258b9461a3",
@@ -85,12 +85,12 @@ DIGESTS = {
         "63dcca42b2ce5086ffdaecd507b992ef31933c21ff02979a415208699c8acc1e",
     ),
     "weighted-weighted-adae": (
-        "81bbd19f13ec6da1036bd1b50ec5cd1d10602575077e9ec4ab982e5ed5889556",
-        "27b833210bffe0aa6395e3e52fca6d5bd4eecc5e018e873ea66762f55a9ac266",
+        "ad7b40182415b0c43f0a768beac6022191ed0e3417de8ebd61a2ace798eb9241",
+        "c7f51f559609fabe39970ae852db91c6f3e136e77795366f53f76b28ee4b6640",
     ),
     "weighted-weighted-aidw": (
-        "bb7a24e3652a39862d520982fcbb6292b54ce8804b50b45b229e89545bce80bf",
-        "c6c93b878365c74d1f875067ec63151ac34095491d0077ce440d813c3b20a08e",
+        "864e51ee2701014f15e363f1e6877fe09a5a4bc5be25689b5af1837ae27fce30",
+        "a290c301badebd0827f3bcac2f95d98fcf219311195c7ddb3c4398fe9ac028ed",
     ),
     "weighted-weighted-dae": (
         "40ece86ae7e2fe6896f5673165f9f940773e949cb650d996dfade6b59252fdbe",
