@@ -117,10 +117,27 @@ def _environment():
     }
 
 
+def _note_environment_changes(recorded):
+    """Print one stderr line for each of the numpy version, the BLAS library
+    and the OpenBLAS kernel that differ between the ``environment`` a manifest
+    recorded and this process's: a product may round differently, so the
+    replay's bytes may differ from the run's."""
+    recorded = recorded if isinstance(recorded, dict) else {}
+    current = _environment()
+    for key in ("numpy", "blas", "blas_core"):
+        if recorded.get(key) != current[key]:
+            print(
+                f"warning: the manifest records {key} {recorded.get(key)} and this machine has "
+                f"{current[key]}; the replay's bytes may differ",
+                file=sys.stderr,
+            )
+
+
 def _manifest(command, **fields):
     """The header every manifest starts with, then ``fields``; a
     ``created_utc`` among them (embed's start time) replaces the time now.
-    The header's ``environment`` is informational: a replay does not read it."""
+    The header's ``environment`` is informational: a replay only compares it
+    with its own (:func:`_note_environment_changes`)."""
     return {
         "format": MANIFEST_FORMAT,
         "package_version": __version__,
@@ -273,6 +290,7 @@ def cmd_embed(args):
             features_path = dataset.get("features")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad manifest {manifest_path}: {exc}") from exc
+        _note_environment_changes(payload.get("environment"))
     else:
         if args.edge_list is None:
             raise UsageError("an edge-list path is required (or --from-manifest)")

@@ -12,8 +12,6 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .graph import load_edge_list, preprocess
-
 BUNDLED = ("karate",)
 
 
@@ -43,10 +41,3 @@ def dataset_paths(name):
             f"(set ANE_DATA_DIR or run scripts/fetch_datasets.py)"
         )
     return edges, (labels if labels.exists() else None)
-
-
-def load_dataset(name, weighted=False):
-    """Load a named dataset as a preprocessed Graph plus its label path."""
-    edges, labels = dataset_paths(name)
-    graph = preprocess(load_edge_list(edges, weighted=weighted))
-    return graph, labels

@@ -25,8 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 from scipy import sparse
@@ -111,6 +112,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a float passes the bounds below and fails halfway through a run
+        for f in fields(self):
+            if f.type == "int":
+                try:
+                    operator.index(getattr(self, f.name))
+                except TypeError:
+                    raise InputError(
+                        f"{f.name} must be an integer, got {getattr(self, f.name)!r}"
+                    ) from None
         if self.model not in MODEL_KINDS:
             raise InputError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.dim < 1:

@@ -34,10 +34,6 @@ class LabelSet:
     classes: np.ndarray  # class index per labeled node
     class_names: tuple
 
-    @property
-    def num_classes(self):
-        return len(self.class_names)
-
     def __len__(self):
         return self.node_indices.size
 
@@ -165,9 +161,9 @@ class LinearOvrClassifier:
 
     Class k minimizes ``_objective``: mean binary cross-entropy of
     ``x @ w_k + b_k`` against ``classes == k`` plus ``l2 / (2 n) |w_k|^2``
-    (intercept unpenalized, a C-style regularization of 1/l2); ``loss`` sums
-    it over classes. ``iterations_run`` is the most Newton steps any class
-    took and ``final_grad_norm`` the largest per-class gradient norm.
+    (intercept unpenalized, a C-style regularization of 1/l2).
+    ``iterations_run`` is the most Newton steps any class took and
+    ``final_grad_norm`` the largest per-class gradient norm.
     """
 
     def __init__(self, num_classes, dim):
@@ -181,11 +177,6 @@ class LinearOvrClassifier:
 
     def predict(self, x):
         return self.decision_values(x).argmax(axis=1)
-
-    def loss(self, x, classes, l2=1.0):
-        z = self.decision_values(x)
-        targets = np.asarray(classes)[:, None] == np.arange(z.shape[1])
-        return float(_objective(z, targets, self.weights.T, l2).sum())
 
 
 def _objective(z, target, w, l2):

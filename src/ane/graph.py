@@ -96,11 +96,6 @@ class Graph:
         loops = int((self.entry_rows() == self.indices).sum())
         return (self.indices.size + loops) // 2
 
-    def has_edge(self, i, j):
-        row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-        pos = np.searchsorted(row, j)
-        return pos < row.size and row[pos] == j
-
     def __len__(self):
         return self.num_nodes
 

@@ -414,38 +414,3 @@ def clip_global_norm(grads, max_norm):
     if total > max_norm and total > 0:
         grads *= max_norm / total
     return total
-
-
-def gradient_check(networks, loss_fn, h=1e-5, atol=1e-7):
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``networks`` is one Mlp or a sequence of them; ``loss_fn()`` must return
-    the scalar loss for the current parameters and leave matching analytic
-    gradients on the networks (so it runs forward and backward on a fixed
-    batch; batch norm normalizes by that batch, so no state carries over
-    from one evaluation to the next).
-    An entry whose numeric and analytic values are both below ``atol``
-    counts as exact, which keeps round-off noise on true-zero gradients from
-    dominating; any other adds ``|numeric - analytic| / max(|both|)``.
-    """
-    if isinstance(networks, Mlp):
-        networks = [networks]
-
-    loss_fn()
-    analytic = [net.grads.copy() for net in networks]
-
-    worst = 0.0
-    for net, grads in zip(networks, analytic):
-        params = net.params
-        for k in range(params.size):
-            orig = params[k]
-            params[k] = orig + h
-            plus = loss_fn()
-            params[k] = orig - h
-            minus = loss_fn()
-            params[k] = orig
-            numeric = (plus - minus) / (2.0 * h)
-            scale = max(abs(numeric), abs(grads[k]))
-            if scale >= atol:
-                worst = max(worst, abs(numeric - grads[k]) / scale)
-    return worst

@@ -27,7 +27,9 @@ class AliasTable:
     large entry whose excess ``q - 1`` covers the start of its deficit
     ``1 - q``, both laid end to end by cumulative sums; a large entry whose
     excess runs out inside a deficit pays the overflow from its own column
-    and aliases the next large entry of its row.
+    and aliases the next large entry of its row. A draw of column ``k`` of a
+    row keeps ``k`` with probability ``prob[indptr[row] + k]`` and otherwise
+    takes ``alias[indptr[row] + k]``, a column of the same row.
     """
 
     def __init__(self, weights, indptr=None):
@@ -78,12 +80,6 @@ class AliasTable:
         pos = self.indptr[rows] + k
         return np.where(rng.random(rows.shape) < self.prob[pos], k, self.alias[pos])
 
-    def outcome_probabilities(self):
-        """Exact distribution implied by the table, row by row (for verification)."""
-        start = np.repeat(self.indptr[:-1], self.count)
-        p = self.prob + np.bincount(start + self.alias, 1.0 - self.prob, self.prob.size)
-        return p / np.repeat(self.count, self.count)
-
 
 @dataclass(frozen=True)
 class PairBatch:
@@ -92,9 +88,6 @@ class PairBatch:
     targets: np.ndarray
     contexts: np.ndarray
     negatives: np.ndarray  # shape (len(targets), K)
-
-    def __len__(self):
-        return self.targets.shape[0]
 
 
 def random_walks(graph, walks_per_node, walk_length, rng):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ane.datasets import dataset_paths, load_dataset
+from ane.datasets import dataset_paths
 from ane.embedder import (
     TrainConfig,
     Trainer,
@@ -29,9 +29,9 @@ from ane.embedder import (
 )
 from ane.evaluation import SplitSpec, evaluate, load_labels
 from ane.graph import load_edge_list, preprocess
-from ane.nn import gradient_check
 from ane.proximity import accumulate_powers, shifted_ppmi
 from ane.walker import AliasTable, PairBatch, negative_sampler
+from oracles import gradient_check, load_dataset
 
 
 def report(criterion, ok, detail):

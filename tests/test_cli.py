@@ -686,11 +686,13 @@ def test_idw_equals_aidw_with_adversary_disabled(ring, tmp_path):
     assert (a / "embedding.txt").read_bytes() == (b / "embedding.txt").read_bytes()
 
 
-def test_from_manifest_replay_byte_identical(ring, tmp_path):
+def test_from_manifest_replay_byte_identical(ring, tmp_path, capsys):
     edges, _ = ring
     first, second = tmp_path / "first", tmp_path / "second"
     assert run_cli("embed", edges, "--out", first, "--seed", "3", *FAST) == 0
     assert_replays(first, second)
+    # the same machine: no environment warning
+    assert capsys.readouterr().err == ""
 
 
 def test_weighted_embed_trains_on_the_weights_and_replays(tmp_path, capsys):
@@ -740,7 +742,7 @@ def test_manifest_records_the_arithmetic_and_replay_ignores_it(ring, tmp_path):
     assert replayed["arithmetic"]["networks"] == "float32"
 
 
-def test_manifests_record_the_environment_and_replay_ignores_it(ring, tmp_path):
+def test_manifests_record_the_environment_and_replay_ignores_it(ring, tmp_path, capsys):
     edges, labels = ring
     first, second = tmp_path / "first", tmp_path / "second"
     assert run_cli("embed", edges, "--out", first, "--seed", "3", *FAST) == 0
@@ -765,11 +767,18 @@ def test_manifests_record_the_environment_and_replay_ignores_it(ring, tmp_path):
         "training_blas_pinned": False,
     }
     path.write_text(json.dumps(manifest))
+    capsys.readouterr()
     assert run_cli("embed", "--from-manifest", path, "--out", second) == 0
     assert (first / "embedding.txt").read_bytes() == (second / "embedding.txt").read_bytes()
     replayed = json.loads((second / "manifest.json").read_text())
     assert replayed["config_digest"] == manifest["config_digest"]
     assert replayed["environment"] == cli._environment()
+    here = cli._environment()
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: the manifest records {key} {value} and this machine has {here[key]}; "
+        "the replay's bytes may differ"
+        for key, value in (("numpy", "0.0"), ("blas", "none"), ("blas_core", "none"))
+    ]
 
 
 def test_a_run_with_no_openblas_setter_trains_unpinned_and_records_it(ring, tmp_path,
@@ -816,6 +825,20 @@ def test_from_manifest_rejects_v1_manifest(ring, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bad manifest" in err and "'ane-manifest-v2'" in err
+    assert not (tmp_path / "replay").exists()
+
+
+def test_from_manifest_with_a_fractional_epoch_count_exit_2_before_any_output(ring, tmp_path,
+                                                                             capsys):
+    edges, _ = ring
+    assert run_cli("embed", edges, "--out", tmp_path / "run", *FAST) == 0
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["epochs"] = 1.5
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("embed", "--from-manifest", path, "--out", tmp_path / "replay") == 2
+    assert "epochs must be an integer, got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "replay").exists()
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,6 @@ import scipy.stats
 from scipy import sparse
 
 from ane import embedder, nn, proximity
-from ane.datasets import load_dataset
 from ane.embedder import (
     MODEL_KINDS,
     OBJECTIVES,
@@ -34,18 +34,15 @@ from ane.embedder import (
     load_embeddings,
     train,
 )
-from ane.graph import GraphError, InputError, parse_edge_lines, preprocess
-from ane.nn import DenseLayer, GradientError, gradient_check, logistic_loss, sigmoid
+from ane.graph import GraphError, InputError
+from ane.nn import DenseLayer, GradientError, logistic_loss, sigmoid
 from ane.proximity import ppmi_features
 from ane.walker import PairBatch, positive_pairs, random_walks
+from oracles import gradient_check, load_dataset, ring_graph
 
 
 def zero_params(net):
     net.params[...] = 0.0
-
-
-def ring_graph(n):
-    return preprocess(parse_edge_lines([f"{i} {(i + 1) % n}" for i in range(n)]))
 
 
 def tiny_batch(rng, n_nodes, b, k):
@@ -216,9 +213,9 @@ def test_idw_negative_score_blocks_bit_equal_to_one_gather(monkeypatch):
         loss = idw_batch_loss(*nets, batch, feats)
         return loss, [net.grads.copy() for net in nets]
 
-    assert embedder.NEG_BLOCK < len(batch) // 3
+    assert embedder.NEG_BLOCK < batch.targets.size // 3
     loss, grads = run()
-    monkeypatch.setattr(embedder, "NEG_BLOCK", len(batch))
+    monkeypatch.setattr(embedder, "NEG_BLOCK", batch.targets.size)
     whole_loss, whole_grads = run()
     assert loss == whole_loss
     for got, want in zip(grads, whole_grads):
@@ -743,6 +740,24 @@ def test_structure_steps_zero_refused():
                 TrainConfig(model=model, structure_steps=0, **steps)
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "dim", "negatives", "epochs", "batch_size", "adv_batch_size", "structure_steps",
+        "disc_steps", "gen_steps", "walks_per_node", "walk_length", "context_size",
+        "ppmi_steps", "seed",
+    ],
+)
+def test_integer_fields_refuse_non_integers(name):
+    # 2.5 and 4.0 would pass every bound and fail halfway through a run
+    for value in (2.5, 4.0, "3"):
+        message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(InputError, match=message):
+            TrainConfig(**{name: value})
+    default = getattr(TrainConfig(), name)
+    assert getattr(TrainConfig(**{name: np.int64(default)}), name) == default
+
+
 def test_one_item_tail_folded_into_the_cycle_before_it():
     # 9 nodes in batches of 4: the 1-node tail joins the second batch
     g = ring_graph(9)
@@ -873,11 +888,9 @@ def test_generator_shared_between_phases():
 # ring-2000 idw at batch 8192)
 BLAS_DIGESTS = """
 import hashlib, itertools
-from ane.datasets import load_dataset
 from ane.embedder import TrainConfig, Trainer
-from ane.graph import parse_edge_lines, preprocess
-n = 2000
-ring = preprocess(parse_edge_lines([f"{i} {(i + 1) % n}" for i in range(n)]))
+from oracles import load_dataset, ring_graph
+ring = ring_graph(2000)
 runs = [(load_dataset("karate")[0], dict(model="aidw", walks_per_node=2, walk_length=20,
                                          context_size=4))]
 runs += [(ring, dict(model=model, dim=128, batch_size=256, adv_batch_size=128))
@@ -892,7 +905,8 @@ for graph, settings in runs:
 
 def test_autoencoder_bytes_do_not_depend_on_the_blas_thread_count():
     src = str(Path(embedder.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}

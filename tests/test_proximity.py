@@ -7,7 +7,6 @@ import pytest
 from scipy import sparse
 
 from ane import proximity
-from ane.datasets import load_dataset
 from ane.embedder import TrainConfig
 from ane.graph import Graph, GraphError, parse_edge_lines, preprocess, row_normalize
 from ane.proximity import (
@@ -15,6 +14,7 @@ from ane.proximity import (
     ppmi_features,
     shifted_ppmi,
 )
+from oracles import load_dataset
 
 
 def scalar_ppmi_oracle(m, beta):
