@@ -48,10 +48,6 @@ from .proximity import ppmi_features
 MANIFEST_FORMAT = "ane-manifest-v2"
 
 
-class UsageError(Exception):
-    """Bad input or flags: exit code 2."""
-
-
 class StageError(Exception):
     """Failure inside a pipeline stage: exit code 1."""
 
@@ -66,18 +62,27 @@ def _stage(name):
     """Tag a failure with its stage; an InputError or a missing file exits 2."""
     try:
         yield
-    except (UsageError, StageError):
+    except StageError:
         raise
     except (InputError, FileNotFoundError) as exc:
-        raise UsageError(f"[{name}] {exc}") from exc
+        raise InputError(f"[{name}] {exc}") from exc
     except Exception as exc:
         raise StageError(name, exc) from exc
 
 
 def _require_file(path):
     if not Path(path).is_file():
-        raise UsageError(f"file not found: {path}")
+        raise InputError(f"file not found: {path}")
     return Path(path)
+
+
+def _check_out(path):
+    """Refuse ``--out`` before any work, without creating it, when it or its
+    nearest existing ancestor is not a directory."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"--out {path}: {existing} is not a directory")
 
 
 def _atomic_write(path, writer):
@@ -289,16 +294,17 @@ def cmd_embed(args):
             weighted = dataset.get("weighted", False)
             features_path = dataset.get("features")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"bad manifest {manifest_path}: {exc}") from exc
+            raise InputError(f"bad manifest {manifest_path}: {exc}") from exc
         _note_environment_changes(payload.get("environment"))
     else:
         if args.edge_list is None:
-            raise UsageError("an edge-list path is required (or --from-manifest)")
+            raise InputError("an edge-list path is required (or --from-manifest)")
         cfg = _config_from_args(args)
         edge_path = args.edge_list
         weighted = args.weighted
         features_path = args.features
 
+    _check_out(args.out)
     graph, features, dataset_meta = _load_dataset(
         _require_file(edge_path), weighted, features_path
     )
@@ -325,6 +331,8 @@ def _eval_protocol(args, labels_path, index_of):
 def cmd_eval(args):
     emb_path = _require_file(args.embedding)
     labels_path = _require_file(args.labels)
+    if args.out:
+        _check_out(args.out)
     with _stage("evalkit"):
         emb = load_embeddings(emb_path)
         index_of = {node_id: i for i, node_id in enumerate(emb.ids)}
@@ -363,7 +371,8 @@ def cmd_sweep(args):
 
     axes = {n: getattr(args, f"grid_{n}") for n in SWEEP_AXES if getattr(args, f"grid_{n}")}
     if not axes:
-        raise UsageError("no sweep points")
+        raise InputError("no sweep points")
+    _check_out(args.out)
     graph, features, dataset_meta = _load_dataset(edge_path, args.weighted, args.features)
     with _stage("evalkit"):
         label_set, spec = _eval_protocol(args, labels_path, graph.index_of)
@@ -378,7 +387,7 @@ def cmd_sweep(args):
             cfg = replace(base_cfg, **overrides)
             check_memory_plan(graph, cfg, features)
         except InputError as exc:
-            raise UsageError(f"sweep point ({label}): {exc}") from exc
+            raise InputError(f"sweep point ({label}): {exc}") from exc
         points.append((overrides, label, cfg))
 
     if features is None:
@@ -489,7 +498,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:

@@ -25,15 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy import sparse
 
 from . import nn
-from .graph import InputError
+from .graph import InputError, integer, number
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp
 from .proximity import check_memory, ppmi_features
 from .walker import (
@@ -85,11 +84,21 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """Everything a training run depends on besides the graph itself.
 
-    Construction checks every bound, so a config that exists can train:
-    a bound it breaks raises :class:`InputError` (exit code 2 in the CLI).
-    ``lr`` is the RMSProp step of every phase; ``grad_clip`` bounds the
-    global gradient norm of the adversarial steps (``inf``: no clipping).
+    Construction stores each integer field as an ``int`` of at least its
+    ``INT_LEAST`` value and each float field as a ``float``, or raises
+    :class:`InputError` (exit code 2 in the CLI; a bool is refused). ``lr`` is
+    the RMSProp step of every phase; ``grad_clip`` bounds the global gradient
+    norm of the adversarial steps (``inf``: no clipping).
     """
+
+    # least value of each integer field (None: any); batch norm needs two rows.
+    # The bounds of WALK_FIELDS bind only for the models that walk
+    INT_LEAST = {
+        "dim": 1, "negatives": 1, "epochs": 1, "batch_size": 2, "adv_batch_size": 2,
+        "structure_steps": 1, "disc_steps": 0, "gen_steps": 0, "walks_per_node": 1,
+        "walk_length": 2, "context_size": None, "ppmi_steps": 1, "seed": 0,
+    }
+    WALK_FIELDS = ("walks_per_node", "walk_length")
 
     model: str = "aidw"
     dim: int = 128
@@ -112,32 +121,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a float passes the bounds below and fails halfway through a run
-        for f in fields(self):
-            if f.type == "int":
-                try:
-                    operator.index(getattr(self, f.name))
-                except TypeError:
-                    raise InputError(
-                        f"{f.name} must be an integer, got {getattr(self, f.name)!r}"
-                    ) from None
         if self.model not in MODEL_KINDS:
             raise InputError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        if self.dim < 1:
-            raise InputError(f"dim must be >= 1, got {self.dim}")
-        if self.negatives < 1:
-            raise InputError(f"negatives must be >= 1, got {self.negatives}")
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        # batch norm needs two rows
-        if self.batch_size < 2:
-            raise InputError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.adv_batch_size < 2:
-            raise InputError(f"adv_batch_size must be >= 2, got {self.adv_batch_size}")
-        if self.structure_steps < 1:
-            raise InputError(f"structure_steps must be >= 1, got {self.structure_steps}")
-        if min(self.disc_steps, self.gen_steps) < 0:
-            raise InputError("disc_steps and gen_steps must be >= 0")
+        walks = OBJECTIVES[self.model] is SkipGram
+        # a float passes every bound and fails halfway through a run
+        for name, least in self.INT_LEAST.items():
+            least = least if walks or name not in self.WALK_FIELDS else None
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
+        for name in ("lr", "dae_corruption", "grad_clip", "ppmi_beta"):
+            if name != "ppmi_beta" or self.ppmi_beta is not None:
+                object.__setattr__(self, name, number(name, getattr(self, name)))
         if not 0.0 <= self.dae_corruption < 1.0:
             raise InputError(f"dae_corruption must be in [0, 1), got {self.dae_corruption}")
         # a negative step or clip norm would reverse the updates
@@ -147,24 +140,11 @@ class TrainConfig:
             raise InputError(f"grad_clip must be > 0 (inf: no clipping), got {self.grad_clip}")
         if self.prior not in PRIOR_KINDS:
             raise InputError(f"prior must be one of {PRIOR_KINDS}, got {self.prior!r}")
-        if self.ppmi_steps < 1:
-            raise InputError(f"ppmi_steps must be >= 1, got {self.ppmi_steps}")
-        if self.ppmi_beta is not None and not (
-            math.isfinite(self.ppmi_beta) and self.ppmi_beta > 0
-        ):
+        if self.ppmi_beta is not None and not 0 < self.ppmi_beta < math.inf:
             raise InputError(f"ppmi_beta must be a finite number > 0, got {self.ppmi_beta}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
-        if OBJECTIVES[self.model] is SkipGram:
-            if self.walks_per_node < 1:
-                raise InputError(f"walks_per_node must be >= 1, got {self.walks_per_node}")
-            if self.walk_length < 2:
-                raise InputError(f"walk_length must be >= 2, got {self.walk_length}")
-            # a window of 1 holds no pair
-            if not 2 <= self.context_size < self.walk_length:
-                raise InputError(
-                    f"context_size must be in [2, walk_length), got {self.context_size}"
-                )
+        # a window of 1 holds no pair
+        if walks and not 2 <= self.context_size < self.walk_length:
+            raise InputError(f"context_size must be in [2, walk_length), got {self.context_size}")
 
     @property
     def adversarial(self):

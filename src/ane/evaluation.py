@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InputError
+from .graph import InputError, integer, number
 from .nn import sigmoid
 
 
@@ -88,24 +88,32 @@ def load_labels(path, index_of):
 @dataclass(frozen=True)
 class SplitSpec:
     """Evaluation protocol: train ratios, repetitions per ratio, split seed, the
-    classifier's ``l2`` and whether rows are L2-normalized (InputError if bad)."""
+    classifier's ``l2`` and whether rows are L2-normalized, stored as a float
+    tuple, ints, a float and a bool, so JSON keeps them (InputError if bad)."""
 
     ratios: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     repetitions: int = 10
     seed: int = 0
     l2: float = 1.0
     normalize: bool = True
+    INT_LEAST = {"repetitions": 1, "seed": 0}  # least value of each integer field
 
     def __post_init__(self):
+        try:
+            ratios = tuple(number("ratios", r) for r in self.ratios)
+        except TypeError:
+            raise InputError(f"ratios must be a sequence of numbers, got {self.ratios!r}") from None
+        object.__setattr__(self, "ratios", ratios)
         for r in self.ratios:
             if not 0.0 < r < 1.0:
                 raise InputError(f"train ratio must be in (0, 1), got {r}")
-        if self.repetitions < 1:
-            raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        for name, least in self.INT_LEAST.items():
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
+        object.__setattr__(self, "l2", number("l2", self.l2))
         if not (np.isfinite(self.l2) and self.l2 > 0):
             raise InputError(f"l2 must be a finite number > 0, got {self.l2}")
+        if not isinstance(self.normalize, bool):
+            raise InputError(f"normalize must be a bool, got {self.normalize!r}")
 
 
 def train_size(ratio, n):
@@ -126,31 +134,30 @@ def check_ratios(label_set, spec):
             )
 
 
-def split(label_set, ratio, rep, seed, max_redraws=20):
+def split(label_set, ratio, rep, seed):
     """Disjoint train/test cover of the labeled nodes, deterministic per
-    (seed, rep). Positions returned index into ``label_set`` arrays.
-
-    If some class is missing from the training side, the draw is repeated up
-    to ``max_redraws`` times, then the split is used anyway with a warning.
-    """
+    (seed, rep); positions index into ``label_set`` arrays. A draw whose
+    training side misses a class is repeated up to ``MAX_REDRAWS`` times, then
+    the split is used anyway with a warning."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"train ratio must be in (0, 1), got {ratio}")
     n = len(label_set)
     n_train = train_size(ratio, n)
     rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
     all_classes = np.unique(label_set.classes)
-    for attempt in range(max_redraws + 1):
+    for attempt in range(MAX_REDRAWS + 1):
         order = rng.permutation(n)
         train, test = order[:n_train], order[n_train:]
         if np.array_equal(np.unique(label_set.classes[train]), all_classes):
             return train, test
     warnings.warn(
-        f"train split at ratio {ratio} is missing some class after {max_redraws} redraws",
+        f"train split at ratio {ratio} is missing some class after {MAX_REDRAWS} redraws",
         stacklevel=2,
     )
     return train, test
 
 
+MAX_REDRAWS = 20  # draws of a split after the first, before it is used without a class
 MAX_NEWTON_STEPS = 50
 TOL = 1e-5  # per-class gradient norm at which a fit stops
 CG_CAP = 10  # CG iterations after which a class is preconditioned by its own Hessian

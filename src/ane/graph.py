@@ -8,12 +8,33 @@ ignored. Node ids may be arbitrary strings; they are mapped to dense indices
 
 from __future__ import annotations
 
+import numbers
+import operator
+
 import numpy as np
 from scipy import sparse
 
 
 class InputError(ValueError):
     """A file, setting or memory need refused before work starts (CLI exit 2)."""
+
+
+def integer(name, value, least=None):
+    """``value`` as an ``int`` of at least ``least``, or InputError naming ``name`` (bools too)."""
+    try:
+        index = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and index < least:
+        raise InputError(f"{name} must be >= {least}, got {index}")
+    return index
+
+
+def number(name, value):
+    """``value`` as a ``float``, or InputError naming ``name`` for a bool or a non-real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 class EdgeListError(InputError):

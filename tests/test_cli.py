@@ -842,6 +842,19 @@ def test_from_manifest_with_a_fractional_epoch_count_exit_2_before_any_output(ri
     assert not (tmp_path / "replay").exists()
 
 
+def test_from_manifest_with_a_boolean_dim_exit_2_before_any_output(ring, tmp_path, capsys):
+    edges, _ = ring
+    assert run_cli("embed", edges, "--out", tmp_path / "run", *FAST) == 0
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["dim"] = True
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("embed", "--from-manifest", path, "--out", tmp_path / "replay") == 2
+    assert "dim must be an integer, got True" in capsys.readouterr().err
+    assert not (tmp_path / "replay").exists()
+
+
 def test_from_manifest_rejects_eval_manifest(tmp_path, capsys):
     classes = [0, 1] * 10
     emb = tmp_path / "e.txt"
@@ -1469,6 +1482,31 @@ def test_sweep_all_points_failed_exit_1(ring, tmp_path, capsys, monkeypatch):
         "--ratios", "0.5", "--reps", "2", "--out", tmp_path / "s", *FAST,
     )
     assert code == 1
+
+
+def no_loading(*args, **kwargs):
+    raise AssertionError("an input was read for a refused --out")
+
+
+@pytest.mark.parametrize("command", ["embed", "eval", "sweep"])
+@pytest.mark.parametrize("out", ["F", "F/sub"])
+def test_out_that_is_a_file_exit_2_before_any_work(ring, tmp_path, capsys, monkeypatch, command,
+                                                  out):
+    monkeypatch.setattr(cli, "load_edge_list", no_loading)
+    monkeypatch.setattr(cli, "load_embeddings", no_loading)
+    edges, labels = ring
+    (tmp_path / "F").write_text("kept\n")
+    inputs = {
+        "embed": [edges],
+        "eval": [edges, labels],  # never read, so any existing file serves
+        "sweep": [edges, labels, "--grid-dim", "2"],
+    }[command]
+    assert run_cli(command, *inputs, "--out", tmp_path / out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {tmp_path / out}: {tmp_path / 'F'} is not a directory\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "ring.edges", "ring.labels"]
+    assert (tmp_path / "F").read_text() == "kept\n"
 
 
 def test_no_subcommand_exit_2(capsys):

@@ -111,6 +111,14 @@ def test_config_digest_stable_and_sensitive():
     assert a.digest() != c.digest()
 
 
+def test_config_digest_of_numpy_scalars():
+    # numpy scalars are stored as the plain int or float JSON can write
+    assert TrainConfig(dim=np.int64(4)).digest() == TrainConfig(dim=4).digest()
+    cfg = TrainConfig(lr=np.float32(1e-3))
+    assert type(cfg.lr) is float
+    assert cfg.digest() == TrainConfig(lr=float(np.float32(1e-3))).digest()
+
+
 def test_adversarial_property():
     assert TrainConfig(model="aidw").adversarial
     assert TrainConfig(model="adae").adversarial
@@ -749,13 +757,23 @@ def test_structure_steps_zero_refused():
     ],
 )
 def test_integer_fields_refuse_non_integers(name):
-    # 2.5 and 4.0 would pass every bound and fail halfway through a run
-    for value in (2.5, 4.0, "3"):
+    # 2.5 and 4.0 would pass every bound and fail halfway through a run, and
+    # True would train as 1
+    for value in (2.5, 4.0, "3", True, False):
         message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(InputError, match=message):
             TrainConfig(**{name: value})
     default = getattr(TrainConfig(), name)
-    assert getattr(TrainConfig(**{name: np.int64(default)}), name) == default
+    stored = getattr(TrainConfig(**{name: np.int64(default)}), name)
+    assert type(stored) is int and stored == default
+
+
+@pytest.mark.parametrize("name", ["lr", "grad_clip", "dae_corruption", "ppmi_beta"])
+def test_float_fields_refuse_non_numbers(name):
+    for value in ("0.1", True):
+        message = f"^{name} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(InputError, match=message):
+            TrainConfig(**{name: value})
 
 
 def test_one_item_tail_folded_into_the_cycle_before_it():

@@ -1,7 +1,10 @@
+import json
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -123,9 +126,10 @@ def test_split_redraws_until_all_classes_present():
     assert redrew > 0
 
 
-def test_split_warns_when_class_unreachable():
-    # rare class and max_redraws=0 with an adversarial seed: find a rep whose
+def test_split_warns_when_class_unreachable(monkeypatch):
+    # rare class and no redraw with an adversarial seed: find a rep whose
     # first draw misses class 1, then confirm the warning fires
+    monkeypatch.setattr(evaluation, "MAX_REDRAWS", 0)
     ls = make_labels([0] * 40 + [1])
     hit = None
     for rep in range(50):
@@ -136,7 +140,7 @@ def test_split_warns_when_class_unreachable():
             break
     assert hit is not None
     with pytest.warns(UserWarning, match="missing some class"):
-        split(ls, 0.1, rep=hit, seed=123, max_redraws=0)
+        split(ls, 0.1, rep=hit, seed=123)
 
 
 def test_split_ratio_validation():
@@ -187,6 +191,28 @@ def test_split_spec_validation():
     for l2 in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(InputError, match=f"l2 must be a finite number > 0, got {l2}"):
             SplitSpec(l2=l2)
+
+
+def test_split_spec_refuses_values_of_the_wrong_type():
+    for settings, message in (
+        ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"repetitions": True}, "repetitions must be an integer, got True"),
+        ({"l2": "1"}, "l2 must be a number, got '1'"),
+        ({"ratios": (0.5, "0.7")}, "ratios must be a number, got '0.7'"),
+        ({"ratios": 0.5}, "ratios must be a sequence of numbers, got 0.5"),
+        ({"normalize": "no"}, "normalize must be a bool, got 'no'"),
+    ):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            SplitSpec(**settings)
+
+
+def test_split_spec_survives_a_json_round_trip():
+    # a list of ratios, an integer l2 and numpy scalars are stored as JSON reads them back
+    spec = SplitSpec([0.25, 0.5], np.int64(3), np.int32(7), 2, False)
+    assert spec == SplitSpec((0.25, 0.5), 3, 7, 2.0, False)
+    assert SplitSpec(**json.loads(json.dumps(asdict(spec)))) == spec
+    assert SplitSpec(**json.loads(json.dumps(asdict(SplitSpec())))) == SplitSpec()
 
 
 # classifier
