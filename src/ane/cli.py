@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import os
+import stat
 import sys
 import time
 from contextlib import contextmanager
@@ -49,29 +50,36 @@ MANIFEST_FORMAT = "ane-manifest-v2"
 
 
 class StageError(Exception):
-    """Failure inside a pipeline stage: exit code 1."""
-
-    def __init__(self, stage, cause):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
+    """Failure inside a pipeline stage, its message tagged ``[stage]``: exit code 1."""
 
 
 @contextmanager
 def _stage(name):
-    """Tag a failure with its stage; an InputError or a missing file exits 2."""
+    """Tag a failure with its stage; an InputError or a missing file exits 2.
+    No stage opens inside another, so no failure is tagged twice."""
     try:
         yield
-    except StageError:
-        raise
     except (InputError, FileNotFoundError) as exc:
         raise InputError(f"[{name}] {exc}") from exc
     except Exception as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(f"[{name}] {exc}") from exc
+
+
+def _stat(path):
+    """``os.stat(path)``, or None when nothing is there; any other failure to
+    stat it, such as a name too long or a directory it may not search, is an
+    InputError naming the path."""
+    try:
+        return os.stat(path)
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        return None
+    except OSError as exc:
+        raise InputError(f"cannot stat {path}: {exc.strerror}") from exc
 
 
 def _require_file(path):
-    if not Path(path).is_file():
+    found = _stat(path)
+    if found is None or not stat.S_ISREG(found.st_mode):
         raise InputError(f"file not found: {path}")
     return Path(path)
 
@@ -80,8 +88,8 @@ def _check_out(path):
     """Refuse ``--out`` before any work, without creating it, when it or its
     nearest existing ancestor is not a directory."""
     path = Path(path)
-    existing = next(p for p in (path, *path.parents) if p.exists())
-    if not existing.is_dir():
+    existing, found = next((p, f) for p in (path, *path.parents) if (f := _stat(p)) is not None)
+    if not stat.S_ISDIR(found.st_mode):
         raise InputError(f"--out {path}: {existing} is not a directory")
 
 
@@ -212,10 +220,13 @@ def _config_from_args(args):
 
 def _load_dataset(edge_path, weighted, features_path):
     """The graph, the rows of its ``--features`` file in ``graph.ids`` order
-    (None: train on PPMI features) and the manifest's record of both."""
+    (None: train on PPMI features) and the manifest's record of both. A
+    ``--features`` path that is not a file is refused before the graph is read."""
+    if features_path:
+        _require_file(features_path)
     with _stage("graph-core"):
         graph = preprocess(load_edge_list(edge_path, weighted=weighted))
-    features = _load_features(_require_file(features_path), graph) if features_path else None
+    features = _load_features(features_path, graph) if features_path else None
     record = {
         "edge_list": str(Path(edge_path).resolve()),
         "weighted": bool(weighted),
@@ -309,10 +320,8 @@ def cmd_embed(args):
         _require_file(edge_path), weighted, features_path
     )
     embedding, _ = _train_and_write(graph, cfg, args.out, dataset_meta, features=features)
-    print(
-        f"wrote {embedding.num_nodes} x {embedding.dim} {cfg.model} embedding "
-        f"to {Path(args.out) / 'embedding.txt'}"
-    )
+    n, d = embedding.vectors.shape
+    print(f"wrote {n} x {d} {cfg.model} embedding to {Path(args.out) / 'embedding.txt'}")
     return 0
 
 

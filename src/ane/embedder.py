@@ -32,7 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from . import nn
-from .graph import InputError, integer, number
+from .graph import InputError, integer, number, open_utf8
 from .nn import BatchNorm, DenseLayer, LeakyRelu, Mlp, RmsProp
 from .proximity import check_memory, ppmi_features
 from .walker import (
@@ -170,9 +170,6 @@ class CycleRecord:
 class TrainingLog:
     records: list = field(default_factory=list)
 
-    def append(self, record):
-        self.records.append(record)
-
     def __len__(self):
         return len(self.records)
 
@@ -193,14 +190,6 @@ class EmbeddingMatrix:
 
     vectors: np.ndarray  # (N, d), TRAIN_DTYPE from training and from load_embeddings
     ids: list
-
-    @property
-    def num_nodes(self):
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
 
 
 def build_generator(in_dim, out_dim, rng, dtype=np.float64):
@@ -696,8 +685,12 @@ class Trainer:
     @staticmethod
     def _bn_drift(nets):
         """(|mean|, |var - 1|) of every batch-norm layer's last forward."""
-        layers = [layer for net in nets for layer in net.bn_layers()]
-        return [(layer.last_norm_mean_abs, layer.last_norm_var_err) for layer in layers]
+        return [
+            (layer.last_norm_mean_abs, layer.last_norm_var_err)
+            for net in nets
+            for layer in net.layers
+            if isinstance(layer, BatchNorm)
+        ]
 
     def cycles(self):
         """Train, yielding each cycle's :class:`CycleRecord` once the log
@@ -737,7 +730,7 @@ class Trainer:
                     if disc_losses or gen_losses:
                         drift += self._bn_drift([self.disc, self.gen_g])
 
-                    self.log.append(
+                    self.log.records.append(
                         CycleRecord(
                             cycle=len(self.log),
                             structure_loss=_mean(structure_losses),
@@ -812,7 +805,7 @@ def load_embeddings(path):
     """
     dtype = TRAIN_DTYPE.__name__
     # a value that overflows dtype is refused below, by its line
-    with open(path, encoding="utf-8") as fh, np.errstate(over="ignore"):
+    with open_utf8(path) as fh, np.errstate(over="ignore"):
         header = fh.readline().split()
         if len(header) != 2 or not all(tok.isdecimal() for tok in header):
             raise InputError(f"{path}: line 1: expected 'N d' header, got {header!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InputError, integer, number
+from .graph import InputError, integer, number, open_utf8
 from .nn import sigmoid
 
 
@@ -49,7 +49,7 @@ def load_labels(path, index_of):
     pairs = []
     unknown = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -163,8 +163,9 @@ TOL = 1e-5  # per-class gradient norm at which a fit stops
 CG_CAP = 10  # CG iterations after which a class is preconditioned by its own Hessian
 
 
+@dataclass(frozen=True, eq=False)
 class LinearOvrClassifier:
-    """One-vs-rest logistic regression, fit by :func:`fit_linear_ovr`.
+    """One-vs-rest logistic regression, as :func:`fit_linear_ovr` returns it.
 
     Class k minimizes ``_objective``: mean binary cross-entropy of
     ``x @ w_k + b_k`` against ``classes == k`` plus ``l2 / (2 n) |w_k|^2``
@@ -173,17 +174,13 @@ class LinearOvrClassifier:
     ``final_grad_norm`` the largest per-class gradient norm.
     """
 
-    def __init__(self, num_classes, dim):
-        self.weights = np.zeros((num_classes, dim), dtype=np.float64)
-        self.intercepts = np.zeros(num_classes, dtype=np.float64)
-        self.iterations_run = 0
-        self.final_grad_norm = np.inf
-
-    def decision_values(self, x):
-        return x @ self.weights.T + self.intercepts
+    weights: np.ndarray  # (classes, dim) float64
+    intercepts: np.ndarray  # (classes,) float64
+    iterations_run: int
+    final_grad_norm: float
 
     def predict(self, x):
-        return self.decision_values(x).argmax(axis=1)
+        return (x @ self.weights.T + self.intercepts).argmax(axis=1)
 
 
 def _objective(z, target, w, l2):
@@ -365,9 +362,9 @@ def fit_linear_ovr(features, classes, l2=1.0, *, rows=None):
             w_new[:, halving] = w[:, halving] - scale[halving] * directions[:, halving]
         weights[:, active], scores[:, active], f[active] = w_new, z_new, f_new
 
-    model = LinearOvrClassifier(c, dim)
-    model.weights, model.intercepts = weights[:-1].T.copy(), weights[-1].copy()
-    model.iterations_run, model.final_grad_norm = int(steps.max()), float(norms.max())
+    model = LinearOvrClassifier(
+        weights[:-1].T.copy(), weights[-1].copy(), int(steps.max()), float(norms.max())
+    )
     if model.final_grad_norm >= TOL:
         warnings.warn(
             f"logistic fit stopped after {model.iterations_run} Newton steps with gradient "

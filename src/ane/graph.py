@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+from contextlib import contextmanager
 
 import numpy as np
 from scipy import sparse
@@ -17,6 +18,27 @@ from scipy import sparse
 
 class InputError(ValueError):
     """A file, setting or memory need refused before work starts (CLI exit 2)."""
+
+
+@contextmanager
+def open_utf8(path):
+    """``path`` opened as UTF-8 text for a ``with`` block, in which a byte that
+    is not UTF-8 raises :class:`InputError` naming the file and the first line
+    that holds one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # text is decoded a buffer at a time, so the line is found again by bytes
+        where, cause = "", exc
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    where, cause = f" line {lineno}:", line_exc
+                    break
+        raise InputError(f"{path}:{where} not UTF-8 text: {cause}") from exc
 
 
 def integer(name, value, least=None):
@@ -195,7 +217,7 @@ def parse_edge_lines(lines, weighted=True, source="<memory>"):
 
 def load_edge_list(path, weighted=True):
     """Load an edge-list file into a Graph. See module docstring for format."""
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         return parse_edge_lines(fh, weighted=weighted, source=str(path))
 
 

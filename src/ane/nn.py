@@ -320,9 +320,6 @@ class Mlp:
             for name in layer.CACHE:
                 setattr(layer, name, None)
 
-    def bn_layers(self):
-        return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
-
 
 # Elements worked on at once, so the temporaries stay in the L2 cache: an
 # RMSProp step's slice, about a Glorot draw's block; no value depends on it.

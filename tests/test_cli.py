@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -1507,6 +1509,100 @@ def test_out_that_is_a_file_exit_2_before_any_work(ring, tmp_path, capsys, monke
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "ring.edges", "ring.labels"]
     assert (tmp_path / "F").read_text() == "kept\n"
+
+
+# each command's arguments, a path that cannot be stat'ed in the place of LONG
+UNSTATTABLE = {
+    "embed-edge-list": ["embed", "LONG", "--out", "O"],
+    "embed-features": ["embed", "E", "--features", "LONG", "--out", "O"],
+    "embed-from-manifest": ["embed", "--from-manifest", "LONG", "--out", "O"],
+    "embed-out": ["embed", "E", "--out", "LONG"],
+    "eval-embedding": ["eval", "LONG", "L", "--out", "O"],
+    "eval-labels": ["eval", "E", "LONG", "--out", "O"],
+    "eval-out": ["eval", "E", "L", "--out", "LONG"],
+    "sweep-edge-list": ["sweep", "LONG", "L", "--grid-dim", "2", "--out", "O"],
+    "sweep-labels": ["sweep", "E", "LONG", "--grid-dim", "2", "--out", "O"],
+    "sweep-features": ["sweep", "E", "L", "--features", "LONG", "--grid-dim", "2", "--out", "O"],
+    "sweep-out": ["sweep", "E", "L", "--grid-dim", "2", "--out", "LONG"],
+}
+
+
+@pytest.mark.parametrize("argv", UNSTATTABLE.values(), ids=UNSTATTABLE)
+def test_a_path_that_cannot_be_stat_ed_exit_2_before_any_input_is_read(
+    ring, tmp_path, capsys, monkeypatch, argv
+):
+    for name in ("load_edge_list", "load_embeddings", "load_labels"):
+        monkeypatch.setattr(cli, name, no_loading)
+    edges, labels = ring
+    long = tmp_path / ("x" * 300)  # longer than a file name may be
+    paths = {"LONG": long, "E": edges, "L": labels, "O": tmp_path / "o"}
+    assert run_cli(*(paths.get(a, a) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot stat {long}: {os.strerror(errno.ENAMETOOLONG)}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.edges", "ring.labels"]
+
+
+NOT_UTF8 = b"v0 v1\nv1 \xff\n"  # its line 2 is not UTF-8
+
+
+@pytest.mark.parametrize("which", ["edge-list", "features"])
+def test_embed_input_that_is_not_utf8_exit_2_naming_file_and_line(ring, tmp_path, capsys, which):
+    edges, _ = ring
+    bad = tmp_path / "bad.txt"
+    if which == "edge-list":
+        bad.write_bytes(NOT_UTF8)
+        argv, stage = [bad], "graph-core"
+    else:
+        bad.write_bytes(b"12 1\n" + NOT_UTF8)
+        argv, stage = [edges, "--features", bad], "proximity"
+    assert run_cli("embed", *argv, "--out", tmp_path / "o", *FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{stage}] {bad}: line {2 if which == 'edge-list' else 3}: ")
+    assert "not UTF-8 text" in err and "0xff" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("which", ["embedding", "labels"])
+def test_eval_input_that_is_not_utf8_exit_2_naming_file_and_line(ring, tmp_path, capsys, which):
+    _, labels = ring
+    embedding = write_ring_features(tmp_path / "embedding.txt", range(12))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"12 3\n" + NOT_UTF8 if which == "embedding" else NOT_UTF8)
+    argv = [bad, labels] if which == "embedding" else [embedding, bad]
+    assert run_cli("eval", *argv, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    line = 3 if which == "embedding" else 2
+    assert captured.err.startswith(f"error: [evalkit] {bad}: line {line}: not UTF-8 text: ")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "E", "L", "--ratios", ","], "argument --ratios: empty list"),
+        (["eval", "E", "L", "--ratios", "a"], "argument --ratios: bad list 'a'"),
+        (["sweep", "E", "L", "--grid-dim", "a"], "argument --grid-dim: bad list 'a'"),
+    ],
+    ids=["empty-ratios", "bad-ratios", "bad-grid-dim"],
+)
+def test_a_bad_list_flag_exit_2(ring, capsys, argv, message):
+    edges, labels = ring
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*({"E": edges, "L": labels}.get(a, a) for a in argv))
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_labels", [True, False])
+def test_dataset_paths_under_the_data_dir(tmp_path, monkeypatch, with_labels):
+    monkeypatch.setenv("ANE_DATA_DIR", str(tmp_path))
+    (tmp_path / "toy.edges").write_text("a b\n")
+    if with_labels:
+        (tmp_path / "toy.labels").write_text("a x\nb y\n")
+    labels = tmp_path / "toy.labels" if with_labels else None
+    assert dataset_paths("toy") == (tmp_path / "toy.edges", labels)
 
 
 def test_no_subcommand_exit_2(capsys):

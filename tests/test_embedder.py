@@ -35,7 +35,7 @@ from ane.embedder import (
     train,
 )
 from ane.graph import GraphError, InputError
-from ane.nn import DenseLayer, GradientError, logistic_loss, sigmoid
+from ane.nn import BatchNorm, DenseLayer, GradientError, logistic_loss, sigmoid
 from ane.proximity import ppmi_features
 from ane.walker import PairBatch, positive_pairs, random_walks
 from oracles import gradient_check, load_dataset, ring_graph
@@ -548,7 +548,8 @@ def test_drift_without_generator_steps_is_the_worse_side_of_the_stack(monkeypatc
     monkeypatch.setattr(Trainer, "_bn_drift",
                         staticmethod(lambda nets: reads.append(bn_drift(nets)) or reads[-1]))
     record = next(trainer.cycles())
-    for layer, got in zip(trainer.disc.bn_layers(), reads[-1]):
+    bn_layers = [layer for layer in trainer.disc.layers if isinstance(layer, BatchNorm)]
+    for layer, got in zip(bn_layers, reads[-1]):
         assert layer._norm.shape == (2, cfg.adv_batch_size, embedder.DISC_HIDDEN)
         sides = [(np.abs(norm.mean(axis=0, dtype=np.float64)).max(),
                   np.abs(norm.var(axis=0, dtype=np.float64) - 1.0).max()) for norm in layer._norm]

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,12 @@ def test_negative_weight_rejected():
 def test_non_numeric_weight_rejected():
     with pytest.raises(EdgeListError, match="not a number"):
         parse_edge_lines(["0 1 heavy"])
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan", "1e400"])
+def test_non_finite_weight_rejected_naming_the_line(weight):
+    with pytest.raises(EdgeListError, match=f"<memory>:2: weight '{weight}' is not finite"):
+        parse_edge_lines(["0 1 2.0", f"1 2 {weight}"])
 
 
 def test_unweighted_flag_forces_unit_weights():
@@ -154,6 +161,13 @@ def test_row_normalize_star_center():
     np.testing.assert_allclose(mat[0], [0.0, 1 / 3, 1 / 3, 1 / 3])
 
 
+def test_row_normalize_refuses_an_isolated_node():
+    # not preprocessed, so node c keeps its zero degree
+    g = Graph(["a", "b", "c"], [0], [1], [1.0])
+    with pytest.raises(GraphError, match="node 'c' has zero degree"):
+        row_normalize(g)
+
+
 def test_row_normalize_weighted():
     g = preprocess(parse_edge_lines(["a b 1", "a c 3"]))
     mat = row_normalize(g).toarray()
@@ -215,3 +229,19 @@ def test_every_input_refusal_is_an_input_error(tmp_path):
     ):
         with pytest.raises(InputError):
             refuse()
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (load_edge_list, b"a b\nb \xff c\n"),
+        (lambda path: load_labels(path, {"a": 0, "b": 1}), b"a x\nb \xffy\n"),
+        (load_embeddings, b"2 1\na\xff 1\nb 2\n"),
+    ],
+    ids=["edge-list", "labels", "embeddings"],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_file_and_line(tmp_path, read, text):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    with pytest.raises(InputError, match=re.escape(f"{path}: line 2: not UTF-8 text: ") + ".*0xff"):
+        read(path)

@@ -81,6 +81,11 @@ def test_powers_rejects_t_zero():
         accumulate_powers(np.eye(2), 0)
 
 
+def test_powers_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"expected square matrix, got shape \(2, 3\)"):
+        accumulate_powers(np.ones((2, 3)), 1)
+
+
 def test_two_cycle_ppmi_hand_value():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     x = shifted_ppmi(m, beta=0.5).toarray()
